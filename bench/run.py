@@ -9,18 +9,22 @@ closed loop by one caller: the next query starts only after the previous
 one returned, and at most one child process runs at a time.
 
 A cycle is one fresh interpreter (for cli_session, one fresh process per
-command) with an empty private SYMF_CACHE_DIR.  It runs every query once
-(the cold pass) and then again (the warm pass: same process and full
-memos in process, the filled cache directory for cli_session).  A run
-makes as many cycles as fit in --seconds, at least two.  Answers are
+command, run as `python -m symf` would through command.py) with an empty
+private SYMF_CACHE_DIR.  It runs every query once (the cold pass) and
+then again (the warm pass: same process and full memos in process, the
+filled cache directory for cli_session).  A run
+makes a fixed number of cycles: as many as fitted in --seconds when the
+benchmark was defined (CYCLE_S), so a slower or faster library changes
+the time a run takes, not how many samples it draws.  Answers are
 checked after the timed passes: the first cycle's against oracles or an
 independent route, later cycles' against the first.
 
-On a shared host CPU speed can swing by 1.8x within seconds as other
-tenants' load comes and goes (seen on a 2-vCPU VM), and such
-interference only ever adds time.  So a
-query's latency is its best over the run's cycles, and cold_s and
-warm_s are sums of those best latencies over the pass.
+Times are scaled to a reference CPU speed (speed.py): each timed span is
+bracketed by samples of a fixed reference loop taken in the process that
+ran it, and is reported at the speed at which that loop takes
+speed.REF_S.  A query's latency is its median over the run's cycles,
+cold_s and warm_s are sums of those medians over the pass, and setup_s
+is the median of the run's set-up samples.
 
 --trace 0 prints the end-to-end metrics.  --trace 1 alternates untraced
 and traced cycles; the traced one records a span around every public call
@@ -58,22 +62,30 @@ if not (SRC / "symf" / "__init__.py").is_file():
     sys.exit("bench: no symf package under %s; run from a checkout" % SRC)
 sys.path[:0] = [str(BENCH), str(SRC)]
 from spans import clock, self_times, top_level_time  # noqa: E402
+from speed import scaled  # noqa: E402
 import workloads  # noqa: E402
 
-# set-up probes before each cycle, so they sample the whole run
-SETUP_PROBES = 1
-# A run keeps starting cycles while half the next one, judged by the
-# last, fits in --seconds; it makes at least MIN_CYCLES, and none that
-# would run past RUN_LIMIT_S of wall time.
+# Wall seconds of one untraced cycle of each workload at the baseline
+# (Python 3.11 on 2 vCPUs: 7 to 9.5 s for each, with the host's speed).
+# A run makes --seconds // CYCLE_S cycles, at least MIN_CYCLES, and a
+# traced run that many untraced and traced pairs over twice the time.
+# It starts no cycle that would run past RUN_LIMIT_S of wall time,
+# judged by the last one.
+CYCLE_S = 7.5
 MIN_CYCLES = 2
+# set-up probes per cycle of cli_session
+CLI_SETUP_PROBES = 3
 RUN_LIMIT_S = 150.0
 # CPU seconds any one child may use before the kernel stops it.
 CHILD_CPU_LIMIT_S = 120
 
-# warm_s, query_p50_ms and query_tail_ms are printed but not reported as
-# metrics: across ten seeds on a shared host they spread by more than
-# 0.25 of the median, the largest bound BENCHMARK.json may set.
-E2E_UNITS = {"setup_s": "s", "cold_s": "s", "peak_rss_mb": "MB"}
+# query_tail_ms is printed but is not a metric: across ten seeds it spread
+# by 5-16% of the median, against at most 8% for the others.  On
+# schur_expand the seed's query order decides which queries pay for the
+# memo tables they share; on cli_session it is one 1.3 s process whose
+# host speed can change within it.
+E2E_UNITS = {"setup_s": "s", "cold_s": "s", "warm_s": "s",
+             "query_p50_ms": "ms", "peak_rss_mb": "MB"}
 _TERMED = ("symfunc.to_basis_p", "symfunc.to_basis_h", "symfunc.to_basis_e",
            "symfunc.to_basis_s", "symfunc.to_basis_m", "symfunc.mul",
            "plethysm.plethysm", "plethysm.fundamental_p",
@@ -162,6 +174,13 @@ def spawn(args, cache, tmp):
                      usage.ru_maxrss)
 
 
+def command_latency(elapsed, ref):
+    """Latency at the reference speed of a command that took `elapsed`
+    seconds and made the reference samples `ref`: a warm-up, one before
+    and one after the command."""
+    return scaled(elapsed - sum(ref), *ref[1:])
+
+
 def worker(mode, *args):
     return [str(BENCH / "worker.py"), mode] + [str(a) for a in args]
 
@@ -193,28 +212,29 @@ class Run:
         os.mkdir(path)
         return path
 
-    def another_cycle(self, done, measure_start, last_cycle_s):
+    def cycles(self, trace):
+        """How many cycles (traced: untraced and traced pairs) to run."""
+        per_cycle = CYCLE_S * (2 if trace else 1)
+        return max(MIN_CYCLES, int(self.seconds // per_cycle))
+
+    def another_cycle(self, done, wanted, last_cycle_s):
         """Whether to start cycle number `done` + 1."""
-        if clock() - self.start + last_cycle_s > RUN_LIMIT_S:
+        if done >= wanted:
             return False
-        if done < MIN_CYCLES:
-            return True
-        return clock() - measure_start + last_cycle_s / 2 <= self.seconds
+        return clock() - self.start + last_cycle_s <= RUN_LIMIT_S
 
     def fail(self, what):
         self.failed += 1
         if len(self.failures) < 20:
             self.failures.append(what)
 
-    def setup_samples(self, count):
-        """Seconds from spawn to ready, over fresh interpreters that import
-        symf and build the query list."""
-        samples = []
-        for _ in range(count):
-            child = spawn(worker("setup", self.workload, self.seed),
-                          self.fresh_cache(), self.tmp)
-            samples.append(child.result()["ready"] - child.started)
-        return samples
+    def setup_sample(self):
+        """Seconds from spawn to ready of a fresh interpreter that imports
+        symf and builds the query list, at the reference speed."""
+        child = spawn(worker("setup", self.workload, self.seed),
+                      self.fresh_cache(), self.tmp)
+        res = child.result()
+        return scaled(res["ready"] - child.started, *res["ready_ref"])
 
     # -- in-process workloads ----------------------------------------
 
@@ -222,7 +242,13 @@ class Run:
         child = spawn(worker(mode, self.workload, self.seed),
                       self.fresh_cache(), self.tmp)
         res = child.result()
-        res["setup_s"] = res["ready"] - child.started
+        res["setup_s"] = scaled(res["ready"] - child.started,
+                                *res["ready_ref"])
+        res["query_s"] = sum(res["cold_lat"]) + sum(res["warm_lat"])
+        for label in ("cold", "warm"):
+            lat, ref = res[label + "_lat"], res[label + "_ref"]
+            res[label + "_lat"] = [scaled(t, ref[i], ref[i + 1])
+                                   for i, t in enumerate(lat)]
         return res
 
     def tally(self, res, verified):
@@ -273,22 +299,32 @@ class Run:
         self.verify_s += clock() - t0
         return refs
 
+    def command(self, argv, cache):
+        """One `python -m symf` command in a fresh process, through
+        command.py; returns the child and its latency."""
+        ref_file = os.path.join(self.tmp, "ref.json")
+        child = spawn([str(BENCH / "command.py"), ref_file] + argv, cache,
+                      self.tmp)
+        with open(ref_file) as f:
+            ref = json.load(f)
+        os.unlink(ref_file)
+        return child, command_latency(child.elapsed, ref)
+
     def cli_cycle(self, refs):
         """Both passes of cli_session in fresh processes sharing one cache."""
         cache = self.fresh_cache()
         out = {"maxrss_kb": 0}
         for label in ("cold", "warm"):
-            start, lat = clock(), []
+            lat = []
             for argv, (rc, text) in zip(self.queries, refs):
-                child = spawn(["-m", "symf"] + argv, cache, self.tmp)
-                lat.append(child.elapsed)
+                child, latency = self.command(argv, cache)
+                lat.append(latency)
                 out["maxrss_kb"] = max(out["maxrss_kb"], child.maxrss_kb)
                 self.attempted += 1
                 if child.rc != 0 or rc != 0 or child.stdout != text:
                     self.fail("%s %s: exit %s, reference exit %s%s" % (
                         label, argv, child.rc, rc,
                         "" if child.stdout == text else ", stdout differs"))
-            out[label + "_s"] = clock() - start
             out[label + "_lat"] = lat
         return out
 
@@ -298,7 +334,7 @@ class Run:
         out = {"spans": [], "counters": {}, "process_start_s": 0.0,
                "query_s": 0.0, "attributed_s": 0.0}
         for label in ("cold", "warm"):
-            start = clock()
+            lat = []
             for qid, (argv, (rc, text)) in enumerate(zip(self.queries, refs)):
                 child = spawn(worker("cli", *argv), cache, self.tmp)
                 res = child.result()
@@ -314,10 +350,11 @@ class Run:
                 for key, value in res["counters"].items():
                     out["counters"][key] = out["counters"].get(key, 0) + value
                 started = res["ready"] - child.started
+                lat.append(command_latency(child.elapsed, res["ref"]))
                 out["process_start_s"] += started
-                out["query_s"] += child.elapsed
+                out["query_s"] += child.elapsed - sum(res["ref"])
                 out["attributed_s"] += started + top_level_time(res["spans"])
-            out[label + "_s"] = clock() - start
+            out[label + "_lat"] = lat
         return out
 
 
@@ -336,30 +373,33 @@ def tail(samples):
     return 100.0 * (n - 10) / n, ordered[n - 11]
 
 
-def best_of(cycles, key):
-    """Each query's shortest latency over the cycles of a run."""
-    return [min(lat) for lat in zip(*(c[key] for c in cycles))]
+def per_query(cycles, key):
+    """Each query's median latency over the cycles of a run, at the
+    reference speed."""
+    return [statistics.median(lat) for lat in zip(*(c[key] for c in cycles))]
 
 
 def e2e_metrics(cycles, setup):
-    cold, warm = best_of(cycles, "cold_lat"), best_of(cycles, "warm_lat")
+    """The end-to-end metrics of a run, and a note on how they were taken."""
+    cold, warm = per_query(cycles, "cold_lat"), per_query(cycles, "warm_lat")
     pct, tail_s = tail(cold)
     values = {
         "setup_s": statistics.median(setup),
         "cold_s": sum(cold),
+        "warm_s": sum(warm),
+        "query_p50_ms": 1000 * statistics.median(cold),
         "peak_rss_mb": statistics.median(c["maxrss_kb"] for c in cycles) / 1024,
     }
-    note = "latencies are each query's best of %d cycles; warm_s = %.6g s, " \
-           "query_p50_ms = %.6g ms, query_tail_ms = %.6g ms (p%.1f of %d " \
-           "queries); setup_s is the median of %d" % (
-               len(cycles), sum(warm), 1000 * statistics.median(cold),
-               1000 * tail_s, pct, len(cold), len(setup))
+    note = "latencies are each query's median of %d cycles; query_tail_ms " \
+           "= %.6g ms (p%.1f of %d queries); setup_s is the median of %d" % (
+               len(cycles), 1000 * tail_s, pct, len(cold), len(setup))
     return values, note
 
 
 def layer_metrics(traced, untraced, verify_s):
     """Per-layer metrics over both passes of a traced cycle, as medians
-    over the traced cycles; the overhead compares cold passes."""
+    over the traced cycles.  The overhead compares the cold passes' sums
+    of per-query median latencies, as cold_s does."""
     per_cycle = []
     for t in traced:
         values = dict.fromkeys(LAYER_UNITS, 0)
@@ -374,8 +414,8 @@ def layer_metrics(traced, untraced, verify_s):
         per_cycle.append(values)
     out = {name: statistics.median(c[name] for c in per_cycle)
            for name in LAYER_UNITS}
-    traced_s = statistics.median(t["cold_s"] for t in traced)
-    plain_s = statistics.median(u["cold_s"] for u in untraced)
+    traced_s = sum(per_query(traced, "cold_lat"))
+    plain_s = sum(per_query(untraced, "cold_lat"))
     out["trace.overhead_frac"] = traced_s / plain_s - 1
     out["verify.s"] = verify_s
     return out
@@ -389,16 +429,19 @@ def run_workload(run, trace):
     """Cycles of one workload; returns (metrics, units, notes, spans)."""
     cli = run.workload == "cli_session"
     # the first interpreter only fills the bytecode cache
-    run.setup_samples(1)
+    run.setup_sample()
     refs = run.references() if cli else None
     setup, plain, traced = [], [], []
-    measure_start, last = clock(), 0.0
-    while run.another_cycle(len(plain), measure_start, last):
+    wanted, last = run.cycles(trace), 0.0
+    while run.another_cycle(len(plain), wanted, last):
         t0 = clock()
-        if not trace:
-            setup += run.setup_samples(SETUP_PROBES)
-        res = run.cli_cycle(refs) if cli else run.session("session")
-        if not cli:
+        if cli:
+            # symf's own processes report no ready time; probes do
+            if not trace:
+                setup += [run.setup_sample() for _ in range(CLI_SETUP_PROBES)]
+            res = run.cli_cycle(refs)
+        else:
+            res = run.session("session")
             setup.append(res["setup_s"])
         plain.append(res)
         if trace:
@@ -407,7 +450,6 @@ def run_workload(run, trace):
             else:
                 tres = run.session("traced")
                 tres["attributed_s"] = top_level_time(tres["spans"])
-                tres["query_s"] = sum(tres["cold_lat"]) + sum(tres["warm_lat"])
                 traced.append(tres)
         last = clock() - t0
     if not cli:

@@ -16,6 +16,7 @@ sys.path.insert(0, str(BENCH))
 sys.path.insert(0, str(BENCH.parent / "src"))
 
 import run  # noqa: E402
+import speed  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -31,7 +32,7 @@ def _shape(q):
     if q[0] == "convert":
         return ("convert", q[3], sum(q[1][1]) * sum(q[2][1]))
     if q[0] == "modes":
-        return ("modes", sum(q[1][1]), q[3])
+        return ("modes", sum(q[1][1]), q[3], q[1][0] == "s")
     if q[0] in ("hilbert", "inv"):
         return tuple(map(str, q))
     return (q[0],)
@@ -50,8 +51,26 @@ def cache(tmp_path, monkeypatch):
     monkeypatch.setenv("SYMF_CACHE_DIR", str(tmp_path))
 
 
+def _term_counts(answer):
+    if isinstance(answer, list):
+        return tuple(_term_counts(a) for a in answer)
+    return len(answer["terms"]) if isinstance(answer, dict) else None
+
+
+def test_seeds_keep_answer_term_counts(cache):
+    """Inputs a seed draws give answers of the same size, so two seeds
+    do the same work and count the same terms."""
+    def sizes(seed):
+        return Counter(
+            (_shape(q), _term_counts(workloads.encode(workloads.run_query(q))))
+            for q in workloads.queries("schur_expand", seed))
+    assert sizes(1) == sizes(2)
+
+
 @pytest.mark.parametrize("q, corrupt", [
     (["hilbert", ("sl", 2), ("h", [4]), 6], lambda a: str(int(a) + 1)),
+    (["hilbert", ("sl", 3), ("h", [2]), 3], lambda a: str(int(a) + 1)),
+    (["hilbert", ("sl", 2), ("e", [2]), 4], lambda a: str(int(a) - 1)),
     (["inv", ("perm", 3), ("h", [2]), 3],
      lambda a: dict(a, terms=a["terms"][1:])),
     (["convert", ["h", [2]], ["h", [2]], "s"],
@@ -94,6 +113,13 @@ def test_metric_names_and_units_match_benchmark_json():
     assert e2e == run.E2E_UNITS
     assert layers == run.LAYER_UNITS
     assert [w["name"] for w in doc["workloads"]] == list(workloads.WORKLOADS)
+
+
+def test_scaled_times_follow_the_reference_loop():
+    assert speed.scaled(2.0, speed.REF_S) == pytest.approx(2.0)
+    # the same span next to a loop twice as slow: the host was slower
+    slow = speed.scaled(2.0, 2 * speed.REF_S, 2 * speed.REF_S)
+    assert slow == pytest.approx(2.0 / 2 ** speed.SENSITIVITY)
 
 
 def test_tail_keeps_ten_samples_beyond():

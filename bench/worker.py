@@ -9,7 +9,9 @@ It prints one JSON object on its last stdout line.  `ready` is the
 monotonic clock reading once symf is imported and the first query is
 ready; the parent subtracts its own reading taken before the spawn.
 Everything is timed with the queries' results consumed inside the
-timed region; encoding and comparing answers happens after it.
+timed region; encoding and comparing answers happens after it.  Timed
+spans are bracketed by reference-loop samples (speed.py), which are
+reported next to them and are not part of any span.
 """
 
 import io
@@ -19,6 +21,7 @@ import resource
 import sys
 from contextlib import redirect_stdout
 
+import speed
 from spans import Tracer, clock
 
 
@@ -26,10 +29,18 @@ def _maxrss_kb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
+def _ready_ref():
+    """Reference samples taken once the first query is ready, for the
+    set-up time, after one that warms the loop up (the first run in a
+    fresh process is 15-30% slower)."""
+    return [speed.sample() for _ in range(4)][1:]
+
+
 def _pass(queries, tracer):
+    """Latencies, reference samples before the first query and after
+    each, and answers of one pass over the queries."""
     from workloads import QueryError, run_query
-    answers, latencies = [], []
-    start = clock()
+    answers, latencies, samples = [], [], [speed.sample()]
     for qid, q in enumerate(queries):
         if tracer is not None:
             tracer.qid = qid
@@ -39,21 +50,24 @@ def _pass(queries, tracer):
         except Exception as exc:  # a failed query, counted by the parent
             answers.append(QueryError(repr(exc)))
         latencies.append(clock() - t0)
-    return clock() - start, latencies, answers
+        samples.append(speed.sample())
+    return latencies, samples, answers
 
 
 def session(workload, seed, traced):
     from workloads import encode, queries
     qs = queries(workload, seed)
     ready = clock()
+    ready_ref = _ready_ref()
     tracer = Tracer() if traced else None
-    cold_s, cold_lat, cold_ans = _pass(qs, tracer)
-    warm_s, warm_lat, warm_ans = _pass(qs, tracer)
+    cold_lat, cold_ref, cold_ans = _pass(qs, tracer)
+    warm_lat, warm_ref, warm_ans = _pass(qs, tracer)
     cold_enc = [encode(a) for a in cold_ans]
     warm_diff = [i for i, a in enumerate(warm_ans) if encode(a) != cold_enc[i]]
     return {
-        "ready": ready, "cold_s": cold_s, "warm_s": warm_s,
+        "ready": ready, "ready_ref": ready_ref,
         "cold_lat": cold_lat, "warm_lat": warm_lat,
+        "cold_ref": cold_ref, "warm_ref": warm_ref,
         "answers": cold_enc, "warm_mismatch": warm_diff,
         "maxrss_kb": _maxrss_kb(),
         "spans": tracer.spans if traced else None,
@@ -105,10 +119,13 @@ def cli(argv):
                                             selftest.run_selftest)
     tracer.qid = 0
     buf = io.StringIO()
+    # a warm-up sample, as in command.py, then one before and one after
+    ref = [speed.sample(), speed.sample()]
     with redirect_stdout(buf):
         rc = tracer.call("cli.main." + argv[0], cli.main, argv)
+    ref.append(speed.sample())
     return {"ready": ready, "rc": rc, "stdout": buf.getvalue(),
-            "spans": tracer.spans, "counters": counters}
+            "spans": tracer.spans, "counters": counters, "ref": ref}
 
 
 def main(argv):
@@ -120,7 +137,7 @@ def main(argv):
             import symf.cli  # noqa: F401
         from workloads import queries
         queries(argv[1], int(argv[2]))
-        out = {"ready": clock()}
+        out = {"ready": clock(), "ready_ref": _ready_ref()}
     else:
         out = session(argv[1], int(argv[2]), traced=(mode == "traced"))
     sys.stdout.write(json.dumps(out) + "\n")
