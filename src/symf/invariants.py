@@ -33,18 +33,41 @@ for V by the inner product construction:
 hilbert_dim specializes that to the dimension of the space of degree-r
 invariant polynomial functions on P(V)*, and hom_series_char does the
 same construction against an arbitrary graded series of characters.
+
+For SL(n) and Sp(2n), I_d(V) is a sum of Schur functions s_lam with at
+most n (SL) or 2n (Sp) rows, so hilbert_dim and inv_char_polyfunc in p
+mode read each pairing off a polynomial in L variables, L the longest
+such lam (Macdonald, Symmetric Functions and Hall Polynomials, I.3):
+
+    <f, s_lam> = [x^(lam + delta)] a_delta(x) f(x_1, ..., x_L),
+
+with delta = (L-1, ..., 1, 0) and a_delta the Vandermonde determinant.
+Plethysm becomes substitution, p_j[F](x) = F(x_1^j, ..., x_L^j), and
+h_r[F] follows from Newton's recurrence.  Polynomials are truncated at
+B_i = max lam_i + L - 1 - i in variable i.  The routing rule takes this
+route only when the box of prod(B_i + 1) monomials is no larger than the
+p(d) terms a degree-d function has in the p basis; otherwise, for the
+other families, and for mode="s", the inner product runs in the p basis,
+where I_d(V) expands through character values or, above weight 20,
+Jacobi-Trudi.  The composition fundamental(F, inv_char(family, r*k), r,
+"p") always takes the p-basis route and is the cross-check the tests
+hold the finite route against.
 """
 
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import permutations
+from math import prod
+from operator import add, le
 
 from .characters import CHAR_TABLE_CAP
 from .errors import DegreeError
-from .partitions import Partition, partitions_of
+from .partitions import Partition, partition_count, partitions_of, z_of
 from .plethysm import (GradedSeries, fundamental, h_plus_series,
                        h_sum_series, plethysm, plethysm_series)
-from .symfunc import (SymFn, generator, kronecker, one, s, scalar,
+from .symfunc import (SymFn, _p_dict, generator, kronecker, one, s, scalar,
                       to_basis, zero)
 
 
@@ -98,21 +121,8 @@ def inv_char(family, r):
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if isinstance(family, SLnDefining):
-        if r % family.n:
-            return zero("s")
-        mrows = r // family.n
-        if mrows == 0:
-            return one("s")
-        return generator("s", [mrows] * family.n)
-    if isinstance(family, Sp2nDefining):
-        if r % 2:
-            return zero("s")
-        terms = {}
-        for lam in partitions_of(r):
-            if lam.length <= 2 * family.n and lam.has_even_columns():
-                terms[lam] = 1
-        return SymFn("s", terms)
+    if isinstance(family, (SLnDefining, Sp2nDefining)):
+        return SymFn("s", dict.fromkeys(_target_shapes(family, r), 1))
     if isinstance(family, SnPermutation):
         return _sn_component(family.n, r)
     if isinstance(family, GLnAdjoint):
@@ -126,6 +136,24 @@ def inv_char(family, r):
     if isinstance(family, Custom):
         return family.series.component(r)
     raise TypeError("unknown invariant family %r" % (family,))
+
+
+def _target_shapes(family, d):
+    # The Schur indices of I_d(V) for SL(n) or Sp(2n), each with
+    # coefficient 1, in reverse lexicographic order; empty when there
+    # are no invariants in degree d.
+    if isinstance(family, SLnDefining):
+        if d % family.n:
+            return []
+        return [Partition([d // family.n] * family.n if d else [])]
+    if d % 2:
+        return []
+    # even columns and at most 2n rows: the rows of a partition of d/2
+    # with at most n rows, each written twice
+    halves = sorted((nu.conjugate()
+                     for nu in partitions_of(d // 2, max_part=family.n)),
+                    reverse=True)
+    return [Partition([a for a in mu for _ in (0, 1)]) for mu in halves]
 
 
 _SN_SERIES = {}
@@ -184,9 +212,151 @@ def _functor_character(P):
     raise TypeError("expected a PolyFunctor or a SymFn character")
 
 
+class _Alphabet:
+    """Pairings with the sum of s_lam over a list of shapes, read off
+    polynomials in L variables, L the length of the longest shape.
+
+    Polynomials are dicts from exponent tuples to int, or to Fraction
+    when the functor's own polynomial needs it, truncated above
+    B_i = max lam_i + L - 1 - i in variable i (i from 0).  No
+    coefficient the pairing reads lies above that, and dropping the
+    monomials above it is a quotient by a monomial ideal, so it commutes
+    with products, with x -> x^j and with exact division.
+    """
+
+    def __init__(self, shapes):
+        length = max(len(lam) for lam in shapes)
+        self.rows = [tuple(lam) + (0,) * (length - len(lam)) for lam in shapes]
+        self.bounds = tuple(max(col) + length - 1 - i
+                            for i, col in enumerate(zip(*self.rows)))
+        self.one = {(0,) * length: 1}
+
+    @cached_property
+    def weights(self):
+        # a_delta = sum over w in S_L of sign(w) x^w(delta), so <f, s_lam>
+        # sums sign(w) [x^(lam + delta - w(delta))] f over w.  Built on
+        # first use: the routing rule reads only the bounds.
+        delta = tuple(range(len(self.bounds) - 1, -1, -1))
+        weights = {}
+        for w in permutations(delta):
+            inversions = sum(a < b for i, a in enumerate(w) for b in w[i + 1:])
+            sign = -1 if inversions % 2 else 1
+            for lam in self.rows:
+                e = tuple(a + b - c for a, b, c in zip(lam, delta, w))
+                if min(e, default=0) >= 0:
+                    weights[e] = weights.get(e, 0) + sign
+        return weights
+
+    def mul(self, a, b, out=None):
+        """a * b truncated, added into out when it is given."""
+        out = {} if out is None else out
+        bounds = self.bounds
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(map(add, ea, eb))
+                if all(map(le, e, bounds)):
+                    out[e] = out.get(e, 0) + ca * cb
+        return out
+
+    def substitute(self, f, j):
+        """f(x_1^j, ..., x_L^j), truncated."""
+        out = {}
+        for e, c in f.items():
+            e = tuple(j * a for a in e)
+            if all(map(le, e, self.bounds)):
+                out[e] = c
+        return out
+
+    def products(self, factors, partitions):
+        """(mu, product of factors[a] over the parts a of mu) for each mu
+        in partitions, which come in lexicographic order, either way round.
+
+        Partitions that share a prefix are then adjacent, so the products
+        along the current prefix are the only ones kept: each prefix is
+        multiplied out once, as in fundamental(), in memory linear in the
+        longest partition."""
+        stack = [((), self.one)]
+        for mu in partitions:
+            mu = tuple(mu)
+            while stack[-1][0] != mu[:len(stack[-1][0])]:
+                stack.pop()
+            for a in mu[len(stack[-1][0]):]:
+                prefix, poly = stack[-1]
+                stack.append((prefix + (a,), self.mul(poly, factors[a])))
+            yield mu, stack[-1][1]
+
+    def evaluate(self, fp):
+        """f(x_1, ..., x_L) for f given by its p-basis dict, with int
+        coefficients when all of them are integers."""
+        length = len(self.bounds)
+        powers = {}
+        for mu in fp:
+            for a in mu:
+                powers[a] = {(0,) * i + (a,) + (0,) * (length - 1 - i): 1
+                             for i in range(length) if a <= self.bounds[i]}
+        out = {}
+        for mu, poly in self.products(powers, sorted(fp)):
+            c = fp[mu]
+            for e, v in poly.items():
+                out[e] = out.get(e, 0) + c * v
+        if all(c.denominator == 1 for c in out.values()):
+            return {e: int(c) for e, c in out.items() if c}
+        return {e: c for e, c in out.items() if c}
+
+    def pair(self, f):
+        """<f, sum of s_lam> for f homogeneous of the shapes' weight."""
+        return sum(w * f.get(e, 0) for e, w in self.weights.items())
+
+    def hilbert(self, fp, r):
+        """<h_r[f], sum of s_lam>, with h_r[f] built by Newton's
+        recurrence n h_n[f] = sum over j of f(x^j) h_(n-j)[f]."""
+        f = self.evaluate(fp)
+        exact = all(type(c) is int for c in f.values())
+        subs = {j: self.substitute(f, j) for j in range(1, r + 1)}
+        hs = [self.one]
+        for n in range(1, r + 1):
+            acc = {}
+            for j in range(1, n + 1):
+                self.mul(subs[j], hs[n - j], acc)
+            hs.append({e: c // n if exact else c / n
+                       for e, c in acc.items() if c})
+        return Fraction(self.pair(hs[r]))
+
+    def fundamental(self, fp, r):
+        """fundamental(f, G, r, "p") for G the sum of s_lam: the
+        coefficient of p_lam is <prod_i f(x^lam_i), G> / z_lam."""
+        f = self.evaluate(fp)
+        subs = {j: self.substitute(f, j) for j in range(1, r + 1)}
+        out = {}
+        for lam, poly in self.products(subs, partitions_of(r)):
+            val = self.pair(poly)
+            if val:
+                out[lam] = Fraction(val, z_of(lam))
+        return SymFn("p", out)
+
+
+def _alphabet_for(family, d):
+    """The finite alphabet for pairings with I_d(V), or None where the
+    p-basis route stays: other families, degrees without invariants, and
+    truncated polynomials with more monomials than the p(d) terms of a
+    degree-d function in the p basis."""
+    if not isinstance(family, (SLnDefining, Sp2nDefining)) or d < 0:
+        return None
+    shapes = _target_shapes(family, d)
+    if not shapes:
+        return None
+    alphabet = _Alphabet(shapes)
+    if prod(b + 1 for b in alphabet.bounds) > partition_count(d):
+        return None
+    return alphabet
+
+
 def inv_char_polyfunc(family, P, r, mode="p"):
     """Invariant character I_r(P(V)) via the inner product construction."""
     F = _functor_character(P)
+    alphabet = _alphabet_for(family, r * F.degree()) if mode == "p" else None
+    if alphabet is not None:
+        return alphabet.fundamental(_p_dict(F), r)
     G = inv_char(family, r * F.degree())
     return fundamental(F, G, r, mode)
 
@@ -199,6 +369,9 @@ def hilbert_dim(family, P, r):
     inputs.
     """
     F = _functor_character(P)
+    alphabet = _alphabet_for(family, r * F.degree())
+    if alphabet is not None:
+        return alphabet.hilbert(_p_dict(F), r)
     G = inv_char(family, r * F.degree())
     if G.is_zero():
         return Fraction(0)

@@ -27,6 +27,7 @@ expanded over permutations; that keeps things like s_(18,18) cheap where
 a weight-36 character table would not be.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,6 +39,11 @@ BASES = ("p", "h", "e", "m", "s")
 
 # Longest Schur index the Jacobi-Trudi fallback will expand: len! terms.
 _JT_LENGTH_CAP = 8
+
+# Coefficient types refused at construction.  Fraction() accepts floats
+# and Decimals and would store their binary or decimal approximation as
+# if it were exact.
+_INEXACT = (float, complex, Decimal)
 
 # Degree cap on base changes that need the per-degree monomial transition
 # matrix (dense, p(d) x p(d) rational entries).
@@ -60,6 +66,9 @@ class SymFn:
         items = terms.items() if hasattr(terms, "items") else terms
         clean = {}
         for key, value in items:
+            if isinstance(value, _INEXACT):
+                raise TypeError("SymFn coefficients must be exact, got %r"
+                                % (value,))
             key = Partition(key)
             value = clean.get(key, 0) + Fraction(value)
             if value:

@@ -148,10 +148,13 @@ def test_c08_adjoint_kronecker_identity():
 
 
 def test_c09_binary_forms_hilbert():
-    for k in range(1, 7):
-        for r in range(0, 7):
-            dim = hilbert_dim(SLnDefining(2), PolyFunctor(h(k)), r)
+    for k in range(1, 11):
+        for r in range(0, 11):
+            form = PolyFunctor(h(k))
+            dim = hilbert_dim(SLnDefining(2), form, r)
             assert dim == oracle_cayley_sylvester(k, r), (k, r)
+            # Sp(2) = SL(2): the same group, reached through other shapes
+            assert hilbert_dim(Sp2nDefining(1), form, r) == dim, (k, r)
             if k * r <= 24:
                 assert dim == oracle_su2_poly_dim(k, r), (k, r)
     quartic = [hilbert_dim(SLnDefining(2), PolyFunctor(h(4)), r)

@@ -30,6 +30,13 @@ TABLE_R4 = (
     "[1,1,1,1]     -1      1      1       -1          1\n"
 )
 
+# Printed by the p-basis route through the weight-36 Jacobi-Trudi
+# expansion of s_(18,18), before the finite alphabet took this query.
+SL2_SEXTICS_R6 = (
+    "3*s[6] + s[5,1] + 6*s[4,2] + s[4,1,1] + 3*s[3,2,1] + 3*s[3,1,1,1] "
+    "+ 4*s[2,2,2] + s[2,1,1,1,1]\n"
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -90,12 +97,22 @@ class TestInv:
                              "--functor", "h4", "--r", "2")
         assert (code, out) == (0, "s[2]\n")
 
+    def test_binary_sextics_weight_36(self, capsys):
+        code, out, err = run(capsys, "inv", "--family", "sl", "--n", "2",
+                             "--functor", "h6", "--r", "6")
+        assert (code, out, err) == (0, SL2_SEXTICS_R6, "")
+
 
 class TestHilbert:
     def test_binary_quartics(self, capsys):
         code, out, err = run(capsys, "hilbert", "--family", "sl", "--n", "2",
                              "--functor", "h4", "--r", "6")
         assert (code, out) == (0, "2\n")
+
+    def test_symplectic_sextics_weight_36(self, capsys):
+        code, out, err = run(capsys, "hilbert", "--family", "sp", "--n", "1",
+                             "--functor", "h6", "--r", "6")
+        assert (code, out, err) == (0, "3\n", "")
 
 
 class TestDeals:

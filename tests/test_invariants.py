@@ -5,14 +5,16 @@ from fractions import Fraction
 
 from symf.errors import DegreeError, TruncationError
 from symf.invariants import (Custom, GLnAdjoint, PolyFunctor, SLnDefining,
-                             SnPermutation, Sp2nDefining, hilbert_dim,
+                             SnPermutation, Sp2nDefining, _Alphabet,
+                             _alphabet_for, _target_shapes, hilbert_dim,
                              hom_dim, hom_series_char, inv_char,
                              inv_char_polyfunc)
 from symf.oracles import (oracle_cayley_sylvester, oracle_matchings,
                           oracle_perm_inv_char, oracle_restricted_bell,
                           oracle_su2_inv_char, oracle_syt)
 from symf.partitions import partitions_of
-from symf.plethysm import GradedSeries, h_plus_series, h_sum_series, plethysm
+from symf.plethysm import (GradedSeries, fundamental, h_sum_series,
+                           plethysm)
 from symf.symfunc import (SymFn, dimension, e, h, kronecker, one, p, s,
                           scalar, to_basis, zero)
 
@@ -196,3 +198,133 @@ def test_hom_dim_counts_multiplicities():
     assert hom_dim(h(2), series) == 2
     assert hom_dim(s(1, 1), series) == 0
     assert hom_dim(PolyFunctor(h(1)), series) == 1
+
+
+def test_sp_shapes_are_the_even_column_filter():
+    # generated as doubled partitions of r/2; the filter they replace
+    for n in range(1, 5):
+        for r in range(21):
+            want = [lam for lam in partitions_of(r) if r % 2 == 0
+                    and lam.length <= 2 * n and lam.has_even_columns()]
+            assert list(inv_char(Sp2nDefining(n), r).terms) == want, (n, r)
+
+
+# ---------------------------------------------------------------------
+# the finite alphabet route against the p-basis route
+# ---------------------------------------------------------------------
+
+VIRTUAL = h(2) - e(2)                 # = p_2
+NON_INTEGRAL = p(1, 1) * Fraction(1, 2)
+
+
+def _p_route(family, F, r):
+    """hilbert_dim and inv_char_polyfunc the way the p basis computes them."""
+    G = inv_char(family, r * F.degree())
+    hr = one() if r == 0 else h(r)
+    return scalar(plethysm(hr, F), G), fundamental(F, G, r, "p")
+
+
+def _same_terms(got, want):
+    assert got.basis == want.basis == "p"
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+@pytest.fixture
+def finite_calls(monkeypatch):
+    """The _Alphabet methods the public calls go through, in order."""
+    calls = []
+    for name in ("hilbert", "fundamental"):
+        real = getattr(_Alphabet, name)
+
+        def spy(self, *args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(_Alphabet, name, spy)
+    return calls
+
+
+# (family, functor character, r, whether the finite alphabet is taken)
+ROUTED = [
+    (SLnDefining(1), h(1), 5, True),
+    (SLnDefining(1), h(1), 2, False),        # 3 monomials > p(2) = 2
+    (SLnDefining(2), h(5), 2, True),         # 42 <= p(10) = 42
+    (SLnDefining(2), h(3), 3, False),        # odd degree: no invariants
+    (SLnDefining(2), h(2), 4, False),        # 30 > p(8) = 22
+    (SLnDefining(2), h(4), 6, True),
+    (SLnDefining(2), VIRTUAL, 6, True),
+    (SLnDefining(2), NON_INTEGRAL, 6, True),
+    (SLnDefining(2), s(2, 1), 4, True),
+    (SLnDefining(3), h(3), 7, True),         # 720 <= p(21) = 792
+    (SLnDefining(3), e(2), 6, False),        # 210 > p(12) = 77
+    (SLnDefining(3), h(2), 1, False),        # no invariants in degree 2
+    (SLnDefining(3), h(2), 0, True),         # r = 0: the constants
+    (SLnDefining(4), e(2), 4, False),
+    (Sp2nDefining(1), e(2), 5, True),
+    (Sp2nDefining(1), s(2, 1), 2, False),
+    (Sp2nDefining(1), s(2, 1), 1, False),    # odd degree
+    (Sp2nDefining(2), h(2), 4, False),       # 672 > p(8) = 22
+    (Sp2nDefining(3), s(2, 1), 2, False),
+    (Sp2nDefining(3), VIRTUAL, 0, True),
+]
+
+
+@pytest.mark.parametrize("family,F,r,finite", ROUTED)
+def test_routes_agree(finite_calls, family, F, r, finite):
+    want_dim, want_char = _p_route(family, F, r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got_dim = hilbert_dim(family, F, r)
+        got_char = inv_char_polyfunc(family, F, r)
+    assert finite_calls == (["hilbert", "fundamental"] if finite else [])
+    assert got_dim == want_dim and type(got_dim) is Fraction
+    _same_terms(got_char, want_char)
+
+
+def test_s_mode_keeps_the_schur_route(finite_calls):
+    got = inv_char_polyfunc(SLnDefining(2), h(5), 2, mode="s")
+    assert finite_calls == []
+    assert got == inv_char_polyfunc(SLnDefining(2), h(5), 2)
+
+
+def test_routing_rule_on_larger_groups():
+    # the rule compares prod(B_i + 1) with p(d); both sides of it
+    assert _alphabet_for(SLnDefining(4), 32) is None       # 11880 > 8349
+    assert _alphabet_for(SLnDefining(4), 36) is not None   # 17160 <= 17977
+    assert _alphabet_for(Sp2nDefining(2), 46) is None
+    assert _alphabet_for(Sp2nDefining(2), 48) is not None
+    assert _alphabet_for(Sp2nDefining(4), 16) is None
+    assert _alphabet_for(SLnDefining(6), 12) is None
+    for family in (SnPermutation(2), GLnAdjoint(2), Custom(h_sum_series(4))):
+        assert _alphabet_for(family, 4) is None
+
+
+def test_finite_route_at_weight_36_on_sl4(finite_calls):
+    # Lambda^4 of the defining space is the determinant, trivial for
+    # SL(4): one invariant in each degree, on which S_r acts trivially.
+    # The p-basis route would expand s_(9,9,9,9) by Jacobi-Trudi here.
+    assert hilbert_dim(SLnDefining(4), e(4), 9) == 1
+    assert inv_char_polyfunc(SLnDefining(4), e(4), 9) == h(9)
+    assert finite_calls == ["hilbert", "fundamental"]
+
+
+@pytest.mark.parametrize("family", [SLnDefining(1), SLnDefining(2),
+                                    SLnDefining(3), SLnDefining(4),
+                                    Sp2nDefining(1), Sp2nDefining(2),
+                                    Sp2nDefining(3)])
+def test_finite_route_below_the_rule(family):
+    # the alphabet built whatever the routing rule says, at degrees
+    # where the rule keeps the p-basis route
+    functors = (h(1), h(2), h(3), e(2), s(2, 1), VIRTUAL, NON_INTEGRAL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for F in functors:
+            for r in range(9 // F.degree() + 1):
+                shapes = _target_shapes(family, r * F.degree())
+                if not shapes:
+                    continue
+                alphabet = _Alphabet(shapes)
+                want_dim, want_char = _p_route(family, F, r)
+                fp = {tuple(mu): c for mu, c in to_basis(F, "p").terms.items()}
+                got_dim = alphabet.hilbert(fp, r)
+                assert got_dim == want_dim and type(got_dim) is Fraction
+                _same_terms(alphabet.fundamental(fp, r), want_char)

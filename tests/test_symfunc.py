@@ -23,6 +23,16 @@ def test_constructor_cleans_input():
         SymFn("q", {})
 
 
+def test_constructor_refuses_inexact_coefficients():
+    from decimal import Decimal
+    for value in (0.1, 0.5, Decimal("0.1"), 1j):
+        with pytest.raises(TypeError):
+            SymFn("p", {(1,): value})
+    # exact inputs still pass, including strings Fraction can parse
+    assert SymFn("p", {(1,): "1/10"}) == SymFn("p", {(1,): Fraction(1, 10)})
+    assert SymFn("p", {(1,): 2}).coefficient([1]) == 2
+
+
 def test_instances_are_immutable():
     f = h(2)
     with pytest.raises(AttributeError):
