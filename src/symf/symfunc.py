@@ -27,6 +27,7 @@ expanded over permutations; that keeps things like s_(18,18) cheap where
 a weight-36 character table would not be.
 """
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -271,15 +272,6 @@ def _gen_h_p(n):
 
 
 @lru_cache(maxsize=None)
-def _gen_e_p(n):
-    out = {}
-    for mu in partitions_of(n):
-        sign = -1 if (n - len(mu)) % 2 else 1
-        out[tuple(mu)] = Fraction(sign, z_of(mu))
-    return out
-
-
-@lru_cache(maxsize=None)
 def _prod_h_p(mu):
     # h_mu = product of h_{mu_i} in the p basis.
     if not mu:
@@ -289,9 +281,8 @@ def _prod_h_p(mu):
 
 @lru_cache(maxsize=None)
 def _prod_e_p(mu):
-    if not mu:
-        return {(): Fraction(1)}
-    return _mul_p(_prod_e_p(mu[:-1]), _gen_e_p(mu[-1]))
+    # e_mu = omega(h_mu): omega flips the sign of p_nu for odd |nu| - l(nu).
+    return _omega_p(_prod_h_p(mu))
 
 
 @lru_cache(maxsize=None)
@@ -505,7 +496,7 @@ def dimension(f):
         raise DegreeError("dimension needs a homogeneous function")
     r = f.degree()
     coeff = _p_dict(f).get((1,) * r, Fraction(0))
-    return coeff * characters._factorial(r)
+    return coeff * math.factorial(r)
 
 
 def specialize_ones(f):

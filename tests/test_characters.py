@@ -86,24 +86,29 @@ def test_cache_file_round_trip(fresh_cache):
         doc = json.load(fh)
     assert doc["version"] == CACHE_FORMAT_VERSION
     assert doc["r"] == 5
-    assert len(doc["entries"]) == len(partitions_of(5)) ** 2
+    shapes = partitions_of(5)
+    assert doc["rows"] == [[chi(lam, mu) for mu in shapes] for lam in shapes]
     # a fresh process would load rather than rebuild; simulate with the
     # memo cleared and check the values survive the disk trip
+    built = character_table(5).rows
     _reset_memo()
     again = character_table(5)
-    assert again.values == character_table(5).values
+    assert again.rows == built
     assert again.row((3, 2)) == RepCharacter.irreducible((3, 2)).trace
 
 
 def test_corrupt_cache_is_rebuilt(fresh_cache):
     character_table(4)
     path = os.path.join(str(fresh_cache), "chartable-r4.json")
-    with open(path, "w") as fh:
-        fh.write("{ not json")
-    _reset_memo()
-    assert _load_table(4) is None
-    table = character_table(4)
-    assert list(table.row((2, 2)).values()) == [0, -1, 2, 0, 2]
+    # not JSON, then JSON that is not an object
+    for text in ["{ not json", "[]", '"x"', "3", "null"]:
+        with open(path, "w") as fh:
+            fh.write(text)
+        _reset_memo()
+        assert _load_table(4) is None, text
+        table = character_table(4)
+        assert list(table.row((2, 2)).values()) == [0, -1, 2, 0, 2]
+        assert _load_table(4) == table.rows, text
 
 
 def test_version_mismatch_is_rebuilt(fresh_cache):
@@ -124,11 +129,57 @@ def test_truncated_cache_is_rebuilt(fresh_cache):
     path = os.path.join(str(fresh_cache), "chartable-r4.json")
     with open(path) as fh:
         doc = json.load(fh)
-    doc["entries"] = doc["entries"][:3]
+    doc["rows"] = doc["rows"][:3]
     with open(path, "w") as fh:
         json.dump(doc, fh)
     _reset_memo()
     assert _load_table(4) is None
+
+
+R4 = [[chi(lam, mu) for mu in partitions_of(4)] for lam in partitions_of(4)]
+
+
+@pytest.mark.parametrize("doctor", [
+    lambda rows: rows[1].__setitem__(4, float(rows[1][4])),
+    lambda rows: rows[1].__setitem__(0, 1.5),
+    lambda rows: rows[0].__setitem__(0, True),
+    lambda rows: rows[2].__setitem__(1, "7"),
+    lambda rows: rows[3].pop(),
+    lambda rows: rows[3].append(0),
+    lambda rows: rows.pop(2),
+    lambda rows: rows.append(list(rows[0])),
+    lambda rows: rows.__setitem__(0, 5),
+], ids=["integral_float", "float", "bool", "string", "short_row", "long_row",
+        "missing_row", "extra_row", "row_not_list"])
+def test_inexact_cache_is_rebuilt(fresh_cache, doctor):
+    # values are refused, never coerced: int(1.5), int(True) and int("7")
+    # would all have passed for integers
+    character_table(4)
+    path = os.path.join(str(fresh_cache), "chartable-r4.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doctor(doc["rows"])
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    _reset_memo()
+    assert _load_table(4) is None
+    assert character_table(4).rows == R4
+    _reset_memo()
+    assert _load_table(4) == R4
+
+
+def test_v1_cache_is_rewritten_as_v2(fresh_cache):
+    shapes = partitions_of(4)
+    entries = [{"lambda": list(lam), "mu": list(mu), "value": chi(lam, mu)}
+               for lam in shapes for mu in shapes]
+    os.makedirs(str(fresh_cache))
+    path = os.path.join(str(fresh_cache), "chartable-r4.json")
+    with open(path, "w") as fh:
+        json.dump({"version": 1, "r": 4, "entries": entries}, fh)
+    assert _load_table(4) is None
+    assert character_table(4).rows == R4
+    with open(path) as fh:
+        assert json.load(fh) == {"version": 2, "r": 4, "rows": R4}
 
 
 def test_unwritable_cache_warns_but_serves(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ output; failures are checked through exit codes and the symf: prefix on
 stderr.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from symf.characters import _load_table, _reset_memo
 from symf.cli import main
 
 TABLE_R3 = (
@@ -29,6 +31,11 @@ TABLE_R4 = (
     "[2,1,1]        1      0     -1       -1          3\n"
     "[1,1,1,1]     -1      1      1       -1          1\n"
 )
+
+# sha256 of `symf table --r 14` stdout, as printed when the cache file
+# held one {"lambda", "mu", "value"} object per entry.
+TABLE_R14_SHA256 = (
+    "6f7f5be2d04a3696a41c669589c3fced08c22ec3dc56c08e9be5233471d0897c")
 
 # Printed by the p-basis route through the weight-36 Jacobi-Trudi
 # expansion of s_(18,18), before the finite alphabet took this query.
@@ -149,6 +156,18 @@ class TestTable:
     def test_r4_layout(self, capsys):
         code, out, err = run(capsys, "table", "--r", "4")
         assert (code, out) == (0, TABLE_R4)
+
+    def test_r14_bytes_cold_and_warm(self, capsys, fresh_cache):
+        # a transposed or reordered table would pass a comparison of
+        # the cold output with the warm one, so both are pinned
+        code, out, err = run(capsys, "table", "--r", "14")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_R14_SHA256
+        _reset_memo()
+        assert _load_table(14) is not None
+        code, out, err = run(capsys, "table", "--r", "14")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_R14_SHA256
 
 
 class TestSelftest:
