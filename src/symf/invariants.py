@@ -65,8 +65,8 @@ from operator import add, le
 from .characters import CHAR_TABLE_CAP
 from .errors import DegreeError
 from .partitions import Partition, partition_count, partitions_of, z_of
-from .plethysm import (GradedSeries, fundamental, h_plus_series,
-                       h_sum_series, plethysm, plethysm_series)
+from .plethysm import (GradedSeries, _prefix_products, fundamental,
+                       h_plus_series, h_sum_series, plethysm, plethysm_series)
 from .symfunc import (SymFn, _p_dict, generator, kronecker, one, s, scalar,
                       to_basis, zero)
 
@@ -189,7 +189,11 @@ class PolyFunctor:
         if character.degree() < 1:
             raise DegreeError("functor character must have degree >= 1")
         self.character = character
-        if character.degree() <= CHAR_TABLE_CAP:
+        # positive integral combinations of h, e or s are Schur positive
+        # and integral already (Kostka numbers, Littlewood-Richardson)
+        genuine = character.basis in ("h", "e", "s") and all(
+            c > 0 and c.denominator == 1 for c in character.terms.values())
+        if not genuine and character.degree() <= CHAR_TABLE_CAP:
             expanded = to_basis(character, "s")
             bad = any(c < 0 or c.denominator != 1 for c in expanded.terms.values())
             if bad:
@@ -267,24 +271,6 @@ class _Alphabet:
                 out[e] = c
         return out
 
-    def products(self, factors, partitions):
-        """(mu, product of factors[a] over the parts a of mu) for each mu
-        in partitions, which come in lexicographic order, either way round.
-
-        Partitions that share a prefix are then adjacent, so the products
-        along the current prefix are the only ones kept: each prefix is
-        multiplied out once, as in fundamental(), in memory linear in the
-        longest partition."""
-        stack = [((), self.one)]
-        for mu in partitions:
-            mu = tuple(mu)
-            while stack[-1][0] != mu[:len(stack[-1][0])]:
-                stack.pop()
-            for a in mu[len(stack[-1][0]):]:
-                prefix, poly = stack[-1]
-                stack.append((prefix + (a,), self.mul(poly, factors[a])))
-            yield mu, stack[-1][1]
-
     def evaluate(self, fp):
         """f(x_1, ..., x_L) for f given by its p-basis dict, with int
         coefficients when all of them are integers."""
@@ -295,7 +281,8 @@ class _Alphabet:
                 powers[a] = {(0,) * i + (a,) + (0,) * (length - 1 - i): 1
                              for i in range(length) if a <= self.bounds[i]}
         out = {}
-        for mu, poly in self.products(powers, sorted(fp)):
+        for mu, poly in _prefix_products(self.one, powers, sorted(fp),
+                                          self.mul):
             c = fp[mu]
             for e, v in poly.items():
                 out[e] = out.get(e, 0) + c * v
@@ -328,7 +315,8 @@ class _Alphabet:
         f = self.evaluate(fp)
         subs = {j: self.substitute(f, j) for j in range(1, r + 1)}
         out = {}
-        for lam, poly in self.products(subs, partitions_of(r)):
+        for lam, poly in _prefix_products(self.one, subs, partitions_of(r),
+                                           self.mul):
             val = self.pair(poly)
             if val:
                 out[lam] = Fraction(val, z_of(lam))

@@ -35,6 +35,24 @@ def _substitute(gp, n):
     return {tuple(a * n for a in mu): c for mu, c in gp.items()}
 
 
+def _prefix_products(one, factors, partitions, mul):
+    """(mu, the product of factors[a] over the parts a of mu) for each mu
+    in partitions, which come in lexicographic order, either way round.
+
+    Partitions that share a prefix are then adjacent, so the products
+    along the current prefix are the only ones kept: each prefix is
+    multiplied out once, in memory linear in the longest partition."""
+    stack = [((), one)]
+    for mu in partitions:
+        mu = tuple(mu)
+        while stack[-1][0] != mu[:len(stack[-1][0])]:
+            stack.pop()
+        for a in mu[len(stack[-1][0]):]:
+            prefix, poly = stack[-1]
+            stack.append((prefix + (a,), mul(poly, factors[a])))
+        yield mu, stack[-1][1]
+
+
 def _pleth_p(fp, gp, cap=None):
     # f[g] on p-basis dicts, optionally truncated above degree cap.
     subs = {}
@@ -42,20 +60,16 @@ def _pleth_p(fp, gp, cap=None):
         for a in mu:
             if a not in subs:
                 subs[a] = _substitute(gp, a)
-    prefix = {(): {(): Fraction(1)}}
-
-    def product_for(mu):
-        if mu in prefix:
-            return prefix[mu]
-        prod = _mul_p(product_for(mu[:-1]), subs[mu[-1]])
-        if cap is not None:
-            prod = {nu: c for nu, c in prod.items() if sum(nu) <= cap}
-        prefix[mu] = prod
-        return prod
+    if cap is None:
+        mul = _mul_p
+    else:
+        def mul(a, b):
+            return {nu: c for nu, c in _mul_p(a, b).items() if sum(nu) <= cap}
 
     out = {}
-    for mu, a in sorted(fp.items()):
-        for nu, c in product_for(mu).items():
+    for mu, prod in _prefix_products({(): Fraction(1)}, subs, sorted(fp), mul):
+        a = fp[mu]
+        for nu, c in prod.items():
             val = out.get(nu, 0) + a * c
             if val:
                 out[nu] = val
@@ -193,18 +207,10 @@ def fundamental(F, G, r, mode="p"):
 
     if mode == "p":
         subs = {n: _substitute(fp, n) for n in range(1, r + 1)}
-        prefix = {(): {(): Fraction(1)}}
-
-        def product_for(mu):
-            if mu in prefix:
-                return prefix[mu]
-            prod = _mul_p(product_for(mu[:-1]), subs[mu[-1]])
-            prefix[mu] = prod
-            return prod
-
         out = {}
-        for lam in partitions_of(r):
-            val = _scalar_p(product_for(tuple(lam)), gp)
+        for lam, prod in _prefix_products({(): Fraction(1)}, subs,
+                                          partitions_of(r), _mul_p):
+            val = _scalar_p(prod, gp)
             if val:
                 out[lam] = val / z_of(lam)
         return SymFn("p", out)

@@ -1,10 +1,14 @@
-"""Internal consistency suites, runnable from the command line.
+"""Consistency checks: each one recomputes a slice of the library through
+an independent oracle or a classical closed form and compares.
 
-Each suite recomputes a slice of the library through one of the
-independent oracles and compares.  The bounds scale with max_degree so a
-quick run stays quick; the default of 8 finishes in a few seconds.  All
-iteration orders and random draws are fixed, so two runs print the same
-bytes.
+A check is a function of its bounds, and is defined here once.  The
+acceptance tests c01-c11 in tests/test_acceptance.py call the checks at
+their bounds; `symf selftest` calls them at smaller bounds scaled by
+max_degree, so the default run of 8 takes about a second.  Each oracle
+is applied only where its own size cap admits the case.  Checks raise
+through _check, never assert, so they still fire under `python -O`.
+All iteration orders and random draws are fixed, so two runs print the
+same bytes.
 """
 
 import math
@@ -22,24 +26,31 @@ from .invariants import (GLnAdjoint, PolyFunctor, SLnDefining, SnPermutation,
 from .oracles import (oracle_cayley_sylvester, oracle_deals,
                       oracle_deals_cycle_index, oracle_deals_matrix_count,
                       oracle_matchings, oracle_perm_inv_char,
-                      oracle_perm_inv_char_polyfunc, oracle_plethysm_schur,
-                      oracle_regular_cycle_index, oracle_regular_graphs,
-                      oracle_restricted_bell, oracle_su2_inv_char,
-                      oracle_su2_poly_dim, oracle_syt)
+                      oracle_perm_inv_char_polyfunc, oracle_plethysm_monomials,
+                      oracle_plethysm_schur, oracle_regular_cycle_index,
+                      oracle_regular_graphs, oracle_restricted_bell,
+                      oracle_su2_inv_char, oracle_su2_poly_dim, oracle_syt)
 from .partitions import partitions_of
 from .plethysm import fundamental, plethysm
-from .symfunc import (SymFn, dimension, e, h, one, p, s, scalar,
-                      specialize_ones, zero)
+from .symfunc import (SymFn, dimension, e, h, kronecker, one, s, scalar,
+                      specialize_ones, to_basis, zero)
 
 _SEED = 20240811
 
-# raw power sum expansions, written out by hand so the suites do not
-# lean on the conversion code they are meant to check
-_RAW_H2 = {(1, 1): Fraction(1, 2), (2,): Fraction(1, 2)}
-_RAW_E2 = {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)}
-_RAW_H3 = {(1, 1, 1): Fraction(1, 6), (2, 1): Fraction(1, 2),
-           (3,): Fraction(1, 3)}
-_RAW_S21 = {(1, 1, 1): Fraction(1, 3), (3,): Fraction(-1, 3)}
+# functor characters with their power sum expansions written out by
+# hand, so the oracle shares no base change code with the library
+_FUNCTORS = (
+    ("h2", h(2), {(1, 1): Fraction(1, 2), (2,): Fraction(1, 2)}),
+    ("e2", e(2), {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)}),
+    ("h3", h(3), {(1, 1, 1): Fraction(1, 6), (2, 1): Fraction(1, 2),
+                  (3,): Fraction(1, 3)}),
+    ("s21", s(2, 1), {(1, 1, 1): Fraction(1, 3), (3,): Fraction(-1, 3)}),
+)
+
+# known terms of classical sequences, indexed from 0
+_CATALAN = (1, 1, 2, 5, 14, 42, 132)
+_DOUBLE_FACTORIALS = (1, 1, 3, 15, 105, 945)
+_QUARTIC_INVARIANTS = (1, 0, 1, 1, 1, 1, 2)
 
 
 class _Failure(Exception):
@@ -51,47 +62,52 @@ def _check(cond, what):
         raise _Failure(what)
 
 
-def _suite_plethysm_examples(d):
-    _check(plethysm(h(2), h(2)) == s(4) + s(2, 2), "h2[h2]")
-    _check(plethysm(e(2), e(2)) == s(2, 1, 1), "e2[e2]")
-    _check(scalar(plethysm(h(2), h(2)), h(2) * h(2)) == 2, "<h2[h2], h2*h2>")
+def check_plethysm_examples(max_ab):
+    """h_a[h_b] and e_a[e_b] for a, b <= 4 with a*b <= max_ab (at most
+    8, the oracle's cap) against the Schur expansion the monomial oracle
+    solves for; h2[h2] and e2[e2] also in the monomial basis."""
+    hh = plethysm(h(2), h(2))
+    ee = plethysm(e(2), e(2))
+    _check(hh == s(4) + s(2, 2), "h2[h2]")
+    _check(ee == s(2, 1, 1), "e2[e2]")
+    _check(scalar(hh, h(2) * h(2)) == 2, "<h2[h2], h2*h2>")
+    for kind, value in (("hh", hh), ("ee", ee)):
+        _check(to_basis(value, "m").terms
+               == oracle_plethysm_monomials(kind, 2, 2),
+               "%s plethysm a=2 b=2 in the monomial basis" % kind)
     for a in range(1, 5):
-        for b in range(1, 5):
-            if a * b > min(8, d):
-                continue
-            for kind in ("hh", "ee"):
-                f = h(a) if kind == "hh" else e(a)
-                g = h(b) if kind == "hh" else e(b)
-                want = oracle_plethysm_schur(kind, a, b)
-                _check(plethysm(f, g) == want,
+        for b in range(1, min(4, max_ab // a) + 1):
+            for kind, gen in (("hh", h), ("ee", e)):
+                _check(plethysm(gen(a), gen(b))
+                       == oracle_plethysm_schur(kind, a, b),
                        "%s plethysm a=%d b=%d" % (kind, a, b))
 
 
-def _suite_cauchy_modes(d):
+def check_cauchy_modes(pairs, max_r, max_degree):
+    """fundamental(F, G, r) in p mode against s mode (the Cauchy
+    identity) on `pairs` seeded random pairs: F of degree k <= 3 and G of
+    degree r*k with r <= max_r and r*k <= max_degree, each a sum of one
+    or two Schur functions with coefficients 1..3."""
     rng = random.Random(_SEED)
-    bound = min(12, d)
-    done = 0
-    while done < 20:
+
+    def pick(degree):
+        f = zero("s")
+        for _ in range(rng.randint(1, 2)):
+            f = f + rng.randint(1, 3) * s(*rng.choice(partitions_of(degree)))
+        return f
+
+    for _ in range(pairs):
         k = rng.randint(1, 3)
-        r = rng.randint(1, 4)
-        if r * k > bound:
-            continue
-        f = zero()
-        for _ in range(rng.randint(1, 2)):
-            lam = rng.choice(list(partitions_of(k)))
-            f = f + rng.randint(1, 2) * s(*lam)
-        g = zero()
-        for _ in range(rng.randint(1, 2)):
-            mu = rng.choice(list(partitions_of(r * k)))
-            g = g + rng.randint(1, 2) * s(*mu)
-        via_p = fundamental(f, g, r, mode="p")
-        via_s = fundamental(f, g, r, mode="s")
-        _check(via_p == via_s,
-               "mode disagreement at k=%d r=%d F=%s G=%s" % (k, r, f, g))
-        done += 1
+        r = rng.randint(1, min(max_r, max_degree // k))
+        F = pick(k)
+        G = pick(r * k)
+        _check(fundamental(F, G, r, "p") == fundamental(F, G, r, "s"),
+               "mode disagreement at k=%d r=%d F=%s G=%s" % (k, r, F, G))
 
 
-def _suite_fundamental_forms(d):
+def check_fundamental_forms():
+    """fundamental() on small hand-computed cases, its degree checks, and
+    the specialization p_i = 1 against a scalar product."""
     want = SymFn("p", {(1, 1): Fraction(3, 2), (2,): Fraction(1, 2)})
     _check(fundamental(h(2), h(2) * h(2), 2) == want, "fundamental(h2, h2^2, 2)")
     _check(specialize_ones(fundamental(h(2), h(2) * h(2), 2))
@@ -108,9 +124,12 @@ def _suite_fundamental_forms(d):
         raise _Failure("degree mismatch not rejected")
 
 
-def _suite_perm_family(d):
-    for n in range(1, 4):
-        for r in range(0, min(6, d) + 1):
+def check_perm_family(max_n, max_r):
+    """S_n on n points, n <= max_n, in degrees r <= max_r: the invariant
+    character against the averaging oracle (its cap: n <= 5, r <= 8) and
+    its dimension against the Bell numbers restricted to n blocks."""
+    for n in range(1, max_n + 1):
+        for r in range(max_r + 1):
             got = inv_char(SnPermutation(n), r)
             _check(got == oracle_perm_inv_char(n, r),
                    "character n=%d r=%d" % (n, r))
@@ -118,98 +137,137 @@ def _suite_perm_family(d):
                    "dimension n=%d r=%d" % (n, r))
 
 
-def _suite_perm_polyfunctor(d):
-    cases = [("h2", _RAW_H2), ("e2", _RAW_E2), ("h3", _RAW_H3),
-             ("s21", _RAW_S21)]
-    for name, raw in cases:
-        func = PolyFunctor(SymFn("p", raw))
-        k = func.degree
+def check_perm_polyfunctor(max_degree):
+    """The functors h2, e2, h3 and s21 over S_n for n <= 3, in degrees r
+    with r*k <= max_degree (at most 8, the oracle's cap), against the
+    averaging oracle fed the hand-written p expansions, which are first
+    held against the library's own."""
+    for name, F, raw in _FUNCTORS:
+        _check(to_basis(F, "p").terms == raw, "p expansion of %s" % name)
+        k = F.degree()
         for n in range(1, 4):
-            for r in range(1, min(6, d) // k + 1):
-                got = inv_char_polyfunc(SnPermutation(n), func, r)
-                want = oracle_perm_inv_char_polyfunc(n, raw, r)
-                _check(got == want, "P=%s n=%d r=%d" % (name, n, r))
+            for r in range(max_degree // k + 1):
+                got = inv_char_polyfunc(SnPermutation(n), PolyFunctor(F), r)
+                _check(got == oracle_perm_inv_char_polyfunc(n, raw, r),
+                       "P=%s n=%d r=%d" % (name, n, r))
 
 
-def _suite_sl2_catalan(d):
-    for m in range(0, min(4, d // 2) + 1):
+def check_sl2_catalan(max_m, max_r):
+    """SL(2) on tensor powers for m <= max_m (at most 6): I_2m = s_(m,m),
+    whose dimension is the m-th Catalan number, also by the hook length
+    formula, and odd degrees vanish.  Then the invariants of the binary
+    quartic in degrees r <= max_r (at most 6) against their known terms
+    and the Cayley-Sylvester count."""
+    for m in range(max_m + 1):
         ch = inv_char(SLnDefining(2), 2 * m)
-        want = oracle_syt((m, m)) if m else 1
-        _check(dimension(ch) == want, "Catalan at m=%d" % m)
+        hooks = sum(c * oracle_syt(lam)
+                    for lam, c in to_basis(ch, "s").terms.items())
+        _check(dimension(ch) == hooks == _CATALAN[m], "Catalan at m=%d" % m)
         if m:
-            _check(ch == s(*(m, m)), "shape at m=%d" % m)
+            _check(oracle_syt((m, m)) == _CATALAN[m],
+                   "hook formula at m=%d" % m)
+            _check(ch == s(m, m), "shape at m=%d" % m)
             _check(inv_char(SLnDefining(2), 2 * m - 1).is_zero(),
                    "odd degree at m=%d" % m)
     quartic = PolyFunctor(h(4))
-    series = [1, 0, 1, 1, 1, 1, 2]
-    for r in range(0, min(6, d) + 1):
+    for r in range(max_r + 1):
         got = hilbert_dim(SLnDefining(2), quartic, r)
-        _check(got == series[r], "quartic r=%d" % r)
+        _check(got == _QUARTIC_INVARIANTS[r], "quartic r=%d" % r)
         _check(got == oracle_cayley_sylvester(4, r), "quartic vs oracle r=%d" % r)
 
 
-def _suite_sp_matchings(d):
-    for q in range(0, min(4, d // 2) + 1):
-        n = max(q, 1)
-        got = inv_char(Sp2nDefining(n), 2 * q)
-        _check(dimension(got) == oracle_matchings(q), "matchings q=%d" % q)
-        if q:
-            _check(inv_char(Sp2nDefining(n), 2 * q - 1).is_zero(),
-                   "odd degree q=%d" % q)
+def check_sp_matchings(max_q):
+    """Sp(2n) on tensor powers for q <= max_q (at most 5): in the stable
+    range n >= q, checked at n = q..q+2, the invariants of degree 2q
+    have the dimension (2q-1)!! of the perfect matchings, and odd degrees
+    vanish."""
+    for q in range(max_q + 1):
+        _check(oracle_matchings(q) == _DOUBLE_FACTORIALS[q],
+               "double factorial q=%d" % q)
+        for n in range(max(q, 1), q + 3):
+            got = inv_char(Sp2nDefining(n), 2 * q)
+            _check(dimension(got) == oracle_matchings(q),
+                   "matchings q=%d n=%d" % (q, n))
+            if q:
+                _check(inv_char(Sp2nDefining(n), 2 * q - 1).is_zero(),
+                       "odd degree q=%d n=%d" % (q, n))
 
 
-def _suite_gl_adjoint(d):
-    for r in range(0, min(6, d) + 1):
+def check_gl_adjoint(max_r):
+    """GL(n) on n x n matrices in degrees r <= max_r: the sum of the
+    Kronecker squares s_lam * s_lam over lam |- r, and the stable
+    character, are the sum of all p_mu, of dimension r!; finite n >= r
+    agrees with it and GL(1) gives h_r."""
+    for r in range(max_r + 1):
+        want = SymFn("p", dict.fromkeys(partitions_of(r), 1))
+        squares = zero("p")
+        for lam in partitions_of(r):
+            squares = squares + kronecker(s(*lam), s(*lam))
+        _check(squares == want, "Kronecker squares r=%d" % r)
         stable = inv_char(GLnAdjoint(1), r)
-        want = SymFn("p", {mu: Fraction(1) for mu in partitions_of(r)})
         _check(stable == want, "stable character r=%d" % r)
         _check(dimension(stable) == math.factorial(r), "dimension r=%d" % r)
-        _check(inv_char(GLnAdjoint(r if r else 1, stable=False), r) == stable,
+        _check(inv_char(GLnAdjoint(max(r, 1), stable=False), r) == stable,
                "finite n >= r agrees at r=%d" % r)
-        _check(inv_char(GLnAdjoint(1, stable=False), r) == h(r) if r else True,
-               "GL(1) closed form r=%d" % r)
+        _check(inv_char(GLnAdjoint(1, stable=False), r)
+               == (h(r) if r else one()), "GL(1) closed form r=%d" % r)
 
 
-def _suite_hilbert_crosschecks(d):
-    for k in range(1, 4):
-        for r in range(1, 5):
-            if k * r > min(12, d):
-                continue
-            func = PolyFunctor(h(k))
-            dim = hilbert_dim(SLnDefining(2), func, r)
-            _check(dim == oracle_su2_poly_dim(k, r),
-                   "Weyl integration k=%d r=%d" % (k, r))
+def check_hilbert_crosschecks(max_k, max_r, max_degree):
+    """Binary forms of degree k <= max_k: the invariants of degree
+    r <= max_r with k*r <= max_degree (at most 120, the Cayley-Sylvester
+    oracle's cap), counted for SL(2) and for Sp(2), the same group
+    reached through other shapes, against the Cayley-Sylvester count.
+    Where k*r <= 24, Weyl integration on SU(2) checks the count and the
+    equivariant character too."""
+    for k in range(1, max_k + 1):
+        form = PolyFunctor(h(k))
+        for r in range(min(max_r, max_degree // k) + 1):
+            dim = hilbert_dim(SLnDefining(2), form, r)
             _check(dim == oracle_cayley_sylvester(k, r),
                    "partition count k=%d r=%d" % (k, r))
-            got = inv_char_polyfunc(SLnDefining(2), func, r)
-            _check(got == oracle_su2_inv_char(k, r),
-                   "equivariant character k=%d r=%d" % (k, r))
+            _check(hilbert_dim(Sp2nDefining(1), form, r) == dim,
+                   "Sp(2) = SL(2) at k=%d r=%d" % (k, r))
+            if k * r <= 24:
+                _check(dim == oracle_su2_poly_dim(k, r),
+                       "Weyl integration k=%d r=%d" % (k, r))
+                got = inv_char_polyfunc(SLnDefining(2), form, r)
+                _check(got == oracle_su2_inv_char(k, r),
+                       "equivariant character k=%d r=%d" % (k, r))
 
 
-def _suite_card_deals(d):
-    bound = min(10, d + 2)
-    for n in range(1, 5):
-        for m in range(1, bound + 1):
-            if m * n > bound:
-                continue
+def check_card_deals(max_n, max_cards):
+    """Deals of m*n <= max_cards cards (at most 14, the enumeration
+    oracle's cap) of n <= max_n types: the count against direct
+    enumeration and against its cycle index at p_i = 1; where n <= 5 and
+    m*n <= 12, the count and the cycle index against the orbits of deal
+    matrices as well."""
+    _check(card_deals(DealSpec(2, 2)) == 2, "count m=2 n=2 is 2")
+    _check(card_deals(DealSpec(2, 3)) == 5, "count m=2 n=3 is 5")
+    for n in range(1, max_n + 1):
+        for m in range(1, max_cards // n + 1):
             spec = DealSpec(m, n)
             count = card_deals(spec)
-            _check(count == oracle_deals(m, n), "count m=%d n=%d" % (m, n))
-            _check(count == oracle_deals_matrix_count(m, n),
-                   "matrix count m=%d n=%d" % (m, n))
             index = deals_cycle_index(spec)
+            _check(count == oracle_deals(m, n), "count m=%d n=%d" % (m, n))
             _check(specialize_ones(index) == count,
                    "index at ones m=%d n=%d" % (m, n))
-            _check(index == oracle_deals_cycle_index(m, n),
-                   "cycle index m=%d n=%d" % (m, n))
+            if n <= 5 and m * n <= 12:
+                _check(count == oracle_deals_matrix_count(m, n),
+                       "matrix count m=%d n=%d" % (m, n))
+                _check(index == oracle_deals_cycle_index(m, n),
+                       "cycle index m=%d n=%d" % (m, n))
 
 
-def _suite_regular_graphs(d):
-    bound = min(12, d + 4)
-    for n in range(1, 5):
-        for k in range(0, 5):
-            if n * k > bound:
-                continue
+def check_regular_graphs(max_n, max_k, max_degree):
+    """k-regular multigraphs on n vertices for n <= max_n (at most 5)
+    and k <= max_k (at most 6), the orbit oracle's caps, with
+    n*k <= max_degree: the count against the oracle and, for even n*k,
+    the cycle index against the oracle and at p_i = 1 against the
+    count."""
+    _check(regular_graphs(RegularGraphSpec(3, 2)) == 3, "count n=3 k=2 is 3")
+    for n in range(1, max_n + 1):
+        for k in range(min(max_k, max_degree // n) + 1):
             spec = RegularGraphSpec(n, k)
             count = regular_graphs(spec)
             _check(count == oracle_regular_graphs(n, k),
@@ -222,18 +280,19 @@ def _suite_regular_graphs(d):
                        "cycle index n=%d k=%d" % (n, k))
 
 
+# name, check, and the check's bounds at selftest degree d (4 <= d <= 12)
 SUITES = (
-    ("plethysm-examples", _suite_plethysm_examples),
-    ("cauchy-modes", _suite_cauchy_modes),
-    ("fundamental-forms", _suite_fundamental_forms),
-    ("perm-family", _suite_perm_family),
-    ("perm-polyfunctor", _suite_perm_polyfunctor),
-    ("sl2-catalan", _suite_sl2_catalan),
-    ("sp-matchings", _suite_sp_matchings),
-    ("gl-adjoint", _suite_gl_adjoint),
-    ("hilbert-crosschecks", _suite_hilbert_crosschecks),
-    ("card-deals", _suite_card_deals),
-    ("regular-graphs", _suite_regular_graphs),
+    ("plethysm-examples", check_plethysm_examples, lambda d: (min(8, d),)),
+    ("cauchy-modes", check_cauchy_modes, lambda d: (20, 4, d)),
+    ("fundamental-forms", check_fundamental_forms, lambda d: ()),
+    ("perm-family", check_perm_family, lambda d: (3, min(6, d))),
+    ("perm-polyfunctor", check_perm_polyfunctor, lambda d: (min(6, d),)),
+    ("sl2-catalan", check_sl2_catalan, lambda d: (min(4, d // 2), min(6, d))),
+    ("sp-matchings", check_sp_matchings, lambda d: (min(4, d // 2),)),
+    ("gl-adjoint", check_gl_adjoint, lambda d: (min(6, d),)),
+    ("hilbert-crosschecks", check_hilbert_crosschecks, lambda d: (3, 4, d)),
+    ("card-deals", check_card_deals, lambda d: (4, min(10, d + 2))),
+    ("regular-graphs", check_regular_graphs, lambda d: (4, 4, min(12, d + 4))),
 )
 
 
@@ -242,9 +301,9 @@ def run_selftest(max_degree=8, stream=None):
     stream = sys.stdout if stream is None else stream
     d = max(4, min(int(max_degree), 12))
     ok = True
-    for name, suite in SUITES:
+    for name, check, bounds in SUITES:
         try:
-            suite(d)
+            check(*bounds(d))
         except _Failure as exc:
             ok = False
             print("FAIL %s: %s" % (name, exc), file=stream)

@@ -5,189 +5,79 @@ the library and an independently coded oracle or a classical closed
 form.  Everything is exact rational arithmetic; there is no tolerance
 anywhere, an answer is either identical or wrong.  Each test prints one
 PASS line on success (visible with -s); pytest reports the failures.
+
+c01-c11 run the consistency checks defined once in symf.selftest, at
+bounds at least as large as the ones `symf selftest` uses; a failing
+check raises with the case that failed.
 """
 
-import math
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
 
-from symf.enumeration import (DealSpec, RegularGraphSpec, card_deals,
-                              deals_cycle_index, regular_graphs,
-                              regular_graphs_cycle_index)
 from symf.characters import character_table
-from symf.invariants import (GLnAdjoint, PolyFunctor, SLnDefining,
-                             SnPermutation, Sp2nDefining, hilbert_dim,
-                             inv_char, inv_char_polyfunc)
-from symf.oracles import (oracle_cayley_sylvester, oracle_deals,
-                          oracle_matchings, oracle_perm_inv_char,
-                          oracle_perm_inv_char_polyfunc,
-                          oracle_plethysm_monomials, oracle_plethysm_schur,
-                          oracle_regular_graphs, oracle_restricted_bell,
-                          oracle_su2_inv_char, oracle_su2_poly_dim,
-                          oracle_syt)
+from symf.oracles import oracle_syt
 from symf.partitions import Partition, partitions_of, z_of
-from symf.plethysm import fundamental, plethysm
-from symf.symfunc import (SymFn, dimension, e, h, kronecker, s,
-                          specialize_ones, to_basis, zero)
+from symf.selftest import (check_card_deals, check_cauchy_modes,
+                           check_gl_adjoint, check_hilbert_crosschecks,
+                           check_perm_family, check_perm_polyfunctor,
+                           check_plethysm_examples, check_regular_graphs,
+                           check_sl2_catalan, check_sp_matchings)
 
 
 def test_c01_plethysm_landmarks():
-    hh = plethysm(h(2), h(2))
-    ee = plethysm(e(2), e(2))
-    assert hh == s(4) + s(2, 2)
-    assert ee == s(2, 1, 1)
-
-    for kind, value in (("hh", hh), ("ee", ee)):
-        monomials = oracle_plethysm_monomials(kind, 2, 2)
-        assert to_basis(value, "m").terms == {lam: Fraction(c)
-                                              for lam, c in monomials.items()}
-        assert value == oracle_plethysm_schur(kind, 2, 2)
+    check_plethysm_examples(8)
     print("PASS c01 plethysm landmarks agree with the monomial oracle")
 
 
 def test_c02_mode_agreement():
-    rng = random.Random(20260822)
-    shapes_by_degree = {d: partitions_of(d) for d in range(1, 13)}
-
-    def positive_pick(degree):
-        f = zero("s")
-        for _ in range(rng.randint(1, 2)):
-            f = f + rng.randint(1, 3) * s(*rng.choice(shapes_by_degree[degree]))
-        return f
-
-    for trial in range(50):
-        k = rng.randint(1, 3)
-        r = rng.randint(1, 12 // k)
-        F = positive_pick(k)
-        G = positive_pick(r * k)
-        from_p = fundamental(F, G, r, "p")
-        from_s = fundamental(F, G, r, "s")
-        assert from_p == from_s, (trial, k, r, F, G)
+    check_cauchy_modes(50, 12, 12)
     print("PASS c02 power sum and schur modes agree on 50 random pairs")
 
 
 def test_c03_permutation_family():
-    for n in range(1, 5):
-        for r in range(0, 7):
-            ch = inv_char(SnPermutation(n), r)
-            assert ch == oracle_perm_inv_char(n, r), (n, r)
-            assert dimension(ch) == oracle_restricted_bell(r, n), (n, r)
+    check_perm_family(4, 6)
     print("PASS c03 permutation family matches averaging oracle and Bell dims")
 
 
-# classical power sum expansions, written down rather than computed, so
-# the oracle below shares no base change code with the library
-RAW_P = {
-    "h2": {(1, 1): Fraction(1, 2), (2,): Fraction(1, 2)},
-    "e2": {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)},
-    "h3": {(1, 1, 1): Fraction(1, 6), (2, 1): Fraction(1, 2),
-           (3,): Fraction(1, 3)},
-    "s21": {(1, 1, 1): Fraction(1, 3), (3,): Fraction(-1, 3)},
-}
-
-
 def test_c04_permutation_family_through_functors():
-    functors = {"h2": h(2), "e2": e(2), "h3": h(3), "s21": s(2, 1)}
-    for name, F in functors.items():
-        raw = RAW_P[name]
-        assert to_basis(F, "p").terms == {Partition(mu): c
-                                          for mu, c in raw.items()}
-        k = F.degree()
-        for n in range(1, 4):
-            for r in range(0, 6 // k + 1):
-                lib = inv_char_polyfunc(SnPermutation(n), PolyFunctor(F), r)
-                assert lib == oracle_perm_inv_char_polyfunc(n, raw, r), \
-                    (name, n, r)
+    check_perm_polyfunctor(6)
     print("PASS c04 functor characters over S(n) match the averaging oracle")
 
 
 def test_c05_sl2_functors():
-    for k in range(1, 4):
-        for r in range(0, 5):
-            lib = inv_char_polyfunc(SLnDefining(2), PolyFunctor(h(k)), r)
-            assert lib == oracle_su2_inv_char(k, r), (k, r)
+    check_hilbert_crosschecks(3, 4, 12)
     print("PASS c05 symmetric powers of the SL(2) plane match Weyl integration")
 
 
 def test_c06_catalan_dimensions():
-    catalan = (1, 2, 5, 14, 42, 132)
-    for m in range(1, 7):
-        ch = inv_char(SLnDefining(2), 2 * m)
-        expanded = to_basis(ch, "s").terms
-        hook_dim = sum(c * oracle_syt(lam) for lam, c in expanded.items())
-        assert hook_dim == catalan[m - 1], m
-        assert dimension(ch) == catalan[m - 1], m
-    assert dimension(inv_char(SLnDefining(2), 0)) == 1
+    check_sl2_catalan(6, 6)
     print("PASS c06 SL(2) invariant dimensions are the Catalan numbers")
 
 
 def test_c07_symplectic_double_factorials():
-    for q in range(1, 6):
-        expected = oracle_matchings(q)
-        for n in range(q, q + 3):
-            total = dimension(inv_char(Sp2nDefining(n), 2 * q))
-            assert total == expected, (q, n)
-    assert [oracle_matchings(q) for q in range(1, 6)] == [1, 3, 15, 105, 945]
+    check_sp_matchings(5)
     print("PASS c07 stable Sp dimensions are the odd double factorials")
 
 
 def test_c08_adjoint_kronecker_identity():
-    for r in range(1, 9):
-        total = zero("p")
-        for lam in partitions_of(r):
-            slam = s(*lam)
-            total = total + kronecker(slam, slam)
-        target = SymFn("p", {mu: 1 for mu in partitions_of(r)})
-        assert total == target, r
-        assert dimension(total) == math.factorial(r), r
-        assert inv_char(GLnAdjoint(1), r) == target, r
+    check_gl_adjoint(8)
     print("PASS c08 adjoint Kronecker sums equal the full power sum layer")
 
 
 def test_c09_binary_forms_hilbert():
-    for k in range(1, 11):
-        for r in range(0, 11):
-            form = PolyFunctor(h(k))
-            dim = hilbert_dim(SLnDefining(2), form, r)
-            assert dim == oracle_cayley_sylvester(k, r), (k, r)
-            # Sp(2) = SL(2): the same group, reached through other shapes
-            assert hilbert_dim(Sp2nDefining(1), form, r) == dim, (k, r)
-            if k * r <= 24:
-                assert dim == oracle_su2_poly_dim(k, r), (k, r)
-    quartic = [hilbert_dim(SLnDefining(2), PolyFunctor(h(4)), r)
-               for r in range(0, 7)]
-    assert quartic == [1, 0, 1, 1, 1, 1, 2]
+    check_hilbert_crosschecks(10, 10, 100)
     print("PASS c09 binary form Hilbert dims match both classical oracles")
 
 
 def test_c10_card_deals():
-    assert card_deals(DealSpec(2, 2)) == 2
-    assert card_deals(DealSpec(2, 3)) == 5
-    for m in range(1, 13):
-        for n in range(1, 13):
-            if m * n > 12:
-                continue
-            spec = DealSpec(m, n)
-            count = card_deals(spec)
-            assert count == oracle_deals(m, n), (m, n)
-            assert specialize_ones(deals_cycle_index(spec)) == count, (m, n)
+    check_card_deals(12, 12)
     print("PASS c10 card deal counts match the hand enumeration oracle")
 
 
 def test_c11_regular_multigraphs():
-    assert regular_graphs(RegularGraphSpec(3, 2)) == 3
-    for n in range(1, 6):
-        for k in range(0, 5):
-            if (n * k) % 2:
-                continue
-            spec = RegularGraphSpec(n, k)
-            count = regular_graphs(spec)
-            assert count == oracle_regular_graphs(n, k), (n, k)
-            assert specialize_ones(regular_graphs_cycle_index(spec)) == count, \
-                (n, k)
+    check_regular_graphs(5, 4, 20)
     print("PASS c11 regular multigraph counts match the orbit oracle")
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from symf import selftest
 from symf.characters import _load_table, _reset_memo
 from symf.cli import main
 
@@ -177,6 +178,41 @@ class TestSelftest:
         lines = out.rstrip("\n").split("\n")
         assert len(lines) == 11
         assert all(line.startswith("ok ") for line in lines)
+
+    def test_failing_check_exits_5(self, capsys, monkeypatch):
+        real = selftest.card_deals
+        monkeypatch.setattr(selftest, "card_deals",
+                            lambda spec: real(spec) + 1)
+        assert selftest.run_selftest(4) is False
+        lines = capsys.readouterr().out.rstrip("\n").split("\n")
+        assert [line for line in lines if not line.startswith("ok ")] == \
+            ["FAIL card-deals: count m=2 n=2 is 2"]
+        assert len(lines) == 11
+        code, out, err = run(capsys, "selftest", "--max-degree", "4")
+        assert code == 5
+        assert out.count("FAIL ") == 1
+
+    def test_unexpected_error_is_reported(self, capsys, monkeypatch):
+        def broken(spec):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(selftest, "regular_graphs", broken)
+        assert selftest.run_selftest(4) is False
+        lines = capsys.readouterr().out.rstrip("\n").split("\n")
+        assert [line for line in lines if not line.startswith("ok ")] == \
+            ["FAIL regular-graphs: unexpected RuntimeError('boom')"]
+
+    def test_checks_fire_under_optimize(self):
+        # checks raise explicitly, so -O, which strips assert, keeps them
+        probe = ("import sys\n"
+                 "import symf.selftest as selftest\n"
+                 "from symf.cli import main\n"
+                 "real = selftest.card_deals\n"
+                 "selftest.card_deals = lambda spec: real(spec) + 1\n"
+                 "sys.exit(main(['selftest', '--max-degree', '4']))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", probe],
+                              capture_output=True, text=True)
+        assert proc.returncode == 5, proc.stderr
+        assert "FAIL card-deals: count m=2 n=2 is 2\n" in proc.stdout
 
 
 FAILURES = [

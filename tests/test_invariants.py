@@ -131,16 +131,32 @@ def test_polyfunctor_contract():
         PolyFunctor(one())
 
 
-def test_polyfunctor_warns_on_virtual_characters():
+def test_polyfunctor_warns_on_virtual_characters(monkeypatch):
+    # p2 = s_2 - s_{1,1}; h11 - h2 = s_{1,1} is genuine though not
+    # positive in the h basis
+    for virtual in (p(2), s(2) - s(1, 1), Fraction(1, 2) * h(2)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            PolyFunctor(virtual)
+        assert any("virtual" in str(w.message) for w in caught), virtual
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        PolyFunctor(p(2))  # s_2 - s_{1,1} is not Schur positive
-    assert any("virtual" in str(w.message) for w in caught)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        PolyFunctor(h(3))
-        PolyFunctor(s(2, 2))
+        for genuine in (h(3), s(2, 2), h(1, 1) - h(2), e(2, 1)):
+            PolyFunctor(genuine)
     assert not caught
+    # positive integral h, e and s combinations need no Schur expansion
+    expanded = []
+
+    def spy(f, basis):
+        expanded.append(f)
+        return to_basis(f, basis)
+    monkeypatch.setattr("symf.invariants.to_basis", spy)
+    for genuine in (h(6), e(3), s(2, 1) + 2 * s(3)):
+        PolyFunctor(genuine)
+    assert not expanded
+    with pytest.warns(UserWarning, match="virtual"):
+        PolyFunctor(p(2))
+    assert len(expanded) == 1
 
 
 def test_inv_char_polyfunc_specializations():

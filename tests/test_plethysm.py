@@ -5,6 +5,7 @@ from symf.errors import DegreeError, TruncationError
 from symf.oracles import oracle_plethysm_schur
 from symf.plethysm import (GradedSeries, fundamental, h_plus_series,
                            h_sum_series, plethysm, plethysm_series)
+from symf.selftest import check_fundamental_forms
 from symf.symfunc import SymFn, e, h, m, one, p, s, scalar, to_basis, zero
 
 
@@ -142,6 +143,11 @@ def test_fundamental_rejections():
         fundamental(h(2), h(4), 2, mode="q")
     with pytest.raises(ValueError):
         fundamental(h(2), h(4), -1)
+
+
+def test_fundamental_forms_check():
+    # the selftest suite fundamental-forms, which no acceptance test runs
+    check_fundamental_forms()
 
 
 def test_fundamental_modes_agree_on_fixed_pairs():
