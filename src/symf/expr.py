@@ -274,12 +274,6 @@ def _as_symfn(value, what):
     raise ExprError("%s must be a symmetric function, not a partition" % what)
 
 
-def _as_rational(value, what):
-    if isinstance(value, SymFn):
-        raise ExprError("%s must be a number" % what)
-    return value
-
-
 def evaluate(node):
     """Evaluate a tree to a SymFn, a Fraction, or a Partition."""
     if isinstance(node, Num):

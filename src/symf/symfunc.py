@@ -12,14 +12,15 @@ bases are views reached by exact base change:
 
   h_n = sum over mu of p_mu / z_mu,   e_n the same with sign (-1)^(n - len),
   s_lam = sum over mu of chi^lam(mu)/z_mu p_mu    (Murnaghan-Nakayama),
-  coefficient of m_mu in f = <f, h_mu>            (duality),
-  coefficient of h_mu in f = <f, m_mu>,
-  e coefficients via the omega involution p_mu -> (-1)^(|mu|-len(mu)) p_mu,
+  p_nu = sum over mu of R[nu][mu] m_mu,   R[nu][mu] = z_nu [p_nu] h_mu,
+  e coefficients via the omega involution p_mu -> (-1)^(|mu|-len(mu)) p_mu.
 
-and m_lam in the p basis comes from inverting the expansion of the p's
-into monomials one degree at a time; that matrix is triangular in the
-canonical reverse lexicographic order because p_nu only meets m_mu when
-mu is a fusion of nu, which dominates nu.
+R[nu][mu] counts the ways to fuse the parts of nu into mu (Macdonald I.6),
+so R is an integer matrix, lower triangular in the canonical reverse
+lexicographic order since mu then dominates nu.  For f = sum a_nu p_nu the
+m coefficients are a R (that is <f, h_mu>), the h coefficients solve
+R c = (z_nu a_nu) by forward substitution (that is <f, m_mu>), and m_lam
+is row lam of R^-1 by back substitution; no inverse is ever formed.
 
 For Schur indices of weight above the character table cap the base
 change falls back on the Jacobi-Trudi determinant det(h_{lam_i - i + j}),
@@ -46,8 +47,9 @@ _JT_LENGTH_CAP = 8
 # if it were exact.
 _INEXACT = (float, complex, Decimal)
 
-# Degree cap on base changes that need the per-degree monomial transition
-# matrix (dense, p(d) x p(d) rational entries).
+# Degree cap on base changes that solve against the p-to-m matrix R: h
+# and e targets and m inputs.  The m target only multiplies by R and is
+# not capped.
 _M_MATRIX_CAP = 16
 
 
@@ -331,40 +333,42 @@ def _schur_p_jacobi_trudi(lam):
     return out
 
 
-@lru_cache(maxsize=None)
-def _m_p_rows(d):
-    # Rows of the inverse transition: m_lam = sum_nu C[lam][nu] p_nu.
-    # Forward matrix: A[nu][mu] = coefficient of m_mu in p_nu
-    #                          = z_nu * (coefficient of p_nu in h_mu),
-    # lower triangular in reverse lexicographic position.
-    parts = partitions_of(d)
-    index = {tuple(mu): i for i, mu in enumerate(parts)}
-    size = len(parts)
-    forward = [[Fraction(0)] * size for _ in range(size)]
-    for j, mu in enumerate(parts):
-        for nu, c in _prod_h_p(tuple(mu)).items():
-            forward[index[nu]][j] = c * z_of(nu)
-    rows = {}
-    for i, lam in enumerate(parts):
-        row = [Fraction(0)] * size
-        for k in range(i, -1, -1):
-            acc = Fraction(1) if k == i else Fraction(0)
-            for j in range(k + 1, i + 1):
-                if row[j] and forward[j][k]:
-                    acc -= row[j] * forward[j][k]
-            if acc:
-                row[k] = acc / forward[k][k]
-        rows[tuple(lam)] = {tuple(parts[j]): row[j] for j in range(size) if row[j]}
-    return rows
-
-
-def _m_p(lam):
-    d = sum(lam)
+def _m_cap(d):
     if d > _M_MATRIX_CAP:
         raise ResourceLimitError(
             "monomial basis transitions are capped at degree %d, got %d"
             % (_M_MATRIX_CAP, d))
-    return _m_p_rows(d)[tuple(lam)]
+
+
+@lru_cache(maxsize=None)
+def _p_to_m(d):
+    # Rows of R as {nu: {mu: int}}, both in partitions_of order, so each
+    # row ends on its diagonal entry prod_i m_i(nu)!.  z_nu c is an
+    # integer, so the denominator of c divides z_nu.
+    rows = {tuple(nu): {} for nu in partitions_of(d)}
+    for mu in rows:
+        for nu, c in _prod_h_p(mu).items():
+            rows[nu][mu] = z_of(nu) // c.denominator * c.numerator
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _m_p(lam):
+    # Row lam of R^-1: x with x R = e_lam, by back substitution.
+    d = sum(lam)
+    _m_cap(d)
+    rows = _p_to_m(d)
+    acc = {lam: Fraction(1)}
+    row = {}
+    for nu in reversed(rows):
+        c = acc.get(nu)
+        if c:
+            c /= rows[nu][nu]
+            row[nu] = c
+            for mu, r in rows[nu].items():
+                if mu != nu:
+                    acc[mu] = acc.get(mu, 0) - c * r
+    return dict(reversed(row.items()))
 
 
 _GEN_EXPANSIONS = {
@@ -416,45 +420,47 @@ def to_basis(f, target):
         raise ValueError("unknown basis %r" % (target,))
     if f.basis == target:
         return f
+    if target in ("h", "e"):
+        for d in f.degrees():
+            _m_cap(d)
     fp = _p_dict(f)
     if target == "p":
         return SymFn("p", fp)
-    if target == "s":
-        out = {}
-        for d in sorted({sum(mu) for mu in fp}):
+    if target == "e":
+        # omega exchanges h and e and is diagonal on the p basis.
+        fp = _omega_p(fp)
+    out = {}
+    for d in sorted({sum(mu) for mu in fp}):
+        part = {mu: c for mu, c in fp.items() if sum(mu) == d}
+        if target == "s":
             if d > characters.CHAR_TABLE_CAP:
                 raise ResourceLimitError(
                     "Schur expansion needs characters of S_%d, beyond the "
                     "cap r <= %d" % (d, characters.CHAR_TABLE_CAP))
-            part = {mu: c for mu, c in fp.items() if sum(mu) == d}
             for lam in partitions_of(d):
                 tl = tuple(lam)
                 c = sum((a * characters._chi(tl, mu) for mu, a in part.items()),
                         Fraction(0))
                 if c:
                     out[lam] = c
-        return SymFn("s", out)
-    if target == "m":
-        out = {}
-        for d in sorted({sum(mu) for mu in fp}):
-            part = {mu: c for mu, c in fp.items() if sum(mu) == d}
-            for lam in partitions_of(d):
-                c = _scalar_p(part, _prod_h_p(tuple(lam)))
+        elif target == "m":
+            rows = _p_to_m(d)
+            acc = {}
+            for nu, a in part.items():
+                for mu, r in rows[nu].items():
+                    acc[mu] = acc.get(mu, 0) + a * r
+            out.update((mu, acc[mu]) for mu in rows if acc.get(mu))
+        else:
+            # Forward substitution for R c = (z_nu a_nu).  Row nu ends on
+            # the diagonal, whose c_nu is not in out yet.
+            for nu, row in _p_to_m(d).items():
+                c = part.get(nu, 0) * z_of(nu)
+                for mu, r in row.items():
+                    if mu in out:
+                        c -= r * out[mu]
                 if c:
-                    out[lam] = c
-        return SymFn("m", out)
-    if target == "h":
-        out = {}
-        for d in sorted({sum(mu) for mu in fp}):
-            part = {mu: c for mu, c in fp.items() if sum(mu) == d}
-            for lam in partitions_of(d):
-                c = _scalar_p(part, _m_p(tuple(lam)))
-                if c:
-                    out[lam] = c
-        return SymFn("h", out)
-    # e basis: omega exchanges h and e and is diagonal on the p basis.
-    flipped = SymFn("p", _omega_p(fp))
-    return SymFn("e", to_basis(flipped, "h").terms)
+                    out[nu] = c / row[nu]
+    return SymFn(target, out)
 
 
 def scalar(f, g):

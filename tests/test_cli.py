@@ -38,6 +38,20 @@ TABLE_R4 = (
 TABLE_R14_SHA256 = (
     "6f7f5be2d04a3696a41c669589c3fced08c22ec3dc56c08e9be5233471d0897c")
 
+# sha256 of `symf eval EXPR --basis B` stdout, as printed when h
+# coefficients came from a dense rational inverse of the p-to-m matrix.
+# h4[h4] has degree 16, so its h, e and m forms use every row of it.
+EVAL_SHA256 = {
+    ("h4[h4]", "h"):
+        "518c0644994f238fdc89a2b468c48940a0408e7438cebf2a37b1668d27021689",
+    ("h4[h4]", "e"):
+        "56239064568d061f3ecd03a249ef04d4bc406cc8629e655b6499b06c8aa61917",
+    ("h4[h4]", "m"):
+        "e447963a4ff4496c25f0c81e5f951fe405ac8c1d642390856d4e950cc09fedc6",
+    ("m[4,2,2,1]", "p"):
+        "baee8a2467b7416d0a329c3177e1ad45c8d104e297d37264af72347112e90caf",
+}
+
 # Printed by the p-basis route through the weight-36 Jacobi-Trudi
 # expansion of s_(18,18), before the finite alphabet took this query.
 SL2_SEXTICS_R6 = (
@@ -60,6 +74,13 @@ class TestEval:
         code, out, err = run(capsys, "eval", "h2[h2]", "--basis", "p")
         assert code == 0
         assert out == "1/4*p[4] + 3/8*p[2,2] + 1/4*p[2,1,1] + 1/8*p[1,1,1,1]\n"
+
+    @pytest.mark.parametrize("expr, basis", sorted(EVAL_SHA256))
+    def test_base_change_bytes(self, capsys, expr, basis):
+        code, out, err = run(capsys, "eval", expr, "--basis", basis)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            EVAL_SHA256[expr, basis]
 
     def test_rational_result(self, capsys):
         assert run(capsys, "eval", "scalar(h2[h2], h[2,2])") == (0, "2\n", "")

@@ -1,12 +1,16 @@
 import json
+import math
+from functools import lru_cache
 
 import pytest
 from fractions import Fraction
 
+from symf import characters, symfunc
 from symf.errors import DegreeError, ResourceLimitError
 from symf.oracles import oracle_syt
 from symf.partitions import Partition, partitions_of, z_of
-from symf.symfunc import (BASES, SymFn, _schur_p, _schur_p_jacobi_trudi,
+from symf.symfunc import (BASES, SymFn, _p_to_m, _schur_p,
+                          _schur_p_jacobi_trudi,
                           dimension, e, from_json_dict, generator, h,
                           kronecker, m, monomial_coefficient, one, p, s,
                           scalar, specialize_ones, to_basis, to_json_dict,
@@ -94,7 +98,7 @@ def test_monomial_expansions():
 
 
 def test_hall_product_orthogonality():
-    for n in range(0, 7):
+    for n in range(0, 9):
         shapes = partitions_of(n)
         for lam in shapes:
             for mu in shapes:
@@ -201,5 +205,51 @@ def test_conversion_caps_guard_big_inputs():
         to_basis(p(17), "h")
     with pytest.raises(ResourceLimitError):
         to_basis(m(17), "p")
-    # the m target itself is a cheap scalar product, uncapped
+    # the m target only multiplies by the p-to-m matrix, uncapped
     assert to_basis(p(17), "m") == m(17)
+
+
+def test_h_and_e_targets_refuse_before_expanding(monkeypatch):
+    # s_(9,9) has degree 18, past the cap: no character value may be
+    # computed on the way to the refusal
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise AssertionError("expanded %r" % (args,))
+    monkeypatch.setattr(characters, "_chi", spy)
+    monkeypatch.setitem(symfunc._GEN_EXPANSIONS, "s", spy)
+    for target in ("h", "e"):
+        with pytest.raises(ResourceLimitError,
+                           match="capped at degree 16, got 18$"):
+            to_basis(s(9, 9), target)
+    assert calls == []
+
+
+def _fusions(nu, mu):
+    # Ways to send each part of nu to one of the blocks of mu so that
+    # block i receives parts summing to mu_i.
+    @lru_cache(maxsize=None)
+    def count(j, room):
+        if j == len(nu):
+            return int(not any(room))
+        return sum(count(j + 1, room[:i] + (r - nu[j],) + room[i + 1:])
+                   for i, r in enumerate(room) if r >= nu[j])
+    return count(0, tuple(mu))
+
+
+def test_p_to_m_matrix_counts_fusions():
+    for d in range(11):
+        shapes = [tuple(lam) for lam in partitions_of(d)]
+        rows = _p_to_m(d)
+        assert list(rows) == shapes
+        for i, nu in enumerate(shapes):
+            row = rows[nu]
+            assert all(type(r) is int for r in row.values())
+            # lower triangular, ending on the diagonal prod_i m_i(nu)!
+            assert list(row) == [mu for mu in shapes[:i + 1] if mu in row]
+            assert list(row)[-1] == nu
+            assert row[nu] == math.prod(math.factorial(nu.count(a))
+                                        for a in set(nu))
+            for mu in shapes:
+                assert row.get(mu, 0) == _fusions(nu, mu)
