@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import ExprError
 from .partitions import Partition
-from .symfunc import (SymFn, dimension, generator, kronecker,
+from .symfunc import (SymFn, _coerce, dimension, generator, kronecker,
                       monomial_coefficient, scalar, specialize_ones)
 from .plethysm import plethysm
 
@@ -267,10 +267,9 @@ def pretty(node):
 
 
 def _as_symfn(value, what):
-    if isinstance(value, SymFn):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return SymFn("p", {Partition(): Fraction(value)})
+    f = _coerce(value)
+    if f is not NotImplemented:
+        return f
     raise ExprError("%s must be a symmetric function, not a partition" % what)
 
 

@@ -67,8 +67,8 @@ from .errors import DegreeError
 from .partitions import Partition, partition_count, partitions_of, z_of
 from .plethysm import (GradedSeries, _prefix_products, fundamental,
                        h_plus_series, h_sum_series, plethysm, plethysm_series)
-from .symfunc import (SymFn, _p_dict, generator, kronecker, one, s, scalar,
-                      to_basis, zero)
+from .symfunc import (SymFn, _add_into, _p_dict, generator, kronecker, one,
+                      s, scalar, to_basis, zero)
 
 
 @dataclass(frozen=True)
@@ -283,12 +283,10 @@ class _Alphabet:
         out = {}
         for mu, poly in _prefix_products(self.one, powers, sorted(fp),
                                           self.mul):
-            c = fp[mu]
-            for e, v in poly.items():
-                out[e] = out.get(e, 0) + c * v
+            _add_into(out, poly, fp[mu])
         if all(c.denominator == 1 for c in out.values()):
-            return {e: int(c) for e, c in out.items() if c}
-        return {e: c for e, c in out.items() if c}
+            return {e: int(c) for e, c in out.items()}
+        return out
 
     def pair(self, f):
         """<f, sum of s_lam> for f homogeneous of the shapes' weight."""

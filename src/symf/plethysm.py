@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import DegreeError, TruncationError
 from .partitions import Partition, partitions_of, z_of
-from .symfunc import (SymFn, generator, one, zero,
+from .symfunc import (SymFn, generator, one, zero, _add_into,
                       _mul_p, _p_dict, _scalar_p, _schur_p)
 
 
@@ -68,13 +68,7 @@ def _pleth_p(fp, gp, cap=None):
 
     out = {}
     for mu, prod in _prefix_products({(): Fraction(1)}, subs, sorted(fp), mul):
-        a = fp[mu]
-        for nu, c in prod.items():
-            val = out.get(nu, 0) + a * c
-            if val:
-                out[nu] = val
-            elif nu in out:
-                del out[nu]
+        _add_into(out, prod, fp[mu])
     return out
 
 

@@ -19,8 +19,11 @@ R[nu][mu] counts the ways to fuse the parts of nu into mu (Macdonald I.6),
 so R is an integer matrix, lower triangular in the canonical reverse
 lexicographic order since mu then dominates nu.  For f = sum a_nu p_nu the
 m coefficients are a R (that is <f, h_mu>), the h coefficients solve
-R c = (z_nu a_nu) by forward substitution (that is <f, m_mu>), and m_lam
-is row lam of R^-1 by back substitution; no inverse is ever formed.
+R c = (z_nu a_nu) by forward substitution (that is <f, m_mu>), and an m
+input sum c_lam m_lam is solved for its p coefficients x R = c by one
+back substitution per degree; no inverse is ever formed.  e goes through
+omega in both directions: e inputs expand as h and are flipped, and e
+targets flip f before solving for h coefficients.
 
 For Schur indices of weight above the character table cap the base
 change falls back on the Jacobi-Trudi determinant det(h_{lam_i - i + j}),
@@ -118,15 +121,8 @@ class SymFn:
         if other is NotImplemented:
             return NotImplemented
         if self.basis == other.basis:
-            out = dict(self.terms)
-            for mu, c in other.terms.items():
-                out[mu] = out.get(mu, 0) + c
-            return SymFn(self.basis, out)
-        a, b = _p_dict(self), _p_dict(other)
-        out = dict(a)
-        for mu, c in b.items():
-            out[mu] = out.get(mu, 0) + c
-        return SymFn("p", out)
+            return SymFn(self.basis, _add_into(dict(self.terms), other.terms))
+        return SymFn("p", _add_into(_p_dict(self), _p_dict(other)))
 
     __radd__ = __add__
 
@@ -253,6 +249,17 @@ def s(*parts):
 # Partition subclasses tuple, so the two key types interoperate; SymFn
 # construction restores Partition keys at the boundary.
 
+def _add_into(out, terms, c=1):
+    # out += c * terms, dropping keys that cancel; returns out.
+    for mu, d in terms.items():
+        val = out.get(mu, 0) + c * d
+        if val:
+            out[mu] = val
+        elif mu in out:
+            del out[mu]
+    return out
+
+
 def _mul_p(a, b):
     if len(a) > len(b):
         a, b = b, a
@@ -279,12 +286,6 @@ def _prod_h_p(mu):
     if not mu:
         return {(): Fraction(1)}
     return _mul_p(_prod_h_p(mu[:-1]), _gen_h_p(mu[-1]))
-
-
-@lru_cache(maxsize=None)
-def _prod_e_p(mu):
-    # e_mu = omega(h_mu): omega flips the sign of p_nu for odd |nu| - l(nu).
-    return _omega_p(_prod_h_p(mu))
 
 
 @lru_cache(maxsize=None)
@@ -324,12 +325,7 @@ def _schur_p_jacobi_trudi(lam):
         inversions = sum(1 for i in range(n) for j in range(i + 1, n)
                          if sigma[i] > sigma[j])
         sign = -1 if inversions % 2 else 1
-        for mu, c in _prod_h_p(tuple(sorted(degrees, reverse=True))).items():
-            val = out.get(mu, 0) + sign * c
-            if val:
-                out[mu] = val
-            elif mu in out:
-                del out[mu]
+        _add_into(out, _prod_h_p(tuple(sorted(degrees, reverse=True))), sign)
     return out
 
 
@@ -352,30 +348,32 @@ def _p_to_m(d):
     return rows
 
 
-@lru_cache(maxsize=None)
-def _m_p(lam):
-    # Row lam of R^-1: x with x R = e_lam, by back substitution.
-    d = sum(lam)
-    _m_cap(d)
-    rows = _p_to_m(d)
-    acc = {lam: Fraction(1)}
-    row = {}
-    for nu in reversed(rows):
-        c = acc.get(nu)
-        if c:
-            c /= rows[nu][nu]
-            row[nu] = c
-            for mu, r in rows[nu].items():
-                if mu != nu:
-                    acc[mu] = acc.get(mu, 0) - c * r
-    return dict(reversed(row.items()))
+def _m_to_p(terms):
+    # The p coefficients x of sum c_lam m_lam solve x R = c: one back
+    # substitution per degree, after every degree has passed the cap.
+    for lam in terms:
+        _m_cap(sum(lam))
+    out = {}
+    for d in sorted({sum(lam) for lam in terms}):
+        rows = _p_to_m(d)
+        acc = {lam: c for lam, c in terms.items() if sum(lam) == d}
+        part = {}
+        for nu in reversed(rows):
+            c = acc.get(nu)
+            if c:
+                c /= rows[nu][nu]
+                part[nu] = c
+                # subtracts c times row nu; its diagonal cancels acc[nu]
+                _add_into(acc, rows[nu], -c)
+        out.update(reversed(part.items()))
+    return out
 
 
+# Per-generator p expansions; e is expanded as h and flipped by omega.
 _GEN_EXPANSIONS = {
     "h": _prod_h_p,
-    "e": _prod_e_p,
+    "e": _prod_h_p,
     "s": _schur_p,
-    "m": _m_p,
 }
 
 
@@ -383,16 +381,13 @@ def _p_dict(f):
     """Expansion of f in the p basis as a plain dict tuple -> Fraction."""
     if f.basis == "p":
         return {tuple(mu): c for mu, c in f.terms.items()}
+    if f.basis == "m":
+        return _m_to_p(f.terms)
     expand = _GEN_EXPANSIONS[f.basis]
     out = {}
     for mu, c in f.terms.items():
-        for nu, d in expand(tuple(mu)).items():
-            val = out.get(nu, 0) + c * d
-            if val:
-                out[nu] = val
-            elif nu in out:
-                del out[nu]
-    return out
+        _add_into(out, expand(tuple(mu)), c)
+    return _omega_p(out) if f.basis == "e" else out
 
 
 def _scalar_p(a, b):
@@ -447,9 +442,8 @@ def to_basis(f, target):
             rows = _p_to_m(d)
             acc = {}
             for nu, a in part.items():
-                for mu, r in rows[nu].items():
-                    acc[mu] = acc.get(mu, 0) + a * r
-            out.update((mu, acc[mu]) for mu in rows if acc.get(mu))
+                _add_into(acc, rows[nu], a)
+            out.update((mu, acc[mu]) for mu in rows if mu in acc)
         else:
             # Forward substitution for R c = (z_nu a_nu).  Row nu ends on
             # the diagonal, whose c_nu is not in out yet.
@@ -534,8 +528,7 @@ def to_json_dict(f):
 
 
 def from_json_dict(doc):
-    terms = {}
-    for entry in doc["terms"]:
-        mu = Partition(entry["partition"])
-        terms[mu] = terms.get(mu, 0) + Fraction(entry["coeff"])
-    return SymFn(doc["basis"], terms)
+    # The constructor sums repeated partitions and refuses inexact
+    # coefficients such as floats.
+    return SymFn(doc["basis"], [(entry["partition"], entry["coeff"])
+                                for entry in doc["terms"]])

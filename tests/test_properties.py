@@ -3,7 +3,9 @@
 Random rational f of degree <= 10 in each of the five bases: every
 round trip lands back on the p expansion, omega is an involution that
 swaps h and e, and the m and h coefficients are the scalar products
-with the dual basis.
+with the dual basis.  Sums and products of operands in mixed bases obey
+the ring axioms, h_n and e_n act by the Kronecker product as the
+identity and omega, and fundamental() agrees in p and s mode.
 """
 
 from fractions import Fraction
@@ -11,23 +13,32 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from symf.partitions import partitions_of
-from symf.symfunc import BASES, SymFn, e, h, m, scalar, to_basis
+from symf.plethysm import fundamental
+from symf.symfunc import (BASES, SymFn, e, h, kronecker, m, one, scalar,
+                          to_basis)
 
 derandomized = settings(derandomize=True, database=None, deadline=None,
                         max_examples=40)
 
-shapes = st.integers(0, 10).flatmap(
-    lambda d: st.sampled_from([tuple(mu) for mu in partitions_of(d)]))
+
+def shapes_of(d):
+    return st.sampled_from([tuple(mu) for mu in partitions_of(d)])
+
+
+shapes = st.integers(0, 10).flatmap(shapes_of)
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 
 
 @st.composite
-def symfns(draw):
+def symfns(draw, max_degree=10, degree=None):
+    # degree=None mixes degrees 0..max_degree; otherwise f is homogeneous
     basis = draw(st.sampled_from(BASES))
-    terms = draw(st.lists(st.tuples(shapes, rationals), min_size=1, max_size=4))
+    shape = (shapes_of(degree) if degree is not None else
+             st.integers(0, max_degree).flatmap(shapes_of))
+    terms = draw(st.lists(st.tuples(shape, rationals), min_size=1, max_size=4))
     return SymFn(basis, terms)
 
 
@@ -67,3 +78,40 @@ def test_coefficients_are_dual_scalar_products(f):
         for mu in partitions_of(d):
             assert in_m.coefficient(mu) == scalar(f, h(*mu))
             assert in_h.coefficient(mu) == scalar(f, m(*mu))
+
+
+# Operands of degree <= 3, so that triple products stay at degree <= 9.
+small = symfns(max_degree=3)
+
+
+@derandomized
+@given(small, small, small)
+def test_ring_axioms_across_bases(f, g, k):
+    assert (f + g) + k == f + (g + k)
+    assert f + g == g + f
+    assert (f * g) * k == f * (g * k)
+    assert f * g == g * f
+    assert f * (g + k) == f * g + f * k
+    assert f + 0 == f
+    assert f * one() == f
+    assert f - f == 0
+
+
+@derandomized
+@given(st.integers(1, 10), st.data())
+def test_h_n_is_the_kronecker_identity(n, data):
+    f = data.draw(symfns(degree=n))
+    assert kronecker(h(n), f) == f
+    assert kronecker(e(n), f) == omega(f)
+
+
+@derandomized
+@given(st.integers(1, 10).flatmap(
+           lambda k: st.tuples(st.just(k), st.integers(0, 10 // k))),
+       st.data())
+def test_fundamental_p_mode_matches_s_mode(kr, data):
+    k, r = kr
+    F = data.draw(symfns(degree=k))
+    assume(not F.is_zero())
+    G = data.draw(symfns(degree=r * k))
+    assert fundamental(F, G, r, "p") == fundamental(F, G, r, "s")

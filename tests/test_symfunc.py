@@ -9,6 +9,7 @@ from symf import characters, symfunc
 from symf.errors import DegreeError, ResourceLimitError
 from symf.oracles import oracle_syt
 from symf.partitions import Partition, partitions_of, z_of
+from symf.plethysm import plethysm
 from symf.symfunc import (BASES, SymFn, _p_to_m, _schur_p,
                           _schur_p_jacobi_trudi,
                           dimension, e, from_json_dict, generator, h,
@@ -197,6 +198,15 @@ def test_json_round_trip():
     assert from_json_dict(to_json_dict(zero())) == zero()
 
 
+def test_json_load_is_exact_and_merges_repeats():
+    with pytest.raises(TypeError):
+        from_json_dict({"basis": "p",
+                        "terms": [{"partition": [1], "coeff": 0.1}]})
+    doc = {"basis": "p", "terms": [{"partition": [1], "coeff": "1/2"},
+                                   {"partition": [1], "coeff": "1/2"}]}
+    assert from_json_dict(doc).terms == p(1).terms
+
+
 def test_conversion_caps_guard_big_inputs():
     with pytest.raises(ResourceLimitError):
         to_basis(p(21, 1), "s")
@@ -224,6 +234,30 @@ def test_h_and_e_targets_refuse_before_expanding(monkeypatch):
                            match="capped at degree 16, got 18$"):
             to_basis(s(9, 9), target)
     assert calls == []
+
+
+def test_m_inputs_refuse_before_building_a_matrix(monkeypatch):
+    built = []
+
+    def spy(d):
+        built.append(d)
+        raise AssertionError("built R(%d)" % d)
+    monkeypatch.setattr(symfunc, "_p_to_m", spy)
+    with pytest.raises(ResourceLimitError, match="got 18$"):
+        to_basis(m(15) + m(18), "p")
+    assert built == []
+    # the refusal names the first term past the cap, in input order
+    with pytest.raises(ResourceLimitError, match="got 18$"):
+        to_basis(m(18) + m(17), "p")
+    with pytest.raises(ResourceLimitError, match="got 17$"):
+        to_basis(m(17) + m(18), "p")
+
+
+def test_full_degree_16_m_input_returns_to_p():
+    f = plethysm(h(4), h(4))
+    in_m = to_basis(f, "m")
+    assert len(in_m.terms) == 231
+    assert to_basis(in_m, "p").terms == f.terms
 
 
 def _fusions(nu, mu):
