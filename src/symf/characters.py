@@ -26,11 +26,10 @@ import math
 import os
 import tempfile
 import warnings
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .partitions import Partition, partitions_of, z_of
+from .partitions import Partition, partitions_of
 
 # Practical cap on full-table construction.  Beyond this the table has
 # more than 600k entries and cold construction stops being interactive.
@@ -258,12 +257,8 @@ def char_of_functor(rho):
     trivial character it is h_r, for the sign character e_r, for the
     regular character p_1^r, and for chi^lam it is s_lam.
     """
-    from .symfunc import SymFn
-    terms = {}
-    for mu, value in rho.trace.items():
-        if value:
-            terms[mu] = Fraction(value, z_of(mu))
-    return SymFn("p", terms)
+    from .symfunc import _p_symfn
+    return _p_symfn(rho.trace)
 
 
 def schur_functor_char(lam):

@@ -64,11 +64,11 @@ from operator import add, le
 
 from .characters import CHAR_TABLE_CAP
 from .errors import DegreeError
-from .partitions import Partition, partition_count, partitions_of, z_of
+from .partitions import Partition, partition_count, partitions_of
 from .plethysm import (GradedSeries, _prefix_products, fundamental,
                        h_plus_series, h_sum_series, plethysm, plethysm_series)
-from .symfunc import (SymFn, _add_into, _p_dict, generator, kronecker, one,
-                      s, scalar, to_basis, zero)
+from .symfunc import (SymFn, _add_into, _div, _p_dict, _p_symfn, _scaled,
+                      generator, kronecker, one, s, scalar, to_basis, zero)
 
 
 @dataclass(frozen=True)
@@ -272,21 +272,20 @@ class _Alphabet:
         return out
 
     def evaluate(self, fp):
-        """f(x_1, ..., x_L) for f given by its p-basis dict, with int
-        coefficients when all of them are integers."""
+        """f(x_1, ..., x_L) for f given by its class function values,
+        with int coefficients where they are integers."""
         length = len(self.bounds)
         powers = {}
         for mu in fp:
             for a in mu:
                 powers[a] = {(0,) * i + (a,) + (0,) * (length - 1 - i): 1
                              for i in range(length) if a <= self.bounds[i]}
+        n, weights = _scaled(fp)
         out = {}
         for mu, poly in _prefix_products(self.one, powers, sorted(fp),
                                           self.mul):
-            _add_into(out, poly, fp[mu])
-        if all(c.denominator == 1 for c in out.values()):
-            return {e: int(c) for e, c in out.items()}
-        return out
+            _add_into(out, poly, weights[mu])
+        return {e: _div(c, n) for e, c in out.items()}
 
     def pair(self, f):
         """<f, sum of s_lam> for f homogeneous of the shapes' weight."""
@@ -296,15 +295,13 @@ class _Alphabet:
         """<h_r[f], sum of s_lam>, with h_r[f] built by Newton's
         recurrence n h_n[f] = sum over j of f(x^j) h_(n-j)[f]."""
         f = self.evaluate(fp)
-        exact = all(type(c) is int for c in f.values())
         subs = {j: self.substitute(f, j) for j in range(1, r + 1)}
         hs = [self.one]
         for n in range(1, r + 1):
             acc = {}
             for j in range(1, n + 1):
                 self.mul(subs[j], hs[n - j], acc)
-            hs.append({e: c // n if exact else c / n
-                       for e, c in acc.items() if c})
+            hs.append({e: _div(c, n) for e, c in acc.items() if c})
         return Fraction(self.pair(hs[r]))
 
     def fundamental(self, fp, r):
@@ -312,13 +309,9 @@ class _Alphabet:
         coefficient of p_lam is <prod_i f(x^lam_i), G> / z_lam."""
         f = self.evaluate(fp)
         subs = {j: self.substitute(f, j) for j in range(1, r + 1)}
-        out = {}
-        for lam, poly in _prefix_products(self.one, subs, partitions_of(r),
-                                           self.mul):
-            val = self.pair(poly)
-            if val:
-                out[lam] = Fraction(val, z_of(lam))
-        return SymFn("p", out)
+        return _p_symfn({lam: self.pair(poly) for lam, poly in
+                         _prefix_products(self.one, subs, partitions_of(r),
+                                          self.mul)})
 
 
 def _alphabet_for(family, d):

@@ -20,19 +20,21 @@ default because p_lam[F] is a cheap substitution while s_lam[F] expands
 through the character table.
 """
 
-from fractions import Fraction
+from .errors import DegreeError, ResourceLimitError, TruncationError
+from .partitions import partitions_of
+from .symfunc import (SymFn, generator, one, zero, _add_into, _div, _mul_p,
+                      _p_dict, _p_symfn, _scalar_p, _scaled, _schur_p)
 
-from .errors import DegreeError, TruncationError
-from .partitions import Partition, partitions_of, z_of
-from .symfunc import (SymFn, generator, one, zero, _add_into,
-                      _mul_p, _p_dict, _scalar_p, _schur_p)
+# Largest degree deg f * deg g of a plethysm f[g]: p(40) = 37,338 terms.
+_PLETHYSM_DEGREE_CAP = 40
 
 
 def _substitute(gp, n):
-    # p_n[g] on a p-basis dict: multiply every part by n.
+    # p_n[g] on class function values: every part times n, and
+    # z_(n mu) = n^len(mu) z_mu.
     if n == 1:
         return dict(gp)
-    return {tuple(a * n for a in mu): c for mu, c in gp.items()}
+    return {tuple(a * n for a in mu): c * n ** len(mu) for mu, c in gp.items()}
 
 
 def _prefix_products(one, factors, partitions, mul):
@@ -54,7 +56,9 @@ def _prefix_products(one, factors, partitions, mul):
 
 
 def _pleth_p(fp, gp, cap=None):
-    # f[g] on p-basis dicts, optionally truncated above degree cap.
+    # f[g] = sum over mu of a_mu / z_mu p_mu[g] on class function values,
+    # optionally truncated above degree cap, summed on the common
+    # denominator d! of f's largest degree.
     subs = {}
     for mu in fp:
         for a in mu:
@@ -66,10 +70,11 @@ def _pleth_p(fp, gp, cap=None):
         def mul(a, b):
             return {nu: c for nu, c in _mul_p(a, b).items() if sum(nu) <= cap}
 
+    n, weights = _scaled(fp)
     out = {}
-    for mu, prod in _prefix_products({(): Fraction(1)}, subs, sorted(fp), mul):
-        _add_into(out, prod, fp[mu])
-    return out
+    for mu, prod in _prefix_products({(): 1}, subs, sorted(fp), mul):
+        _add_into(out, prod, weights[mu])
+    return {nu: _div(c, n) for nu, c in out.items()}
 
 
 def plethysm(f, g):
@@ -77,9 +82,14 @@ def plethysm(f, g):
 
     Both arguments are finite symmetric functions; constants inside g
     pass through the substitution untouched (p_n[c] = c), and f acts
-    through its p expansion by linearity.
+    through its p expansion by linearity.  Refused before any expansion
+    when deg f * deg g exceeds _PLETHYSM_DEGREE_CAP.
     """
-    return SymFn("p", _pleth_p(_p_dict(f), _p_dict(g)))
+    d = max(f.degrees(), default=0) * max(g.degrees(), default=0)
+    if d > _PLETHYSM_DEGREE_CAP:
+        raise ResourceLimitError("plethysm of degree %d is beyond the cap %d"
+                                 % (d, _PLETHYSM_DEGREE_CAP))
+    return _p_symfn(_pleth_p(_p_dict(f), _p_dict(g)))
 
 
 class GradedSeries:
@@ -163,7 +173,7 @@ def plethysm_series(F, G, cap):
     split = {}
     for mu, c in raw.items():
         split.setdefault(sum(mu), {})[mu] = c
-    comps = {d: SymFn("p", terms) for d, terms in split.items()}
+    comps = {d: _p_symfn(terms) for d, terms in split.items()}
     return GradedSeries(cap, comps)
 
 
@@ -200,18 +210,10 @@ def fundamental(F, G, r, mode="p"):
             % (r * k, sorted({sum(mu) for mu in gp})))
 
     if mode == "p":
+        # <p_lam[F], G> is the value at lam; zeros drop out in SymFn
         subs = {n: _substitute(fp, n) for n in range(1, r + 1)}
-        out = {}
-        for lam, prod in _prefix_products({(): Fraction(1)}, subs,
-                                          partitions_of(r), _mul_p):
-            val = _scalar_p(prod, gp)
-            if val:
-                out[lam] = val / z_of(lam)
-        return SymFn("p", out)
-
-    out = {}
-    for lam in partitions_of(r):
-        val = _scalar_p(_pleth_p(dict(_schur_p(tuple(lam))), fp), gp)
-        if val:
-            out[lam] = val
-    return SymFn("s", out)
+        return _p_symfn({lam: _scalar_p(prod, gp) for lam, prod in
+                         _prefix_products({(): 1}, subs, partitions_of(r),
+                                          _mul_p)})
+    return SymFn("s", {lam: _scalar_p(_pleth_p(_schur_p(tuple(lam)), fp), gp)
+                       for lam in partitions_of(r)})

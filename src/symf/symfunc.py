@@ -5,25 +5,29 @@ of the five classical bases: power sums p, complete homogeneous h,
 elementary e, monomial m, Schur s.  Coefficients are fractions.Fraction,
 so every result in this package is exact; nothing is ever rounded.
 
-Internally the power sum basis is the canonical one.  There the product
-is multiset union of indexing partitions, the Hall scalar product is
-diagonal with weight z_mu, and plethysm is a substitution.  The other
-bases are views reached by exact base change:
+Internally a function of degree d is the class function on S_d whose
+Frobenius characteristic it is (Macdonald I.7): for f = sum of c_mu p_mu
+the kernel stores a_mu = z_mu c_mu, the value at cycle type mu.  That is
+an int wherever it is integral, as for every virtual character, and a
+Fraction only where the input's own coefficients are not.  h_n is then
+all ones, e_n the sign character and s_lam the row chi^lam; omega is the
+sign (-1)^(|mu|-len(mu)), the Kronecker product is pointwise, p_n[g]
+multiplies a_mu by n^len(mu), and p_mu p_nu = p_(mu+nu) multiplies
+a_mu b_nu by z_(mu+nu)/(z_mu z_nu), the product of the binomials
+C(m_i + n_i, m_i) over the part multiplicities.  A sum of a_mu / z_mu,
+such as <f, g> = sum of a_mu b_mu / z_mu, is taken on the common
+denominator d! and divided once; Fractions appear only at the SymFn
+boundary, where c_mu = a_mu / z_mu.
 
-  h_n = sum over mu of p_mu / z_mu,   e_n the same with sign (-1)^(n - len),
-  s_lam = sum over mu of chi^lam(mu)/z_mu p_mu    (Murnaghan-Nakayama),
-  p_nu = sum over mu of R[nu][mu] m_mu,   R[nu][mu] = z_nu [p_nu] h_mu,
-  e coefficients via the omega involution p_mu -> (-1)^(|mu|-len(mu)) p_mu.
-
-R[nu][mu] counts the ways to fuse the parts of nu into mu (Macdonald I.6),
-so R is an integer matrix, lower triangular in the canonical reverse
-lexicographic order since mu then dominates nu.  For f = sum a_nu p_nu the
-m coefficients are a R (that is <f, h_mu>), the h coefficients solve
-R c = (z_nu a_nu) by forward substitution (that is <f, m_mu>), and an m
-input sum c_lam m_lam is solved for its p coefficients x R = c by one
-back substitution per degree; no inverse is ever formed.  e goes through
-omega in both directions: e inputs expand as h and are flipped, and e
-targets flip f before solving for h coefficients.
+The other bases are views reached by exact base change.  R[nu][mu] =
+a_nu(h_mu) counts the ways to fuse the parts of nu into mu (Macdonald
+I.6), so R is an integer matrix, lower triangular in the canonical
+reverse lexicographic order since mu then dominates nu.  The m
+coefficients of f are <f, h_mu> = sum of a_nu R[nu][mu] / z_nu, its h
+coefficients solve R c = a by forward substitution, and an m input is
+solved for a by one back substitution per degree; no inverse is ever
+formed.  e goes through omega in both directions: e inputs expand as h
+and are flipped, and e targets flip f before solving for h coefficients.
 
 For Schur indices of weight above the character table cap the base
 change falls back on the Jacobi-Trudi determinant det(h_{lam_i - i + j}),
@@ -122,7 +126,7 @@ class SymFn:
             return NotImplemented
         if self.basis == other.basis:
             return SymFn(self.basis, _add_into(dict(self.terms), other.terms))
-        return SymFn("p", _add_into(_p_dict(self), _p_dict(other)))
+        return _p_symfn(_add_into(_p_dict(self), _p_dict(other)))
 
     __radd__ = __add__
 
@@ -146,7 +150,7 @@ class SymFn:
             c = Fraction(other)
             return SymFn(self.basis, {mu: c * v for mu, v in self.terms.items()})
         if isinstance(other, SymFn):
-            return SymFn("p", _mul_p(_p_dict(self), _p_dict(other)))
+            return _p_symfn(_mul_p(_p_dict(self), _p_dict(other)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -242,12 +246,38 @@ def s(*parts):
 
 
 # ---------------------------------------------------------------------
-# power sum kernel
+# class function kernel
 # ---------------------------------------------------------------------
 #
-# The kernel works on plain dicts mapping part tuples to Fractions.
-# Partition subclasses tuple, so the two key types interoperate; SymFn
-# construction restores Partition keys at the boundary.
+# The kernel works on plain dicts mapping part tuples to class function
+# values a_mu.  Partition subclasses tuple, so the two key types
+# interoperate; SymFn construction restores Partition keys at the boundary.
+
+def _div(v, n):
+    # v / n, exact: an int when n divides v
+    if type(v) is int and not v % n:
+        return v // n
+    q = Fraction(v, n)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _p_symfn(a):
+    # the p-basis SymFn with class function values a: c_mu = a_mu / z_mu
+    return SymFn("p", {mu: Fraction(v, z_of(mu)) for mu, v in a.items()})
+
+
+def _scaled(a):
+    # (n, {mu: a_mu n / z_mu}), n = d! for d the largest degree in a: the
+    # p coefficients a_mu / z_mu on a common denominator, n / z_mu integral
+    n = math.factorial(max(map(sum, a), default=0))
+    return n, {mu: v * (n // z_of(mu)) for mu, v in a.items()}
+
+
+def _over_z(a):
+    # sum of a_mu / z_mu, divided once
+    n, w = _scaled(a)
+    return Fraction(sum(w.values()), n)
+
 
 def _add_into(out, terms, c=1):
     # out += c * terms, dropping keys that cancel; returns out.
@@ -261,13 +291,15 @@ def _add_into(out, terms, c=1):
 
 
 def _mul_p(a, b):
-    if len(a) > len(b):
-        a, b = b, a
+    # a_(mu+nu) += a_mu b_nu z_(mu+nu) / (z_mu z_nu), an integer
+    a, b = sorted((a, b), key=len)
+    b = [(nu, d, z_of(nu)) for nu, d in b.items()]
     out = {}
     for mu, c in a.items():
-        for nu, d in b.items():
+        zmu = z_of(mu)
+        for nu, d, znu in b:
             key = tuple(sorted(mu + nu, reverse=True))
-            val = out.get(key, 0) + c * d
+            val = out.get(key, 0) + c * d * (z_of(key) // (zmu * znu))
             if val:
                 out[key] = val
             elif key in out:
@@ -276,27 +308,20 @@ def _mul_p(a, b):
 
 
 @lru_cache(maxsize=None)
-def _gen_h_p(n):
-    return {tuple(mu): Fraction(1, z_of(mu)) for mu in partitions_of(n)}
-
-
-@lru_cache(maxsize=None)
 def _prod_h_p(mu):
-    # h_mu = product of h_{mu_i} in the p basis.
+    # h_mu = product of the trivial characters h_{mu_i}.
     if not mu:
-        return {(): Fraction(1)}
-    return _mul_p(_prod_h_p(mu[:-1]), _gen_h_p(mu[-1]))
+        return {(): 1}
+    ones = dict.fromkeys(map(tuple, partitions_of(mu[-1])), 1)
+    return _mul_p(_prod_h_p(mu[:-1]), ones)
 
 
 @lru_cache(maxsize=None)
 def _schur_p(lam):
     if sum(lam) <= characters.CHAR_TABLE_CAP:
-        out = {}
-        for mu in partitions_of(sum(lam)):
-            v = characters._chi(tuple(lam), tuple(mu))
-            if v:
-                out[tuple(mu)] = Fraction(v, z_of(mu))
-        return out
+        chi = characters._chi
+        return {mu: v for mu in map(tuple, partitions_of(sum(lam)))
+                if (v := chi(tuple(lam), mu))}
     return _schur_p_jacobi_trudi(lam)
 
 
@@ -339,66 +364,54 @@ def _m_cap(d):
 @lru_cache(maxsize=None)
 def _p_to_m(d):
     # Rows of R as {nu: {mu: int}}, both in partitions_of order, so each
-    # row ends on its diagonal entry prod_i m_i(nu)!.  z_nu c is an
-    # integer, so the denominator of c divides z_nu.
+    # row ends on its diagonal entry prod_i m_i(nu)!.
     rows = {tuple(nu): {} for nu in partitions_of(d)}
     for mu in rows:
-        for nu, c in _prod_h_p(mu).items():
-            rows[nu][mu] = z_of(nu) // c.denominator * c.numerator
+        for nu, a in _prod_h_p(mu).items():
+            rows[nu][mu] = a
     return rows
 
 
 def _m_to_p(terms):
-    # The p coefficients x of sum c_lam m_lam solve x R = c: one back
+    # d! c_lam = sum over nu of a_nu (d!/z_nu) R[nu][lam]: one back
     # substitution per degree, after every degree has passed the cap.
+    # The diagonal d!/z_nu R[nu][nu] is d!/prod(nu).
     for lam in terms:
         _m_cap(sum(lam))
     out = {}
     for d in sorted({sum(lam) for lam in terms}):
-        rows = _p_to_m(d)
-        acc = {lam: c for lam, c in terms.items() if sum(lam) == d}
+        rows, n = _p_to_m(d), math.factorial(d)
+        acc = {lam: c * n for lam, c in terms.items() if sum(lam) == d}
         part = {}
         for nu in reversed(rows):
             c = acc.get(nu)
             if c:
-                c /= rows[nu][nu]
-                part[nu] = c
-                # subtracts c times row nu; its diagonal cancels acc[nu]
-                _add_into(acc, rows[nu], -c)
+                a = part[nu] = _div(c * math.prod(nu), n)
+                # subtracts a times row nu; its diagonal cancels acc[nu]
+                _add_into(acc, rows[nu], -a * (n // z_of(nu)))
         out.update(reversed(part.items()))
     return out
 
 
-# Per-generator p expansions; e is expanded as h and flipped by omega.
-_GEN_EXPANSIONS = {
-    "h": _prod_h_p,
-    "e": _prod_h_p,
-    "s": _schur_p,
-}
-
-
 def _p_dict(f):
-    """Expansion of f in the p basis as a plain dict tuple -> Fraction."""
+    """Class function values of f as a plain dict tuple -> int, or
+    Fraction where f's own coefficients are not integral."""
     if f.basis == "p":
-        return {tuple(mu): c for mu, c in f.terms.items()}
+        return {tuple(mu): _div(c.numerator * z_of(mu), c.denominator)
+                for mu, c in f.terms.items()}
+    terms = {mu: _div(c.numerator, c.denominator) for mu, c in f.terms.items()}
     if f.basis == "m":
-        return _m_to_p(f.terms)
-    expand = _GEN_EXPANSIONS[f.basis]
+        return _m_to_p(terms)
+    expand = _schur_p if f.basis == "s" else _prod_h_p
     out = {}
-    for mu, c in f.terms.items():
+    for mu, c in terms.items():
         _add_into(out, expand(tuple(mu)), c)
     return _omega_p(out) if f.basis == "e" else out
 
 
 def _scalar_p(a, b):
-    if len(a) > len(b):
-        a, b = b, a
-    total = Fraction(0)
-    for mu, c in a.items():
-        d = b.get(mu)
-        if d:
-            total += c * d * z_of(mu)
-    return total
+    a, b = sorted((a, b), key=len)
+    return _over_z({mu: c * b[mu] for mu, c in a.items() if mu in b})
 
 
 def _omega_p(a):
@@ -420,40 +433,41 @@ def to_basis(f, target):
             _m_cap(d)
     fp = _p_dict(f)
     if target == "p":
-        return SymFn("p", fp)
+        return _p_symfn(fp)
     if target == "e":
         # omega exchanges h and e and is diagonal on the p basis.
         fp = _omega_p(fp)
     out = {}
     for d in sorted({sum(mu) for mu in fp}):
-        part = {mu: c for mu, c in fp.items() if sum(mu) == d}
+        n, part = _scaled({mu: c for mu, c in fp.items() if sum(mu) == d})
         if target == "s":
             if d > characters.CHAR_TABLE_CAP:
                 raise ResourceLimitError(
                     "Schur expansion needs characters of S_%d, beyond the "
                     "cap r <= %d" % (d, characters.CHAR_TABLE_CAP))
+            # <f, s_lam> = sum over mu of a_mu chi^lam(mu) / z_mu
             for lam in partitions_of(d):
                 tl = tuple(lam)
-                c = sum((a * characters._chi(tl, mu) for mu, a in part.items()),
-                        Fraction(0))
+                c = sum(a * characters._chi(tl, mu) for mu, a in part.items())
                 if c:
-                    out[lam] = c
+                    out[lam] = Fraction(c, n)
         elif target == "m":
+            # <f, h_mu> = sum over nu of a_nu R[nu][mu] / z_nu
             rows = _p_to_m(d)
             acc = {}
             for nu, a in part.items():
                 _add_into(acc, rows[nu], a)
-            out.update((mu, acc[mu]) for mu in rows if mu in acc)
+            out.update((mu, Fraction(acc[mu], n)) for mu in rows if mu in acc)
         else:
-            # Forward substitution for R c = (z_nu a_nu).  Row nu ends on
-            # the diagonal, whose c_nu is not in out yet.
+            # Forward substitution for R c = a.  Row nu ends on the
+            # diagonal, whose c_nu is not in out yet.
             for nu, row in _p_to_m(d).items():
-                c = part.get(nu, 0) * z_of(nu)
+                c = fp.get(nu, 0)
                 for mu, r in row.items():
                     if mu in out:
                         c -= r * out[mu]
                 if c:
-                    out[nu] = c / row[nu]
+                    out[nu] = _div(c, row[nu])
     return SymFn(target, out)
 
 
@@ -467,24 +481,18 @@ def scalar(f, g):
 
 
 def kronecker(f, g):
-    """Internal (Kronecker) product, p_mu * p_mu scaled by z_mu.
+    """Internal (Kronecker) product, the pointwise product of class
+    functions: p_mu * p_mu scaled by z_mu.
 
     For Frobenius characters this is the characteristic of the tensor
     product of the underlying representations.
     """
-    a, b = _p_dict(f), _p_dict(g)
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    for mu, c in a.items():
-        d = b.get(mu)
-        if d:
-            out[mu] = c * d * z_of(mu)
-    return SymFn("p", out)
+    a, b = sorted((_p_dict(f), _p_dict(g)), key=len)
+    return _p_symfn({mu: c * b[mu] for mu, c in a.items() if mu in b})
 
 
 def dimension(f):
-    """<f, p_1^r> for homogeneous f of degree r.
+    """<f, p_1^r> for homogeneous f of degree r: the value at the identity.
 
     For the Frobenius character of an S_r representation this is its
     dimension.  Raises on inhomogeneous input since mixing degrees makes
@@ -494,9 +502,7 @@ def dimension(f):
         return Fraction(0)
     if not f.is_homogeneous():
         raise DegreeError("dimension needs a homogeneous function")
-    r = f.degree()
-    coeff = _p_dict(f).get((1,) * r, Fraction(0))
-    return coeff * math.factorial(r)
+    return Fraction(_p_dict(f).get((1,) * f.degree(), 0))
 
 
 def specialize_ones(f):
@@ -505,7 +511,7 @@ def specialize_ones(f):
     For a permutation character this is Burnside's orbit count; for a
     cycle index it is the number of unlabelled structures.
     """
-    return sum(_p_dict(f).values(), Fraction(0))
+    return _over_z(_p_dict(f))
 
 
 def monomial_coefficient(f, mu):

@@ -9,6 +9,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -268,6 +269,18 @@ class TestExitCodes:
     def test_success_is_zero(self, capsys):
         code, out, err = run(capsys, "eval", "h2")
         assert code == 0 and err == ""
+
+    def test_oversized_plethysm_exits_4_quickly(self):
+        # degree 2 * 30 = 60 is past the plethysm cap of 40; expanding
+        # h2[h30] would run for more than 30 s
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "symf", "eval",
+                               "h2[h30]", "--basis", "h"],
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - t0
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr == "symf: plethysm of degree 60 is beyond the cap 40\n"
+        assert elapsed < 2.0, elapsed
 
 
 class TestDeterminism:

@@ -15,8 +15,8 @@ from symf.oracles import (oracle_cayley_sylvester, oracle_matchings,
 from symf.partitions import partitions_of
 from symf.plethysm import (GradedSeries, fundamental, h_sum_series,
                            plethysm)
-from symf.symfunc import (SymFn, dimension, e, h, kronecker, one, p, s,
-                          scalar, to_basis, zero)
+from symf.symfunc import (SymFn, _p_dict, dimension, e, h, kronecker, one, p,
+                          s, scalar, to_basis, zero)
 
 
 def test_family_validation():
@@ -340,7 +340,7 @@ def test_finite_route_below_the_rule(family):
                     continue
                 alphabet = _Alphabet(shapes)
                 want_dim, want_char = _p_route(family, F, r)
-                fp = {tuple(mu): c for mu, c in to_basis(F, "p").terms.items()}
+                fp = _p_dict(F)
                 got_dim = alphabet.hilbert(fp, r)
                 assert got_dim == want_dim and type(got_dim) is Fraction
                 _same_terms(alphabet.fundamental(fp, r), want_char)

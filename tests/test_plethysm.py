@@ -1,7 +1,9 @@
+import sys
+
 import pytest
 from fractions import Fraction
 
-from symf.errors import DegreeError, TruncationError
+from symf.errors import DegreeError, ResourceLimitError, TruncationError
 from symf.oracles import oracle_plethysm_schur
 from symf.plethysm import (GradedSeries, fundamental, h_plus_series,
                            h_sum_series, plethysm, plethysm_series)
@@ -61,6 +63,22 @@ def test_against_monomial_oracle():
                 continue
             assert plethysm(h(a), h(b)) == oracle_plethysm_schur("hh", a, b)
             assert plethysm(e(a), e(b)) == oracle_plethysm_schur("ee", a, b)
+
+
+def test_degree_cap_refuses_before_expanding(monkeypatch):
+    # deg f * deg g up to 40 is computed; past it nothing is expanded
+    assert plethysm(p(2), p(20)) == p(40)
+    assert plethysm(p(1, 1), p(5) + 3) == p(5, 5) + 6 * p(5) + 9
+
+    def spy(*args):
+        raise AssertionError("expanded")
+    # the package re-exports the function under the module's name
+    module = sys.modules["symf.plethysm"]
+    monkeypatch.setattr(module, "_pleth_p", spy)
+    monkeypatch.setattr(module, "_p_dict", spy)
+    for f, g in ((h(2), h(30)), (p(41), p(1)), (s(3, 2) + 1, e(9) + h(1))):
+        with pytest.raises(ResourceLimitError, match="beyond the cap 40$"):
+            plethysm(f, g)
 
 
 def test_graded_series_contract():

@@ -5,7 +5,9 @@ round trip lands back on the p expansion, omega is an involution that
 swaps h and e, and the m and h coefficients are the scalar products
 with the dual basis.  Sums and products of operands in mixed bases obey
 the ring axioms, h_n and e_n act by the Kronecker product as the
-identity and omega, and fundamental() agrees in p and s mode.
+identity and omega, and fundamental() agrees in p and s mode.  Plethysm
+is linear and multiplicative in its left argument, and p_n[g]
+substitutes p_k -> p_nk in g.
 """
 
 from fractions import Fraction
@@ -16,8 +18,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from symf.partitions import partitions_of
-from symf.plethysm import fundamental
-from symf.symfunc import (BASES, SymFn, e, h, kronecker, m, one, scalar,
+from symf.plethysm import fundamental, plethysm
+from symf.symfunc import (BASES, SymFn, e, h, kronecker, m, one, p, scalar,
                           to_basis)
 
 derandomized = settings(derandomize=True, database=None, deadline=None,
@@ -115,3 +117,40 @@ def test_fundamental_p_mode_matches_s_mode(kr, data):
     assume(not F.is_zero())
     G = data.draw(symfns(degree=r * k))
     assert fundamental(F, G, r, "p") == fundamental(F, G, r, "s")
+
+
+@st.composite
+def pleth_operands(draw, count):
+    # g of degree <= 3 and count left operands whose degrees sum to at
+    # most 9 // deg g, so that every f[g] drawn has degree <= 9
+    g = draw(symfns(max_degree=draw(st.integers(1, 3))))
+    budget = 9 // max(g.degrees() + [1])
+    fs = []
+    for _ in range(count):
+        d = draw(st.integers(0, budget))
+        budget -= d
+        fs.append(draw(symfns(max_degree=d)))
+    return fs, g
+
+
+@derandomized
+@given(pleth_operands(2), rationals, rationals)
+def test_plethysm_is_linear_in_f(operands, a, b):
+    (f1, f2), g = operands
+    assert plethysm(a * f1 + b * f2, g) == \
+        a * plethysm(f1, g) + b * plethysm(f2, g)
+
+
+@derandomized
+@given(pleth_operands(2))
+def test_plethysm_is_multiplicative_in_f(operands):
+    (f1, f2), g = operands
+    assert plethysm(f1 * f2, g) == plethysm(f1, g) * plethysm(f2, g)
+
+
+@derandomized
+@given(symfns(max_degree=3), st.integers(1, 3))
+def test_power_sum_plethysm_substitutes(g, n):
+    want = SymFn("p", {tuple(n * a for a in mu): c
+                       for mu, c in to_basis(g, "p").terms.items()})
+    assert plethysm(p(n), g) == want

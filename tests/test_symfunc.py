@@ -7,10 +7,10 @@ from fractions import Fraction
 
 from symf import characters, symfunc
 from symf.errors import DegreeError, ResourceLimitError
-from symf.oracles import oracle_syt
+from symf.oracles import _kostka, oracle_syt
 from symf.partitions import Partition, partitions_of, z_of
 from symf.plethysm import plethysm
-from symf.symfunc import (BASES, SymFn, _p_to_m, _schur_p,
+from symf.symfunc import (BASES, SymFn, _p_dict, _p_to_m, _schur_p,
                           _schur_p_jacobi_trudi,
                           dimension, e, from_json_dict, generator, h,
                           kronecker, m, monomial_coefficient, one, p, s,
@@ -228,7 +228,7 @@ def test_h_and_e_targets_refuse_before_expanding(monkeypatch):
         calls.append(args)
         raise AssertionError("expanded %r" % (args,))
     monkeypatch.setattr(characters, "_chi", spy)
-    monkeypatch.setitem(symfunc._GEN_EXPANSIONS, "s", spy)
+    monkeypatch.setattr(symfunc, "_schur_p", spy)
     for target in ("h", "e"):
         with pytest.raises(ResourceLimitError,
                            match="capped at degree 16, got 18$"):
@@ -287,3 +287,140 @@ def test_p_to_m_matrix_counts_fusions():
                                         for a in set(nu))
             for mu in shapes:
                 assert row.get(mu, 0) == _fusions(nu, mu)
+
+
+def test_class_function_values_of_characters_are_ints():
+    # h, e and s generators, their products and plethysms are virtual
+    # characters: the kernel must carry their values as plain ints
+    gens = [f(*lam) for d in range(7) for lam in partitions_of(d)
+            for f in (h, e, s)]
+    values = [_p_dict(f) for f in gens]
+    values += [_p_dict(f * g) for f in gens[::7] for g in gens[::11]]
+    values += [_p_dict(plethysm(f, g)) for f in gens[3:40:5]
+               for g in gens[3:30:4] if f.degree() * g.degree() <= 12]
+    values.append(_p_dict(to_basis(h(3) * e(2) + s(2, 2), "m")))
+    values.append(_p_dict(SymFn("p", {(2, 1): Fraction(1, 2)})))
+    assert all(type(v) is int for a in values for v in a.values())
+    for r in range(9):
+        rows = characters.character_table(r).rows
+        assert all(type(v) is int for row in rows for v in row)
+
+
+# Inputs whose class function values are not integers, checked against
+# p-coefficient formulas written out here and against polynomials.
+F = SymFn("p", {(1,): Fraction(1, 3), (2,): Fraction(2, 5)})
+G = SymFn("s", {(2, 1): Fraction(3, 7), (1,): Fraction(1, 2)})
+K = SymFn("m", {(2,): Fraction(1, 3), (1, 1): Fraction(-5, 2), (): 4})
+H = SymFn("h", {(3,): Fraction(2, 9), (2, 1): Fraction(1, 4)})
+
+
+def _coeffs(f):
+    return dict(to_basis(f, "p").terms)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for mu, c in a.items():
+        for nu, d in b.items():
+            key = Partition(sorted(mu + nu, reverse=True))
+            out[key] = out.get(key, 0) + c * d
+    return out
+
+
+def _ref_pleth(a, b):
+    # p_mu[g] is the product over the parts k of mu of g with p_j -> p_kj
+    out = {}
+    for mu, c in a.items():
+        term = {(): c}
+        for k in mu:
+            term = _ref_mul(term, {tuple(k * j for j in nu): d
+                                   for nu, d in b.items()})
+        for nu, d in term.items():
+            out[nu] = out.get(nu, 0) + d
+    return SymFn("p", out)
+
+
+def _poly_mul(a, b):
+    out = {}
+    for x, c in a.items():
+        for y, d in b.items():
+            key = tuple(i + j for i, j in zip(x, y))
+            out[key] = out.get(key, 0) + c * d
+    return {x: c for x, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _monomial(lam, n):
+    # m_lam in n variables: every distinct arrangement of its parts
+    from itertools import permutations
+    return dict.fromkeys(permutations(tuple(lam) + (0,) * (n - len(lam))), 1)
+
+
+_kostka_memo = lru_cache(maxsize=None)(_kostka)
+
+
+def _poly(f, n):
+    """f as a polynomial in n variables, from its own basis."""
+    def gen(basis, k):
+        if basis == "p":
+            return {tuple(k if i == j else 0 for j in range(n)): 1
+                    for i in range(n)}
+        if basis == "e":
+            return _monomial((1,) * k, n) if k <= n else {}
+        out = {}
+        for lam in partitions_of(k):
+            if len(lam) <= n:
+                out.update(_monomial(lam, n))
+        return out
+    total = {}
+    for lam, c in f.terms.items():
+        if f.basis == "m":
+            term = _monomial(lam, n) if len(lam) <= n else {}
+        elif f.basis == "s":
+            term = {}
+            for mu in partitions_of(sum(lam)):
+                if len(mu) <= n and _kostka_memo(lam, mu):
+                    term.update(dict.fromkeys(_monomial(mu, n),
+                                              _kostka_memo(lam, mu)))
+        else:
+            term = {(0,) * n: 1}
+            for k in lam:
+                term = _poly_mul(term, gen(f.basis, k))
+        for x, v in term.items():
+            total[x] = total.get(x, 0) + c * v
+    return {x: c for x, c in total.items() if c}
+
+
+def test_non_integral_inputs_through_every_operation():
+    for f, g in ((F, G), (G, K), (K, H), (H, F), (F * K, G)):
+        a, b = _coeffs(f), _coeffs(g)
+        assert f * g == SymFn("p", _ref_mul(a, b))
+        assert scalar(f, g) == sum(c * b[mu] * z_of(mu)
+                                   for mu, c in a.items() if mu in b)
+        assert specialize_ones(f * g) == sum(a.values()) * sum(b.values())
+        assert plethysm(f, g) == _ref_pleth(a, b)
+        for d in f.degrees():
+            fd = f.homogeneous_part(d)
+            assert dimension(fd) == a.get((1,) * d, 0) * math.factorial(d)
+            gd = g.homogeneous_part(d)
+            bd = _coeffs(gd)
+            assert kronecker(fd, gd) == SymFn("p", {
+                mu: c * bd[mu] * z_of(mu) for mu, c in a.items() if mu in bd})
+        n = max((f * g).degrees())
+        want = _poly(SymFn("p", _ref_mul(a, b)), n)
+        for target in BASES:
+            assert _poly(to_basis(f * g, target), n) == want, target
+
+
+def test_non_integral_product_bytes():
+    # str and JSON of F * G, as printed when the kernel stored p
+    # coefficients as Fractions
+    fg = F * G
+    assert str(fg) == ("1/6*p[1,1] + 1/5*p[2,1] + -1/21*p[3,1] + "
+                       "1/21*p[1,1,1,1] + -2/35*p[3,2] + 2/35*p[2,1,1,1]")
+    assert json.dumps(to_json_dict(fg)) == (
+        '{"basis": "p", "terms": [{"partition": [1, 1], "coeff": "1/6"}, '
+        '{"partition": [2, 1], "coeff": "1/5"}, {"partition": [3, 1], '
+        '"coeff": "-1/21"}, {"partition": [1, 1, 1, 1], "coeff": "1/21"}, '
+        '{"partition": [3, 2], "coeff": "-2/35"}, {"partition": [2, 1, 1, 1], '
+        '"coeff": "2/35"}]}')
