@@ -11,6 +11,7 @@ All oracles carry hard size caps and raise ResourceLimitError beyond
 them, because they are exponential on purpose.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -494,22 +495,28 @@ def _kostka(lam, mu):
     return states.get(lam, 0)
 
 
-def _monomial_profile_counts(factors, pick_distinct, outer):
+def _monomial_profile_counts(factors, chooser, outer):
     # factors: exponent vectors of the inner function's monomials.
-    # Collect products of `outer` of them (multisets, or subsets when
-    # pick_distinct) whose exponent vector is already sorted, giving
-    # monomial coefficients indexed by partition.
-    chooser = combinations if pick_distinct else combinations_with_replacement
+    # Multiply out every multiset (or subset, as chooser picks them) of
+    # `outer` of them; the products whose exponent vector is sorted give
+    # the monomial coefficients, indexed by partition.  Each vector is
+    # packed into one int in base degree + 1: no exponent of a product
+    # exceeds its degree, so adding packed ints adds vectors, no carries.
+    nvars = len(factors[0])
+    degree = outer * sum(factors[0])
+
+    def pack(vec):
+        key = 0
+        for a in vec:
+            key = key * (degree + 1) + a
+        return key
+
+    totals = Counter(map(sum, chooser(map(pack, factors), outer)))
     counts = {}
-    for pick in chooser(range(len(factors)), outer):
-        total = [0] * len(factors[0])
-        for idx in pick:
-            vec = factors[idx]
-            for t, a in enumerate(vec):
-                total[t] += a
-        if all(total[t] >= total[t + 1] for t in range(len(total) - 1)):
-            lam = Partition([a for a in total if a])
-            counts[lam] = counts.get(lam, 0) + 1
+    for lam in partitions_of(degree):
+        c = totals.get(pack(lam + (0,) * (nvars - len(lam))))
+        if c:
+            counts[lam] = c
     return counts
 
 
@@ -532,24 +539,14 @@ def oracle_plethysm_monomials(kind, a, b):
     by listing monomials of the inner function in a*b variables and
     multiplying out multisets (or subsets) of them."""
     _require(a * b <= 8 and a >= 1 and b >= 1, "monomial plethysm oracle needs a*b <= 8")
+    if kind not in ("hh", "ee"):
+        raise ValueError("kind must be 'hh' or 'ee'")
+    # e_b's monomials are the subsets of b variables, h_b's the multisets
+    chooser = combinations if kind == "ee" else combinations_with_replacement
     nvars = a * b
-    if kind == "hh":
-        factors = []
-        for combo in combinations_with_replacement(range(nvars), b):
-            vec = [0] * nvars
-            for c in combo:
-                vec[c] += 1
-            factors.append(tuple(vec))
-        return _monomial_profile_counts(factors, False, a)
-    if kind == "ee":
-        factors = []
-        for combo in combinations(range(nvars), b):
-            vec = [0] * nvars
-            for c in combo:
-                vec[c] = 1
-            factors.append(tuple(vec))
-        return _monomial_profile_counts(factors, True, a)
-    raise ValueError("kind must be 'hh' or 'ee'")
+    factors = [tuple(combo.count(t) for t in range(nvars))
+               for combo in chooser(range(nvars), b)]
+    return _monomial_profile_counts(factors, chooser, a)
 
 
 def oracle_plethysm_schur(kind, a, b):

@@ -80,11 +80,13 @@ class SymFn:
                 raise TypeError("SymFn coefficients must be exact, got %r"
                                 % (value,))
             key = Partition(key)
-            value = clean.get(key, 0) + Fraction(value)
+            value = Fraction(value)
+            if key in clean:
+                value += clean[key]
             if value:
                 clean[key] = value
-            elif key in clean:
-                del clean[key]
+            else:
+                clean.pop(key, None)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", clean)
 

@@ -53,6 +53,12 @@ EVAL_SHA256 = {
         "baee8a2467b7416d0a329c3177e1ad45c8d104e297d37264af72347112e90caf",
 }
 
+# sha256 of `symf inv --family perm --n 2 --r 16` stdout, as printed when
+# the truncated series multiply formed every product term before it
+# dropped those above the cap.
+PERM_N2_R16_SHA256 = (
+    "94841441d77d819cdf37c95658af151e4dd4ccecd2ef559fa8a205ce6c966c2d")
+
 # Printed by the p-basis route through the weight-36 Jacobi-Trudi
 # expansion of s_(18,18), before the finite alphabet took this query.
 SL2_SEXTICS_R6 = (
@@ -121,6 +127,12 @@ class TestInv:
         code, out, err = run(capsys, "inv", "--family", "perm",
                              "--n", "2", "--r", "3", "--basis", "h")
         assert (code, out) == (0, "h[3] + h[2,1]\n")
+
+    def test_perm_series_bytes(self, capsys):
+        code, out, err = run(capsys, "inv", "--family", "perm",
+                             "--n", "2", "--r", "16")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PERM_N2_R16_SHA256
 
     def test_functor_flag(self, capsys):
         code, out, err = run(capsys, "inv", "--family", "sl", "--n", "2",

@@ -2,13 +2,17 @@
 trusting as referees if they agree with hand counts and with each other.
 """
 
+import hashlib
+from itertools import combinations, combinations_with_replacement
+
 import pytest
 
 from symf.errors import ResourceLimitError
 from symf.oracles import (LaurentPoly, _kostka, oracle_cayley_sylvester,
                           oracle_deals, oracle_deals_cycle_index,
                           oracle_deals_matrix_count, oracle_matchings,
-                          oracle_perm_inv_char, oracle_plethysm_schur,
+                          oracle_perm_inv_char, oracle_plethysm_monomials,
+                          oracle_plethysm_schur,
                           oracle_regular_cycle_index, oracle_regular_graphs,
                           oracle_restricted_bell, oracle_su2_frobenius,
                           oracle_su2_inv_char, oracle_su2_poly_dim,
@@ -144,6 +148,56 @@ def test_plethysm_oracle_small_cases():
     assert oracle_plethysm_schur("hh", 1, 3) == h(3)
     # h_a[h_1] is h_a again
     assert oracle_plethysm_schur("hh", 3, 1) == s(3)
+
+
+# sha256 of repr of the sorted (partition, count) lists of
+# oracle_plethysm_monomials over every (kind, a, b) with a*b <= 8, as
+# counted when each multiset was summed tuple by tuple.
+PLETHYSM_MONOMIALS_SHA256 = (
+    "526d7257a80f427f505e8112d3bcb7703ad1ccc0d4392b68ab4dc9c4547d027f")
+
+
+def _tuple_sum_counts(kind, a, b):
+    # the monomials of h_b (or e_b) in a*b variables as exponent tuples,
+    # every multiset (or subset) of a of them summed coordinate-wise
+    n = a * b
+    if kind == "hh":
+        chooser = combinations_with_replacement
+        vecs = [tuple(combo.count(t) for t in range(n))
+                for combo in combinations_with_replacement(range(n), b)]
+    else:
+        chooser = combinations
+        vecs = [tuple(int(t in combo) for t in range(n))
+                for combo in combinations(range(n), b)]
+    counts = {}
+    for pick in chooser(vecs, a):
+        total = tuple(map(sum, zip(*pick)))
+        if all(x >= y for x, y in zip(total, total[1:])):
+            lam = tuple(x for x in total if x)
+            counts[lam] = counts.get(lam, 0) + 1
+    return counts
+
+
+def _kinds_and_sizes(max_ab):
+    for kind in ("hh", "ee"):
+        for a in range(1, max_ab + 1):
+            for b in range(1, max_ab // a + 1):
+                yield kind, a, b
+
+
+def test_plethysm_monomial_oracle_against_tuple_sums():
+    for kind, a, b in _kinds_and_sizes(6):
+        assert oracle_plethysm_monomials(kind, a, b) == \
+            _tuple_sum_counts(kind, a, b)
+
+
+def test_plethysm_monomial_oracle_pinned_up_to_degree_8():
+    rows = [(kind, a, b, sorted((tuple(lam), c) for lam, c in
+                                oracle_plethysm_monomials(kind, a, b).items()))
+            for kind, a, b in _kinds_and_sizes(8)]
+    assert len(rows) == 40
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        PLETHYSM_MONOMIALS_SHA256
 
 
 def test_resource_caps_are_loud():

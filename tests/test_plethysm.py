@@ -8,7 +8,8 @@ from symf.oracles import oracle_plethysm_schur
 from symf.plethysm import (GradedSeries, fundamental, h_plus_series,
                            h_sum_series, plethysm, plethysm_series)
 from symf.selftest import check_fundamental_forms
-from symf.symfunc import SymFn, e, h, m, one, p, s, scalar, to_basis, zero
+from symf.symfunc import (SymFn, _mul_p, e, h, m, one, p, s, scalar, to_basis,
+                          zero)
 
 
 def test_power_sum_substitution_rule():
@@ -123,6 +124,54 @@ def test_series_plethysm_matches_finite_expansion():
         direct = direct + plethysm(h(a), inner)
     for d in range(cap + 1):
         assert series.component(d) == direct.homogeneous_part(d)
+
+
+def _series_cases():
+    # (F, G, cap): the permutation family's series, and one with rational
+    # h, e, s and p components and a constant term in F
+    for n in (2, 3):
+        for cap in range(1, 11):
+            yield h_sum_series(cap, n), h_plus_series(cap), cap
+    cap = 9
+    F = GradedSeries(cap, {0: Fraction(2, 3) * one(), 1: h(1),
+                           2: Fraction(1, 2) * e(2) + s(2) - p(1, 1),
+                           3: Fraction(-5, 7) * s(2, 1) + h(3),
+                           4: p(2, 2) + Fraction(3, 4) * e(3, 1)})
+    G = GradedSeries(cap, {1: Fraction(1, 3) * p(1),
+                           2: h(2) - Fraction(2, 5) * e(2),
+                           3: s(2, 1) + Fraction(7, 2) * p(3), 4: p(3, 1)})
+    yield F, G, cap
+
+
+def test_series_plethysm_forms_no_product_above_the_cap(monkeypatch):
+    degrees = []
+
+    def spy(a, b):
+        out = _mul_p(a, b)
+        degrees.append(max(map(sum, out), default=0))
+        return out
+    monkeypatch.setattr(sys.modules["symf.plethysm"], "_mul_p", spy)
+    for F, G, cap in _series_cases():
+        degrees.clear()
+        plethysm_series(F, G, cap)
+        assert degrees and max(degrees) <= cap
+
+
+def test_series_plethysm_keeps_term_order(monkeypatch):
+    # against the full products with the terms above the cap dropped:
+    # the same terms, in the same insertion order
+    module = sys.modules["symf.plethysm"]
+    capped = [plethysm_series(F, G, cap) for F, G, cap in _series_cases()]
+
+    def filtered(subs, cap):
+        def mul(a, b):
+            return {nu: c for nu, c in _mul_p(a, b).items() if sum(nu) <= cap}
+        return subs, mul
+    monkeypatch.setattr(module, "_capped_mul", filtered)
+    full = [plethysm_series(F, G, cap) for F, G, cap in _series_cases()]
+    for got, want in zip(capped, full):
+        assert [(d, list(f.terms.items())) for d, f in got.components.items()] \
+            == [(d, list(f.terms.items())) for d, f in want.components.items()]
 
 
 def test_series_plethysm_guards():

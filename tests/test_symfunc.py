@@ -28,6 +28,20 @@ def test_constructor_cleans_input():
         SymFn("q", {})
 
 
+def test_constructor_merges_repeated_keys():
+    # a repeated key sums in place; one that cancels drops, and comes
+    # back as a new key
+    f = SymFn("p", [((1,), 1), ((2,), Fraction(1, 3)), ((1,), Fraction(-1, 2)),
+                    ((3,), 2), ((3,), -2)])
+    assert list(f.terms.items()) == [((1,), Fraction(1, 2)),
+                                     ((2,), Fraction(1, 3))]
+    f = SymFn("p", [((1,), 1), ((1,), -1), ((2,), "1/2"), ((1,), 5)])
+    assert list(f.terms.items()) == [((2,), Fraction(1, 2)), ((1,), 5)]
+    assert all(type(c) is Fraction for c in f.terms.values())
+    with pytest.raises(TypeError):
+        SymFn("p", [((1,), 1), ((1,), 0.5)])
+
+
 def test_constructor_refuses_inexact_coefficients():
     from decimal import Decimal
     for value in (0.1, 0.5, Decimal("0.1"), 1j):
