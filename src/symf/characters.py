@@ -21,10 +21,8 @@ file that is unreadable, of another version, not a JSON object, or not
 exactly p(r) rows of p(r) integers is silently recomputed.
 """
 
-import json
 import math
 import os
-import tempfile
 import warnings
 from functools import lru_cache
 
@@ -152,6 +150,9 @@ def _table_path(r):
 def _load_table(r):
     # Anything but exactly p(r) rows of p(r) ints is rebuilt: a value
     # is never coerced, so 1.5, true or "7" cannot pass for an integer.
+    # json is imported on use: every command pays for what symf imports
+    # at start-up, and only cache I/O needs it.
+    import json
     try:
         with open(_table_path(r), "r", encoding="ascii") as fh:
             doc = json.load(fh)
@@ -172,6 +173,8 @@ def _load_table(r):
 
 
 def _store_table(r, rows):
+    import json
+    import tempfile
     directory = cache_dir()
     doc = {"version": CACHE_FORMAT_VERSION, "r": r, "rows": rows}
     try:

@@ -7,7 +7,6 @@ tell a typo (2) from a degree mismatch (3) from a size cap (4).
 """
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -60,6 +59,7 @@ def _json_value(value):
 def _cmd_eval(args):
     value = evaluate_text(args.expr)
     if args.json:
+        import json
         if isinstance(value, SymFn):
             value = to_basis(value, args.basis)
         print(json.dumps(_json_value(value)))

@@ -21,32 +21,28 @@ graphs replaces h_n by the outer alphabet the same way.  For k = 0 the
 only graph is empty and the cycle index is h_n itself.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeError
+from .partitions import Record
 from .plethysm import fundamental, plethysm
 from .symfunc import generator, scalar
 
 
-@dataclass(frozen=True)
-class DealSpec:
+class DealSpec(Record):
     """m cards of each of n types, dealt into n hands of m."""
-    m: int
-    n: int
+    __slots__ = ("m", "n")
 
-    def __post_init__(self):
+    def _check(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("deal specs need m >= 1 and n >= 1")
 
 
-@dataclass(frozen=True)
-class RegularGraphSpec:
+class RegularGraphSpec(Record):
     """k-regular multigraphs with loops on n vertices."""
-    n: int
-    k: int
+    __slots__ = ("n", "k")
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 1 or self.k < 0:
             raise ValueError("graph specs need n >= 1 and k >= 0")
 

@@ -23,11 +23,10 @@ literals are only meaningful as the second argument of coeff.
 """
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExprError
-from .partitions import Partition
+from .partitions import Partition, Record
 from .symfunc import (SymFn, _coerce, dimension, generator, kronecker,
                       monomial_coefficient, scalar, specialize_ones)
 from .plethysm import plethysm
@@ -36,39 +35,28 @@ FUNCS = ("scalar", "kron", "dim", "ones", "coeff")
 BASIS_LETTERS = "phems"
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+class Num(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class BasisAtom:
-    basis: str
-    parts: Partition
+class BasisAtom(Record):
+    __slots__ = ("basis", "parts")
 
 
-@dataclass(frozen=True)
-class PartitionLit:
-    parts: Partition
+class PartitionLit(Record):
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
+class BinOp(Record):
+    __slots__ = ("op", "left", "right")
 
 
-@dataclass(frozen=True)
-class Pleth:
-    outer: object
-    inner: object
+class Pleth(Record):
+    __slots__ = ("outer", "inner")
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple
+class Call(Record):
+    __slots__ = ("func", "args")
 
 
 class _Token:

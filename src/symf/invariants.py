@@ -22,7 +22,8 @@ functions of degree r.  Four families are built in:
                     behind the flag and checked in the tests against the
                     cases with an independent derivation (n >= r, n = 1).
 
-Anything else enters as Custom(series) holding precomputed characters.
+Anything else enters as Custom(series), a GradedSeries of precomputed
+characters.
 
 The degree-r invariant character of a group acting through a polynomial
 functor P (composite representation P(V)) is obtained from the family
@@ -55,7 +56,6 @@ hold the finite route against.
 """
 
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
@@ -64,53 +64,48 @@ from operator import add, le
 
 from .characters import CHAR_TABLE_CAP
 from .errors import DegreeError
-from .partitions import Partition, partition_count, partitions_of
-from .plethysm import (GradedSeries, _prefix_products, fundamental,
-                       h_plus_series, h_sum_series, plethysm, plethysm_series)
+from .partitions import Partition, Record, partition_count, partitions_of
+from .plethysm import (_prefix_products, fundamental, h_plus_series,
+                       h_sum_series, plethysm, plethysm_series)
 from .symfunc import (SymFn, _add_into, _div, _p_dict, _p_symfn, _scaled,
                       generator, kronecker, one, s, scalar, to_basis, zero)
 
 
-@dataclass(frozen=True)
-class SLnDefining:
-    n: int
+class SLnDefining(Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 1:
             raise ValueError("SL(n) needs n >= 1")
 
 
-@dataclass(frozen=True)
-class Sp2nDefining:
-    n: int
+class Sp2nDefining(Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 1:
             raise ValueError("Sp(2n) needs n >= 1")
 
 
-@dataclass(frozen=True)
-class SnPermutation:
-    n: int
+class SnPermutation(Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 1:
             raise ValueError("the permutation family needs n >= 1")
 
 
-@dataclass(frozen=True)
-class GLnAdjoint:
-    n: int
-    stable: bool = True
+class GLnAdjoint(Record):
+    __slots__ = ("n", "stable")
+    _defaults = {"stable": True}
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 1:
             raise ValueError("GL(n) needs n >= 1")
 
 
-@dataclass(frozen=True)
-class Custom:
-    series: GradedSeries
+class Custom(Record):
+    __slots__ = ("series",)
 
 
 def inv_char(family, r):

@@ -9,6 +9,10 @@ dictionary key directly.
 Whenever the partitions of n are listed, they appear in reverse
 lexicographic order, from (n) down to (1,...,1).  Every module relies on
 that one canonical order; nothing ever depends on hash order.
+
+Record, the immutable base of the invariant families, enumeration specs
+and expression nodes, lives here too, since every layer imports this
+module.
 """
 
 from functools import lru_cache
@@ -66,6 +70,62 @@ class Partition(tuple):
 
     def __str__(self):
         return "[" + ",".join(str(a) for a in self) + "]"
+
+
+class Record:
+    """Immutable value with the fields named in __slots__.
+
+    Fields are given positionally or by keyword, defaults come from
+    _defaults, and _check validates them.  Instances compare, hash, print
+    and pickle by field values.  Written out by hand because the standard
+    library's generator imports inspect, ast and dis, a cost every
+    command line process would pay.
+    """
+    __slots__ = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            if (len(args) > len(names) or len(values) != len(names)
+                    or not set(kwargs) <= set(names[len(args):])):
+                raise TypeError("%s takes the fields %s, got %r and %r"
+                                % (type(self).__name__, names, args, kwargs))
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self):
+        pass
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % item for item in zip(self.__slots__, self._values())))
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 @lru_cache(maxsize=None)

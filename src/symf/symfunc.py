@@ -93,6 +93,10 @@ class SymFn:
     def __setattr__(self, name, value):
         raise AttributeError("SymFn is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return type(self), (self.basis, self.terms)
+
     # -- structure ---------------------------------------------------
 
     def is_zero(self):

@@ -7,6 +7,7 @@ stderr.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -17,6 +18,8 @@ import pytest
 from symf import selftest
 from symf.characters import _load_table, _reset_memo
 from symf.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TABLE_R3 = (
     "chi \\ class  [3]  [2,1]  [1,1,1]\n"
@@ -311,6 +314,35 @@ class TestPackaging:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "s[4] + s[2,2]\n"
+
+    def test_startup_leaves_heavy_modules_unloaded(self, tmp_path):
+        """Starting a command loads none of dataclasses, inspect, ast or json.
+
+        Each `symf` command is a fresh process, so what symf imports is
+        paid on every call: dataclasses brings inspect, ast and dis with
+        it, and json is needed only for cache files and --json.  The
+        check counts modules against a bare interpreter's, not time.
+        """
+        probe = ("import sys\n"
+                 "bare = set(sys.modules)\n"
+                 "from symf.cli import main\n"
+                 "imported = set(sys.modules) - bare\n"
+                 "code = main(['eval', 'h2'])\n"
+                 "ran = set(sys.modules) - bare\n"
+                 "print(code, ' '.join(sorted(imported)), ' '.join(sorted(ran)),"
+                 " sep='\\n')\n")
+        env = dict(os.environ, SYMF_CACHE_DIR=str(tmp_path / "cache"))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        printed, code, imported, ran = proc.stdout.split("\n")[-5:-1]
+        assert printed == "s[2]" and code == "0"
+        heavy = {"dataclasses", "inspect", "ast", "json"}
+        assert "symf.cli" in imported.split()
+        assert heavy.isdisjoint(imported.split())
+        assert heavy.isdisjoint(ran.split())
 
     def test_console_script_registered(self, tmp_path):
         """Building this checkout registers `symf = symf.cli:main`.

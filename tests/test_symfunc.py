@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from functools import lru_cache
 
 import pytest
@@ -58,6 +60,16 @@ def test_instances_are_immutable():
         f.basis = "e"
     with pytest.raises(AttributeError):
         f.extra = 1
+
+
+def test_copy_and_pickle_keep_basis_and_term_order():
+    f = Fraction(4, 3) * s(2, 1) - s(1, 1, 1) + s(3)
+    copies = [copy.copy(f), copy.deepcopy(f)]
+    copies += [pickle.loads(pickle.dumps(f, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is SymFn and other.basis == "s"
+        assert list(other.terms.items()) == list(f.terms.items())
 
 
 def test_degrees_and_homogeneity():
