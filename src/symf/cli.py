@@ -20,7 +20,7 @@ from .invariants import (GLnAdjoint, PolyFunctor, SLnDefining, SnPermutation,
                          Sp2nDefining, hilbert_dim, inv_char,
                          inv_char_polyfunc)
 from .partitions import Partition, partitions_of
-from .symfunc import SymFn, to_basis, to_json_dict
+from .symfunc import SymFn, _target_cap, to_basis, to_json_dict
 
 
 class _UsageError(Exception):
@@ -81,6 +81,10 @@ def _functor_from(args):
 def _cmd_inv(args):
     family = _family(args)
     if args.functor is None:
+        if isinstance(family, SnPermutation):
+            # nonzero in every degree, so r alone decides the refusal,
+            # before the series is built
+            _target_cap(args.basis, [args.r])
         out = inv_char(family, args.r)
     else:
         out = inv_char_polyfunc(family, _functor_from(args), args.r)

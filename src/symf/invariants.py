@@ -68,7 +68,7 @@ from .partitions import Partition, Record, partition_count, partitions_of
 from .plethysm import (_prefix_products, fundamental, h_plus_series,
                        h_sum_series, plethysm, plethysm_series)
 from .symfunc import (SymFn, _add_into, _div, _p_dict, _p_symfn, _scaled,
-                      generator, kronecker, one, s, scalar, to_basis, zero)
+                      _schur_p, generator, one, scalar, to_basis)
 
 
 class SLnDefining(Record):
@@ -121,13 +121,14 @@ def inv_char(family, r):
     if isinstance(family, SnPermutation):
         return _sn_component(family.n, r)
     if isinstance(family, GLnAdjoint):
-        total = zero("p")
+        # the Kronecker squares s_lam * s_lam, summed as the pointwise
+        # squares of the chi^lam rows
+        total = {}
         for lam in partitions_of(r):
-            if not family.stable and lam.length > family.n:
-                continue
-            slam = s(*lam)
-            total = total + kronecker(slam, slam)
-        return total
+            if family.stable or lam.length <= family.n:
+                _add_into(total, {mu: v * v for mu, v in
+                                  _schur_p(tuple(lam)).items()})
+        return _p_symfn(total)
     if isinstance(family, Custom):
         return family.series.component(r)
     raise TypeError("unknown invariant family %r" % (family,))

@@ -204,7 +204,3 @@ def z_of(mu):
             z *= i
     return z
 
-
-def merge(mu, nu):
-    """Multiset union of two partitions, the p-basis product index."""
-    return Partition(sorted(tuple(mu) + tuple(nu), reverse=True))

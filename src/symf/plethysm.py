@@ -55,37 +55,6 @@ def _prefix_products(one, factors, partitions, mul):
         yield mu, stack[-1][1]
 
 
-def _capped_mul(subs, cap):
-    # (factors, mul): mul(poly, factor) is _mul_p(poly, subs[a]) with the
-    # terms above degree cap dropped, but it forms no pair above cap.  As
-    # in _mul_p, each term of the shorter side meets the other side; here
-    # it meets only the terms of degree <= cap minus its own, in their
-    # order.  The pairs and their order are _mul_p's, so are the terms and
-    # their insertion order.  A factor's truncations are memoized per call.
-    def below(terms, e, memo):
-        if e not in memo:
-            memo[e] = {nu: c for w, nu, c in terms if w <= e}
-        return memo[e]
-
-    def mul(poly, factor):
-        size, terms, memo = factor
-        own = [(sum(mu), mu, c) for mu, c in poly.items()]
-        if len(poly) <= size:
-            outer, inner = own, terms
-        else:
-            outer, inner, memo = terms, own, {}
-        out = {}
-        for w, mu, c in outer:
-            rest = below(inner, cap - w, memo)
-            if rest:
-                _add_into(out, _mul_p({mu: c}, rest))
-        return out
-
-    return {a: (len(g), [(w, nu, c) for nu, c in g.items()
-                         if (w := sum(nu)) <= cap], {})
-            for a, g in subs.items()}, mul
-
-
 def _pleth_p(fp, gp, cap=None):
     # f[g] = sum over mu of a_mu / z_mu p_mu[g] on class function values,
     # optionally truncated above degree cap, summed on the common
@@ -95,14 +64,10 @@ def _pleth_p(fp, gp, cap=None):
         for a in mu:
             if a not in subs:
                 subs[a] = _substitute(gp, a)
-    if cap is None:
-        factors, mul = subs, _mul_p
-    else:
-        factors, mul = _capped_mul(subs, cap)
-
     n, weights = _scaled(fp)
     out = {}
-    for mu, prod in _prefix_products({(): 1}, factors, sorted(fp), mul):
+    for mu, prod in _prefix_products({(): 1}, subs, sorted(fp),
+                                     lambda poly, g: _mul_p(poly, g, cap)):
         _add_into(out, prod, weights[mu])
     return {nu: _div(c, n) for nu, c in out.items()}
 

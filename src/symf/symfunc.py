@@ -296,14 +296,24 @@ def _add_into(out, terms, c=1):
     return out
 
 
-def _mul_p(a, b):
-    # a_(mu+nu) += a_mu b_nu z_(mu+nu) / (z_mu z_nu), an integer
+def _mul_p(a, b, cap=None):
+    # a_(mu+nu) += a_mu b_nu z_(mu+nu) / (z_mu z_nu), an integer.  Under a
+    # cap, each term of the shorter side meets only the other side's terms
+    # of weight at most cap minus its own, in their order, so no pair above
+    # the cap is formed; those terms are listed once per room.
     a, b = sorted((a, b), key=len)
-    b = [(nu, d, z_of(nu)) for nu, d in b.items()]
+    rests = {}
     out = {}
     for mu, c in a.items():
+        room = None if cap is None else cap - sum(mu)
+        if room not in rests:
+            rests[room] = [(nu, d, z_of(nu)) for nu, d in b.items()
+                           if room is None or sum(nu) <= room]
+        rest = rests[room]
+        if not rest:
+            continue
         zmu = z_of(mu)
-        for nu, d, znu in b:
+        for nu, d, znu in rest:
             key = tuple(sorted(mu + nu, reverse=True))
             val = out.get(key, 0) + c * d * (z_of(key) // (zmu * znu))
             if val:
@@ -365,6 +375,19 @@ def _m_cap(d):
         raise ResourceLimitError(
             "monomial basis transitions are capped at degree %d, got %d"
             % (_M_MATRIX_CAP, d))
+
+
+def _target_cap(target, degrees):
+    # Refuse a base change to target, before any expansion, when one of
+    # the degrees is beyond its cap: the s target reads the characters
+    # of S_d, and the h and e targets solve against the p-to-m matrix.
+    for d in degrees:
+        if target == "s" and d > characters.CHAR_TABLE_CAP:
+            raise ResourceLimitError(
+                "Schur expansion needs characters of S_%d, beyond the "
+                "cap r <= %d" % (d, characters.CHAR_TABLE_CAP))
+        if target in ("h", "e"):
+            _m_cap(d)
 
 
 @lru_cache(maxsize=None)
@@ -434,9 +457,10 @@ def to_basis(f, target):
         raise ValueError("unknown basis %r" % (target,))
     if f.basis == target:
         return f
-    if target in ("h", "e"):
-        for d in f.degrees():
-            _m_cap(d)
+    if target in ("h", "e") or target == "s" and f.basis != "m":
+        # an m input never meets the Schur cap: above degree 16 its own
+        # expansion refuses it first, with that refusal's message
+        _target_cap(target, f.degrees())
     fp = _p_dict(f)
     if target == "p":
         return _p_symfn(fp)
@@ -447,10 +471,6 @@ def to_basis(f, target):
     for d in sorted({sum(mu) for mu in fp}):
         n, part = _scaled({mu: c for mu, c in fp.items() if sum(mu) == d})
         if target == "s":
-            if d > characters.CHAR_TABLE_CAP:
-                raise ResourceLimitError(
-                    "Schur expansion needs characters of S_%d, beyond the "
-                    "cap r <= %d" % (d, characters.CHAR_TABLE_CAP))
             # <f, s_lam> = sum over mu of a_mu chi^lam(mu) / z_mu
             for lam in partitions_of(d):
                 tl = tuple(lam)

@@ -62,6 +62,19 @@ EVAL_SHA256 = {
 PERM_N2_R16_SHA256 = (
     "94841441d77d819cdf37c95658af151e4dd4ccecd2ef559fa8a205ce6c966c2d")
 
+# sha256 of `symf ARGV` stdout, as printed when inv_char(GLnAdjoint)
+# added one Kronecker square s_lam * s_lam at a time as SymFns.
+GL_ADJOINT_SHA256 = {
+    ("inv", "--family", "gl-adjoint", "--n", "2", "--r", "10"):
+        "6e37a10120dcb4f6b11edefe84bfd6a9b2c7df27b40613fb3684c106c5135e93",
+    ("inv", "--family", "gl-adjoint", "--n", "3", "--r", "14",
+     "--basis", "p"):
+        "913cbd7e4abfc401b1fe6e40bd604ba94d203c16e377c6d87305f14e667fa78b",
+    ("hilbert", "--family", "gl-adjoint", "--n", "3", "--functor", "h2",
+     "--r", "8"):
+        "3183ac600d0d44f3010151a566a494dd851f7769f002add0e6abbad61e268a5f",
+}
+
 # Printed by the p-basis route through the weight-36 Jacobi-Trudi
 # expansion of s_(18,18), before the finite alphabet took this query.
 SL2_SEXTICS_R6 = (
@@ -136,6 +149,22 @@ class TestInv:
                              "--n", "2", "--r", "16")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PERM_N2_R16_SHA256
+
+    @pytest.mark.parametrize("argv", GL_ADJOINT_SHA256,
+                             ids=[" ".join(a) for a in GL_ADJOINT_SHA256])
+    def test_gl_adjoint_bytes(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            GL_ADJOINT_SHA256[argv]
+
+    def test_gl_adjoint_refusal(self, capsys):
+        # the first shape of weight 21 with more than 8 rows is refused
+        code, out, err = run(capsys, "inv", "--family", "gl-adjoint",
+                             "--n", "9", "--r", "21", "--basis", "p")
+        assert (code, out) == (4, "")
+        assert err == ("symf: Schur index [13,1,1,1,1,1,1,1,1]: weight beyond "
+                       "the character table cap and more than 8 rows\n")
 
     def test_functor_flag(self, capsys):
         code, out, err = run(capsys, "inv", "--family", "sl", "--n", "2",
@@ -295,6 +324,24 @@ class TestExitCodes:
         elapsed = time.perf_counter() - t0
         assert proc.returncode == 4 and proc.stdout == ""
         assert proc.stderr == "symf: plethysm of degree 60 is beyond the cap 40\n"
+        assert elapsed < 2.0, elapsed
+
+    @pytest.mark.parametrize("argv,stderr", [
+        (["--r", "24"], "symf: Schur expansion needs characters of S_24, "
+                        "beyond the cap r <= 20\n"),
+        (["--r", "28", "--basis", "h"],
+         "symf: monomial basis transitions are capped at degree 16, got 28\n"),
+    ], ids=["s", "h"])
+    def test_oversized_perm_exits_4_quickly(self, argv, stderr):
+        # the answer is nonzero in degree r, so r alone decides the
+        # refusal; building the series first takes about 2 s at r = 24
+        # and 7 s at r = 28
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "symf", "inv", "--family",
+                               "perm", "--n", "3"] + argv,
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - t0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", stderr)
         assert elapsed < 2.0, elapsed
 
 

@@ -1,7 +1,6 @@
 import pytest
 
-from symf.partitions import (Partition, merge, partition_count, partitions_of,
-                             z_of)
+from symf.partitions import Partition, partition_count, partitions_of, z_of
 
 
 def test_constructor_normalizes_and_validates():
@@ -87,11 +86,6 @@ def test_z_counts_permutations_by_cycle_type():
     assert z_of((2, 2)) == 8
     assert z_of((1, 1, 1)) == 6
     assert z_of(()) == 1
-
-
-def test_merge_concatenates_sorted():
-    assert merge((3, 1), (2, 1)) == (3, 2, 1, 1)
-    assert merge((), (2,)) == (2,)
 
 
 def test_str_form():

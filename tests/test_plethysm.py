@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from symf.errors import DegreeError, ResourceLimitError, TruncationError
 from symf.oracles import oracle_plethysm_schur
+from symf.partitions import z_of
 from symf.plethysm import (GradedSeries, fundamental, h_plus_series,
                            h_sum_series, plethysm, plethysm_series)
 from symf.selftest import check_fundamental_forms
@@ -144,17 +145,18 @@ def _series_cases():
 
 
 def test_series_plethysm_forms_no_product_above_the_cap(monkeypatch):
-    degrees = []
+    # every pair the multiply forms looks up z of its union, so no key
+    # looked up may weigh more than the cap
+    weights = []
 
-    def spy(a, b):
-        out = _mul_p(a, b)
-        degrees.append(max(map(sum, out), default=0))
-        return out
-    monkeypatch.setattr(sys.modules["symf.plethysm"], "_mul_p", spy)
+    def spy(mu):
+        weights.append(sum(mu))
+        return z_of(mu)
+    monkeypatch.setattr(sys.modules["symf.symfunc"], "z_of", spy)
     for F, G, cap in _series_cases():
-        degrees.clear()
+        weights.clear()
         plethysm_series(F, G, cap)
-        assert degrees and max(degrees) <= cap
+        assert weights and max(weights) <= cap
 
 
 def test_series_plethysm_keeps_term_order(monkeypatch):
@@ -163,11 +165,10 @@ def test_series_plethysm_keeps_term_order(monkeypatch):
     module = sys.modules["symf.plethysm"]
     capped = [plethysm_series(F, G, cap) for F, G, cap in _series_cases()]
 
-    def filtered(subs, cap):
-        def mul(a, b):
-            return {nu: c for nu, c in _mul_p(a, b).items() if sum(nu) <= cap}
-        return subs, mul
-    monkeypatch.setattr(module, "_capped_mul", filtered)
+    def filtered(a, b, cap=None):
+        return {nu: c for nu, c in _mul_p(a, b).items()
+                if cap is None or sum(nu) <= cap}
+    monkeypatch.setattr(module, "_mul_p", filtered)
     full = [plethysm_series(F, G, cap) for F, G, cap in _series_cases()]
     for got, want in zip(capped, full):
         assert [(d, list(f.terms.items())) for d, f in got.components.items()] \

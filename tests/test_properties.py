@@ -7,7 +7,9 @@ with the dual basis.  Sums and products of operands in mixed bases obey
 the ring axioms, h_n and e_n act by the Kronecker product as the
 identity and omega, and fundamental() agrees in p and s mode.  Plethysm
 is linear and multiplicative in its left argument, and p_n[g]
-substitutes p_k -> p_nk in g.
+substitutes p_k -> p_nk in g.  The kernel product with a degree cap is
+the full product with the terms above the cap dropped, in the same
+order.
 """
 
 from fractions import Fraction
@@ -19,8 +21,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from symf.partitions import partitions_of
 from symf.plethysm import fundamental, plethysm
-from symf.symfunc import (BASES, SymFn, e, h, kronecker, m, one, p, scalar,
-                          to_basis)
+from symf.symfunc import (BASES, SymFn, _mul_p, e, h, kronecker, m, one, p,
+                          scalar, to_basis)
 
 derandomized = settings(derandomize=True, database=None, deadline=None,
                         max_examples=40)
@@ -154,3 +156,37 @@ def test_power_sum_plethysm_substitutes(g, n):
     want = SymFn("p", {tuple(n * a for a in mu): c
                        for mu, c in to_basis(g, "p").terms.items()})
     assert plethysm(p(n), g) == want
+
+
+# kernel dicts: part tuples of weight <= 5 to nonzero int or Fraction
+# class function values
+class_values = st.one_of(st.integers(-3, 3), rationals).filter(bool)
+class_functions = st.dictionaries(st.integers(0, 5).flatmap(shapes_of),
+                                  class_values, min_size=1, max_size=6)
+
+
+@st.composite
+def cancelling_factors(draw):
+    # (a, b) with one key k of a*b cancelled: a gets a constant term a0,
+    # and since only the pair ((), k) adds to k from b's term at k,
+    # moving that term by -(a*b)_k / a0 sends (a*b)_k to zero
+    a, b = draw(class_functions), draw(class_functions)
+    a[()] = draw(class_values)
+    full = _mul_p(a, b)
+    if full:
+        k = draw(st.sampled_from(list(full)))
+        b[k] = b.get(k, 0) - Fraction(full[k]) / a[()]
+        if not b[k]:
+            del b[k]
+    return a, b
+
+
+@derandomized
+@given(cancelling_factors())
+def test_capped_product_is_the_truncated_product(factors):
+    # caps below, inside and above the product's degrees 0..15
+    a, b = factors
+    full = _mul_p(a, b)
+    for cap in range(-1, 17):
+        assert list(_mul_p(a, b, cap).items()) == \
+            [(k, v) for k, v in full.items() if sum(k) <= cap]
