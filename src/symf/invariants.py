@@ -42,17 +42,17 @@ such lam (Macdonald, Symmetric Functions and Hall Polynomials, I.3):
 
     <f, s_lam> = [x^(lam + delta)] a_delta(x) f(x_1, ..., x_L),
 
-with delta = (L-1, ..., 1, 0) and a_delta the Vandermonde determinant.
-Plethysm becomes substitution, p_j[F](x) = F(x_1^j, ..., x_L^j), and
-h_r[F] follows from Newton's recurrence.  Polynomials are truncated at
-B_i = max lam_i + L - 1 - i in variable i.  The routing rule takes this
-route only when the box of prod(B_i + 1) monomials is no larger than the
-p(d) terms a degree-d function has in the p basis; otherwise, for the
-other families, and for mode="s", the inner product runs in the p basis,
-where I_d(V) expands through character values or, above weight 20,
-Jacobi-Trudi.  The composition fundamental(F, inv_char(family, r*k), r,
-"p") always takes the p-basis route and is the cross-check the tests
-hold the finite route against.
+with delta = (L-1, ..., 1, 0) and a_delta the Vandermonde determinant,
+and plethysm becomes substitution, p_j[F](x) = F(x_1^j, ..., x_L^j).
+Polynomials are truncated at B_i = max lam_i + L - 1 - i in variable i,
+and this route is taken only when the box of prod(B_i + 1) monomials is
+no larger than the p(d) terms of a degree-d function in the p basis.
+Otherwise, for the other families, and for mode="s", the inner product
+runs in the p basis, where I_d(V) expands through character values or,
+above weight 20, Jacobi-Trudi.  Both routes build h_r[F] by Newton's
+recurrence and pair p_lam[F] by the same code in plethysm.py, each in
+its own ring; fundamental(F, inv_char(family, r*k), r, "p") is the
+cross-check the tests hold the finite route against.
 """
 
 import warnings
@@ -65,10 +65,11 @@ from operator import add, le
 from .characters import CHAR_TABLE_CAP
 from .errors import DegreeError
 from .partitions import Partition, Record, partition_count, partitions_of
-from .plethysm import (_prefix_products, fundamental, h_plus_series,
-                       h_sum_series, plethysm, plethysm_series)
-from .symfunc import (SymFn, _add_into, _div, _p_dict, _p_symfn, _scaled,
-                      _schur_p, generator, one, scalar, to_basis)
+from .plethysm import (_check_degree, _check_mode, _h_of, _pairings,
+                       _pleth_p, fundamental, h_plus_series, h_sum_series,
+                       plethysm_series)
+from .symfunc import (SymFn, _add_into, _p_dict, _p_symfn, _scalar_p,
+                      _schur_p, scalar, to_basis)
 
 
 class SLnDefining(Record):
@@ -213,8 +214,8 @@ def _functor_character(P):
 
 
 class _Alphabet:
-    """Pairings with the sum of s_lam over a list of shapes, read off
-    polynomials in L variables, L the length of the longest shape.
+    """The ring of polynomials in L variables, L the length of the
+    longest shape, in which pairings with the sum of s_lam are read.
 
     Polynomials are dicts from exponent tuples to int, or to Fraction
     when the functor's own polynomial needs it, truncated above
@@ -230,6 +231,8 @@ class _Alphabet:
         self.bounds = tuple(max(col) + length - 1 - i
                             for i, col in enumerate(zip(*self.rows)))
         self.one = {(0,) * length: 1}
+        self.x = {(0,) * i + (1,) + (0,) * (length - 1 - i): 1
+                  for i in range(length)}  # x_1 + ... + x_L, all kept
 
     @cached_property
     def weights(self):
@@ -268,46 +271,12 @@ class _Alphabet:
         return out
 
     def evaluate(self, fp):
-        """f(x_1, ..., x_L) for f given by its class function values,
-        with int coefficients where they are integers."""
-        length = len(self.bounds)
-        powers = {}
-        for mu in fp:
-            for a in mu:
-                powers[a] = {(0,) * i + (a,) + (0,) * (length - 1 - i): 1
-                             for i in range(length) if a <= self.bounds[i]}
-        n, weights = _scaled(fp)
-        out = {}
-        for mu, poly in _prefix_products(self.one, powers, sorted(fp),
-                                          self.mul):
-            _add_into(out, poly, weights[mu])
-        return {e: _div(c, n) for e, c in out.items()}
+        """f(x_1, ..., x_L) for f given by its class function values."""
+        return _pleth_p(fp, self.x, self)
 
     def pair(self, f):
         """<f, sum of s_lam> for f homogeneous of the shapes' weight."""
         return sum(w * f.get(e, 0) for e, w in self.weights.items())
-
-    def hilbert(self, fp, r):
-        """<h_r[f], sum of s_lam>, with h_r[f] built by Newton's
-        recurrence n h_n[f] = sum over j of f(x^j) h_(n-j)[f]."""
-        f = self.evaluate(fp)
-        subs = {j: self.substitute(f, j) for j in range(1, r + 1)}
-        hs = [self.one]
-        for n in range(1, r + 1):
-            acc = {}
-            for j in range(1, n + 1):
-                self.mul(subs[j], hs[n - j], acc)
-            hs.append({e: _div(c, n) for e, c in acc.items() if c})
-        return Fraction(self.pair(hs[r]))
-
-    def fundamental(self, fp, r):
-        """fundamental(f, G, r, "p") for G the sum of s_lam: the
-        coefficient of p_lam is <prod_i f(x^lam_i), G> / z_lam."""
-        f = self.evaluate(fp)
-        subs = {j: self.substitute(f, j) for j in range(1, r + 1)}
-        return _p_symfn({lam: self.pair(poly) for lam, poly in
-                         _prefix_products(self.one, subs, partitions_of(r),
-                                          self.mul)})
 
 
 def _alphabet_for(family, d):
@@ -329,11 +298,12 @@ def _alphabet_for(family, d):
 def inv_char_polyfunc(family, P, r, mode="p"):
     """Invariant character I_r(P(V)) via the inner product construction."""
     F = _functor_character(P)
+    _check_mode(mode)
     alphabet = _alphabet_for(family, r * F.degree()) if mode == "p" else None
     if alphabet is not None:
-        return alphabet.fundamental(_p_dict(F), r)
-    G = inv_char(family, r * F.degree())
-    return fundamental(F, G, r, mode)
+        f = alphabet.evaluate(_p_dict(F))
+        return _pairings(f, r, alphabet.pair, alphabet)
+    return fundamental(F, inv_char(family, r * F.degree()), r, mode)
 
 
 def hilbert_dim(family, P, r):
@@ -346,12 +316,13 @@ def hilbert_dim(family, P, r):
     F = _functor_character(P)
     alphabet = _alphabet_for(family, r * F.degree())
     if alphabet is not None:
-        return alphabet.hilbert(_p_dict(F), r)
+        f = alphabet.evaluate(_p_dict(F))
+        return Fraction(alphabet.pair(_h_of(f, r, alphabet)))
     G = inv_char(family, r * F.degree())
     if G.is_zero():
         return Fraction(0)
-    hr = one() if r == 0 else generator("h", (r,))
-    return scalar(plethysm(hr, F), G)
+    _check_degree(r * F.degree())
+    return _scalar_p(_h_of(_p_dict(F), r), _p_dict(G))
 
 
 def hom_series_char(J, P, r, mode="p"):

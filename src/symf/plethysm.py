@@ -18,6 +18,12 @@ whose agreement is the Cauchy identity; the package computes either on
 demand and the test suite holds them against each other.  p mode is the
 default because p_lam[F] is a cheap substitution while s_lam[F] expands
 through the character table.
+
+Each algorithm is written once, over a ring of dicts with `one`,
+`mul(a, b, out=None)` (a*b, added into out if given) and `substitute`
+(f, j -> p_j[f]): f[g] in _pleth_p, h_r[f] by Newton's recurrence in
+_h_of, the p_lam[f] pairings in _pairings.  The rings are _PBasis, on
+class function values, and invariants._Alphabet, on polynomials.
 """
 
 from .errors import DegreeError, ResourceLimitError, TruncationError
@@ -29,47 +35,82 @@ from .symfunc import (SymFn, generator, one, zero, _add_into, _div, _mul_p,
 _PLETHYSM_DEGREE_CAP = 40
 
 
-def _substitute(gp, n):
-    # p_n[g] on class function values: every part times n, and
-    # z_(n mu) = n^len(mu) z_mu.
-    if n == 1:
-        return dict(gp)
-    return {tuple(a * n for a in mu): c * n ** len(mu) for mu, c in gp.items()}
-
-
-def _prefix_products(one, factors, partitions, mul):
-    """(mu, the product of factors[a] over the parts a of mu) for each mu
-    in partitions, which come in lexicographic order, either way round.
+def _p_powers(g, partitions, ring):
+    """(mu, p_mu[g]) in ring for each mu in partitions, a list in
+    lexicographic order, either way round.
 
     Partitions that share a prefix are then adjacent, so the products
     along the current prefix are the only ones kept: each prefix is
     multiplied out once, in memory linear in the longest partition."""
-    stack = [((), one)]
+    subs = {a: ring.substitute(g, a) for a in set().union(*partitions)}
+    stack = [((), ring.one)]
     for mu in partitions:
         mu = tuple(mu)
         while stack[-1][0] != mu[:len(stack[-1][0])]:
             stack.pop()
         for a in mu[len(stack[-1][0]):]:
             prefix, poly = stack[-1]
-            stack.append((prefix + (a,), mul(poly, factors[a])))
+            stack.append((prefix + (a,), ring.mul(poly, subs[a])))
         yield mu, stack[-1][1]
 
 
-def _pleth_p(fp, gp, cap=None):
-    # f[g] = sum over mu of a_mu / z_mu p_mu[g] on class function values,
-    # optionally truncated above degree cap, summed on the common
-    # denominator d! of f's largest degree.
-    subs = {}
-    for mu in fp:
-        for a in mu:
-            if a not in subs:
-                subs[a] = _substitute(gp, a)
+class _PBasis:
+    """Class function values, products truncated above cap if given."""
+
+    one = {(): 1}
+
+    def __init__(self, cap=None):
+        self.cap = cap
+
+    def mul(self, a, b, out=None):
+        prod = _mul_p(a, b, self.cap)
+        return prod if out is None else _add_into(out, prod)
+
+    @staticmethod
+    def substitute(f, j):
+        # p_j[f]: every part times j, and z_(j mu) = j^len(mu) z_mu
+        return {tuple(a * j for a in mu): c * j ** len(mu)
+                for mu, c in f.items()}
+
+
+def _pleth_p(fp, g, ring=_PBasis()):
+    # f[g] = sum over mu of a_mu / z_mu p_mu[g] for f's class function
+    # values a, on the common denominator d! of f's largest degree
     n, weights = _scaled(fp)
     out = {}
-    for mu, prod in _prefix_products({(): 1}, subs, sorted(fp),
-                                     lambda poly, g: _mul_p(poly, g, cap)):
+    for mu, prod in _p_powers(g, sorted(fp), ring):
         _add_into(out, prod, weights[mu])
     return {nu: _div(c, n) for nu, c in out.items()}
+
+
+def _h_of(f, r, ring=_PBasis()):
+    # h_r[f] by Newton's recurrence n h_n[f] = sum over j of p_j[f]
+    # h_(n-j)[f] (Macdonald I.2.11), in r(r+1)/2 products
+    subs = {j: ring.substitute(f, j) for j in range(1, r + 1)}
+    hs = [ring.one]
+    for n in range(1, r + 1):
+        acc = {}
+        for j in range(1, n + 1):
+            ring.mul(subs[j], hs[n - j], acc)
+        hs.append({e: _div(c, n) for e, c in acc.items() if c})
+    return hs[r]
+
+
+def _pairings(f, r, pair, ring=_PBasis()):
+    # the p-basis SymFn with class function value pair(p_lam[f]) at lam |- r
+    return _p_symfn({lam: pair(prod)
+                     for lam, prod in _p_powers(f, partitions_of(r), ring)})
+
+
+def _check_degree(d):
+    if d > _PLETHYSM_DEGREE_CAP:
+        raise ResourceLimitError("plethysm of degree %d is beyond the cap %d"
+                                 % (d, _PLETHYSM_DEGREE_CAP))
+
+
+def _check_mode(mode):
+    if mode not in ("p", "s"):
+        raise ValueError("mode must be 'p' or 's'")
 
 
 def plethysm(f, g):
@@ -80,10 +121,7 @@ def plethysm(f, g):
     through its p expansion by linearity.  Refused before any expansion
     when deg f * deg g exceeds _PLETHYSM_DEGREE_CAP.
     """
-    d = max(f.degrees(), default=0) * max(g.degrees(), default=0)
-    if d > _PLETHYSM_DEGREE_CAP:
-        raise ResourceLimitError("plethysm of degree %d is beyond the cap %d"
-                                 % (d, _PLETHYSM_DEGREE_CAP))
+    _check_degree(max(f.degrees(), default=0) * max(g.degrees(), default=0))
     return _p_symfn(_pleth_p(_p_dict(f), _p_dict(g)))
 
 
@@ -133,10 +171,7 @@ def h_sum_series(cap, highest=None):
     permutation representation of S_highest on multisets.
     """
     top = cap if highest is None else min(cap, highest)
-    comps = {0: one()}
-    for d in range(1, top + 1):
-        comps[d] = generator("h", (d,))
-    return GradedSeries(cap, comps)
+    return GradedSeries(cap, {0: one(), **h_plus_series(top).components})
 
 
 def h_plus_series(cap):
@@ -159,17 +194,14 @@ def plethysm_series(F, G, cap):
             % (cap, F.truncation_degree, G.truncation_degree))
     if not G.component(0).is_zero():
         raise DegreeError("series plethysm needs G with zero constant term")
-    ftot = {}
-    gtot = {}
+    ftot, gtot = {}, {}
     for d in range(cap + 1):
         ftot.update(_p_dict(F.component(d)))
         gtot.update(_p_dict(G.component(d)))
-    raw = _pleth_p(ftot, gtot, cap=cap)
     split = {}
-    for mu, c in raw.items():
+    for mu, c in _pleth_p(ftot, gtot, _PBasis(cap)).items():
         split.setdefault(sum(mu), {})[mu] = c
-    comps = {d: _p_symfn(terms) for d, terms in split.items()}
-    return GradedSeries(cap, comps)
+    return GradedSeries(cap, {d: _p_symfn(t) for d, t in split.items()})
 
 
 def fundamental(F, G, r, mode="p"):
@@ -184,8 +216,7 @@ def fundamental(F, G, r, mode="p"):
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if mode not in ("p", "s"):
-        raise ValueError("mode must be 'p' or 's'")
+    _check_mode(mode)
     fp = _p_dict(F)
     if not fp:
         raise DegreeError("F must be nonzero and homogeneous of degree >= 1")
@@ -206,9 +237,6 @@ def fundamental(F, G, r, mode="p"):
 
     if mode == "p":
         # <p_lam[F], G> is the value at lam; zeros drop out in SymFn
-        subs = {n: _substitute(fp, n) for n in range(1, r + 1)}
-        return _p_symfn({lam: _scalar_p(prod, gp) for lam, prod in
-                         _prefix_products({(): 1}, subs, partitions_of(r),
-                                          _mul_p)})
+        return _pairings(fp, r, lambda prod: _scalar_p(prod, gp))
     return SymFn("s", {lam: _scalar_p(_pleth_p(_schur_p(tuple(lam)), fp), gp)
                        for lam in partitions_of(r)})

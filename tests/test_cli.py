@@ -75,6 +75,18 @@ GL_ADJOINT_SHA256 = {
         "3183ac600d0d44f3010151a566a494dd851f7769f002add0e6abbad61e268a5f",
 }
 
+# sha256 of `symf ARGV` stdout, as printed when hilbert_dim's p-basis
+# route paired the expanded plethysm h_r[F] with I_(r*k)(V) by scalar().
+HILBERT_P_ROUTE_SHA256 = {
+    ("hilbert", "--family", "perm", "--n", "3", "--functor", "s[2,1]",
+     "--r", "6"):
+        "b68cad9cd8e420a3e041a1b00ea41d0b5ae935301d48473a5636b9d1decebee8",
+    ("hilbert", "--family", "sl", "--n", "3", "--functor", "e2", "--r", "10"):
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    ("hilbert", "--family", "sp", "--n", "2", "--functor", "h2", "--r", "6"):
+        "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+}
+
 # Printed by the p-basis route through the weight-36 Jacobi-Trudi
 # expansion of s_(18,18), before the finite alphabet took this query.
 SL2_SEXTICS_R6 = (
@@ -187,6 +199,31 @@ class TestHilbert:
         code, out, err = run(capsys, "hilbert", "--family", "sp", "--n", "1",
                              "--functor", "h6", "--r", "6")
         assert (code, out, err) == (0, "3\n", "")
+
+    @pytest.mark.parametrize("argv", HILBERT_P_ROUTE_SHA256,
+                             ids=[" ".join(a) for a in HILBERT_P_ROUTE_SHA256])
+    def test_p_route_bytes(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            HILBERT_P_ROUTE_SHA256[argv]
+
+    @pytest.mark.parametrize("argv,code,out,err", [
+        (["sl", "--n", "5", "--functor", "h5", "--r", "9"], 4, "",
+         "symf: plethysm of degree 45 is beyond the cap 40\n"),
+        (["sp", "--n", "3", "--functor", "h2", "--r", "21"], 4, "",
+         "symf: plethysm of degree 42 is beyond the cap 40\n"),
+        # no invariants in degree 45: zero comes before the cap
+        (["sl", "--n", "2", "--functor", "h1", "--r", "45"], 0, "0\n", ""),
+    ], ids=["sl-45", "sp-42", "sl-zero-45"])
+    def test_plethysm_cap_after_the_zero_test(self, argv, code, out, err):
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "symf", "hilbert",
+                               "--family"] + argv,
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - t0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert elapsed < 2.0, elapsed
 
 
 class TestDeals:

@@ -13,10 +13,10 @@ from symf.oracles import (oracle_cayley_sylvester, oracle_matchings,
                           oracle_perm_inv_char, oracle_restricted_bell,
                           oracle_su2_inv_char, oracle_syt)
 from symf.partitions import partitions_of
-from symf.plethysm import (GradedSeries, fundamental, h_sum_series,
-                           plethysm)
+from symf.plethysm import (GradedSeries, _h_of, _pairings, fundamental,
+                           h_sum_series, plethysm)
 from symf.symfunc import (SymFn, _p_dict, dimension, e, h, kronecker, one, p,
-                          s, scalar, to_basis, zero)
+                          s, scalar, specialize_ones, to_basis, zero)
 
 
 def test_family_validation():
@@ -247,15 +247,15 @@ def _same_terms(got, want):
 
 @pytest.fixture
 def finite_calls(monkeypatch):
-    """The _Alphabet methods the public calls go through, in order."""
+    """One entry per functor polynomial built in a finite alphabet: each
+    public call that takes the finite route builds exactly one."""
     calls = []
-    for name in ("hilbert", "fundamental"):
-        real = getattr(_Alphabet, name)
+    real = _Alphabet.evaluate
 
-        def spy(self, *args, _real=real, _name=name):
-            calls.append(_name)
-            return _real(self, *args)
-        monkeypatch.setattr(_Alphabet, name, spy)
+    def spy(self, fp):
+        calls.append("evaluate")
+        return real(self, fp)
+    monkeypatch.setattr(_Alphabet, "evaluate", spy)
     return calls
 
 
@@ -290,10 +290,13 @@ def test_routes_agree(finite_calls, family, F, r, finite):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got_dim = hilbert_dim(family, F, r)
+        assert finite_calls == (["evaluate"] if finite else [])
         got_char = inv_char_polyfunc(family, F, r)
-    assert finite_calls == (["hilbert", "fundamental"] if finite else [])
+    assert finite_calls == (["evaluate"] * 2 if finite else [])
     assert got_dim == want_dim and type(got_dim) is Fraction
     _same_terms(got_char, want_char)
+    # the trivial-isotypic part of the character, p_i = 1
+    assert got_dim == specialize_ones(got_char)
 
 
 def test_s_mode_keeps_the_schur_route(finite_calls):
@@ -320,7 +323,7 @@ def test_finite_route_at_weight_36_on_sl4(finite_calls):
     # The p-basis route would expand s_(9,9,9,9) by Jacobi-Trudi here.
     assert hilbert_dim(SLnDefining(4), e(4), 9) == 1
     assert inv_char_polyfunc(SLnDefining(4), e(4), 9) == h(9)
-    assert finite_calls == ["hilbert", "fundamental"]
+    assert finite_calls == ["evaluate"] * 2
 
 
 @pytest.mark.parametrize("family", [SLnDefining(1), SLnDefining(2),
@@ -340,7 +343,17 @@ def test_finite_route_below_the_rule(family):
                     continue
                 alphabet = _Alphabet(shapes)
                 want_dim, want_char = _p_route(family, F, r)
-                fp = _p_dict(F)
-                got_dim = alphabet.hilbert(fp, r)
-                assert got_dim == want_dim and type(got_dim) is Fraction
-                _same_terms(alphabet.fundamental(fp, r), want_char)
+                f = alphabet.evaluate(_p_dict(F))
+                assert alphabet.pair(_h_of(f, r, alphabet)) == want_dim
+                _same_terms(_pairings(f, r, alphabet.pair, alphabet),
+                            want_char)
+
+
+def test_mode_is_checked_before_the_invariants_are_built(monkeypatch):
+    # the degree-22 permutation series would take most of a second
+    built = []
+    monkeypatch.setattr("symf.invariants.inv_char",
+                        lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="^mode must be 'p' or 's'$"):
+        inv_char_polyfunc(SnPermutation(3), PolyFunctor(h(2)), 11, mode="q")
+    assert built == []

@@ -9,7 +9,8 @@ identity and omega, and fundamental() agrees in p and s mode.  Plethysm
 is linear and multiplicative in its left argument, and p_n[g]
 substitutes p_k -> p_nk in g.  The kernel product with a degree cap is
 the full product with the terms above the cap dropped, in the same
-order.
+order.  Newton's recurrence builds h_r[a] equal to the plethysm of h_r
+with a, both on class function values and in a finite alphabet.
 """
 
 from fractions import Fraction
@@ -20,7 +21,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from symf.partitions import partitions_of
-from symf.plethysm import fundamental, plethysm
+from symf.invariants import _Alphabet
+from symf.plethysm import _h_of, _pleth_p, fundamental, plethysm
 from symf.symfunc import (BASES, SymFn, _mul_p, e, h, kronecker, m, one, p,
                           scalar, to_basis)
 
@@ -190,3 +192,37 @@ def test_capped_product_is_the_truncated_product(factors):
     for cap in range(-1, 17):
         assert list(_mul_p(a, b, cap).items()) == \
             [(k, v) for k, v in full.items() if sum(k) <= cap]
+
+
+@st.composite
+def newton_operands(draw):
+    # (a, r): a of weight <= 3 with Fraction values and a constant term
+    # or not, or c p_2 - c^2 p_1^2, whose h_2 has its p_(2,2) terms
+    # cancel; r <= 6
+    a = draw(st.one_of(
+        st.dictionaries(st.integers(1, 3).flatmap(shapes_of), class_values,
+                        min_size=1, max_size=4),
+        st.builds(lambda c: {(2,): 2 * c, (1, 1): -2 * c * c}, class_values)))
+    if draw(st.booleans()):
+        a[()] = draw(class_values)
+    return a, draw(st.integers(0, 6))
+
+
+@derandomized
+@given(newton_operands())
+def test_newton_recurrence_is_the_h_plethysm(operands):
+    a, r = operands
+    hr = dict.fromkeys(map(tuple, partitions_of(r)), 1)
+    assert _h_of(a, r) == _pleth_p(hr, a)
+
+
+@derandomized
+@given(newton_operands(),
+       st.lists(st.integers(1, 6).flatmap(shapes_of).filter(
+           lambda lam: len(lam) <= 3), min_size=1, max_size=2))
+def test_newton_recurrence_in_a_finite_alphabet(operands, shapes):
+    a, r = operands
+    alphabet = _Alphabet(shapes)
+    hr = dict.fromkeys(map(tuple, partitions_of(r)), 1)
+    assert _h_of(alphabet.evaluate(a), r, alphabet) == \
+        alphabet.evaluate(_pleth_p(hr, a))
