@@ -225,6 +225,8 @@ class _Alphabet:
     with products, with x -> x^j and with exact division.
     """
 
+    unpack = staticmethod(lambda f: f)  # keys are exponent tuples already
+
     def __init__(self, shapes):
         length = max(len(lam) for lam in shapes)
         self.rows = [tuple(lam) + (0,) * (length - len(lam)) for lam in shapes]

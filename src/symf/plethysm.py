@@ -20,18 +20,23 @@ default because p_lam[F] is a cheap substitution while s_lam[F] expands
 through the character table.
 
 Each algorithm is written once, over a ring of dicts with `one`,
-`mul(a, b, out=None)` (a*b, added into out if given) and `substitute`
-(f, j -> p_j[f]): f[g] in _pleth_p, h_r[f] by Newton's recurrence in
-_h_of, the p_lam[f] pairings in _pairings.  The rings are _PBasis, on
-class function values, and invariants._Alphabet, on polynomials.
+`mul(a, b, out=None)` (a*b, added into out if given), `substitute`
+(f, j -> p_j[f]) and `unpack` (a result keyed as callers read it):
+f[g] in _pleth_p, h_r[f] by Newton's recurrence in _h_of, the p_lam[f]
+pairings in _pairings.  The rings are _PBasis, on class function values
+keyed by packed partitions that unpack to part tuples, and
+invariants._Alphabet, on polynomials keyed by exponent tuples.
 """
 
 from .errors import DegreeError, ResourceLimitError, TruncationError
 from .partitions import partitions_of
-from .symfunc import (SymFn, generator, one, zero, _add_into, _div, _mul_p,
-                      _p_dict, _p_symfn, _scalar_p, _scaled, _schur_p)
+from .symfunc import (SymFn, generator, one, zero, _add_into,
+                      _check_multiplicity, _div, _multiplicity, _mul_p,
+                      _p_dict, _p_symfn, _pack, _scalar_p, _scaled, _schur_p,
+                      _unpacked)
 
 # Largest degree deg f * deg g of a plethysm f[g]: p(40) = 37,338 terms.
+# Below symfunc._KEY_LIMIT, so no packed key of a plethysm can spill.
 _PLETHYSM_DEGREE_CAP = 40
 
 
@@ -55,9 +60,11 @@ def _p_powers(g, partitions, ring):
 
 
 class _PBasis:
-    """Class function values, products truncated above cap if given."""
+    """Class function values on packed keys (symfunc._mul_p), products
+    truncated above cap if given."""
 
-    one = {(): 1}
+    one = {0: 1}
+    unpack = staticmethod(_unpacked)
 
     def __init__(self, cap=None):
         self.cap = cap
@@ -68,8 +75,8 @@ class _PBasis:
 
     @staticmethod
     def substitute(f, j):
-        # p_j[f]: every part times j, and z_(j mu) = j^len(mu) z_mu
-        return {tuple(a * j for a in mu): c * j ** len(mu)
+        # p_j[f], packed: every part times j, and z_(j mu) = j^len(mu) z_mu
+        return {_pack(a * j for a in mu): c * j ** len(mu)
                 for mu, c in f.items()}
 
 
@@ -80,7 +87,7 @@ def _pleth_p(fp, g, ring=_PBasis()):
     out = {}
     for mu, prod in _p_powers(g, sorted(fp), ring):
         _add_into(out, prod, weights[mu])
-    return {nu: _div(c, n) for nu, c in out.items()}
+    return ring.unpack({nu: _div(c, n) for nu, c in out.items()})
 
 
 def _h_of(f, r, ring=_PBasis()):
@@ -93,12 +100,12 @@ def _h_of(f, r, ring=_PBasis()):
         for j in range(1, n + 1):
             ring.mul(subs[j], hs[n - j], acc)
         hs.append({e: _div(c, n) for e, c in acc.items() if c})
-    return hs[r]
+    return ring.unpack(hs[r])
 
 
 def _pairings(f, r, pair, ring=_PBasis()):
     # the p-basis SymFn with class function value pair(p_lam[f]) at lam |- r
-    return _p_symfn({lam: pair(prod)
+    return _p_symfn({lam: pair(ring.unpack(prod))
                      for lam, prod in _p_powers(f, partitions_of(r), ring)})
 
 
@@ -198,6 +205,9 @@ def plethysm_series(F, G, cap):
     for d in range(cap + 1):
         ftot.update(_p_dict(F.component(d)))
         gtot.update(_p_dict(G.component(d)))
+    # p_mu[g] multiplies len(mu) substitutions into g, truncated at cap
+    _check_multiplicity(min(cap, max(map(len, ftot), default=0)
+                            * _multiplicity(gtot)))
     split = {}
     for mu, c in _pleth_p(ftot, gtot, _PBasis(cap)).items():
         split.setdefault(sum(mu), {})[mu] = c
@@ -235,6 +245,8 @@ def fundamental(F, G, r, mode="p"):
             "G must be homogeneous of degree r*deg(F) = %d, found degrees %s"
             % (r * k, sorted({sum(mu) for mu in gp})))
 
+    # p_lam[F] for lam |- r multiplies at most r substitutions into F
+    _check_multiplicity(r * _multiplicity(fp))
     if mode == "p":
         # <p_lam[F], G> is the value at lam; zeros drop out in SymFn
         return _pairings(fp, r, lambda prod: _scalar_p(prod, gp))

@@ -29,6 +29,15 @@ solved for a by one back substitution per degree; no inverse is ever
 formed.  e goes through omega in both directions: e inputs expand as h
 and are flipped, and e targets flip f before solving for h coefficients.
 
+The multiply _mul_p keys by packed partitions, m_i in bits 7(i-1) to
+7i-1 of one int, so a union of partitions is + and a table filled as
+keys appear gives each key's weight, z and parts.  Packed keys stay
+inside _mul_p and plethysm's p-basis ring, SymFn.__mul__ and _prod_h_p
+pack around it, and the rest (SymFn, _p_dict, _scalar_p, to_basis,
+_chi, _p_to_m) keys by part tuples.  Where tuples are packed, a product
+that could repeat a part 128 times, and so spill into the next field,
+is refused first.
+
 For Schur indices of weight above the character table cap the base
 change falls back on the Jacobi-Trudi determinant det(h_{lam_i - i + j}),
 expanded over permutations; that keeps things like s_(18,18) cheap where
@@ -58,6 +67,11 @@ _INEXACT = (float, complex, Decimal)
 # and e targets and m inputs.  The m target only multiplies by R and is
 # not capped.
 _M_MATRIX_CAP = 16
+
+# Bits per part multiplicity in a packed key: a product that repeats a
+# part 128 times is refused, far above every documented command.
+_KEY_BITS = 7
+_KEY_LIMIT = 1 << _KEY_BITS
 
 
 class SymFn:
@@ -156,7 +170,9 @@ class SymFn:
             c = Fraction(other)
             return SymFn(self.basis, {mu: c * v for mu, v in self.terms.items()})
         if isinstance(other, SymFn):
-            return _p_symfn(_mul_p(_p_dict(self), _p_dict(other)))
+            a, b = _p_dict(self), _p_dict(other)
+            _check_multiplicity(_multiplicity(a) + _multiplicity(b))
+            return _p_symfn(_unpacked(_mul_p(_packed(a), _packed(b))))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -255,9 +271,10 @@ def s(*parts):
 # class function kernel
 # ---------------------------------------------------------------------
 #
-# The kernel works on plain dicts mapping part tuples to class function
-# values a_mu.  Partition subclasses tuple, so the two key types
-# interoperate; SymFn construction restores Partition keys at the boundary.
+# The kernel works on plain dicts mapping part tuples, or packed keys in
+# and out of _mul_p, to class function values a_mu.  Partition subclasses
+# tuple, so the two tuple types interoperate; SymFn construction restores
+# Partition keys at the boundary.
 
 def _div(v, n):
     # v / n, exact: an int when n divides v
@@ -296,26 +313,74 @@ def _add_into(out, terms, c=1):
     return out
 
 
+class _KeyTable(dict):
+    """(weight, z_mu, mu) of each packed key mu, filled the first time the
+    key is read, so it holds only the partitions the kernel has met."""
+
+    def __missing__(self, key):
+        parts, z, i, rest = [], 1, 1, key
+        while rest:
+            m = rest & (_KEY_LIMIT - 1)
+            parts += [i] * m
+            z *= i ** m * math.factorial(m)
+            rest >>= _KEY_BITS
+            i += 1
+        row = self[key] = (sum(parts), z, tuple(parts[::-1]))
+        return row
+
+
+_KEYS = _KeyTable()
+
+
+def _pack(mu):
+    # one unit in the field of each part a: m_i lands in field i
+    return sum([1 << _KEY_BITS * (a - 1) for a in mu])
+
+
+def _packed(a):
+    return {_pack(mu): v for mu, v in a.items()}
+
+
+def _unpacked(a):
+    return {_KEYS[k][2]: v for k, v in a.items()}
+
+
+def _multiplicity(a):
+    # the largest part multiplicity among the part tuples keying a
+    return max((max(map(mu.count, mu)) for mu in a if mu), default=0)
+
+
+def _check_multiplicity(m):
+    # refused before packing: m repeats of a part would spill into the
+    # next field of a packed key
+    if m >= _KEY_LIMIT:
+        raise ResourceLimitError("a part repeated %d times is beyond the "
+                                 "cap %d" % (m, _KEY_LIMIT - 1))
+
+
 def _mul_p(a, b, cap=None):
-    # a_(mu+nu) += a_mu b_nu z_(mu+nu) / (z_mu z_nu), an integer.  Under a
-    # cap, each term of the shorter side meets only the other side's terms
-    # of weight at most cap minus its own, in their order, so no pair above
-    # the cap is formed; those terms are listed once per room.
-    a, b = sorted((a, b), key=len)
+    # a_(mu+nu) += a_mu b_nu z_(mu+nu) / (z_mu z_nu), an integer, on packed
+    # keys whose unions repeat no part _KEY_LIMIT times, which callers
+    # check before packing.  Under a cap, each term of the shorter side
+    # meets only the other side's terms of weight at most cap minus its
+    # own, in their order, so no pair above the cap is formed; those
+    # terms are listed once per room.
+    if len(a) > len(b):
+        a, b = b, a
+    keys = _KEYS
     rests = {}
     out = {}
     for mu, c in a.items():
-        room = None if cap is None else cap - sum(mu)
-        if room not in rests:
-            rests[room] = [(nu, d, z_of(nu)) for nu, d in b.items()
-                           if room is None or sum(nu) <= room]
-        rest = rests[room]
-        if not rest:
-            continue
-        zmu = z_of(mu)
+        w, zmu, _ = keys[mu]
+        room = None if cap is None else cap - w
+        rest = rests.get(room)
+        if rest is None:
+            rest = rests[room] = [(nu, d, z) for nu, d in b.items()
+                                  for wnu, z, _ in (keys[nu],)
+                                  if room is None or wnu <= room]
         for nu, d, znu in rest:
-            key = tuple(sorted(mu + nu, reverse=True))
-            val = out.get(key, 0) + c * d * (z_of(key) // (zmu * znu))
+            key = mu + nu
+            val = out.get(key, 0) + c * d * (keys[key][1] // (zmu * znu))
             if val:
                 out[key] = val
             elif key in out:
@@ -325,11 +390,13 @@ def _mul_p(a, b, cap=None):
 
 @lru_cache(maxsize=None)
 def _prod_h_p(mu):
-    # h_mu = product of the trivial characters h_{mu_i}.
+    # h_mu = product of the trivial characters h_{mu_i}, multiplied packed;
+    # its value at (1^|mu|) is positive, so |mu| is its top multiplicity.
     if not mu:
         return {(): 1}
-    ones = dict.fromkeys(map(tuple, partitions_of(mu[-1])), 1)
-    return _mul_p(_prod_h_p(mu[:-1]), ones)
+    _check_multiplicity(sum(mu))
+    ones = dict.fromkeys(map(_pack, partitions_of(mu[-1])), 1)
+    return _unpacked(_mul_p(_packed(_prod_h_p(mu[:-1])), ones))
 
 
 @lru_cache(maxsize=None)

@@ -335,6 +335,7 @@ FAILURES = [
     (3, ["regular", "--n", "3", "--k", "3", "--cycle-index"]),
     (4, ["table", "--r", "21"]),
     (4, ["eval", "p21"]),
+    (4, ["eval", "p[%s]*p1" % ",".join("1" * 127), "--basis", "p"]),
 ]
 
 

@@ -1,4 +1,5 @@
-"""Every name a module under src/symf imports is used in that module.
+"""Every name a module under src/symf imports is used in that module,
+and every module parses at the oldest Python pyproject.toml declares.
 
 A name counts as used when it is read anywhere in the module, or listed
 in its __all__ (the package re-exports its API that way).  The check is
@@ -7,11 +8,13 @@ orphaned.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "symf"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "symf"
 
 
 def _unused_imports(tree):
@@ -47,3 +50,23 @@ def test_the_check_finds_an_orphaned_import():
                      "import os.path\n"
                      "__all__ = ['gcd']\n")
     assert _unused_imports(tree) == [(1, "prod"), (2, "os")]
+
+
+def _python_floor():
+    # (major, minor) from requires-python = ">=X.Y", its one source
+    text = (ROOT / "pyproject.toml").read_text()
+    found = re.search(r'^requires-python\s*=\s*">=(\d+)\.(\d+)"', text, re.M)
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_parses_at_the_python_floor(path):
+    ast.parse(path.read_text(), str(path), feature_version=_python_floor())
+
+
+def test_the_floor_check_refuses_newer_grammar():
+    # except* is Python 3.11 grammar
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))

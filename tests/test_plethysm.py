@@ -5,12 +5,11 @@ from fractions import Fraction
 
 from symf.errors import DegreeError, ResourceLimitError, TruncationError
 from symf.oracles import oracle_plethysm_schur
-from symf.partitions import z_of
 from symf.plethysm import (GradedSeries, fundamental, h_plus_series,
                            h_sum_series, plethysm, plethysm_series)
 from symf.selftest import check_fundamental_forms
-from symf.symfunc import (SymFn, _mul_p, e, h, m, one, p, s, scalar, to_basis,
-                          zero)
+from symf.symfunc import (SymFn, _KEYS, _mul_p, e, h, m, one, p, s, scalar,
+                          to_basis, zero)
 
 
 def test_power_sum_substitution_rule():
@@ -145,18 +144,28 @@ def _series_cases():
 
 
 def test_series_plethysm_forms_no_product_above_the_cap(monkeypatch):
-    # every pair the multiply forms looks up z of its union, so no key
-    # looked up may weigh more than the cap
-    weights = []
+    # the multiply forms each pair's key as mu + nu, so operand keys that
+    # record the weight of every union see each pair formed, including a
+    # term met with the empty partition, whose key is the term's own
+    symfunc = sys.modules["symf.symfunc"]
+    table = symfunc._KeyTable()
+    formed = []
 
-    def spy(mu):
-        weights.append(sum(mu))
-        return z_of(mu)
-    monkeypatch.setattr(sys.modules["symf.symfunc"], "z_of", spy)
+    class Key(int):
+        def __add__(self, other):
+            union = int(self) + other
+            formed.append(table[union][0])
+            return union
+
+    def spied(a, b, cap=None):
+        return _mul_p({Key(k): v for k, v in a.items()},
+                      {Key(k): v for k, v in b.items()}, cap)
+    monkeypatch.setattr(symfunc, "_KEYS", table)
+    monkeypatch.setattr(sys.modules["symf.plethysm"], "_mul_p", spied)
     for F, G, cap in _series_cases():
-        weights.clear()
+        formed.clear()
         plethysm_series(F, G, cap)
-        assert weights and max(weights) <= cap
+        assert formed and max(formed) <= cap
 
 
 def test_series_plethysm_keeps_term_order(monkeypatch):
@@ -167,7 +176,7 @@ def test_series_plethysm_keeps_term_order(monkeypatch):
 
     def filtered(a, b, cap=None):
         return {nu: c for nu, c in _mul_p(a, b).items()
-                if cap is None or sum(nu) <= cap}
+                if cap is None or _KEYS[nu][0] <= cap}
     monkeypatch.setattr(module, "_mul_p", filtered)
     full = [plethysm_series(F, G, cap) for F, G, cap in _series_cases()]
     for got, want in zip(capped, full):

@@ -9,7 +9,7 @@ identity and omega, and fundamental() agrees in p and s mode.  Plethysm
 is linear and multiplicative in its left argument, and p_n[g]
 substitutes p_k -> p_nk in g.  The kernel product with a degree cap is
 the full product with the terms above the cap dropped, in the same
-order.  Newton's recurrence builds h_r[a] equal to the plethysm of h_r
+order, and both match the tuple-keyed reference in test_kernel.py.  Newton's recurrence builds h_r[a] equal to the plethysm of h_r
 with a, both on class function values and in a finite alphabet.
 """
 
@@ -23,8 +23,9 @@ from hypothesis import assume, given, settings, strategies as st
 from symf.partitions import partitions_of
 from symf.invariants import _Alphabet
 from symf.plethysm import _h_of, _pleth_p, fundamental, plethysm
-from symf.symfunc import (BASES, SymFn, _mul_p, e, h, kronecker, m, one, p,
-                          scalar, to_basis)
+from symf.symfunc import (BASES, SymFn, e, h, kronecker, m, one, p, scalar,
+                          to_basis)
+from test_kernel import _reference_mul, mul
 
 derandomized = settings(derandomize=True, database=None, deadline=None,
                         max_examples=40)
@@ -174,7 +175,7 @@ def cancelling_factors(draw):
     # moving that term by -(a*b)_k / a0 sends (a*b)_k to zero
     a, b = draw(class_functions), draw(class_functions)
     a[()] = draw(class_values)
-    full = _mul_p(a, b)
+    full = mul(a, b)
     if full:
         k = draw(st.sampled_from(list(full)))
         b[k] = b.get(k, 0) - Fraction(full[k]) / a[()]
@@ -186,12 +187,15 @@ def cancelling_factors(draw):
 @derandomized
 @given(cancelling_factors())
 def test_capped_product_is_the_truncated_product(factors):
-    # caps below, inside and above the product's degrees 0..15
+    # caps below, inside and above the product's degrees 0..15, each
+    # product also equal, in value and order, to the tuple-keyed reference
     a, b = factors
-    full = _mul_p(a, b)
+    full = mul(a, b)
+    assert list(full.items()) == list(_reference_mul(a, b).items())
     for cap in range(-1, 17):
-        assert list(_mul_p(a, b, cap).items()) == \
-            [(k, v) for k, v in full.items() if sum(k) <= cap]
+        got = list(mul(a, b, cap).items())
+        assert got == [(k, v) for k, v in full.items() if sum(k) <= cap]
+        assert got == list(_reference_mul(a, b, cap).items())
 
 
 @st.composite
