@@ -38,27 +38,26 @@ same construction against an arbitrary graded series of characters.
 For SL(n) and Sp(2n), I_d(V) is a sum of Schur functions s_lam with at
 most n (SL) or 2n (Sp) rows, so hilbert_dim and inv_char_polyfunc in p
 mode read each pairing off a polynomial in L variables, L the longest
-such lam (Macdonald, Symmetric Functions and Hall Polynomials, I.3):
-
-    <f, s_lam> = [x^(lam + delta)] a_delta(x) f(x_1, ..., x_L),
-
-with delta = (L-1, ..., 1, 0) and a_delta the Vandermonde determinant,
+such lam.  Jacobi-Trudi (Macdonald, Symmetric Functions and Hall
+Polynomials, I.3.4) writes s_lam as the sum of sign(sigma) h_alpha,
+alpha_i = lam_i - i + sigma(i) over lam padded to L rows, and h and m
+are dual, so <f, s_lam> sums sign(sigma) [x^alpha] f(x_1, ..., x_L),
 and plethysm becomes substitution, p_j[F](x) = F(x_1^j, ..., x_L^j).
-Polynomials are truncated at B_i = max lam_i + L - 1 - i in variable i,
-and this route is taken only when the box of prod(B_i + 1) monomials is
-no larger than the p(d) terms of a degree-d function in the p basis.
-Otherwise, for the other families, and for mode="s", the inner product
-runs in the p basis, where I_d(V) expands through character values or,
-above weight 20, Jacobi-Trudi.  Both routes build h_r[F] by Newton's
-recurrence and pair p_lam[F] by the same code in plethysm.py, each in
-its own ring; fundamental(F, inv_char(family, r*k), r, "p") is the
-cross-check the tests hold the finite route against.
+Polynomials are truncated at B_i = max lam_i + L - 1 - i in variable i
+(i from 0), the largest alpha_i of any term, and this route is taken
+only when the box of prod(B_i + 1) monomials is no larger than the p(d)
+terms of a degree-d function in the p basis.  Otherwise, for the other
+families, and for mode="s", the inner product runs in the p basis,
+where I_d(V) expands through character values or, above weight 20,
+the same Jacobi-Trudi terms read as h products.  Both routes build
+h_r[F] by Newton's recurrence and pair p_lam[F] by the same code in
+plethysm.py, each in its own ring; fundamental(F, inv_char(family, r*k),
+r, "p") is the cross-check the tests hold the finite route against.
 """
 
 import warnings
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
 from math import prod
 from operator import add, le
 
@@ -68,8 +67,8 @@ from .partitions import Partition, Record, partition_count, partitions_of
 from .plethysm import (_check_degree, _check_mode, _h_of, _pairings,
                        _pleth_p, fundamental, h_plus_series, h_sum_series,
                        plethysm_series)
-from .symfunc import (SymFn, _add_into, _p_dict, _p_symfn, _scalar_p,
-                      _schur_p, scalar, to_basis)
+from .symfunc import (SymFn, _add_into, _jacobi_trudi, _p_dict, _p_symfn,
+                      _scalar_p, _schur_p, scalar, to_basis)
 
 
 class SLnDefining(Record):
@@ -219,8 +218,8 @@ class _Alphabet:
 
     Polynomials are dicts from exponent tuples to int, or to Fraction
     when the functor's own polynomial needs it, truncated above
-    B_i = max lam_i + L - 1 - i in variable i (i from 0).  No
-    coefficient the pairing reads lies above that, and dropping the
+    B_i = max lam_i + L - 1 - i in variable i (i from 0), the largest
+    Jacobi-Trudi exponent alpha_i the pairing reads.  Dropping the
     monomials above it is a quotient by a monomial ideal, so it commutes
     with products, with x -> x^j and with exact division.
     """
@@ -238,18 +237,13 @@ class _Alphabet:
 
     @cached_property
     def weights(self):
-        # a_delta = sum over w in S_L of sign(w) x^w(delta), so <f, s_lam>
-        # sums sign(w) [x^(lam + delta - w(delta))] f over w.  Built on
-        # first use: the routing rule reads only the bounds.
-        delta = tuple(range(len(self.bounds) - 1, -1, -1))
+        # <f, h_alpha> = [x^alpha] f, so Jacobi-Trudi gives <f, s_lam> as
+        # the sum of sign [x^alpha] f over its terms.  Built on first use:
+        # the routing rule reads only the bounds.
         weights = {}
-        for w in permutations(delta):
-            inversions = sum(a < b for i, a in enumerate(w) for b in w[i + 1:])
-            sign = -1 if inversions % 2 else 1
-            for lam in self.rows:
-                e = tuple(a + b - c for a, b, c in zip(lam, delta, w))
-                if min(e, default=0) >= 0:
-                    weights[e] = weights.get(e, 0) + sign
+        for lam in self.rows:
+            for sign, alpha in _jacobi_trudi(lam):
+                weights[alpha] = weights.get(alpha, 0) + sign
         return weights
 
     def mul(self, a, b, out=None):
@@ -320,6 +314,10 @@ def hilbert_dim(family, P, r):
     if alphabet is not None:
         f = alphabet.evaluate(_p_dict(F))
         return Fraction(alphabet.pair(_h_of(f, r, alphabet)))
+    if isinstance(family, (SnPermutation, GLnAdjoint)):
+        # never zero (a restricted Bell number; the GL sum holds lam = (d),
+        # whose Kronecker square is h_d): refuse before building I_d
+        _check_degree(r * F.degree())
     G = inv_char(family, r * F.degree())
     if G.is_zero():
         return Fraction(0)

@@ -39,9 +39,11 @@ that could repeat a part 128 times, and so spill into the next field,
 is refused first.
 
 For Schur indices of weight above the character table cap the base
-change falls back on the Jacobi-Trudi determinant det(h_{lam_i - i + j}),
-expanded over permutations; that keeps things like s_(18,18) cheap where
-a weight-36 character table would not be.
+change falls back on Jacobi-Trudi, det(h_{lam_i - i + j}) expanded over
+permutations by _jacobi_trudi; that keeps things like s_(18,18) cheap
+where a weight-36 character table would not be.  Its signed terms h_alpha
+are read here as h products and by invariants._Alphabet as monomial
+coefficients <f, h_alpha> = [x^alpha] f.
 """
 
 import math
@@ -408,32 +410,31 @@ def _schur_p(lam):
     return _schur_p_jacobi_trudi(lam)
 
 
-def _schur_p_jacobi_trudi(lam):
-    # det(h_{lam_i - i + j}) expanded over permutations.  Fine for short
-    # shapes of large weight, which is the only place it is used.
+def _jacobi_trudi(lam):
+    # s_lam = det(h_{lam_i - i + j}) = sum over sigma of sign(sigma) h_alpha,
+    # alpha_i = lam_i - i + sigma(i): yields (sign, alpha) in permutation
+    # order, skipping the sigma with a negative alpha_i (h_{-k} = 0).
+    from itertools import permutations
     n = len(lam)
-    if n > _JT_LENGTH_CAP:
+    for sigma in permutations(range(n)):
+        alpha = tuple(lam[i] - i + sigma[i] for i in range(n))
+        if min(alpha, default=0) >= 0:
+            inversions = sum(a > b for i, a in enumerate(sigma)
+                             for b in sigma[i + 1:])
+            yield -1 if inversions % 2 else 1, alpha
+
+
+def _schur_p_jacobi_trudi(lam):
+    # Jacobi-Trudi read in the p basis.  Fine for short shapes of large
+    # weight, which is the only place it is used.
+    if len(lam) > _JT_LENGTH_CAP:
         raise ResourceLimitError(
             "Schur index %s: weight beyond the character table cap and "
             "more than %d rows" % (Partition(lam), _JT_LENGTH_CAP))
-    from itertools import permutations
     out = {}
-    for sigma in permutations(range(n)):
-        degrees = []
-        ok = True
-        for i in range(n):
-            d = lam[i] - i + sigma[i]
-            if d < 0:
-                ok = False
-                break
-            if d > 0:
-                degrees.append(d)
-        if not ok:
-            continue
-        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
-                         if sigma[i] > sigma[j])
-        sign = -1 if inversions % 2 else 1
-        _add_into(out, _prod_h_p(tuple(sorted(degrees, reverse=True))), sign)
+    for sign, alpha in _jacobi_trudi(lam):
+        _add_into(out, _prod_h_p(tuple(sorted(filter(None, alpha),
+                                              reverse=True))), sign)
     return out
 
 

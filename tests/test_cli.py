@@ -215,7 +215,12 @@ class TestHilbert:
          "symf: plethysm of degree 42 is beyond the cap 40\n"),
         # no invariants in degree 45: zero comes before the cap
         (["sl", "--n", "2", "--functor", "h1", "--r", "45"], 0, "0\n", ""),
-    ], ids=["sl-45", "sp-42", "sl-zero-45"])
+        # never zero, so refused before the degree-41 series is built
+        (["perm", "--n", "1", "--functor", "h1", "--r", "41"], 4, "",
+         "symf: plethysm of degree 41 is beyond the cap 40\n"),
+        (["gl-adjoint", "--n", "2", "--functor", "h1", "--r", "41"], 4, "",
+         "symf: plethysm of degree 41 is beyond the cap 40\n"),
+    ], ids=["sl-45", "sp-42", "sl-zero-45", "perm-41", "gl-41"])
     def test_plethysm_cap_after_the_zero_test(self, argv, code, out, err):
         t0 = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "symf", "hilbert",

@@ -1,0 +1,82 @@
+"""The Jacobi-Trudi expansion s_lam = det(h_{lam_i - i + j}) that both
+SL/Sp routes read: term order pinned, and the shared expansion held
+against routes that do not go through it.
+
+The pins are sha256 digests of (key, value) lists in insertion order,
+made by test_kernel.py's digest.
+"""
+
+import random
+from itertools import permutations
+
+from symf.invariants import (GLnAdjoint, SLnDefining, Sp2nDefining, _Alphabet,
+                             _target_shapes, inv_char)
+from symf.partitions import partitions_of
+from symf.symfunc import (SymFn, _jacobi_trudi, _schur_p_jacobi_trudi, s,
+                          to_basis)
+from test_kernel import _digest
+
+
+_SCHUR_PINS = {
+    (18, 18): "c0f857c7aa2a0fff", (11, 10): "588995b57b271fa9",
+    (7, 7, 7): "d8b950484e646ec3", (9, 6, 4, 3): "f8127fc18ad3dc17",
+}
+
+
+def test_jacobi_trudi_term_order_is_pinned():
+    got = {lam: _digest(_schur_p_jacobi_trudi(lam).items())
+           for lam in _SCHUR_PINS}
+    assert got == _SCHUR_PINS
+    # two-row shapes of weight 22, above the character table cap
+    G = inv_char(GLnAdjoint(2, stable=False), 22)
+    assert _digest(G.terms.items()) == "35246d94e897cb9f"
+
+
+def test_expansion_matches_the_character_route_in_the_h_basis():
+    # to_basis(s_lam, "h") reads chi^lam and solves the p-to-m system;
+    # it never goes through Jacobi-Trudi
+    for n in range(11):
+        for lam in partitions_of(n):
+            if len(lam) > 8:
+                continue
+            terms = {}
+            for sign, alpha in _jacobi_trudi(tuple(lam)):
+                mu = tuple(sorted(filter(None, alpha), reverse=True))
+                terms[mu] = terms.get(mu, 0) + sign
+            assert SymFn("h", terms) == to_basis(s(*lam), "h"), lam
+
+
+def _a_delta_weights(shapes):
+    # the pairing with sum of s_lam read off the Vandermonde: a_delta =
+    # sum over w in S_L of sign(w) x^w(delta), so <f, s_lam> sums sign(w)
+    # [x^(lam + delta - w(delta))] f over w
+    length = max(len(lam) for lam in shapes)
+    rows = [tuple(lam) + (0,) * (length - len(lam)) for lam in shapes]
+    delta = tuple(range(length - 1, -1, -1))
+    weights = {}
+    for w in permutations(delta):
+        inversions = sum(a < b for i, a in enumerate(w) for b in w[i + 1:])
+        sign = -1 if inversions % 2 else 1
+        for lam in rows:
+            e = tuple(a + b - c for a, b, c in zip(lam, delta, w))
+            if min(e, default=0) >= 0:
+                weights[e] = weights.get(e, 0) + sign
+    return weights
+
+
+def _random_shape_sets(count, seed=14):
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(1, 16)
+        shapes = [lam for lam in partitions_of(d) if len(lam) <= 5]
+        yield rng.sample(shapes, rng.randint(1, min(4, len(shapes))))
+
+
+def test_alphabet_weights_match_the_vandermonde_expansion():
+    # SL(n <= 5) and Sp(2n <= 6) up to degree 24, and random shape sets
+    families = ([SLnDefining(n) for n in range(1, 6)]
+                + [Sp2nDefining(n) for n in range(1, 4)])
+    sets = [_target_shapes(family, d) for family in families
+            for d in range(25)]
+    for shapes in filter(None, sets + list(_random_shape_sets(100))):
+        assert _Alphabet(shapes).weights == _a_delta_weights(shapes), shapes
