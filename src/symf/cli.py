@@ -81,9 +81,9 @@ def _functor_from(args):
 def _cmd_inv(args):
     family = _family(args)
     if args.functor is None:
-        if isinstance(family, SnPermutation):
-            # nonzero in every degree, so r alone decides the refusal,
-            # before the series is built
+        if isinstance(family, (SnPermutation, GLnAdjoint)):
+            # nonzero in every degree (GL(n) has h_r from lam = (r)), so
+            # r alone decides the refusal, before the character is built
             _target_cap(args.basis, [args.r])
         out = inv_char(family, args.r)
     else:

@@ -1,32 +1,30 @@
-"""Classical counting problems done with plethysm and inner products.
+"""Classical counting problems, each read off its cycle index.
 
-Card deals: the number of ways to deal m*n cards of n distinct types, m
-of each, into n unordered hands of m cards is
+Card deals: m*n cards of n distinct types, m of each, dealt into n
+unordered hands of m cards.  Writing a deal as the n x n matrix whose
+(i, j) entry counts cards of type j in hand i (entries 0..m, all row and
+column sums m), the deals are the orbits of S_n permuting rows, and the
+cycle index of that action is the inner product construction
+<h_n[X.h_m[Y]], h_m^n[Y]>_Y.  Deals are refused above m*n = 40, the
+plethysm cap, in both forms.
 
-    f(m, n) = <h_n[h_m], h_m^n>.
+Regular graphs: k-regular multigraphs with loops on n vertices (a loop
+adds 2 to its vertex's valency).  The cycle index of S_n on labelled
+graphs is <h_n[X.h_k[Y]], h_{nk/2}[h_2][Y]>_Y; odd n*k admits no graph,
+and for k = 0 the only graph is empty: the count is 1, read without
+expanding h_n over p(n) partitions, and the cycle index is h_n.
 
-Writing a deal as the n x n matrix whose (i, j) entry counts cards of
-type j in hand i (entries 0..m, all row and column sums m), f(m, n) is
-the number of orbits of S_n permuting rows, and the full cycle index of
-that row permutation action is the inner product construction
-<h_n[X.h_m[Y]], h_m^n[Y]>_Y; setting every p_i = 1 recovers the count.
-
-Regular graphs: the number of k-regular multigraphs with loops on n
-unlabelled vertices (a loop adds 2 to its vertex's valency) is
-
-    <h_n[h_k], h_{nk/2}[h_2]>,
-
-zero when n*k is odd, and the cycle index of the action on labelled
-graphs replaces h_n by the outer alphabet the same way.  For k = 0 the
-only graph is empty and the cycle index is h_n itself.
+Each count is its cycle index at p_i = 1 (Burnside).  The scalar
+formulas <h_n[h_m], h_m^n> and <h_n[h_k], h_{nk/2}[h_2]> give the same
+numbers by another route; selftest holds the counts against them.
 """
 
 from fractions import Fraction
 
 from .errors import DegreeError
 from .partitions import Record
-from .plethysm import fundamental, plethysm
-from .symfunc import generator, scalar
+from .plethysm import _check_degree, fundamental, plethysm
+from .symfunc import generator, specialize_ones
 
 
 class DealSpec(Record):
@@ -49,26 +47,23 @@ class RegularGraphSpec(Record):
 
 def card_deals(spec):
     """Number of deals, exact."""
-    hm = generator("h", (spec.m,))
-    hn = generator("h", (spec.n,))
-    return scalar(plethysm(hn, hm), hm ** spec.n)
+    return specialize_ones(deals_cycle_index(spec))
 
 
 def deals_cycle_index(spec):
     """Cycle index (Frobenius character) of S_n permuting hands."""
-    hm = generator("h", (spec.m,))
-    return fundamental(hm, hm ** spec.n, spec.n)
+    _check_degree(spec.m * spec.n)
+    m, n = spec.m, spec.n
+    return fundamental(generator("h", (m,)), generator("h", (m,) * n), n)
 
 
 def regular_graphs(spec):
     """Number of k-regular multigraphs with loops on n unlabelled vertices."""
-    n, k = spec.n, spec.k
-    if (n * k) % 2:
+    if (spec.n * spec.k) % 2:
         return Fraction(0)
-    if k == 0:
+    if spec.k == 0:
         return Fraction(1)
-    edges = plethysm(generator("h", (n * k // 2,)), generator("h", (2,)))
-    return scalar(plethysm(generator("h", (n,)), generator("h", (k,))), edges)
+    return specialize_ones(regular_graphs_cycle_index(spec))
 
 
 def regular_graphs_cycle_index(spec):

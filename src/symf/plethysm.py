@@ -73,11 +73,12 @@ class _PBasis:
         prod = _mul_p(a, b, self.cap)
         return prod if out is None else _add_into(out, prod)
 
-    @staticmethod
-    def substitute(f, j):
-        # p_j[f], packed: every part times j, and z_(j mu) = j^len(mu) z_mu
+    def substitute(self, f, j):
+        # p_j[f], packed: every part times j, and z_(j mu) = j^len(mu) z_mu;
+        # a term above the cap could only enter products above it
+        cap = self.cap
         return {_pack(a * j for a in mu): c * j ** len(mu)
-                for mu, c in f.items()}
+                for mu, c in f.items() if cap is None or j * sum(mu) <= cap}
 
 
 def _pleth_p(fp, g, ring=_PBasis()):

@@ -238,10 +238,10 @@ def check_hilbert_crosschecks(max_k, max_r, max_degree):
 
 def check_card_deals(max_n, max_cards):
     """Deals of m*n <= max_cards cards (at most 14, the enumeration
-    oracle's cap) of n <= max_n types: the count against direct
-    enumeration and against its cycle index at p_i = 1; where n <= 5 and
-    m*n <= 12, the count and the cycle index against the orbits of deal
-    matrices as well."""
+    oracle's cap) of n <= max_n types: the count, read off the cycle
+    index, against direct enumeration and against the scalar formula
+    <h_n[h_m], h_m^n>; where n <= 5 and m*n <= 12, the count and the
+    cycle index against the orbits of deal matrices as well."""
     _check(card_deals(DealSpec(2, 2)) == 2, "count m=2 n=2 is 2")
     _check(card_deals(DealSpec(2, 3)) == 5, "count m=2 n=3 is 5")
     for n in range(1, max_n + 1):
@@ -250,8 +250,8 @@ def check_card_deals(max_n, max_cards):
             count = card_deals(spec)
             index = deals_cycle_index(spec)
             _check(count == oracle_deals(m, n), "count m=%d n=%d" % (m, n))
-            _check(specialize_ones(index) == count,
-                   "index at ones m=%d n=%d" % (m, n))
+            _check(scalar(plethysm(h(n), h(m)), h(*[m] * n)) == count,
+                   "scalar formula m=%d n=%d" % (m, n))
             if n <= 5 and m * n <= 12:
                 _check(count == oracle_deals_matrix_count(m, n),
                        "matrix count m=%d n=%d" % (m, n))
@@ -262,9 +262,10 @@ def check_card_deals(max_n, max_cards):
 def check_regular_graphs(max_n, max_k, max_degree):
     """k-regular multigraphs on n vertices for n <= max_n (at most 5)
     and k <= max_k (at most 6), the orbit oracle's caps, with
-    n*k <= max_degree: the count against the oracle and, for even n*k,
-    the cycle index against the oracle and at p_i = 1 against the
-    count."""
+    n*k <= max_degree: the count, read off the cycle index, against the
+    oracle and, for even n*k, the cycle index against the oracle and,
+    for k >= 1, the count against the scalar formula
+    <h_n[h_k], h_{nk/2}[h_2]>."""
     _check(regular_graphs(RegularGraphSpec(3, 2)) == 3, "count n=3 k=2 is 3")
     for n in range(1, max_n + 1):
         for k in range(min(max_k, max_degree // n) + 1):
@@ -273,11 +274,13 @@ def check_regular_graphs(max_n, max_k, max_degree):
             _check(count == oracle_regular_graphs(n, k),
                    "count n=%d k=%d" % (n, k))
             if (n * k) % 2 == 0:
-                index = regular_graphs_cycle_index(spec)
-                _check(specialize_ones(index) == count,
-                       "index at ones n=%d k=%d" % (n, k))
-                _check(index == oracle_regular_cycle_index(n, k),
+                _check(regular_graphs_cycle_index(spec)
+                       == oracle_regular_cycle_index(n, k),
                        "cycle index n=%d k=%d" % (n, k))
+                if k:
+                    edges = plethysm(h(n * k // 2), h(2))
+                    _check(scalar(plethysm(h(n), h(k)), edges) == count,
+                           "scalar formula n=%d k=%d" % (n, k))
 
 
 # name, check, and the check's bounds at selftest degree d (4 <= d <= 12)

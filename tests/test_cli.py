@@ -8,6 +8,7 @@ stderr.
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -93,6 +94,24 @@ SL2_SEXTICS_R6 = (
     "3*s[6] + s[5,1] + 6*s[4,2] + s[4,1,1] + 3*s[3,2,1] + 3*s[3,1,1,1] "
     "+ 4*s[2,2,2] + s[2,1,1,1,1]\n"
 )
+
+
+def _readme_examples():
+    # (argv, shown stdout) for each `$ symf ...` line with output under
+    # it in README's Command line block
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ symf "):
+            examples.append((shlex.split(line[len("$ symf "):]), []))
+        elif examples:
+            examples[-1][1].append(line)
+    return [(argv, "\n".join(shown) + "\n") for argv, shown in examples
+            if shown]
+
+
+README_EXAMPLES = _readme_examples()
 
 
 def run(capsys, *argv):
@@ -256,6 +275,17 @@ class TestRegular:
         code, out, err = run(capsys, "regular", "--n", "3", "--k", "3")
         assert (code, out) == (0, "0\n")
 
+    def test_empty_graph_counts_one_at_once(self):
+        # no valency leaves the empty graph, for any n; reading h_100 at
+        # p_i = 1 would run over p(100) partitions
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "symf", "regular",
+                               "--n", "100", "--k", "0"],
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - t0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+        assert elapsed < 2.0, elapsed
+
 
 class TestTable:
     def test_r3_layout(self, capsys):
@@ -387,6 +417,28 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", stderr)
         assert elapsed < 2.0, elapsed
 
+    @pytest.mark.parametrize("argv,stderr", [
+        (["inv", "--family", "gl-adjoint", "--n", "4", "--r", "24",
+          "--basis", "h"],
+         "symf: monomial basis transitions are capped at degree 16, got 24\n"),
+        (["inv", "--family", "gl-adjoint", "--n", "4", "--r", "26",
+          "--basis", "h"],
+         "symf: monomial basis transitions are capped at degree 16, got 26\n"),
+        (["deals", "--m", "10", "--n", "10", "--cycle-index"],
+         "symf: plethysm of degree 100 is beyond the cap 40\n"),
+    ], ids=["gl-adjoint-24", "gl-adjoint-26", "deals-cycle-index"])
+    def test_refused_from_the_arguments(self, argv, stderr):
+        # GL(n)'s I_r holds h_r, so r alone decides the target's cap;
+        # building I_r first took 1.6 s at r = 24 and 3.4 s at r = 26.
+        # The deal cycle index is refused at m*n > 40 as the count is;
+        # forming h_10^10 first ran for more than 30 s.
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "symf"] + argv,
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - t0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", stderr)
+        assert elapsed < 2.0, elapsed
+
 
 class TestDeterminism:
     def test_repeated_runs_identical(self, capsys):
@@ -396,6 +448,25 @@ class TestDeterminism:
         third = run(capsys, "eval", "h3[e2]", "--basis", "m")
         fourth = run(capsys, "eval", "h3[e2]", "--basis", "m")
         assert third == fourth
+
+
+class TestReadme:
+    def test_examples_are_found(self):
+        assert len(README_EXAMPLES) == 8
+
+    @pytest.mark.parametrize("argv,shown", README_EXAMPLES,
+                             ids=[" ".join(a) for a, _ in README_EXAMPLES])
+    def test_example_prints_what_readme_shows(self, tmp_path, argv, shown):
+        # as a user would run it: a fresh process and its own cache; an
+        # example shortened with ... is compared up to the dots
+        env = dict(os.environ, SYMF_CACHE_DIR=str(tmp_path / "cache"))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "symf"] + argv, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        head, dots, _ = shown.partition("...")
+        assert (proc.stdout[:len(head)] if dots else proc.stdout) == head
 
 
 class TestPackaging:

@@ -1,14 +1,17 @@
-import pytest
+import sys
 from fractions import Fraction
+
+import pytest
 
 from symf.enumeration import (DealSpec, RegularGraphSpec, card_deals,
                               deals_cycle_index, regular_graphs,
                               regular_graphs_cycle_index)
-from symf.errors import DegreeError
+from symf.errors import DegreeError, ResourceLimitError
 from symf.oracles import (oracle_deals, oracle_deals_cycle_index,
                           oracle_deals_matrix_count, oracle_regular_graphs,
                           oracle_regular_cycle_index)
-from symf.symfunc import SymFn, h, p, specialize_ones
+from symf.plethysm import plethysm
+from symf.symfunc import SymFn, h, p, scalar
 
 
 def test_spec_validation():
@@ -52,7 +55,10 @@ def test_deal_cycle_index():
                 continue
             spec = DealSpec(m, n)
             index = deals_cycle_index(spec)
-            assert specialize_ones(index) == card_deals(spec)
+            # the count is the index at p_i = 1; the scalar formula is
+            # the independent route to it
+            assert scalar(plethysm(h(n), h(m)), h(m) ** n) == \
+                card_deals(spec)
             assert index == oracle_deals_cycle_index(m, n)
 
 
@@ -69,6 +75,8 @@ def test_regular_graph_edge_cases():
     assert regular_graphs(RegularGraphSpec(3, 3)) == 0
     assert regular_graphs(RegularGraphSpec(5, 1)) == 0
     assert regular_graphs(RegularGraphSpec(4, 0)) == 1
+    # h_200 at p_i = 1 would run over p(200) partitions
+    assert regular_graphs(RegularGraphSpec(200, 0)) == 1
     assert regular_graphs(RegularGraphSpec(1, 2)) == 1  # a single loop
     assert regular_graphs(RegularGraphSpec(2, 1)) == 1
 
@@ -83,8 +91,28 @@ def test_regular_graph_cycle_index():
                 continue
             spec = RegularGraphSpec(n, k)
             index = regular_graphs_cycle_index(spec)
-            assert specialize_ones(index) == regular_graphs(spec)
+            if k:
+                edges = plethysm(h(n * k // 2), h(2))
+                assert scalar(plethysm(h(n), h(k)), edges) == \
+                    regular_graphs(spec)
             assert index == oracle_regular_cycle_index(n, k)
     assert regular_graphs_cycle_index(RegularGraphSpec(4, 0)) == h(4)
     with pytest.raises(DegreeError):
         regular_graphs_cycle_index(RegularGraphSpec(3, 3))
+
+
+def test_deals_are_refused_above_the_plethysm_cap(monkeypatch):
+    # m*n = 42 and 100 are refused before h_m^n or the cycle index is
+    # formed, in both forms, with the message the scalar route gave
+    def unreachable(*args):
+        raise AssertionError("expanded past the cap")
+    enumeration = sys.modules["symf.enumeration"]
+    monkeypatch.setattr(enumeration, "fundamental", unreachable)
+    monkeypatch.setattr(enumeration, "generator", unreachable)
+    monkeypatch.setattr(SymFn, "__pow__", unreachable)
+    with pytest.raises(ResourceLimitError,
+                       match="^plethysm of degree 42 is beyond the cap 40$"):
+        deals_cycle_index(DealSpec(7, 6))
+    with pytest.raises(ResourceLimitError,
+                       match="^plethysm of degree 100 is beyond the cap 40$"):
+        card_deals(DealSpec(10, 10))
