@@ -6,7 +6,9 @@ numbers): removing a border strip of size t from lambda means picking a
 beta number b with b - t >= 0 not already a beta number, and the sign is
 (-1)^(number of beta numbers strictly between b - t and b).  The
 recursion is memoized globally, so building a full table shares all
-subproblems across rows and columns.
+subproblems across rows and columns, and so do the rows chi^lam that
+symfunc reads for Schur inputs of any weight.  The memo is unbounded:
+it keeps every value computed in the process.
 
 A table is its integer rows: rows[i][j] is the character of the i-th
 shape on the j-th class, both in partitions_of(r) order.  Each full
@@ -29,8 +31,10 @@ from functools import lru_cache
 from .errors import ResourceLimitError
 from .partitions import Partition, partitions_of
 
-# Practical cap on full-table construction.  Beyond this the table has
-# more than 600k entries and cold construction stops being interactive.
+# Practical cap on full-table construction, and on the s basis as a
+# target, which pairs with every chi^lam of the degree.  Beyond it the
+# table has more than 600k entries and cold construction stops being
+# interactive.  Single rows, as a Schur input needs, are not capped here.
 CHAR_TABLE_CAP = 20
 
 CACHE_FORMAT_VERSION = 2

@@ -12,7 +12,9 @@ Regular graphs: k-regular multigraphs with loops on n vertices (a loop
 adds 2 to its vertex's valency).  The cycle index of S_n on labelled
 graphs is <h_n[X.h_k[Y]], h_{nk/2}[h_2][Y]>_Y; odd n*k admits no graph,
 and for k = 0 the only graph is empty: the count is 1, read without
-expanding h_n over p(n) partitions, and the cycle index is h_n.
+expanding h_n over p(n) partitions, and the cycle index is h_n.  Each
+index is refused at the plethysm cap 40 before it is built: above
+n*k = 40, and for k = 0 above n = 40.
 
 Each count is its cycle index at p_i = 1 (Burnside).  The scalar
 formulas <h_n[h_m], h_m^n> and <h_n[h_k], h_{nk/2}[h_2]> give the same
@@ -76,6 +78,7 @@ def regular_graphs_cycle_index(spec):
     if (n * k) % 2:
         raise DegreeError("no %d-regular graphs on %d vertices: n*k is odd" % (k, n))
     if k == 0:
+        _check_degree(n)
         return generator("h", (n,))
     edges = plethysm(generator("h", (n * k // 2,)), generator("h", (2,)))
     return fundamental(generator("h", (k,)), edges, n)

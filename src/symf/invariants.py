@@ -48,16 +48,17 @@ Polynomials are truncated at B_i = max lam_i + L - 1 - i in variable i
 only when the box of prod(B_i + 1) monomials is no larger than the p(d)
 terms of a degree-d function in the p basis.  Otherwise, for the other
 families, and for mode="s", the inner product runs in the p basis,
-where I_d(V) expands through character values or, above weight 20,
-the same Jacobi-Trudi terms read as h products.  Both routes build
-h_r[F] by Newton's recurrence and pair p_lam[F] by the same code in
-plethysm.py, each in its own ring; fundamental(F, inv_char(family, r*k),
-r, "p") is the cross-check the tests hold the finite route against.
+where I_d(V) expands through the character rows chi^lam at every
+weight.  Both routes build h_r[F] by Newton's recurrence and pair
+p_lam[F] by the same code in plethysm.py, each in its own ring;
+fundamental(F, inv_char(family, r*k), r, "p") is the cross-check the
+tests hold the finite route against.
 """
 
 import warnings
 from fractions import Fraction
 from functools import cached_property
+from itertools import permutations
 from math import prod
 from operator import add, le
 
@@ -67,8 +68,8 @@ from .partitions import Partition, Record, partition_count, partitions_of
 from .plethysm import (_check_degree, _check_mode, _h_of, _pairings,
                        _pleth_p, fundamental, h_plus_series, h_sum_series,
                        plethysm_series)
-from .symfunc import (SymFn, _add_into, _jacobi_trudi, _p_dict, _p_symfn,
-                      _scalar_p, _schur_p, scalar, to_basis)
+from .symfunc import (SymFn, _add_into, _p_dict, _p_symfn, _scalar_p,
+                      _schur_p, scalar, to_basis)
 
 
 class SLnDefining(Record):
@@ -210,6 +211,19 @@ def _functor_character(P):
     if isinstance(P, SymFn):
         return PolyFunctor(P).character
     raise TypeError("expected a PolyFunctor or a SymFn character")
+
+
+def _jacobi_trudi(lam):
+    # s_lam = det(h_{lam_i - i + j}) = sum over sigma of sign(sigma) h_alpha,
+    # alpha_i = lam_i - i + sigma(i): yields (sign, alpha) in permutation
+    # order, skipping the sigma with a negative alpha_i (h_{-k} = 0).
+    n = len(lam)
+    for sigma in permutations(range(n)):
+        alpha = tuple(lam[i] - i + sigma[i] for i in range(n))
+        if min(alpha, default=0) >= 0:
+            inversions = sum(a > b for i, a in enumerate(sigma)
+                             for b in sigma[i + 1:])
+            yield -1 if inversions % 2 else 1, alpha
 
 
 class _Alphabet:

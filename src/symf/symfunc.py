@@ -38,12 +38,9 @@ _chi, _p_to_m) keys by part tuples.  Where tuples are packed, a product
 that could repeat a part 128 times, and so spill into the next field,
 is refused first.
 
-For Schur indices of weight above the character table cap the base
-change falls back on Jacobi-Trudi, det(h_{lam_i - i + j}) expanded over
-permutations by _jacobi_trudi; that keeps things like s_(18,18) cheap
-where a weight-36 character table would not be.  Its signed terms h_alpha
-are read here as h products and by invariants._Alphabet as monomial
-coefficients <f, h_alpha> = [x^alpha] f.
+A Schur input s_lam is its row chi^lam, read value by value from
+characters._chi (Murnaghan-Nakayama) at every weight; no character
+table is built for it, so the table cap does not bound it.
 """
 
 import math
@@ -56,9 +53,6 @@ from .errors import DegreeError, ResourceLimitError
 from .partitions import Partition, partitions_of, z_of
 
 BASES = ("p", "h", "e", "m", "s")
-
-# Longest Schur index the Jacobi-Trudi fallback will expand: len! terms.
-_JT_LENGTH_CAP = 8
 
 # Coefficient types refused at construction.  Fraction() accepts floats
 # and Decimals and would store their binary or decimal approximation as
@@ -403,39 +397,12 @@ def _prod_h_p(mu):
 
 @lru_cache(maxsize=None)
 def _schur_p(lam):
-    if sum(lam) <= characters.CHAR_TABLE_CAP:
-        chi = characters._chi
-        return {mu: v for mu in map(tuple, partitions_of(sum(lam)))
-                if (v := chi(tuple(lam), mu))}
-    return _schur_p_jacobi_trudi(lam)
-
-
-def _jacobi_trudi(lam):
-    # s_lam = det(h_{lam_i - i + j}) = sum over sigma of sign(sigma) h_alpha,
-    # alpha_i = lam_i - i + sigma(i): yields (sign, alpha) in permutation
-    # order, skipping the sigma with a negative alpha_i (h_{-k} = 0).
-    from itertools import permutations
-    n = len(lam)
-    for sigma in permutations(range(n)):
-        alpha = tuple(lam[i] - i + sigma[i] for i in range(n))
-        if min(alpha, default=0) >= 0:
-            inversions = sum(a > b for i, a in enumerate(sigma)
-                             for b in sigma[i + 1:])
-            yield -1 if inversions % 2 else 1, alpha
-
-
-def _schur_p_jacobi_trudi(lam):
-    # Jacobi-Trudi read in the p basis.  Fine for short shapes of large
-    # weight, which is the only place it is used.
-    if len(lam) > _JT_LENGTH_CAP:
-        raise ResourceLimitError(
-            "Schur index %s: weight beyond the character table cap and "
-            "more than %d rows" % (Partition(lam), _JT_LENGTH_CAP))
-    out = {}
-    for sign, alpha in _jacobi_trudi(lam):
-        _add_into(out, _prod_h_p(tuple(sorted(filter(None, alpha),
-                                              reverse=True))), sign)
-    return out
+    # the row chi^lam; its value at (1^|lam|) counts standard tableaux and
+    # is never 0, so |lam| is its top multiplicity
+    _check_multiplicity(sum(lam))
+    chi = characters._chi
+    return {mu: v for mu in map(tuple, partitions_of(sum(lam)))
+            if (v := chi(tuple(lam), mu))}
 
 
 def _m_cap(d):

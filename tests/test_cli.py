@@ -19,6 +19,10 @@ import pytest
 from symf import selftest
 from symf.characters import _load_table, _reset_memo
 from symf.cli import main
+from symf.invariants import GLnAdjoint, inv_char
+from symf.oracles import oracle_syt
+from symf.partitions import partition_count, partitions_of
+from symf.symfunc import dimension
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -75,6 +79,11 @@ GL_ADJOINT_SHA256 = {
      "--r", "8"):
         "3183ac600d0d44f3010151a566a494dd851f7769f002add0e6abbad61e268a5f",
 }
+
+# sha256 of `symf inv --family gl-adjoint --n 9 --r 21 --basis p` stdout,
+# the first answer with a 9-row shape above the character table cap.
+GL_ADJOINT_N9_R21_SHA256 = (
+    "373666a5bf58aff5b1c4dde3d9a18b7525cc0147a45ba7514aaac8df7d8ad598")
 
 # sha256 of `symf ARGV` stdout, as printed when hilbert_dim's p-basis
 # route paired the expanded plethysm h_r[F] with I_(r*k)(V) by scalar().
@@ -189,13 +198,21 @@ class TestInv:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             GL_ADJOINT_SHA256[argv]
 
-    def test_gl_adjoint_refusal(self, capsys):
-        # the first shape of weight 21 with more than 8 rows is refused
-        code, out, err = run(capsys, "inv", "--family", "gl-adjoint",
-                             "--n", "9", "--r", "21", "--basis", "p")
-        assert (code, out) == (4, "")
-        assert err == ("symf: Schur index [13,1,1,1,1,1,1,1,1]: weight beyond "
-                       "the character table cap and more than 8 rows\n")
+    def test_gl_adjoint_with_nine_rows_above_the_table_cap(self, capsys):
+        # shapes of weight 21 with 9 rows, such as (13,1^8), expand by
+        # Murnaghan-Nakayama like every other row; the answer's dimension
+        # is the sum of (f^lam)^2 by the hook length formula
+        try:
+            code, out, err = run(capsys, "inv", "--family", "gl-adjoint",
+                                 "--n", "9", "--r", "21", "--basis", "p")
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == \
+                GL_ADJOINT_N9_R21_SHA256
+            got = dimension(inv_char(GLnAdjoint(9, stable=False), 21))
+            assert got == sum(oracle_syt(lam) ** 2
+                              for lam in partitions_of(21) if lam.length <= 9)
+        finally:
+            _reset_memo()  # the weight-21 character values
 
     def test_functor_flag(self, capsys):
         code, out, err = run(capsys, "inv", "--family", "sl", "--n", "2",
@@ -286,6 +303,14 @@ class TestRegular:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
         assert elapsed < 2.0, elapsed
 
+    def test_empty_graph_cycle_index_at_the_plethysm_cap(self, capsys):
+        # the index is h_n over all p(n) partitions; n = 41 is refused
+        code, out, err = run(capsys, "regular", "--n", "40", "--k", "0",
+                             "--cycle-index")
+        assert (code, err) == (0, "")
+        assert out.startswith("1/40*p[40] + ")
+        assert out.count(" + ") + 1 == partition_count(40)
+
 
 class TestTable:
     def test_r3_layout(self, capsys):
@@ -371,6 +396,8 @@ FAILURES = [
     (4, ["table", "--r", "21"]),
     (4, ["eval", "p21"]),
     (4, ["eval", "p[%s]*p1" % ",".join("1" * 127), "--basis", "p"]),
+    # chi^(130) at (1^130) would repeat a part 130 times
+    (4, ["eval", "s[130]", "--basis", "p"]),
 ]
 
 
@@ -426,12 +453,17 @@ class TestExitCodes:
          "symf: monomial basis transitions are capped at degree 16, got 26\n"),
         (["deals", "--m", "10", "--n", "10", "--cycle-index"],
          "symf: plethysm of degree 100 is beyond the cap 40\n"),
-    ], ids=["gl-adjoint-24", "gl-adjoint-26", "deals-cycle-index"])
+        (["regular", "--n", "41", "--k", "0", "--cycle-index"],
+         "symf: plethysm of degree 41 is beyond the cap 40\n"),
+    ], ids=["gl-adjoint-24", "gl-adjoint-26", "deals-cycle-index",
+            "empty-graph-cycle-index"])
     def test_refused_from_the_arguments(self, argv, stderr):
         # GL(n)'s I_r holds h_r, so r alone decides the target's cap;
         # building I_r first took 1.6 s at r = 24 and 3.4 s at r = 26.
         # The deal cycle index is refused at m*n > 40 as the count is;
-        # forming h_10^10 first ran for more than 30 s.
+        # forming h_10^10 first ran for more than 30 s.  The empty
+        # graph's index h_n is refused above n = 40; printing h_41 in
+        # the p basis took 1.9 s.
         t0 = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "symf"] + argv,
                               capture_output=True, text=True, timeout=60)

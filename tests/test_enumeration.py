@@ -101,6 +101,22 @@ def test_regular_graph_cycle_index():
         regular_graphs_cycle_index(RegularGraphSpec(3, 3))
 
 
+def test_empty_graph_cycle_index_is_refused_above_the_plethysm_cap(
+        monkeypatch):
+    # k = 0: the index h_n is refused above n = 40 before it is formed,
+    # and the count stays 1 at any n
+    enumeration = sys.modules["symf.enumeration"]
+    assert regular_graphs_cycle_index(RegularGraphSpec(40, 0)) == h(40)
+
+    def unreachable(*args):
+        raise AssertionError("formed past the cap")
+    monkeypatch.setattr(enumeration, "generator", unreachable)
+    with pytest.raises(ResourceLimitError,
+                       match="^plethysm of degree 41 is beyond the cap 40$"):
+        regular_graphs_cycle_index(RegularGraphSpec(41, 0))
+    assert regular_graphs(RegularGraphSpec(41, 0)) == 1
+
+
 def test_deals_are_refused_above_the_plethysm_cap(monkeypatch):
     # m*n = 42 and 100 are refused before h_m^n or the cycle index is
     # formed, in both forms, with the message the scalar route gave

@@ -320,7 +320,7 @@ def test_routing_rule_on_larger_groups():
 def test_finite_route_at_weight_36_on_sl4(finite_calls):
     # Lambda^4 of the defining space is the determinant, trivial for
     # SL(4): one invariant in each degree, on which S_r acts trivially.
-    # The p-basis route would expand s_(9,9,9,9) by Jacobi-Trudi here.
+    # The p-basis route would expand the chi^(9,9,9,9) row here.
     assert hilbert_dim(SLnDefining(4), e(4), 9) == 1
     assert inv_char_polyfunc(SLnDefining(4), e(4), 9) == h(9)
     assert finite_calls == ["evaluate"] * 2

@@ -1,6 +1,8 @@
-"""The Jacobi-Trudi expansion s_lam = det(h_{lam_i - i + j}) that both
-SL/Sp routes read: term order pinned, and the shared expansion held
-against routes that do not go through it.
+"""The Jacobi-Trudi expansion s_lam = det(h_{lam_i - i + j}) that the
+finite alphabet of the SL/Sp routes reads, held against routes that do
+not go through it; and the term order of the Schur rows chi^lam above
+the character table cap, with the expansion read in the p basis as an
+independent check of those rows.
 
 The pins are sha256 digests of (key, value) lists in insertion order,
 made by test_kernel.py's digest.
@@ -10,26 +12,40 @@ import random
 from itertools import permutations
 
 from symf.invariants import (GLnAdjoint, SLnDefining, Sp2nDefining, _Alphabet,
-                             _target_shapes, inv_char)
+                             _jacobi_trudi, _target_shapes, inv_char)
 from symf.partitions import partitions_of
-from symf.symfunc import (SymFn, _jacobi_trudi, _schur_p_jacobi_trudi, s,
-                          to_basis)
+from symf.symfunc import SymFn, _add_into, _prod_h_p, _schur_p, s, to_basis
 from test_kernel import _digest
 
 
+# Shapes of weight above 20, where no character table is built; each row
+# is in partitions_of order, as below the cap.
 _SCHUR_PINS = {
-    (18, 18): "c0f857c7aa2a0fff", (11, 10): "588995b57b271fa9",
-    (7, 7, 7): "d8b950484e646ec3", (9, 6, 4, 3): "f8127fc18ad3dc17",
+    (18, 18): "d34c2292b9766428", (11, 10): "8ae82b0ab5765d4d",
+    (7, 7, 7): "866a1989f1ec2ab8", (9, 6, 4, 3): "247260db2716a82c",
 }
 
 
-def test_jacobi_trudi_term_order_is_pinned():
-    got = {lam: _digest(_schur_p_jacobi_trudi(lam).items())
-           for lam in _SCHUR_PINS}
+def test_schur_row_term_order_is_pinned():
+    got = {lam: _digest(_schur_p(lam).items()) for lam in _SCHUR_PINS}
     assert got == _SCHUR_PINS
     # two-row shapes of weight 22, above the character table cap
     G = inv_char(GLnAdjoint(2, stable=False), 22)
     assert _digest(G.terms.items()) == "35246d94e897cb9f"
+
+
+def _jacobi_trudi_p(lam):
+    # the expansion read as products of h's in the p basis
+    out = {}
+    for sign, alpha in _jacobi_trudi(lam):
+        _add_into(out, _prod_h_p(tuple(sorted(filter(None, alpha),
+                                              reverse=True))), sign)
+    return out
+
+
+def test_schur_rows_above_the_cap_match_the_expansion():
+    for lam in ((11, 10), (7, 7, 7), (9, 6, 4, 3)):
+        assert _jacobi_trudi_p(lam) == _schur_p(lam), lam
 
 
 def test_expansion_matches_the_character_route_in_the_h_basis():

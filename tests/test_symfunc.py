@@ -12,12 +12,10 @@ from symf.errors import DegreeError, ResourceLimitError
 from symf.oracles import _kostka, oracle_syt
 from symf.partitions import Partition, partitions_of, z_of
 from symf.plethysm import plethysm
-from symf.symfunc import (BASES, SymFn, _p_dict, _p_to_m, _schur_p,
-                          _schur_p_jacobi_trudi,
-                          dimension, e, from_json_dict, generator, h,
-                          kronecker, m, monomial_coefficient, one, p, s,
-                          scalar, specialize_ones, to_basis, to_json_dict,
-                          zero)
+from symf.symfunc import (BASES, SymFn, _p_dict, _p_to_m, dimension, e,
+                          from_json_dict, generator, h, kronecker, m,
+                          monomial_coefficient, one, p, s, scalar,
+                          specialize_ones, to_basis, to_json_dict, zero)
 
 
 def test_constructor_cleans_input():
@@ -111,11 +109,14 @@ def test_round_trips_through_every_basis():
                 assert to_basis(to_basis(g, other), basis) == g
 
 
-def test_schur_via_hooks_matches_character_rows():
-    # the determinant route and the character route must agree
-    for n in range(1, 9):
-        for lam in partitions_of(n):
-            assert dict(_schur_p(lam)) == dict(_schur_p_jacobi_trudi(lam))
+def test_schur_functions_above_the_table_cap_match_hook_lengths():
+    # weights 21 to 36, two shapes with 9 rows; oracle_syt counts
+    # tableaux by the hook length formula and shares no code with _chi
+    for lam in ((13,) + (1,) * 8, (3,) * 7 + (2, 1), (3,) * 8, (7, 7, 7),
+                (18, 18)):
+        f = s(*lam)
+        assert dimension(f) == oracle_syt(lam), lam
+        assert scalar(f, f) == 1, lam
 
 
 def test_monomial_expansions():
