@@ -36,7 +36,7 @@ print("dimensions are the Bell numbers with at most 3 blocks")
 print()
 
 print("= GL(n) adjoint, stably =")
-ch = inv_char(GLnAdjoint(1), 4)
+ch = inv_char(GLnAdjoint(4), 4)
 print("  r=4:", ch)
 print("  every p_mu once, total dimension", dimension(ch))
 print()

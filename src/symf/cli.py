@@ -7,6 +7,7 @@ tell a typo (2) from a degree mismatch (3) from a size cap (4).
 """
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -41,7 +42,7 @@ def _family(args):
         return Sp2nDefining(args.n)
     if args.family == "perm":
         return SnPermutation(args.n)
-    return GLnAdjoint(args.n, stable=False)
+    return GLnAdjoint(args.n)
 
 
 def _print_symfn(f, basis):
@@ -216,6 +217,10 @@ def main(argv=None):
     except ResourceLimitError as exc:
         print("symf: %s" % exc, file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # the reader left: flush quietly into devnull, exit 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -14,13 +14,11 @@ functions of degree r.  Four families are built in:
   SnPermutation(n)  the symmetric group S_n on its n-point permutation
                     representation: the generating series of the I_r is
                     the plethysm (1 + h_1 + ... + h_n)[h_1 + h_2 + ...].
-  GLnAdjoint(n)     GL(n) acting by conjugation on n x n matrices, in
-                    the stable range: I_r = sum over lam |- r of the
-                    Kronecker square s_lam * s_lam.  With stable=False
-                    the sum is restricted to lam with at most n rows;
-                    that finite-n restriction is an extension here, kept
-                    behind the flag and checked in the tests against the
-                    cases with an independent derivation (n >= r, n = 1).
+  GLnAdjoint(n)     GL(n) acting by conjugation on n x n matrices:
+                    I_r = sum over lam |- r with at most n rows of the
+                    Kronecker square s_lam * s_lam (Schur-Weyl duality).
+                    In the stable range n >= r every lam counts and I_r
+                    is the sum of all p_mu; GL(1) gives h_r.
 
 Anything else enters as Custom(series), a GradedSeries of precomputed
 characters.
@@ -36,23 +34,22 @@ invariant polynomial functions on P(V)*, and hom_series_char does the
 same construction against an arbitrary graded series of characters.
 
 For SL(n) and Sp(2n), I_d(V) is a sum of Schur functions s_lam with at
-most n (SL) or 2n (Sp) rows, so hilbert_dim and inv_char_polyfunc in p
-mode read each pairing off a polynomial in L variables, L the longest
-such lam.  Jacobi-Trudi (Macdonald, Symmetric Functions and Hall
-Polynomials, I.3.4) writes s_lam as the sum of sign(sigma) h_alpha,
+most n (SL) or 2n (Sp) rows, so hilbert_dim and inv_char_polyfunc read
+each pairing off a polynomial in L variables, L the longest such lam.
+Jacobi-Trudi (Macdonald, Symmetric Functions and Hall Polynomials,
+I.3.4) writes s_lam as the sum of sign(sigma) h_alpha,
 alpha_i = lam_i - i + sigma(i) over lam padded to L rows, and h and m
 are dual, so <f, s_lam> sums sign(sigma) [x^alpha] f(x_1, ..., x_L),
 and plethysm becomes substitution, p_j[F](x) = F(x_1^j, ..., x_L^j).
 Polynomials are truncated at B_i = max lam_i + L - 1 - i in variable i
 (i from 0), the largest alpha_i of any term, and this route is taken
 only when the box of prod(B_i + 1) monomials is no larger than the p(d)
-terms of a degree-d function in the p basis.  Otherwise, for the other
-families, and for mode="s", the inner product runs in the p basis,
-where I_d(V) expands through the character rows chi^lam at every
-weight.  Both routes build h_r[F] by Newton's recurrence and pair
-p_lam[F] by the same code in plethysm.py, each in its own ring;
-fundamental(F, inv_char(family, r*k), r, "p") is the cross-check the
-tests hold the finite route against.
+terms of a degree-d function in the p basis.  Otherwise the pairings
+run in the p basis, where I_d(V) expands through the character rows
+chi^lam, refused above the plethysm cap unless I_d(V) is zero.  Both
+routes build h_r[F] by Newton's recurrence and pair p_lam[F] by the
+same code in plethysm.py, each in its own ring; the tests hold both
+against fundamental(F, inv_char(family, r*k), r, mode) in either mode.
 """
 
 import warnings
@@ -65,9 +62,8 @@ from operator import add, le
 from .characters import CHAR_TABLE_CAP
 from .errors import DegreeError
 from .partitions import Partition, Record, partition_count, partitions_of
-from .plethysm import (_check_degree, _check_mode, _h_of, _pairings,
-                       _pleth_p, fundamental, h_plus_series, h_sum_series,
-                       plethysm_series)
+from .plethysm import (_check_degree, _h_of, _pairings, _pleth_p, fundamental,
+                       h_plus_series, h_sum_series, plethysm_series)
 from .symfunc import (SymFn, _add_into, _p_dict, _p_symfn, _scalar_p,
                       _schur_p, scalar, to_basis)
 
@@ -97,8 +93,7 @@ class SnPermutation(Record):
 
 
 class GLnAdjoint(Record):
-    __slots__ = ("n", "stable")
-    _defaults = {"stable": True}
+    __slots__ = ("n",)
 
     def _check(self):
         if self.n < 1:
@@ -126,7 +121,7 @@ def inv_char(family, r):
         # squares of the chi^lam rows
         total = {}
         for lam in partitions_of(r):
-            if family.stable or lam.length <= family.n:
+            if lam.length <= family.n:
                 _add_into(total, {mu: v * v for mu, v in
                                   _schur_p(tuple(lam)).items()})
         return _p_symfn(total)
@@ -305,15 +300,26 @@ def _alphabet_for(family, d):
     return alphabet
 
 
-def inv_char_polyfunc(family, P, r, mode="p"):
+def _p_route_invariants(family, d):
+    # I_d(V), refused above the plethysm cap unless it is zero; perm and
+    # GL(n) never vanish (a restricted Bell number; the GL sum holds
+    # lam = (d), whose Kronecker square is h_d), so before it is built
+    if isinstance(family, (SnPermutation, GLnAdjoint)):
+        _check_degree(d)
+    G = inv_char(family, d)
+    if not G.is_zero():
+        _check_degree(d)
+    return G
+
+
+def inv_char_polyfunc(family, P, r):
     """Invariant character I_r(P(V)) via the inner product construction."""
     F = _functor_character(P)
-    _check_mode(mode)
-    alphabet = _alphabet_for(family, r * F.degree()) if mode == "p" else None
+    alphabet = _alphabet_for(family, r * F.degree())
     if alphabet is not None:
         f = alphabet.evaluate(_p_dict(F))
         return _pairings(f, r, alphabet.pair, alphabet)
-    return fundamental(F, inv_char(family, r * F.degree()), r, mode)
+    return fundamental(F, _p_route_invariants(family, r * F.degree()), r)
 
 
 def hilbert_dim(family, P, r):
@@ -328,18 +334,13 @@ def hilbert_dim(family, P, r):
     if alphabet is not None:
         f = alphabet.evaluate(_p_dict(F))
         return Fraction(alphabet.pair(_h_of(f, r, alphabet)))
-    if isinstance(family, (SnPermutation, GLnAdjoint)):
-        # never zero (a restricted Bell number; the GL sum holds lam = (d),
-        # whose Kronecker square is h_d): refuse before building I_d
-        _check_degree(r * F.degree())
-    G = inv_char(family, r * F.degree())
+    G = _p_route_invariants(family, r * F.degree())
     if G.is_zero():
         return Fraction(0)
-    _check_degree(r * F.degree())
     return _scalar_p(_h_of(_p_dict(F), r), _p_dict(G))
 
 
-def hom_series_char(J, P, r, mode="p"):
+def hom_series_char(J, P, r):
     """Degree-r character of a graded series pulled through a functor.
 
     J is a GradedSeries of Frobenius characters (J_d for the d-th tensor
@@ -347,8 +348,7 @@ def hom_series_char(J, P, r, mode="p"):
     <h_r[X.charP[Y]], J_{r*k}[Y]>_Y.  Raises TruncationError when J is
     not known up to degree r*k.
     """
-    F = _functor_character(P)
-    return fundamental(F, J.component(r * F.degree()), r, mode)
+    return inv_char_polyfunc(Custom(J), P, r)
 
 
 def hom_dim(functor_char, J):

@@ -75,27 +75,24 @@ class Partition(tuple):
 class Record:
     """Immutable value with the fields named in __slots__.
 
-    Fields are given positionally or by keyword, defaults come from
-    _defaults, and _check validates them.  Instances compare, hash, print
-    and pickle by field values.  Written out by hand because the standard
-    library's generator imports inspect, ast and dis, a cost every
-    command line process would pay.
+    Every field is given, positionally or by keyword, and _check
+    validates them.  Instances compare, hash, print and pickle by field
+    values.  Written out by hand because the standard library's
+    generator imports inspect, ast and dis, a cost every command line
+    process would pay.
     """
     __slots__ = ()
-    _defaults = {}
 
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__slots__
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
-        if kwargs or len(args) != len(names):
-            values = {**self._defaults, **dict(zip(names, args)), **kwargs}
-            if (len(args) > len(names) or len(values) != len(names)
-                    or not set(kwargs) <= set(names[len(args):])):
-                raise TypeError("%s takes the fields %s, got %r and %r"
-                                % (type(self).__name__, names, args, kwargs))
-            args = [values[name] for name in names]
+        if (len(args) + len(kwargs) != len(names)
+                or not kwargs.keys() <= set(names[len(args):])):
+            raise TypeError("%s takes the fields %s, got %r and %r"
+                            % (type(self).__name__, names, args, kwargs))
+        args += tuple(kwargs[name] for name in names[len(args):])
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
         self._check()

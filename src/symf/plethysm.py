@@ -116,11 +116,6 @@ def _check_degree(d):
                                  % (d, _PLETHYSM_DEGREE_CAP))
 
 
-def _check_mode(mode):
-    if mode not in ("p", "s"):
-        raise ValueError("mode must be 'p' or 's'")
-
-
 def plethysm(f, g):
     """The plethysm f[g], exact, as a p-basis SymFn.
 
@@ -227,7 +222,8 @@ def fundamental(F, G, r, mode="p"):
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    _check_mode(mode)
+    if mode not in ("p", "s"):
+        raise ValueError("mode must be 'p' or 's'")
     fp = _p_dict(F)
     if not fp:
         raise DegreeError("F must be nonzero and homogeneous of degree >= 1")

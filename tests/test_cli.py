@@ -208,7 +208,7 @@ class TestInv:
             assert (code, err) == (0, "")
             assert hashlib.sha256(out.encode()).hexdigest() == \
                 GL_ADJOINT_N9_R21_SHA256
-            got = dimension(inv_char(GLnAdjoint(9, stable=False), 21))
+            got = dimension(inv_char(GLnAdjoint(9), 21))
             assert got == sum(oracle_syt(lam) ** 2
                               for lam in partitions_of(21) if lam.length <= 9)
         finally:
@@ -455,21 +455,45 @@ class TestExitCodes:
          "symf: plethysm of degree 100 is beyond the cap 40\n"),
         (["regular", "--n", "41", "--k", "0", "--cycle-index"],
          "symf: plethysm of degree 41 is beyond the cap 40\n"),
+        (["inv", "--family", "perm", "--n", "2", "--functor", "h2",
+          "--r", "21", "--basis", "p"],
+         "symf: plethysm of degree 42 is beyond the cap 40\n"),
+        (["inv", "--family", "gl-adjoint", "--n", "2", "--functor", "h2",
+          "--r", "21", "--basis", "p"],
+         "symf: plethysm of degree 42 is beyond the cap 40\n"),
+        (["inv", "--family", "sl", "--n", "6", "--functor", "h2",
+          "--r", "21", "--basis", "p"],
+         "symf: plethysm of degree 42 is beyond the cap 40\n"),
     ], ids=["gl-adjoint-24", "gl-adjoint-26", "deals-cycle-index",
-            "empty-graph-cycle-index"])
+            "empty-graph-cycle-index", "perm-functor-42",
+            "gl-adjoint-functor-42", "sl-functor-42"])
     def test_refused_from_the_arguments(self, argv, stderr):
         # GL(n)'s I_r holds h_r, so r alone decides the target's cap;
         # building I_r first took 1.6 s at r = 24 and 3.4 s at r = 26.
         # The deal cycle index is refused at m*n > 40 as the count is;
         # forming h_10^10 first ran for more than 30 s.  The empty
         # graph's index h_n is refused above n = 40; printing h_41 in
-        # the p basis took 1.9 s.
+        # the p basis took 1.9 s.  inv --functor refuses a nonzero
+        # I_{r*k} above the plethysm cap as hilbert does; the three
+        # answers at r*k = 42 took over 60 s, 10.3 s and 3.95 s.
         t0 = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "symf"] + argv,
                               capture_output=True, text=True, timeout=60)
         elapsed = time.perf_counter() - t0
         assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", stderr)
         assert elapsed < 2.0, elapsed
+
+    def test_closed_pipe_ends_quietly(self, tmp_path):
+        # the reader takes one line of a 273 KB table and leaves; the
+        # writer ends as a shell reports a SIGPIPE, with no traceback
+        env = dict(os.environ, SYMF_CACHE_DIR=str(tmp_path))
+        proc = subprocess.Popen([sys.executable, "-m", "symf", "table",
+                                 "--r", "14"], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"chi \\ class")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=60), stderr) == (141, b"")
 
 
 class TestDeterminism:

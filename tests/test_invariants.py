@@ -3,7 +3,7 @@ import warnings
 import pytest
 from fractions import Fraction
 
-from symf.errors import DegreeError, TruncationError
+from symf.errors import DegreeError, ResourceLimitError, TruncationError
 from symf.invariants import (Custom, GLnAdjoint, PolyFunctor, SLnDefining,
                              SnPermutation, Sp2nDefining, _Alphabet,
                              _alphabet_for, _target_shapes, hilbert_dim,
@@ -87,7 +87,7 @@ def test_perm_series_regrows():
 
 def test_gl_adjoint_stable_identity():
     for r in range(7):
-        got = inv_char(GLnAdjoint(1), r)
+        got = inv_char(GLnAdjoint(max(r, 1)), r)
         assert got == SymFn("p", {mu: Fraction(1) for mu in partitions_of(r)})
         fact = 1
         for i in range(2, r + 1):
@@ -96,15 +96,18 @@ def test_gl_adjoint_stable_identity():
 
 
 def test_gl_adjoint_finite_n():
-    # n >= r agrees with the stable sum; GL(1) keeps only the trivial part
-    for r in range(5):
-        assert inv_char(GLnAdjoint(r if r else 1, stable=False), r) == \
-            inv_char(GLnAdjoint(1), r)
-    for r in range(1, 6):
-        assert inv_char(GLnAdjoint(1, stable=False), r) == h(r)
+    # n is the group's own n, with no switch to turn the row bound off
+    with pytest.raises(TypeError):
+        GLnAdjoint(1, stable=True)
+    # every n >= r gives the stable sum; GL(1) keeps only the trivial part
+    for r in range(7):
+        stable = SymFn("p", dict.fromkeys(partitions_of(r), 1))
+        for n in range(max(r, 1), r + 3):
+            assert inv_char(GLnAdjoint(n), r) == stable
+        assert inv_char(GLnAdjoint(1), r) == (h(r) if r else one())
     # length filter at work: the sign shape drops at n=2, r=3
-    finite = inv_char(GLnAdjoint(2, stable=False), 3)
-    assert finite == inv_char(GLnAdjoint(1), 3) - kronecker(s(1, 1, 1), s(1, 1, 1))
+    finite = inv_char(GLnAdjoint(2), 3)
+    assert finite == inv_char(GLnAdjoint(3), 3) - kronecker(s(1, 1, 1), s(1, 1, 1))
     assert dimension(finite) == 5
 
 
@@ -170,9 +173,14 @@ def test_inv_char_polyfunc_specializations():
     for r in range(5):
         got = inv_char_polyfunc(SLnDefining(2), quad, r)
         assert got == oracle_su2_inv_char(2, r)
-    # both modes agree
-    assert inv_char_polyfunc(SLnDefining(2), quad, 3, mode="s") == \
+    # the Schur mode of fundamental agrees
+    assert fundamental(h(2), inv_char(SLnDefining(2), 6), 3, "s") == \
         inv_char_polyfunc(SLnDefining(2), quad, 3)
+    # that mode is fundamental's alone
+    with pytest.raises(TypeError):
+        inv_char_polyfunc(SLnDefining(2), quad, 3, mode="s")
+    with pytest.raises(TypeError):
+        hom_series_char(h_sum_series(6), quad, 3, mode="s")
 
 
 def test_hilbert_dim_values():
@@ -300,7 +308,7 @@ def test_routes_agree(finite_calls, family, F, r, finite):
 
 
 def test_s_mode_keeps_the_schur_route(finite_calls):
-    got = inv_char_polyfunc(SLnDefining(2), h(5), 2, mode="s")
+    got = fundamental(h(5), inv_char(SLnDefining(2), 10), 2, "s")
     assert finite_calls == []
     assert got == inv_char_polyfunc(SLnDefining(2), h(5), 2)
 
@@ -349,11 +357,12 @@ def test_finite_route_below_the_rule(family):
                             want_char)
 
 
-def test_mode_is_checked_before_the_invariants_are_built(monkeypatch):
-    # the degree-22 permutation series would take most of a second
-    built = []
-    monkeypatch.setattr("symf.invariants.inv_char",
-                        lambda *args: built.append(args))
-    with pytest.raises(ValueError, match="^mode must be 'p' or 's'$"):
-        inv_char_polyfunc(SnPermutation(3), PolyFunctor(h(2)), 11, mode="q")
-    assert built == []
+def test_polyfunc_is_refused_before_the_invariants_are_built(monkeypatch):
+    # I_42 of the permutation family is never zero, so the degree alone
+    # decides, as it does for hilbert_dim; building it ran past a minute
+    def fail(*args):
+        raise AssertionError("I_d was built")
+    monkeypatch.setattr("symf.invariants.inv_char", fail)
+    with pytest.raises(ResourceLimitError,
+                       match="^plethysm of degree 42 is beyond the cap 40$"):
+        inv_char_polyfunc(SnPermutation(2), PolyFunctor(h(2)), 21)

@@ -30,7 +30,7 @@ def test_schur_row_term_order_is_pinned():
     got = {lam: _digest(_schur_p(lam).items()) for lam in _SCHUR_PINS}
     assert got == _SCHUR_PINS
     # two-row shapes of weight 22, above the character table cap
-    G = inv_char(GLnAdjoint(2, stable=False), 22)
+    G = inv_char(GLnAdjoint(2), 22)
     assert _digest(G.terms.items()) == "35246d94e897cb9f"
 
 

@@ -24,7 +24,7 @@ CASES = [
     (SLnDefining, ("n",), (2,), "SLnDefining(n=2)"),
     (Sp2nDefining, ("n",), (3,), "Sp2nDefining(n=3)"),
     (SnPermutation, ("n",), (4,), "SnPermutation(n=4)"),
-    (GLnAdjoint, ("n", "stable"), (3, False), "GLnAdjoint(n=3, stable=False)"),
+    (GLnAdjoint, ("n",), (3,), "GLnAdjoint(n=3)"),
     (Custom, ("series",), (SERIES,), "Custom(series=%r)" % (SERIES,)),
     (DealSpec, ("m", "n"), (2, 3), "DealSpec(m=2, n=3)"),
     (RegularGraphSpec, ("n", "k"), (4, 0), "RegularGraphSpec(n=4, k=0)"),
@@ -100,14 +100,13 @@ def test_match_tells_classes_apart():
                 return "sl%d" % n
             case Sp2nDefining(n):
                 return "sp%d" % n
-            case GLnAdjoint(n, stable):
-                return "gl%d%s" % (n, "s" if stable else "")
+            case GLnAdjoint(n):
+                return "gl%d" % n
         return None
 
     assert name(SLnDefining(2)) == "sl2"
     assert name(Sp2nDefining(2)) == "sp2"
-    assert name(GLnAdjoint(3)) == "gl3s"
-    assert name(GLnAdjoint(3, False)) == "gl3"
+    assert name(GLnAdjoint(3)) == "gl3"
     assert name(SnPermutation(2)) is None
 
 
@@ -120,9 +119,6 @@ def test_distinct_classes_are_unequal():
 
 
 def test_defaults_and_keywords():
-    assert GLnAdjoint(2) == GLnAdjoint(2, True) == GLnAdjoint(n=2, stable=True)
-    assert GLnAdjoint(2).stable is True
-    assert GLnAdjoint(2, stable=False) != GLnAdjoint(2)
     assert DealSpec(n=3, m=2) == DealSpec(2, 3)
     for bad in (lambda: SLnDefining(), lambda: SLnDefining(1, 2),
                 lambda: SLnDefining(1, n=1), lambda: SLnDefining(m=1),
@@ -135,7 +131,7 @@ def test_defaults_and_keywords():
     (lambda: SLnDefining(0), "SL(n) needs n >= 1"),
     (lambda: Sp2nDefining(0), "Sp(2n) needs n >= 1"),
     (lambda: SnPermutation(-1), "the permutation family needs n >= 1"),
-    (lambda: GLnAdjoint(0, stable=False), "GL(n) needs n >= 1"),
+    (lambda: GLnAdjoint(0), "GL(n) needs n >= 1"),
     (lambda: DealSpec(0, 2), "deal specs need m >= 1 and n >= 1"),
     (lambda: DealSpec(m=2, n=0), "deal specs need m >= 1 and n >= 1"),
     (lambda: RegularGraphSpec(0, 2), "graph specs need n >= 1 and k >= 0"),
