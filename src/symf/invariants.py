@@ -42,22 +42,26 @@ alpha_i = lam_i - i + sigma(i) over lam padded to L rows, and h and m
 are dual, so <f, s_lam> sums sign(sigma) [x^alpha] f(x_1, ..., x_L),
 and plethysm becomes substitution, p_j[F](x) = F(x_1^j, ..., x_L^j).
 Polynomials are truncated at B_i = max lam_i + L - 1 - i in variable i
-(i from 0), the largest alpha_i of any term, and this route is taken
-only when the box of prod(B_i + 1) monomials is no larger than the p(d)
-terms of a degree-d function in the p basis.  Otherwise the pairings
-run in the p basis, where I_d(V) expands through the character rows
-chi^lam, refused above the plethysm cap unless I_d(V) is zero.  Both
-routes build h_r[F] by Newton's recurrence and pair p_lam[F] by the
-same code in plethysm.py, each in its own ring; the tests hold both
-against fundamental(F, inv_char(family, r*k), r, mode) in either mode.
+(i from 0), the largest alpha_i of any term, and keyed by their
+exponent vectors packed into one int.  The other route runs the
+pairings in the p basis, where I_d(V) expands through the character
+rows chi^lam, refused above the plethysm cap unless I_d(V) is zero.
+Each query takes the route with the smaller estimate of its work, made
+before anything is expanded: Newton's r(r+1)/2 products in the box,
+each bounded by the monomials of F(x_1, ..., x_L) times those of the
+other factor, against the chi^lam rows of the shapes over p(d) classes
+and the same products over p-basis classes.  Both routes build h_r[F]
+by Newton's recurrence and pair p_lam[F] by the same code in
+plethysm.py, each in its own ring; the tests hold both against
+fundamental(F, inv_char(family, r*k), r, mode) in either mode.
 """
 
 import warnings
 from fractions import Fraction
-from functools import cached_property
-from itertools import permutations
-from math import prod
-from operator import add, le
+from functools import cached_property, lru_cache
+from itertools import accumulate, permutations
+from math import comb, factorial, perm, prod
+from operator import le
 
 from .characters import CHAR_TABLE_CAP
 from .errors import DegreeError
@@ -225,24 +229,46 @@ class _Alphabet:
     """The ring of polynomials in L variables, L the length of the
     longest shape, in which pairings with the sum of s_lam are read.
 
-    Polynomials are dicts from exponent tuples to int, or to Fraction
-    when the functor's own polynomial needs it, truncated above
+    Polynomials are dicts from packed exponent vectors to int, or to
+    Fraction when the functor's own polynomial needs it, truncated above
     B_i = max lam_i + L - 1 - i in variable i (i from 0), the largest
     Jacobi-Trudi exponent alpha_i the pairing reads.  Dropping the
     monomials above it is a quotient by a monomial ideal, so it commutes
     with products, with x -> x^j and with exact division.
+
+    The exponent of variable i sits in a field of bit_length(2 B_i + 1)
+    bits, whose top bit is a guard.  Two exponents up to B_i add up
+    below the guard, so the product of two monomials in the box is one
+    int `+` of their keys, and adding `off`, which is B_i + 1 short of
+    the guard in each field, sets a guard bit exactly when that product
+    leaves the box.
     """
 
-    unpack = staticmethod(lambda f: f)  # keys are exponent tuples already
+    one = {0: 1}
+    unpack = staticmethod(lambda f: f)  # pair reads the packed keys
 
     def __init__(self, shapes):
         length = max(len(lam) for lam in shapes)
         self.rows = [tuple(lam) + (0,) * (length - len(lam)) for lam in shapes]
-        self.bounds = tuple(max(col) + length - 1 - i
-                            for i, col in enumerate(zip(*self.rows)))
-        self.one = {(0,) * length: 1}
-        self.x = {(0,) * i + (1,) + (0,) * (length - 1 - i): 1
-                  for i in range(length)}  # x_1 + ... + x_L, all kept
+        self._fields(tuple(max(col) + length - 1 - i
+                           for i, col in enumerate(zip(*self.rows))))
+
+    def _fields(self, bounds):
+        self.bounds = bounds
+        self.shifts, self.guard, width = [], 0, 0
+        for b in bounds:
+            self.shifts.append(width)
+            width += (2 * b + 1).bit_length()
+            self.guard |= 1 << width - 1
+        self.off = self._offset(1)
+
+    def _offset(self, j):
+        # added to a key in the box, sets a guard bit exactly when some
+        # j * e_i is above B_i
+        return self.guard - self.pack([b // j + 1 for b in self.bounds])
+
+    def pack(self, exponents):
+        return sum(a << s for a, s in zip(exponents, self.shifts))
 
     @cached_property
     def weights(self):
@@ -255,49 +281,115 @@ class _Alphabet:
                 weights[alpha] = weights.get(alpha, 0) + sign
         return weights
 
+    @cached_property
+    def _packed_weights(self):
+        return [(self.pack(alpha), w) for alpha, w in self.weights.items()]
+
     def mul(self, a, b, out=None):
         """a * b truncated, added into out when it is given."""
         out = {} if out is None else out
-        bounds = self.bounds
+        off, guard = self.off, self.guard
+        if len(a) > len(b):
+            a, b = b, a
+        b = list(b.items())
         for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(map(add, ea, eb))
-                if all(map(le, e, bounds)):
+            ea += off
+            for eb, cb in b:
+                e = ea + eb
+                if not e & guard:
+                    e -= off
                     out[e] = out.get(e, 0) + ca * cb
         return out
 
     def substitute(self, f, j):
         """f(x_1^j, ..., x_L^j), truncated."""
-        out = {}
-        for e, c in f.items():
-            e = tuple(j * a for a in e)
-            if all(map(le, e, self.bounds)):
-                out[e] = c
-        return out
+        off, guard = self._offset(j), self.guard
+        return {j * e: c for e, c in f.items() if not (e + off) & guard}
 
     def evaluate(self, fp):
         """f(x_1, ..., x_L) for f given by its class function values."""
-        return _pleth_p(fp, self.x, self)
+        x = dict.fromkeys((1 << s for s in self.shifts), 1)  # all kept
+        return _pleth_p(fp, x, self)
 
     def pair(self, f):
         """<f, sum of s_lam> for f homogeneous of the shapes' weight."""
-        return sum(w * f.get(e, 0) for e, w in self.weights.items())
+        return sum(w * f.get(e, 0) for e, w in self._packed_weights)
 
 
-def _alphabet_for(family, d):
-    """The finite alphabet for pairings with I_d(V), or None where the
-    p-basis route stays: other families, degrees without invariants, and
-    truncated polynomials with more monomials than the p(d) terms of a
-    degree-d function in the p basis."""
-    if not isinstance(family, (SLnDefining, Sp2nDefining)) or d < 0:
+# The routing estimates count steps of the finite alphabet's multiply.
+# Measured on the invariants_grid queries, a step of the p-basis
+# multiply (Fraction values on packed partitions) takes about two, and
+# setting an alphabet up (F evaluated in it, the Jacobi-Trudi weights)
+# about 150, which keeps the smallest degrees on the p basis.
+_P_STEP = 2
+_ALPHABET_SETUP = 150
+
+
+def _alphabet_for(family, F, r):
+    """The finite alphabet for <h_r[F], I_{rk}(V)>, k = deg F, or None
+    where the p-basis route stays: other families, degrees without
+    invariants, and where the estimated cost of the finite route is
+    above that of the p basis.  Neither estimate expands anything."""
+    if not isinstance(family, (SLnDefining, Sp2nDefining)) or r < 0:
         return None
-    shapes = _target_shapes(family, d)
+    k = F.degree()
+    shapes = _target_shapes(family, r * k)
     if not shapes:
         return None
+    p_cost = _p_basis_cost(len(shapes), k, r)
+    if p_cost < _ALPHABET_SETUP:
+        return None  # below the cost of setting an alphabet up
     alphabet = _Alphabet(shapes)
-    if prod(b + 1 for b in alphabet.bounds) > partition_count(d):
+    m = _monomial_count(F.basis, tuple(F.terms), k, len(alphabet.bounds))
+    if _finite_cost(alphabet.bounds, m, k, r) > p_cost:
         return None
     return alphabet
+
+
+def _finite_cost(bounds, m, k, r):
+    # Newton's products p_j[f] * h_(n-j)[f] for f = F(x_1, ..., x_L)
+    # with m monomials (none when F needs more than L variables):
+    # p_j[f] has at most m, and h_i[f] at most those of degree i*k in
+    # the box, or the multisets of i monomials of f.  The box's
+    # monomials by degree are the coefficients of
+    # prod (1 + t + ... + t^B_i), read here at t = 2^s with s bits of
+    # room for any of them.
+    s = prod(b + 1 for b in bounds).bit_length()
+    t = 1 << s
+    box = prod((t ** (b + 1) - 1) // (t - 1) for b in bounds)
+    return _ALPHABET_SETUP + m * sum(
+        (r - i) * min(box >> (s * i * k) & t - 1,
+                      comb(max(m, 1) + i - 1, i)) for i in range(r))
+
+
+@lru_cache(maxsize=1024)
+def _monomial_count(basis, terms, k, length):
+    # an upper bound on the monomials of F(x_1, ..., x_L) for F of degree
+    # k with these terms: h and p terms reach every monomial of degree k,
+    # and s_lam, e_mu and m_mu only the x^alpha whose sorted alpha is
+    # dominated by lam, mu' and mu (Macdonald I.6.5 and I.7)
+    if basis in "hp":
+        return comb(k + length - 1, k)
+    tops = [list(accumulate(mu.conjugate() if basis == "e" else mu))
+            for mu in terms]
+    count = 0
+    for nu in partitions_of(k):
+        if len(nu) <= length and any(all(map(le, accumulate(nu), top))
+                                     for top in tops):
+            # the orderings of nu padded with zeros to L exponents
+            count += perm(length, len(nu)) // prod(
+                map(factorial, nu.multiplicities().values()))
+    return count
+
+
+def _p_basis_cost(shapes, k, r):
+    # the rows chi^lam of the shapes, then Newton's products
+    # p_j[F] * h_(n-j)[F] over at most p(k) and p((n-j)k) classes, and
+    # the pairing over the p(rk) classes
+    d = r * k
+    newton = partition_count(k) * sum((r - i) * partition_count(i * k)
+                                      for i in range(r))
+    return _P_STEP * ((shapes + 1) * partition_count(d) + newton)
 
 
 def _p_route_invariants(family, d):
@@ -315,7 +407,7 @@ def _p_route_invariants(family, d):
 def inv_char_polyfunc(family, P, r):
     """Invariant character I_r(P(V)) via the inner product construction."""
     F = _functor_character(P)
-    alphabet = _alphabet_for(family, r * F.degree())
+    alphabet = _alphabet_for(family, F, r)
     if alphabet is not None:
         f = alphabet.evaluate(_p_dict(F))
         return _pairings(f, r, alphabet.pair, alphabet)
@@ -330,7 +422,7 @@ def hilbert_dim(family, P, r):
     inputs.
     """
     F = _functor_character(P)
-    alphabet = _alphabet_for(family, r * F.degree())
+    alphabet = _alphabet_for(family, F, r)
     if alphabet is not None:
         f = alphabet.evaluate(_p_dict(F))
         return Fraction(alphabet.pair(_h_of(f, r, alphabet)))

@@ -25,7 +25,8 @@ Each algorithm is written once, over a ring of dicts with `one`,
 f[g] in _pleth_p, h_r[f] by Newton's recurrence in _h_of, the p_lam[f]
 pairings in _pairings.  The rings are _PBasis, on class function values
 keyed by packed partitions that unpack to part tuples, and
-invariants._Alphabet, on polynomials keyed by exponent tuples.
+invariants._Alphabet, on truncated polynomials keyed by packed exponent
+vectors, which its pairing reads as they are.
 """
 
 from .errors import DegreeError, ResourceLimitError, TruncationError

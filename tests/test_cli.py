@@ -236,6 +236,12 @@ class TestHilbert:
                              "--functor", "h6", "--r", "6")
         assert (code, out, err) == (0, "3\n", "")
 
+    def test_binary_forms_of_degree_25(self, capsys):
+        # bounds (126, 125) in 8-bit fields, beyond the oracles' reach
+        code, out, err = run(capsys, "hilbert", "--family", "sl", "--n", "2",
+                             "--functor", "h25", "--r", "10")
+        assert (code, out, err) == (0, "1512\n", "")
+
     @pytest.mark.parametrize("argv", HILBERT_P_ROUTE_SHA256,
                              ids=[" ".join(a) for a in HILBERT_P_ROUTE_SHA256])
     def test_p_route_bytes(self, capsys, argv):

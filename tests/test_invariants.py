@@ -1,4 +1,7 @@
+import random
+import sys
 import warnings
+from operator import add, le
 
 import pytest
 from fractions import Fraction
@@ -267,28 +270,37 @@ def finite_calls(monkeypatch):
     return calls
 
 
-# (family, functor character, r, whether the finite alphabet is taken)
+# (family, functor character, r, whether the finite alphabet is taken),
+# with the two estimates, finite against p basis, beside some rows
 ROUTED = [
-    (SLnDefining(1), h(1), 5, True),
-    (SLnDefining(1), h(1), 2, False),        # 3 monomials > p(2) = 2
-    (SLnDefining(2), h(5), 2, True),         # 42 <= p(10) = 42
+    (SLnDefining(1), h(1), 5, False),        # 165 > 80
+    (SLnDefining(1), h(1), 2, False),
+    (SLnDefining(2), h(5), 2, True),         # 198 <= 294
     (SLnDefining(2), h(3), 3, False),        # odd degree: no invariants
-    (SLnDefining(2), h(2), 4, False),        # 30 > p(8) = 22
+    (SLnDefining(2), h(2), 4, False),        # 231 > 212
     (SLnDefining(2), h(4), 6, True),
     (SLnDefining(2), VIRTUAL, 6, True),
     (SLnDefining(2), NON_INTEGRAL, 6, True),
     (SLnDefining(2), s(2, 1), 4, True),
-    (SLnDefining(3), h(3), 7, True),         # 720 <= p(21) = 792
-    (SLnDefining(3), e(2), 6, False),        # 210 > p(12) = 77
+    (SLnDefining(3), h(3), 7, True),         # 7,360 <= 10,176
+    (SLnDefining(3), e(2), 6, True),         # 525 <= 928
     (SLnDefining(3), h(2), 1, False),        # no invariants in degree 2
-    (SLnDefining(3), h(2), 0, True),         # r = 0: the constants
+    (SLnDefining(3), h(2), 0, False),        # r = 0: the set-up dominates
     (SLnDefining(4), e(2), 4, False),
     (Sp2nDefining(1), e(2), 5, True),
     (Sp2nDefining(1), s(2, 1), 2, False),
     (Sp2nDefining(1), s(2, 1), 1, False),    # odd degree
-    (Sp2nDefining(2), h(2), 4, False),       # 672 > p(8) = 22
+    (Sp2nDefining(2), h(2), 4, False),       # 1,630 > 300
     (Sp2nDefining(3), s(2, 1), 2, False),
-    (Sp2nDefining(3), VIRTUAL, 0, True),
+    (Sp2nDefining(3), VIRTUAL, 0, False),
+    # the rows of ROADMAP item 3: e_4 is one monomial in four variables,
+    # so the finite route is cheap at any degree; SL(6) has a box of
+    # 20,160 monomials at degree 12, where p(12) = 77
+    (SLnDefining(4), e(4), 8, True),         # 186 <= 135,726
+    (SLnDefining(6), h(2), 6, False),        # 100,320 > 928
+    (SLnDefining(3), h(3), 10, True),        # 25,900 <= 92,934
+    (SLnDefining(4), h(2), 12, False),       # 114,130 > 30,800
+    (SLnDefining(2), e(3), 4, True),         # e_3 is 0 in two variables
 ]
 
 
@@ -313,16 +325,150 @@ def test_s_mode_keeps_the_schur_route(finite_calls):
     assert got == inv_char_polyfunc(SLnDefining(2), h(5), 2)
 
 
+def _routed(family, F, r):
+    return _alphabet_for(family, F, r) is not None
+
+
 def test_routing_rule_on_larger_groups():
-    # the rule compares prod(B_i + 1) with p(d); both sides of it
-    assert _alphabet_for(SLnDefining(4), 32) is None       # 11880 > 8349
-    assert _alphabet_for(SLnDefining(4), 36) is not None   # 17160 <= 17977
-    assert _alphabet_for(Sp2nDefining(2), 46) is None
-    assert _alphabet_for(Sp2nDefining(2), 48) is not None
-    assert _alphabet_for(Sp2nDefining(4), 16) is None
-    assert _alphabet_for(SLnDefining(6), 12) is None
+    # the finite route where its estimate is no larger than the p basis's
+    assert _routed(SLnDefining(4), e(4), 9)           # 195 <= 320,288
+    assert _routed(SLnDefining(4), h(2), 20)          # 1,021,750 <= 1,104,232
+    assert _routed(Sp2nDefining(2), h(2), 20)         # 1,579,690 <= 1,850,992
+    assert not _routed(Sp2nDefining(2), h(2), 18)     # 970,200 > 810,242
+    # degree 40 on Sp(6), inside the plethysm cap
+    assert not _routed(Sp2nDefining(3), h(2), 20)    # 116,771,385 > 4,315,300
+    # binary forms above the plethysm cap, which only this route answers
+    assert _routed(SLnDefining(2), h(25), 10)
+    # the invariants_grid benchmark's SL(3) and Sp(4) queries, where the
+    # p basis measured 1.2-5x faster with its chi^lam rows memoized
+    for family in (SLnDefining(3), Sp2nDefining(2)):
+        for F in (h(1), h(2), h(3), h(4), e(2), s(2, 1)):
+            for r in range(1, min(5, 12 // F.degree()) + 1):
+                assert not _routed(family, F, r), (family, F, r)
     for family in (SnPermutation(2), GLnAdjoint(2), Custom(h_sum_series(4))):
-        assert _alphabet_for(family, 4) is None
+        assert not _routed(family, h(2), 2)
+
+
+def test_routing_expands_nothing(monkeypatch):
+    # the estimates read the shapes' bounds and F's own terms only: no
+    # Jacobi-Trudi term, chi^lam row or character value while routing
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapped)
+    invariants, symfunc = (sys.modules["symf.invariants"],
+                           sys.modules["symf.symfunc"])
+    spy(invariants, "_jacobi_trudi")
+    spy(invariants, "_schur_p")
+    spy(symfunc, "_schur_p")
+    spy(sys.modules["symf.characters"], "_chi")
+    cases = [(SLnDefining(4), e(4), 8), (SLnDefining(6), h(2), 6),
+             (Sp2nDefining(3), h(2), 20), (Sp2nDefining(2), s(2, 1), 4),
+             (SLnDefining(3), s(3, 1), 6), (SLnDefining(2), VIRTUAL, 6),
+             (SLnDefining(2), NON_INTEGRAL, 6), (SLnDefining(4), e(2), 4)]
+    routes = [_routed(*case) for case in cases]
+    assert calls == []
+    assert routes == [True, False, False, False, True, True, True, False]
+    # the spies are live: the pairing weights are Jacobi-Trudi's terms,
+    # one for each of the 4! permutations
+    assert len(_alphabet_for(SLnDefining(4), e(4), 8).weights) == 24
+    assert calls == ["_jacobi_trudi"]
+
+
+# ---------------------------------------------------------------------
+# packed exponent keys against exponent tuples
+# ---------------------------------------------------------------------
+
+class _TupleRing:
+    """The finite alphabet's multiply and x -> x^j on exponent tuples,
+    one exponent at a time: the reference for the packed keys."""
+
+    def __init__(self, bounds):
+        self.bounds = bounds
+
+    def mul(self, a, b, out=None):
+        out = {} if out is None else out
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(map(add, ea, eb))
+                if all(map(le, e, self.bounds)):
+                    out[e] = out.get(e, 0) + ca * cb
+        return out
+
+    def substitute(self, f, j):
+        out = {}
+        for e, c in f.items():
+            e = tuple(j * a for a in e)
+            if all(map(le, e, self.bounds)):
+                out[e] = c
+        return out
+
+
+def _packed_ring(bounds):
+    # an alphabet's packing for any bounds, 0 included, which no set of
+    # shapes gives
+    ring = _Alphabet.__new__(_Alphabet)
+    ring._fields(bounds)
+    return ring
+
+
+def _unpack(ring, f):
+    fields = [(s, (1 << (2 * b + 1).bit_length()) - 1)
+              for s, b in zip(ring.shifts, ring.bounds)]
+    return {tuple(key >> s & mask for s, mask in fields): c
+            for key, c in f.items()}
+
+
+# bounds on either side of a change of field width, up to 8 bits
+FIELD_EDGES = (0, 1, 2, 3, 4, 31, 32, 63, 64, 126, 127)
+
+
+def _random_poly(rng, bounds):
+    # exponents at 0, at the bound, one below it or anywhere in between
+    def exponent(b):
+        return rng.choice((0, b, max(b - 1, 0), rng.randint(0, b)))
+    return {tuple(map(exponent, bounds)):
+            rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 7)))
+            for _ in range(rng.randint(1, 12))}
+
+
+def test_packed_ring_matches_the_tuple_ring_at_the_field_edges():
+    rng = random.Random(18)
+    for _ in range(400):
+        bounds = tuple(rng.choice(FIELD_EDGES)
+                       for _ in range(rng.randint(1, 4)))
+        ring, ref = _packed_ring(bounds), _TupleRing(bounds)
+        a, b, c = (_random_poly(rng, bounds) for _ in range(3))
+
+        def pack(f):
+            return {ring.pack(e): v for e, v in f.items()}
+        assert _unpack(ring, ring.mul(pack(a), pack(b))) == ref.mul(a, b)
+        assert _unpack(ring, ring.mul(pack(a), pack(b), pack(c))) == \
+            ref.mul(a, b, dict(c))
+        # x_1 + ... + x_L, which the ring keeps whole although x_i is
+        # outside the box where B_i = 0
+        x = {tuple(int(i == j) for j in range(len(bounds))): 1
+             for i in range(len(bounds))}
+        for j in (1, 2, 3, 5, 32, 64, 127, 128):
+            for f in (a, x):
+                assert _unpack(ring, ring.substitute(pack(f), j)) == \
+                    ref.substitute(f, j), (bounds, j)
+
+
+@pytest.mark.parametrize("k,r", [(4, 15), (4, 16), (8, 15)])
+def test_binary_forms_at_the_field_edges(finite_calls, k, r):
+    # bounds (31, 30), (33, 32) and (61, 60): products reach 62 in a
+    # full 6-bit field, then 66 and 122 in 7-bit ones
+    assert _Alphabet(_target_shapes(SLnDefining(2), k * r)).bounds == \
+        (k * r // 2 + 1, k * r // 2)
+    assert hilbert_dim(SLnDefining(2), h(k), r) == \
+        oracle_cayley_sylvester(k, r)
+    assert finite_calls == ["evaluate"]
 
 
 def test_finite_route_at_weight_36_on_sl4(finite_calls):
@@ -339,8 +485,8 @@ def test_finite_route_at_weight_36_on_sl4(finite_calls):
                                     Sp2nDefining(1), Sp2nDefining(2),
                                     Sp2nDefining(3)])
 def test_finite_route_below_the_rule(family):
-    # the alphabet built whatever the routing rule says, at degrees
-    # where the rule keeps the p-basis route
+    # the alphabet built whatever the routing rule says, r = 0 and the
+    # degrees where the rule keeps the p-basis route included
     functors = (h(1), h(2), h(3), e(2), s(2, 1), VIRTUAL, NON_INTEGRAL)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
