@@ -200,9 +200,11 @@ def _store_table(r, rows):
 
 def _reset_memo():
     # Test hook: forget everything held in process, keep disk files.
+    from .symfunc import _schur_p
     _TABLES.clear()
     _chi.cache_clear()
     _strip_removals.cache_clear()
+    _schur_p.cache_clear()
 
 
 class RepCharacter:

@@ -16,17 +16,20 @@ degree r in the outer alphabet.  It has two expansions,
 
 whose agreement is the Cauchy identity; the package computes either on
 demand and the test suite holds them against each other.  p mode is the
-default because p_lam[F] is a cheap substitution while s_lam[F] expands
-through the character table.
+default because it pairs each product p_lam[F] with G as it is formed,
+while s mode holds every p_mu[F], mu |- r, at once and sums each
+s_lam[F] from them over the Murnaghan-Nakayama row chi^lam
+(characters._chi, read through symfunc._schur_p).
 
 Each algorithm is written once, over a ring of dicts with `one`,
 `mul(a, b, out=None)` (a*b, added into out if given), `substitute`
 (f, j -> p_j[f]) and `unpack` (a result keyed as callers read it):
-f[g] in _pleth_p, h_r[f] by Newton's recurrence in _h_of, the p_lam[f]
-pairings in _pairings.  The rings are _PBasis, on class function values
-keyed by packed partitions that unpack to part tuples, and
-invariants._Alphabet, on truncated polynomials keyed by packed exponent
-vectors, which its pairing reads as they are.
+f[g] in _pleth_p (its sum over the p_mu[g] in _pleth_sum), h_r[f] by
+Newton's recurrence in _h_of, the p_lam[f] pairings in _pairings.  The
+rings are _PBasis, on class function values keyed by packed partitions
+that unpack to part tuples, and invariants._Alphabet, on truncated
+polynomials keyed by packed exponent vectors, which its pairing reads as
+they are.
 """
 
 from .errors import DegreeError, ResourceLimitError, TruncationError
@@ -83,12 +86,19 @@ class _PBasis:
 
 
 def _pleth_p(fp, g, ring=_PBasis()):
+    # f[g] from the p_mu[g] of f's support, multiplied out here
+    return _pleth_sum(fp, _p_powers(g, sorted(fp), ring), ring)
+
+
+def _pleth_sum(fp, powers, ring=_PBasis()):
     # f[g] = sum over mu of a_mu / z_mu p_mu[g] for f's class function
-    # values a, on the common denominator d! of f's largest degree
+    # values a, on the common denominator d! of f's largest degree, read
+    # from (mu, p_mu[g]) pairs that cover f's support
     n, weights = _scaled(fp)
     out = {}
-    for mu, prod in _p_powers(g, sorted(fp), ring):
-        _add_into(out, prod, weights[mu])
+    for mu, prod in powers:
+        if mu in weights:
+            _add_into(out, prod, weights[mu])
     return ring.unpack({nu: _div(c, n) for nu, c in out.items()})
 
 
@@ -219,7 +229,9 @@ def fundamental(F, G, r, mode="p"):
     the coefficient of p_lam/z_lam is <p_lam[F], G>; in s mode the
     coefficient of s_lam is <s_lam[F], G>, computed through an honest
     plethysm of each Schur function, so the two modes cross-check each
-    other rather than sharing their arithmetic.
+    other rather than sharing their pairings.  s mode multiplies each
+    p_mu[F], mu |- r, once per call and builds every s_lam[F] in full
+    from those products before pairing it with G.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -248,5 +260,8 @@ def fundamental(F, G, r, mode="p"):
     if mode == "p":
         # <p_lam[F], G> is the value at lam; zeros drop out in SymFn
         return _pairings(fp, r, lambda prod: _scalar_p(prod, gp))
-    return SymFn("s", {lam: _scalar_p(_pleth_p(_schur_p(tuple(lam)), fp), gp)
+    # a list, since every s_lam[F] is summed from the same p_mu[F]
+    powers = list(_p_powers(fp, partitions_of(r), _PBasis()))
+    return SymFn("s", {lam: _scalar_p(_pleth_sum(_schur_p(tuple(lam)), powers),
+                                      gp)
                        for lam in partitions_of(r)})

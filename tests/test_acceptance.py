@@ -32,7 +32,7 @@ def test_c01_plethysm_landmarks():
 
 
 def test_c02_mode_agreement():
-    check_cauchy_modes(50, 12, 12)
+    check_cauchy_modes(50, 16, 16)
     print("PASS c02 power sum and schur modes agree on 50 random pairs")
 
 

@@ -12,7 +12,7 @@ from symf.characters import (CACHE_FORMAT_VERSION, CHAR_TABLE_CAP,
 from symf.errors import ResourceLimitError
 from symf.oracles import oracle_syt
 from symf.partitions import Partition, partitions_of, z_of
-from symf.symfunc import e, h, p, s
+from symf.symfunc import _schur_p, e, h, p, s, to_basis
 
 
 def test_small_tables_are_the_classical_ones():
@@ -76,6 +76,15 @@ def test_table_accessors():
 def test_cap_is_enforced():
     with pytest.raises(ResourceLimitError):
         character_table(CHAR_TABLE_CAP + 1)
+
+
+def test_reset_forgets_the_schur_rows():
+    # the p rows of Schur functions are read from chi, and go with it
+    before = to_basis(s(4, 2, 1), "p")
+    assert _schur_p.cache_info().currsize > 0
+    _reset_memo()
+    assert _schur_p.cache_info().currsize == 0
+    assert to_basis(s(4, 2, 1), "p") == before
 
 
 def test_cache_file_round_trip(fresh_cache):

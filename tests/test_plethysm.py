@@ -233,3 +233,23 @@ def test_fundamental_modes_agree_on_fixed_pairs():
              (h(1), s(2, 1) + s(3), 3), (h(3), h(3) * h(3), 2)]
     for f, g, r in pairs:
         assert fundamental(f, g, r, mode="p") == fundamental(f, g, r, mode="s")
+
+
+def test_s_mode_multiplies_no_more_than_p_mode(monkeypatch):
+    # s mode multiplies each p_mu[F], mu |- r, once per call and sums
+    # every s_lam[F] from those products, as p mode pairs them; F and G
+    # come in the p basis, so no h expansion multiplies inside the count
+    module = sys.modules["symf.plethysm"]
+    calls = []
+
+    def counted(a, b, cap=None):
+        calls.append(1)
+        return _mul_p(a, b, cap)
+    monkeypatch.setattr(module, "_mul_p", counted)
+    F, G = to_basis(h(2), "p"), to_basis(h(8) * h(8), "p")
+    counts = {}
+    for mode in "ps":
+        calls.clear()
+        fundamental(F, G, 8, mode)
+        counts[mode] = len(calls)
+    assert 0 < counts["s"] <= counts["p"]
