@@ -62,7 +62,8 @@ def _strip_removals(lam, size):
 
 @lru_cache(maxsize=None)
 def _chi(lam, mu):
-    # lam, mu plain tuples with equal weight, mu consumed left to right.
+    # lam, mu part tuples or Partitions, which hash and compare alike, of
+    # equal weight; mu consumed left to right.
     if not mu:
         return 1
     head, rest = mu[0], mu[1:]

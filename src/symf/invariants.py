@@ -127,7 +127,7 @@ def inv_char(family, r):
         for lam in partitions_of(r):
             if lam.length <= family.n:
                 _add_into(total, {mu: v * v for mu, v in
-                                  _schur_p(tuple(lam)).items()})
+                                  _schur_p(lam).items()})
         return _p_symfn(total)
     if isinstance(family, Custom):
         return family.series.component(r)

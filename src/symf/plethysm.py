@@ -27,9 +27,9 @@ Each algorithm is written once, over a ring of dicts with `one`,
 f[g] in _pleth_p (its sum over the p_mu[g] in _pleth_sum), h_r[f] by
 Newton's recurrence in _h_of, the p_lam[f] pairings in _pairings.  The
 rings are _PBasis, on class function values keyed by packed partitions
-that unpack to part tuples, and invariants._Alphabet, on truncated
-polynomials keyed by packed exponent vectors, which its pairing reads as
-they are.
+that unpack to the key table's Partitions, and invariants._Alphabet, on
+truncated polynomials keyed by packed exponent vectors, which its
+pairing reads as they are.
 """
 
 from .errors import DegreeError, ResourceLimitError, TruncationError
@@ -54,7 +54,6 @@ def _p_powers(g, partitions, ring):
     subs = {a: ring.substitute(g, a) for a in set().union(*partitions)}
     stack = [((), ring.one)]
     for mu in partitions:
-        mu = tuple(mu)
         while stack[-1][0] != mu[:len(stack[-1][0])]:
             stack.pop()
         for a in mu[len(stack[-1][0]):]:
@@ -262,6 +261,5 @@ def fundamental(F, G, r, mode="p"):
         return _pairings(fp, r, lambda prod: _scalar_p(prod, gp))
     # a list, since every s_lam[F] is summed from the same p_mu[F]
     powers = list(_p_powers(fp, partitions_of(r), _PBasis()))
-    return SymFn("s", {lam: _scalar_p(_pleth_sum(_schur_p(tuple(lam)), powers),
-                                      gp)
+    return SymFn("s", {lam: _scalar_p(_pleth_sum(_schur_p(lam), powers), gp)
                        for lam in partitions_of(r)})

@@ -34,9 +34,11 @@ The multiply _mul_p keys by packed partitions, m_i in bits 7(i-1) to
 keys appear gives each key's weight, z and parts.  Packed keys stay
 inside _mul_p and plethysm's p-basis ring, SymFn.__mul__ and _prod_h_p
 pack around it, and the rest (SymFn, _p_dict, _scalar_p, to_basis,
-_chi, _p_to_m) keys by part tuples.  Where tuples are packed, a product
-that could repeat a part 128 times, and so spill into the next field,
-is refused first.
+_chi, _p_to_m) keys by the shared Partitions of partitions_of and the
+key table.  SymFn's constructor validates its input but takes Partition
+keys and Fraction values as they are, so kernel results are not
+rebuilt.  Where partitions are packed, a product that could repeat a
+part 128 times, and so spill into the next field, is refused first.
 
 A Schur input s_lam is its row chi^lam, read value by value from
 characters._chi (Murnaghan-Nakayama) at every weight; no character
@@ -89,8 +91,11 @@ class SymFn:
             if isinstance(value, _INEXACT):
                 raise TypeError("SymFn coefficients must be exact, got %r"
                                 % (value,))
-            key = Partition(key)
-            value = Fraction(value)
+            # kernel results arrive as Partitions and Fractions already
+            if type(key) is not Partition:
+                key = Partition(key)
+            if type(value) is not Fraction:
+                value = Fraction(value)
             if key in clean:
                 value += clean[key]
             if value:
@@ -267,10 +272,11 @@ def s(*parts):
 # class function kernel
 # ---------------------------------------------------------------------
 #
-# The kernel works on plain dicts mapping part tuples, or packed keys in
-# and out of _mul_p, to class function values a_mu.  Partition subclasses
-# tuple, so the two tuple types interoperate; SymFn construction restores
-# Partition keys at the boundary.
+# The kernel works on plain dicts mapping partitions, or packed keys in
+# and out of _mul_p, to class function values a_mu.  Its keys are the
+# Partitions of partitions_of and of the key table, shared rather than
+# rebuilt; Partition subclasses tuple and hashes and compares as one, so
+# a part tuple reads the same entries.
 
 def _div(v, n):
     # v / n, exact: an int when n divides v
@@ -321,7 +327,8 @@ class _KeyTable(dict):
             z *= i ** m * math.factorial(m)
             rest >>= _KEY_BITS
             i += 1
-        row = self[key] = (sum(parts), z, tuple(parts[::-1]))
+        row = self[key] = (sum(parts), z,
+                           tuple.__new__(Partition, parts[::-1]))
         return row
 
 
@@ -401,8 +408,8 @@ def _schur_p(lam):
     # is never 0, so |lam| is its top multiplicity
     _check_multiplicity(sum(lam))
     chi = characters._chi
-    return {mu: v for mu in map(tuple, partitions_of(sum(lam)))
-            if (v := chi(tuple(lam), mu))}
+    return {mu: v for mu in partitions_of(sum(lam))
+            if (v := chi(lam, mu))}
 
 
 def _m_cap(d):
@@ -429,7 +436,7 @@ def _target_cap(target, degrees):
 def _p_to_m(d):
     # Rows of R as {nu: {mu: int}}, both in partitions_of order, so each
     # row ends on its diagonal entry prod_i m_i(nu)!.
-    rows = {tuple(nu): {} for nu in partitions_of(d)}
+    rows = {nu: {} for nu in partitions_of(d)}
     for mu in rows:
         for nu, a in _prod_h_p(mu).items():
             rows[nu][mu] = a
@@ -458,10 +465,10 @@ def _m_to_p(terms):
 
 
 def _p_dict(f):
-    """Class function values of f as a plain dict tuple -> int, or
+    """Class function values of f as a plain dict Partition -> int, or
     Fraction where f's own coefficients are not integral."""
     if f.basis == "p":
-        return {tuple(mu): _div(c.numerator * z_of(mu), c.denominator)
+        return {mu: _div(c.numerator * z_of(mu), c.denominator)
                 for mu, c in f.terms.items()}
     terms = {mu: _div(c.numerator, c.denominator) for mu, c in f.terms.items()}
     if f.basis == "m":
@@ -469,7 +476,7 @@ def _p_dict(f):
     expand = _schur_p if f.basis == "s" else _prod_h_p
     out = {}
     for mu, c in terms.items():
-        _add_into(out, expand(tuple(mu)), c)
+        _add_into(out, expand(mu), c)
     return _omega_p(out) if f.basis == "e" else out
 
 
@@ -508,8 +515,7 @@ def to_basis(f, target):
         if target == "s":
             # <f, s_lam> = sum over mu of a_mu chi^lam(mu) / z_mu
             for lam in partitions_of(d):
-                tl = tuple(lam)
-                c = sum(a * characters._chi(tl, mu) for mu, a in part.items())
+                c = sum(a * characters._chi(lam, mu) for mu, a in part.items())
                 if c:
                     out[lam] = Fraction(c, n)
         elif target == "m":
@@ -557,13 +563,31 @@ def dimension(f):
 
     For the Frobenius character of an S_r representation this is its
     dimension.  Raises on inhomogeneous input since mixing degrees makes
-    the count meaningless.
+    the count meaningless.  Only that one value is formed for s, h and e
+    inputs: r!/prod(hook lengths of lam) for s_lam and r!/prod(mu_i!)
+    for h_mu and e_mu.
     """
     if f.is_zero():
         return Fraction(0)
     if not f.is_homogeneous():
         raise DegreeError("dimension needs a homogeneous function")
-    return Fraction(_p_dict(f).get((1,) * f.degree(), 0))
+    d = f.degree()
+    if f.basis in ("m", "p"):
+        return Fraction(_p_dict(f).get((1,) * d, 0))
+    # the cap of the full expansion, so the inputs it refused stay refused
+    _check_multiplicity(d)
+    n = math.factorial(d)
+    if f.basis == "s":
+        return sum(c * (n // _hook_product(lam)) for lam, c in f.terms.items())
+    return sum(c * (n // math.prod(map(math.factorial, mu)))
+               for mu, c in f.terms.items())
+
+
+def _hook_product(lam):
+    # product of the hook lengths of lam's boxes, d!/chi^lam(1^d)
+    conj = lam.conjugate()
+    return math.prod(row - j + conj[j] - i - 1
+                     for i, row in enumerate(lam) for j in range(row))
 
 
 def specialize_ones(f):
@@ -578,7 +602,7 @@ def specialize_ones(f):
 def monomial_coefficient(f, mu):
     """Coefficient of the monomial m_mu in f, computed as <f, h_mu>."""
     mu = Partition(mu)
-    return _scalar_p(_p_dict(f), _prod_h_p(tuple(mu)))
+    return _scalar_p(_p_dict(f), _prod_h_p(mu))
 
 
 # ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import os
 import warnings
+from decimal import Decimal
 
 import pytest
 from fractions import Fraction
@@ -242,3 +243,14 @@ def test_char_of_functor_frobenius_images():
     for lam in partitions_of(4):
         assert char_of_functor(RepCharacter.irreducible(lam)) == s(*lam)
         assert schur_functor_char(lam) == s(*lam)
+
+
+def test_char_of_functor_refuses_inexact_traces():
+    # the traces are user input: inexact ones are refused, zero or not,
+    # and a zero trace leaves no term
+    for v in (0.5, Decimal("0.5"), 1j, 0.0):
+        with pytest.raises(TypeError):
+            char_of_functor(RepCharacter(2, {(2,): v, (1, 1): 1}))
+    f = char_of_functor(RepCharacter(2, {(2,): 0, (1, 1): 4}))
+    assert list(f.terms.items()) == [(Partition((1, 1)), Fraction(2))]
+    assert type(next(iter(f.terms))) is Partition

@@ -9,8 +9,11 @@ identity and omega, and fundamental() agrees in p and s mode.  Plethysm
 is linear and multiplicative in its left argument, and p_n[g]
 substitutes p_k -> p_nk in g.  The kernel product with a degree cap is
 the full product with the terms above the cap dropped, in the same
-order, and both match the tuple-keyed reference in test_kernel.py.  Newton's recurrence builds h_r[a] equal to the plethysm of h_r
-with a, both on class function values and in a finite alphabet.
+order, and both match the tuple-keyed reference in test_kernel.py.
+Newton's recurrence builds h_r[a] equal to the plethysm of h_r with a,
+both on class function values and in a finite alphabet.  Every kernel
+result, whose Partition keys and Fraction values the constructor takes
+as they are, is the SymFn the constructor builds from its terms.
 """
 
 from fractions import Fraction
@@ -20,8 +23,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from symf.partitions import partitions_of
-from symf.invariants import _Alphabet
+from symf.partitions import Partition, partitions_of
+from symf.invariants import (GLnAdjoint, SLnDefining, SnPermutation,
+                             Sp2nDefining, _Alphabet, inv_char)
 from symf.plethysm import _h_of, _pleth_p, fundamental, plethysm
 from symf.symfunc import (BASES, SymFn, e, h, kronecker, m, one, p, scalar,
                           to_basis)
@@ -230,3 +234,37 @@ def test_newton_recurrence_in_a_finite_alphabet(operands, shapes):
     hr = dict.fromkeys(map(tuple, partitions_of(r)), 1)
     assert _h_of(alphabet.evaluate(a), r, alphabet) == \
         alphabet.evaluate(_pleth_p(hr, a))
+
+
+def assert_validated(f):
+    # what SymFn's constructor would build from f's own terms: Partition
+    # keys, nonzero Fraction values, the same items in the same order
+    assert all(type(mu) is Partition for mu in f.terms)
+    assert all(type(c) is Fraction and c for c in f.terms.values())
+    assert list(SymFn(f.basis, f.terms).terms.items()) == \
+        list(f.terms.items())
+
+
+families = st.builds(lambda family, n: family(n),
+                     st.sampled_from((SLnDefining, Sp2nDefining,
+                                      SnPermutation, GLnAdjoint)),
+                     st.integers(1, 3))
+
+
+@derandomized
+@given(symfns(max_degree=8), symfns(max_degree=4), symfns(max_degree=4),
+       families, st.integers(0, 8), st.data())
+def test_kernel_results_are_validated_symfns(f, a, b, family, r, data):
+    # inputs in all five bases, every result of degree <= 8
+    results = [to_basis(f, target) for target in BASES]
+    results += [a * b, a + b, kronecker(a, b), inv_char(family, r)]
+    g = data.draw(symfns(max_degree=2))
+    left = data.draw(symfns(max_degree=8 // max(g.degrees() + [1])))
+    results.append(plethysm(left, g))
+    k = data.draw(st.integers(1, 4))
+    rk = data.draw(st.integers(0, 8 // k))
+    F, G = data.draw(symfns(degree=k)), data.draw(symfns(degree=k * rk))
+    if not F.is_zero():
+        results += [fundamental(F, G, rk, mode) for mode in ("p", "s")]
+    for out in results:
+        assert_validated(out)

@@ -9,9 +9,10 @@ from fractions import Fraction
 
 from symf import characters, symfunc
 from symf.errors import DegreeError, ResourceLimitError
+from symf.invariants import GLnAdjoint, inv_char
 from symf.oracles import _kostka, oracle_syt
 from symf.partitions import Partition, partitions_of, z_of
-from symf.plethysm import plethysm
+from symf.plethysm import fundamental, plethysm
 from symf.symfunc import (BASES, SymFn, _p_dict, _p_to_m, dimension, e,
                           from_json_dict, generator, h, kronecker, m,
                           monomial_coefficient, one, p, s, scalar,
@@ -164,6 +165,62 @@ def test_dimension_is_standard_tableaux_count():
     assert dimension(one()) == 1
     with pytest.raises(DegreeError):
         dimension(h(2) + h(3))
+
+
+def test_dimension_reads_one_value(monkeypatch):
+    # s, h and e inputs never expand: the hook length quotients
+    # chi^lam(1^d) and the multinomials d!/prod(mu_i!) are one value each
+    assert dimension(s(5, 5, 5, 5, 5)) == characters._chi((5,) * 5, (1,) * 25)
+
+    def refused(*args):
+        raise AssertionError("expanded %r" % (args,))
+    monkeypatch.setattr(symfunc, "_schur_p", refused)
+    monkeypatch.setattr(symfunc, "_prod_h_p", refused)
+    monkeypatch.setattr(characters, "_chi", refused)
+    # the staircase (15, ..., 1) has Catalan(16) subdiagrams, too many
+    # for any walk that visits them
+    for lam in ((5,) * 5, (7,) * 5, (10,) * 5, tuple(range(15, 0, -1))):
+        assert dimension(s(*lam)) == oracle_syt(lam), lam
+    assert dimension(h(3, 2, 2)) == dimension(e(3, 2, 2)) == 210
+    # the multiplicity cap still refuses before _chi recurses |lam| deep
+    with pytest.raises(ResourceLimitError):
+        dimension(s(100, 100))
+    with pytest.raises(ResourceLimitError):
+        dimension(h(200))
+
+
+def test_dimension_matches_the_full_expansion():
+    # against the value at (1^d) of the whole class function, on inputs
+    # in every basis, several terms each, and on cross-basis sums
+    cases = []
+    for d in range(7):
+        shapes = partitions_of(d)
+        for basis in BASES:
+            cases.append(SymFn(basis, [(mu, Fraction(i - 2, i % 3 + 1))
+                                       for i, mu in enumerate(shapes)]))
+        middle = shapes[len(shapes) // 2]
+        cases.append(s(*shapes[0]) - 3 * h(*shapes[-1]) + e(*middle))
+        cases.append(m(*shapes[0]) + Fraction(1, 2) * s(*shapes[-1]))
+    for f in cases:
+        want = Fraction(_p_dict(f).get((1,) * f.degree(), 0))
+        got = dimension(f)
+        assert type(got) is Fraction and got == want, f
+
+
+def test_kernel_results_share_no_memo():
+    # a result's terms are its own: editing them changes no later answer
+    makes = (lambda: to_basis(s(4, 2), "p"), lambda: to_basis(h(3, 3), "m"),
+             lambda: fundamental(h(2), h(4) * h(4), 4, "s"),
+             lambda: inv_char(GLnAdjoint(3), 5))
+    for make in makes:
+        before = list(make().terms.items())
+        f = make()
+        for mu in f.terms:
+            f.terms[mu] += 1
+        f.terms[Partition((99,))] = Fraction(1)
+        assert list(make().terms.items()) == before
+        f.terms.clear()
+        assert list(make().terms.items()) == before
 
 
 def test_specialize_ones():
