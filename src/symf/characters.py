@@ -200,12 +200,19 @@ def _store_table(r, rows):
 
 
 def _reset_memo():
-    # Test hook: forget everything held in process, keep disk files.
-    from .symfunc import _schur_p
+    # Test hook: forget every computed value held in process, keep disk
+    # files.  The memos of partitions, z_mu and the oracles stay, and so
+    # does the bounded monomial count of invariants.
+    from .invariants import _SN_SERIES
+    from .symfunc import _KEYS, _P_TO_M, _prod_h_p, _schur_p
     _TABLES.clear()
     _chi.cache_clear()
     _strip_removals.cache_clear()
     _schur_p.cache_clear()
+    _prod_h_p.cache_clear()
+    _P_TO_M.clear()
+    _KEYS.clear()
+    _SN_SERIES.clear()
 
 
 class RepCharacter:

@@ -9,6 +9,7 @@ tell a typo (2) from a degree mismatch (3) from a size cap (4).
 import argparse
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from .characters import character_table
@@ -195,7 +196,18 @@ def build_parser():
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print("symf: warning: %s" % message, file=sys.stderr)
+
+
 def main(argv=None):
+    # warnings print as one line each, for this call only
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        return _main(argv)
+
+
+def _main(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -22,8 +22,12 @@ boundary, where c_mu = a_mu / z_mu.
 The other bases are views reached by exact base change.  R[nu][mu] =
 a_nu(h_mu) counts the ways to fuse the parts of nu into mu (Macdonald
 I.6), so R is an integer matrix, lower triangular in the canonical
-reverse lexicographic order since mu then dominates nu.  The m
-coefficients of f are <f, h_mu> = sum of a_nu R[nu][mu] / z_nu, its h
+reverse lexicographic order since mu then dominates nu.  Row nu is p_nu
+in the m basis, counted from a lower degree: for s the smallest part of
+nu and nu' the other parts, p_nu = p_nu' p_s, and m_lam p_s raises one
+part v of lam, or a new part 0, to v + s, with the multiplicity of v + s
+as coefficient.  _p_to_m builds the degrees in turn and keeps them.  The
+m coefficients of f are <f, h_mu> = sum of a_nu R[nu][mu] / z_nu, its h
 coefficients solve R c = a by forward substitution, and an m input is
 solved for a by one back substitution per degree; no inverse is ever
 formed.  e goes through omega in both directions: e inputs expand as h
@@ -32,13 +36,14 @@ and are flipped, and e targets flip f before solving for h coefficients.
 The multiply _mul_p keys by packed partitions, m_i in bits 7(i-1) to
 7i-1 of one int, so a union of partitions is + and a table filled as
 keys appear gives each key's weight, z and parts.  Packed keys stay
-inside _mul_p and plethysm's p-basis ring, SymFn.__mul__ and _prod_h_p
-pack around it, and the rest (SymFn, _p_dict, _scalar_p, to_basis,
-_chi, _p_to_m) keys by the shared Partitions of partitions_of and the
-key table.  SymFn's constructor validates its input but takes Partition
-keys and Fraction values as they are, so kernel results are not
-rebuilt.  Where partitions are packed, a product that could repeat a
-part 128 times, and so spill into the next field, is refused first.
+inside _mul_p and plethysm's p-basis ring; SymFn.__mul__ and _prod_h_p,
+the h products of h and e inputs and monomial_coefficient, pack around
+it.  The rest (SymFn, _p_dict, _scalar_p, to_basis, _chi, _p_to_m) keys
+by the shared Partitions of partitions_of and the key table.  SymFn's
+constructor validates its input but takes Partition keys and Fraction
+values as they are, so kernel results are not rebuilt.  Where
+partitions are packed, a product that could repeat a part 128 times,
+and so spill into the next field, is refused first.
 
 A Schur input s_lam is its row chi^lam, read value by value from
 characters._chi (Murnaghan-Nakayama) at every weight; no character
@@ -432,15 +437,50 @@ def _target_cap(target, degrees):
             _m_cap(d)
 
 
-@lru_cache(maxsize=None)
+# R by degree: _P_TO_M[k] holds the rows for degree k once built.
+_P_TO_M = []
+
+
 def _p_to_m(d):
     # Rows of R as {nu: {mu: int}}, both in partitions_of order, so each
-    # row ends on its diagonal entry prod_i m_i(nu)!.
-    rows = {nu: {} for nu in partitions_of(d)}
-    for mu in rows:
-        for nu, a in _prod_h_p(mu).items():
-            rows[nu][mu] = a
-    return rows
+    # row ends on its diagonal entry prod_i m_i(nu)!.  Row nu is p_nu in
+    # the m basis: with s the smallest part of nu and nu' the rest, p_nu
+    # is p_nu' p_s, so row nu is row nu' of degree d - s times p_s.  The
+    # degrees missing from _P_TO_M are built in turn, up to d, each with
+    # the moves m_lam p_s it meets.
+    for k in range(len(_P_TO_M), d + 1):
+        shapes = partitions_of(k)
+        shared = dict(zip(shapes, shapes))
+        moves = {}
+        rows = {}
+        for nu in shapes:
+            if not nu:
+                rows[nu] = {nu: 1}
+                continue
+            s = nu[-1]
+            acc = {}
+            for lam, c in _P_TO_M[k - s][nu[:-1]].items():
+                out = moves.get((lam, s))
+                if out is None:
+                    out = moves[lam, s] = _times_p(lam, s, shared)
+                for rho, r in out:
+                    acc[rho] = acc.get(rho, 0) + c * r
+            rows[nu] = {mu: acc[mu] for mu in shapes if mu in acc}
+        _P_TO_M.append(rows)
+    return _P_TO_M[d]
+
+
+def _times_p(lam, s, shared):
+    # m_lam p_s as [(rho, m_rho(v + s))]: rho, taken from shared, is lam
+    # with one part v raised to v + s, once for each distinct v among
+    # lam's parts and 0
+    out = []
+    for v in {0, *lam}:
+        i = lam.index(v) if v else len(lam)
+        rho = shared[tuple(sorted(lam[:i] + lam[i + 1:] + (v + s,),
+                                  reverse=True))]
+        out.append((rho, rho.count(v + s)))
+    return out
 
 
 def _m_to_p(terms):

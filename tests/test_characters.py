@@ -1,16 +1,20 @@
+import importlib
 import json
 import os
+import pkgutil
 import warnings
 from decimal import Decimal
 
 import pytest
 from fractions import Fraction
 
+import symf
 from symf.characters import (CACHE_FORMAT_VERSION, CHAR_TABLE_CAP,
                              CharacterTable, RepCharacter, _load_table,
                              _reset_memo, cache_dir, char_of_functor,
                              character_table, chi, schur_functor_char)
 from symf.errors import ResourceLimitError
+from symf.invariants import SnPermutation, inv_char
 from symf.oracles import oracle_syt
 from symf.partitions import Partition, partitions_of, z_of
 from symf.symfunc import _schur_p, e, h, p, s, to_basis
@@ -86,6 +90,59 @@ def test_reset_forgets_the_schur_rows():
     _reset_memo()
     assert _schur_p.cache_info().currsize == 0
     assert to_basis(s(4, 2, 1), "p") == before
+
+
+# Memos that _reset_memo keeps on purpose: partitions, z_mu and the
+# oracles' permutation lists and counts depend only on their integer
+# arguments, and the monomial count of invariants is bounded.
+KEPT_MEMOS = {
+    "symf.partitions.z_of", "symf.partitions._partitions_of",
+    "symf.partitions._pentagonal_counts", "symf.invariants._monomial_count",
+    "symf.oracles._symmetric_group", "symf.oracles._bounded_partition_count",
+}
+
+
+def _module_memos():
+    # every lru_cache defined at module level in symf, and every module
+    # level dict, list or set
+    out = {}
+    for info in pkgutil.iter_modules(symf.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module("symf." + info.name)
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                if value.__module__ == module.__name__:
+                    out[module.__name__ + "." + name] = value
+            elif (isinstance(value, (dict, list, set))
+                  and not name.startswith("__")):
+                out[module.__name__ + "." + name] = value
+    return out
+
+
+def _memo_size(memo):
+    if hasattr(memo, "cache_info"):
+        return memo.cache_info().currsize
+    return len(memo)
+
+
+def test_reset_clears_every_memo_not_kept_on_purpose():
+    memos = _module_memos()
+    assert KEPT_MEMOS <= memos.keys()
+    cleared = {name: memo for name, memo in memos.items()
+               if name not in KEPT_MEMOS}
+    assert {"symf.symfunc._prod_h_p", "symf.symfunc._P_TO_M",
+            "symf.symfunc._KEYS", "symf.invariants._SN_SERIES",
+            "symf.symfunc._schur_p", "symf.characters._chi",
+            "symf.characters._strip_removals",
+            "symf.characters._TABLES"} <= cleared.keys()
+    character_table(4)
+    to_basis(h(3, 2) * s(2, 1) + e(2), "m")
+    inv_char(SnPermutation(2), 4)
+    assert all(_memo_size(memo) for memo in cleared.values())
+    _reset_memo()
+    assert {name: _memo_size(memo) for name, memo in cleared.items()} == \
+        dict.fromkeys(cleared, 0)
 
 
 def test_cache_file_round_trip(fresh_cache):

@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,21 @@ class TestEval:
     def test_json_partition(self, capsys):
         code, out, err = run(capsys, "eval", "[2,1]", "--json")
         assert (code, out) == (0, '{"partition": [2, 1]}\n')
+
+    def test_warning_is_one_line(self, capsys):
+        # a fresh process, then in process twice: each call shows it
+        # once, and callers of the library keep Python's own display
+        warning = ("symf: warning: partition [3, 5] is not weakly "
+                   "decreasing; sorted to [5, 3]\n")
+        proc = subprocess.run([sys.executable, "-m", "symf", "eval",
+                               "s[3,5]"],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, "s[5,3]\n", warning)
+        shown = warnings.showwarning
+        for _ in range(2):
+            assert run(capsys, "eval", "s[3,5]") == (0, "s[5,3]\n", warning)
+        assert warnings.showwarning is shown
 
     def test_json_respects_basis(self, capsys):
         code, out, err = run(capsys, "eval", "s2", "--basis", "p", "--json")
@@ -338,6 +354,21 @@ class TestTable:
         code, out, err = run(capsys, "table", "--r", "14")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == TABLE_R14_SHA256
+
+    def test_unwritable_cache_warning_is_one_line(self, capsys, tmp_path,
+                                                   monkeypatch):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("plain file")
+        monkeypatch.setenv("SYMF_CACHE_DIR", str(blocker / "sub"))
+        _reset_memo()
+        try:
+            code, out, err = run(capsys, "table", "--r", "3")
+        finally:
+            _reset_memo()
+        assert (code, out) == (0, TABLE_R3)
+        assert err.startswith("symf: warning: could not persist character "
+                              "table r=3: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestSelftest:

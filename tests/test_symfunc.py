@@ -13,10 +13,11 @@ from symf.invariants import GLnAdjoint, inv_char
 from symf.oracles import _kostka, oracle_syt
 from symf.partitions import Partition, partitions_of, z_of
 from symf.plethysm import fundamental, plethysm
-from symf.symfunc import (BASES, SymFn, _p_dict, _p_to_m, dimension, e,
-                          from_json_dict, generator, h, kronecker, m,
-                          monomial_coefficient, one, p, s, scalar,
-                          specialize_ones, to_basis, to_json_dict, zero)
+from symf.symfunc import (BASES, SymFn, _p_dict, _p_to_m, _prod_h_p,
+                          dimension, e, from_json_dict, generator, h,
+                          kronecker, m, monomial_coefficient, one, p, s,
+                          scalar, specialize_ones, to_basis, to_json_dict,
+                          zero)
 
 
 def test_constructor_cleans_input():
@@ -371,6 +372,52 @@ def test_p_to_m_matrix_counts_fusions():
                                         for a in set(nu))
             for mu in shapes:
                 assert row.get(mu, 0) == _fusions(nu, mu)
+
+
+def _p_to_m_by_columns(d):
+    # the reference: column mu of R is h_mu's class function, the
+    # product of the trivial characters h_{mu_i}
+    rows = {nu: {} for nu in partitions_of(d)}
+    for mu in rows:
+        for nu, a in _prod_h_p(mu).items():
+            rows[nu][mu] = a
+    return rows
+
+
+def _listed(rows):
+    return [(nu, list(row.items())) for nu, row in rows.items()]
+
+
+def test_p_to_m_rows_match_the_h_products():
+    for d in range(17):
+        assert _listed(_p_to_m(d)) == _listed(_p_to_m_by_columns(d)), d
+
+
+def test_p_to_m_builds_no_h_products(monkeypatch):
+    characters._reset_memo()
+
+    def refused(*args):
+        raise AssertionError("called with %r" % (args,))
+    monkeypatch.setattr(symfunc, "_mul_p", refused)
+    monkeypatch.setattr(symfunc, "_prod_h_p", refused)
+    rows = _p_to_m(16)
+    assert len(rows) == 231
+    assert rows[(1,) * 16][(16,)] == 1
+    assert rows[(1,) * 16][(1,) * 16] == math.factorial(16)
+    assert _prod_h_p.cache_info().currsize == 0
+
+
+def test_m_target_above_the_matrix_cap(monkeypatch):
+    assert to_basis(p(20), "m") == m(20)
+    f = h(6, 6, 6) + 3 * p(9, 9) - e(10, 8) + p(5, 5, 4, 4)
+    in_m = to_basis(f, "m")
+    for mu in ((18,), (6, 6, 6), (9, 9), (5, 5, 4, 4), (3,) * 6):
+        assert in_m.coefficient(mu) == monomial_coefficient(f, mu), mu
+    # back to p by substitution against R, with the cap on that raised
+    with pytest.raises(ResourceLimitError, match="got 18$"):
+        to_basis(in_m, "p")
+    monkeypatch.setattr(symfunc, "_M_MATRIX_CAP", 18)
+    assert to_basis(in_m, "p") == f
 
 
 def test_class_function_values_of_characters_are_ints():
