@@ -26,10 +26,9 @@ exactly p(r) rows of p(r) integers is silently recomputed.
 import math
 import os
 import warnings
-from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .partitions import Partition, partitions_of
+from .partitions import Partition, _memo, partitions_of
 
 # Practical cap on full-table construction, and on the s basis as a
 # target, which pairs with every chi^lam of the degree.  Beyond it the
@@ -40,7 +39,7 @@ CHAR_TABLE_CAP = 20
 CACHE_FORMAT_VERSION = 2
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _strip_removals(lam, size):
     # All ways to remove a border strip of `size` cells from lam.
     # Returns tuples (smaller partition, sign).
@@ -60,7 +59,7 @@ def _strip_removals(lam, size):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _chi(lam, mu):
     # lam, mu part tuples or Partitions, which hash and compare alike, of
     # equal weight; mu consumed left to right.
@@ -87,11 +86,12 @@ class CharacterTable:
 
     rows[i][j] is the character of the i-th shape on the j-th class,
     both indexed by partitions_of(r), in reverse lexicographic order.
+    The rows are tuples, so a table held in the memo cannot be edited.
     """
 
     def __init__(self, r, rows):
         self.r = r
-        self.rows = rows
+        self.rows = tuple(map(tuple, rows))
         self._index = {lam: i for i, lam in enumerate(partitions_of(r))}
 
     def shapes(self):
@@ -111,7 +111,7 @@ class CharacterTable:
         return "CharacterTable(r=%d)" % self.r
 
 
-_TABLES = {}
+_TABLES = _memo({})
 
 
 def character_table(r):
@@ -197,22 +197,6 @@ def _store_table(r, rows):
             raise
     except OSError as exc:
         warnings.warn("could not persist character table r=%d: %s" % (r, exc))
-
-
-def _reset_memo():
-    # Test hook: forget every computed value held in process, keep disk
-    # files.  The memos of partitions, z_mu and the oracles stay, and so
-    # does the bounded monomial count of invariants.
-    from .invariants import _SN_SERIES
-    from .symfunc import _KEYS, _P_TO_M, _prod_h_p, _schur_p
-    _TABLES.clear()
-    _chi.cache_clear()
-    _strip_removals.cache_clear()
-    _schur_p.cache_clear()
-    _prod_h_p.cache_clear()
-    _P_TO_M.clear()
-    _KEYS.clear()
-    _SN_SERIES.clear()
 
 
 class RepCharacter:

@@ -19,7 +19,10 @@ group is a plethysm argument, so h[2][h[2]] and h2[h2] agree.  Partition
 entries given out of order are sorted with a warning.
 
 Evaluation produces either a SymFn or an exact rational; partition
-literals are only meaningful as the second argument of coeff.
+literals are only meaningful as the second argument of coeff.  Sums,
+products and bracket chains of any length are read and evaluated in
+loops; parentheses, brackets and calls nested more than _NESTING_CAP
+(256) levels deep are refused as a syntax error.
 """
 
 import warnings
@@ -33,6 +36,10 @@ from .plethysm import plethysm
 
 FUNCS = ("scalar", "kron", "dim", "ones", "coeff")
 BASIS_LETTERS = "phems"
+
+# Deepest nesting of parentheses, brackets and calls that parses; deeper
+# input is refused as a syntax error rather than exhausting the stack.
+_NESTING_CAP = 256
 
 
 class Num(Record):
@@ -107,6 +114,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -130,59 +138,58 @@ class _Parser:
         return node
 
     def expr(self):
+        # A sum of products, read in loops: a long sum or product costs no
+        # stack, only nesting does, and nesting is capped.
+        if self.depth > _NESTING_CAP:
+            raise ExprError("expression nested more than %d levels deep"
+                            % _NESTING_CAP, self.peek().pos)
+        self.depth += 1
+        node, op = None, None
         if self.peek().kind in ("+", "-"):
-            sign = self.next()
-            first = self.term()
-            node = first if sign.kind == "+" else BinOp("-", Num(0), first)
-        else:
-            node = self.term()
-        while self.peek().kind in ("+", "-"):
+            if self.next().kind == "-":
+                node, op = Num(0), "-"
+        while True:
+            term = self.factor()
+            while self.peek().kind == "*":
+                self.next()
+                term = BinOp("*", term, self.factor())
+            node = term if op is None else BinOp(op, node, term)
+            if self.peek().kind not in ("+", "-"):
+                break
             op = self.next().kind
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek().kind == "*":
-            self.next()
-            node = BinOp("*", node, self.factor())
+        self.depth -= 1
         return node
 
     def factor(self):
-        node = self.atom()
-        while self.peek().kind == "[":
-            self.next()
-            inner = self.expr()
-            self.expect("]")
-            node = Pleth(node, inner)
-        return node
-
-    def atom(self):
+        # an atom, then its plethysm brackets
         tok = self.next()
         if tok.kind == "num":
-            return Num(tok.value)
-        if tok.kind == "(":
+            node = Num(tok.value)
+        elif tok.kind == "(":
             node = self.expr()
             self.expect(")")
-            return node
-        if tok.kind == "[":
-            return PartitionLit(self.partition_body(tok.pos))
-        if tok.kind == "name":
-            if tok.value in FUNCS:
-                return self.call(tok)
-            if len(tok.value) == 1 and tok.value in BASIS_LETTERS:
-                return BasisAtom(tok.value, self.basis_part(tok))
+        elif tok.kind == "[":
+            node = PartitionLit(self.partition_body(tok.pos))
+        elif tok.kind == "name" and tok.value in FUNCS:
+            self.expect("(")
+            args = [self.expr()]
+            if self.peek().kind == ",":
+                self.next()
+                args.append(self.expr())
+            self.expect(")")
+            node = Call(tok.value, tuple(args))
+        elif (tok.kind == "name" and len(tok.value) == 1
+              and tok.value in BASIS_LETTERS):
+            node = BasisAtom(tok.value, self.basis_part(tok))
+        elif tok.kind == "name":
             raise ExprError("unknown name %r" % tok.value, tok.pos)
-        raise ExprError("expected a value, found %r" % (tok.value,), tok.pos)
-
-    def call(self, tok):
-        self.expect("(")
-        args = [self.expr()]
-        if self.peek().kind == ",":
+        else:
+            raise ExprError("expected a value, found %r" % (tok.value,), tok.pos)
+        while self.peek().kind == "[":
             self.next()
-            args.append(self.expr())
-        self.expect(")")
-        return Call(tok.value, tuple(args))
+            node = Pleth(node, self.expr())
+            self.expect("]")
+        return node
 
     def basis_part(self, tok):
         nxt = self.peek()
@@ -262,36 +269,48 @@ def _as_symfn(value, what):
 
 
 def evaluate(node):
-    """Evaluate a tree to a SymFn, a Fraction, or a Partition."""
+    """Evaluate a tree to a SymFn, a Fraction, or a Partition.
+
+    The left spine of a chain such as h1 + h1 + ... or f[g][h] is walked
+    in a loop, so only nesting costs stack depth.
+    """
+    spine = []
+    while isinstance(node, (BinOp, Pleth)):
+        spine.append(node)
+        node = node.left if isinstance(node, BinOp) else node.outer
     if isinstance(node, Num):
-        return Fraction(node.value)
-    if isinstance(node, BasisAtom):
-        return generator(node.basis, node.parts)
-    if isinstance(node, PartitionLit):
-        return node.parts
-    if isinstance(node, BinOp):
-        left = evaluate(node.left)
-        right = evaluate(node.right)
-        if isinstance(left, Partition) or isinstance(right, Partition):
-            raise ExprError("partitions do not support %r" % node.op)
-        if node.op == "*":
-            return left * right
-        if isinstance(left, SymFn) or isinstance(right, SymFn):
-            left = _as_symfn(left, "operand")
-            right = _as_symfn(right, "operand")
-        return left + right if node.op == "+" else left - right
-    if isinstance(node, Pleth):
-        outer = evaluate(node.outer)
-        inner = evaluate(node.inner)
-        return plethysm(_as_symfn(outer, "plethysm outer"),
-                        _as_symfn(inner, "plethysm inner"))
-    if isinstance(node, Call):
-        return _call(node)
-    raise TypeError("not an expression node: %r" % (node,))
+        value = Fraction(node.value)
+    elif isinstance(node, BasisAtom):
+        value = generator(node.basis, node.parts)
+    elif isinstance(node, PartitionLit):
+        value = node.parts
+    elif isinstance(node, Call):
+        value = _call(node)
+    else:
+        raise TypeError("not an expression node: %r" % (node,))
+    for node in reversed(spine):
+        if isinstance(node, Pleth):
+            inner = evaluate(node.inner)
+            value = plethysm(_as_symfn(value, "plethysm outer"),
+                             _as_symfn(inner, "plethysm inner"))
+        else:
+            value = _binop(node.op, value, evaluate(node.right))
+    return value
+
+
+def _binop(op, left, right):
+    if isinstance(left, Partition) or isinstance(right, Partition):
+        raise ExprError("partitions do not support %r" % op)
+    if op == "*":
+        return left * right
+    if isinstance(left, SymFn) or isinstance(right, SymFn):
+        left = _as_symfn(left, "operand")
+        right = _as_symfn(right, "operand")
+    return left + right if op == "+" else left - right
 
 
 def _call(node):
-    args = [evaluate(a) for a in node.args]
+    args = list(map(evaluate, node.args))
     want = 2 if node.func in ("scalar", "kron", "coeff") else 1
     if len(args) != want:
         raise ExprError("%s takes %d argument%s" % (node.func, want,

@@ -58,14 +58,15 @@ fundamental(F, inv_char(family, r*k), r, mode) in either mode.
 
 import warnings
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, permutations
 from math import comb, factorial, perm, prod
 from operator import le
 
 from .characters import CHAR_TABLE_CAP
 from .errors import DegreeError
-from .partitions import Partition, Record, partition_count, partitions_of
+from .partitions import (Partition, Record, _memo, partition_count,
+                         partitions_of)
 from .plethysm import (_check_degree, _h_of, _pairings, _pleth_p, fundamental,
                        h_plus_series, h_sum_series, plethysm_series)
 from .symfunc import (SymFn, _add_into, _p_dict, _p_symfn, _scalar_p,
@@ -152,7 +153,7 @@ def _target_shapes(family, d):
     return [Partition([a for a in mu for _ in (0, 1)]) for mu in halves]
 
 
-_SN_SERIES = {}
+_SN_SERIES = _memo({})
 
 
 def _sn_component(n, r):
@@ -340,7 +341,7 @@ def _alphabet_for(family, F, r):
     if p_cost < _ALPHABET_SETUP:
         return None  # below the cost of setting an alphabet up
     alphabet = _Alphabet(shapes)
-    m = _monomial_count(F.basis, tuple(F.terms), k, len(alphabet.bounds))
+    m = _monomial_count(F.basis, F.terms, k, len(alphabet.bounds))
     if _finite_cost(alphabet.bounds, m, k, r) > p_cost:
         return None
     return alphabet
@@ -362,7 +363,6 @@ def _finite_cost(bounds, m, k, r):
                       comb(max(m, 1) + i - 1, i)) for i in range(r))
 
 
-@lru_cache(maxsize=1024)
 def _monomial_count(basis, terms, k, length):
     # an upper bound on the monomials of F(x_1, ..., x_L) for F of degree
     # k with these terms: h and p terms reach every monomial of degree k,

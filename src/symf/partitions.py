@@ -12,7 +12,10 @@ that one canonical order; nothing ever depends on hash order.
 
 Record, the immutable base of the invariant families, enumeration specs
 and expression nodes, lives here too, since every layer imports this
-module.
+module.  So does the registry of memos: each memo of computed values is
+declared through _memo where it is defined, and _reset_memo clears
+every one that registered.  The caches of partitions and z_mu below
+are pure functions of small arguments and are kept.
 """
 
 from functools import lru_cache
@@ -123,6 +126,23 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+_MEMOS = []  # every registered memo, in registration order
+
+
+def _memo(x):
+    # register a dict or list as it is, a function in an unbounded lru_cache
+    if not isinstance(x, (dict, list)):
+        x = lru_cache(maxsize=None)(x)
+    _MEMOS.append(x)
+    return x
+
+
+def _reset_memo():
+    # Test hook: forget every value held in a registered memo.
+    for memo in _MEMOS:
+        (getattr(memo, "cache_clear", None) or memo.clear)()
 
 
 @lru_cache(maxsize=None)

@@ -53,11 +53,10 @@ table is built for it, so the table cap does not bound it.
 import math
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 
 from . import characters
 from .errors import DegreeError, ResourceLimitError
-from .partitions import Partition, partitions_of, z_of
+from .partitions import Partition, _memo, partitions_of, z_of
 
 BASES = ("p", "h", "e", "m", "s")
 
@@ -77,12 +76,25 @@ _KEY_BITS = 7
 _KEY_LIMIT = 1 << _KEY_BITS
 
 
+class _Terms(dict):
+    """A SymFn's terms: a dict that refuses every edit, so a result held
+    in a memo can be handed out as it is."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("the terms of a SymFn cannot be edited")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+
 class SymFn:
     """A symmetric function expressed in one named basis.
 
-    Treated as immutable: every operation builds a new SymFn.  Equality
-    is mathematical, not representational; h_2 in the h basis equals
-    (p_1^2 + p_2)/2 in the p basis.
+    Immutable: every operation builds a new SymFn, and its terms refuse
+    edits.  Equality is mathematical, not representational; h_2 in the
+    h basis equals (p_1^2 + p_2)/2 in the p basis.
     """
 
     __slots__ = ("basis", "terms")
@@ -108,14 +120,14 @@ class SymFn:
             else:
                 clean.pop(key, None)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _Terms(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("SymFn is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, since __setattr__ refuses
-        return type(self), (self.basis, self.terms)
+        return type(self), (self.basis, dict(self.terms))
 
     # -- structure ---------------------------------------------------
 
@@ -337,7 +349,7 @@ class _KeyTable(dict):
         return row
 
 
-_KEYS = _KeyTable()
+_KEYS = _memo(_KeyTable())
 
 
 def _pack(mu):
@@ -396,7 +408,7 @@ def _mul_p(a, b, cap=None):
     return out
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _prod_h_p(mu):
     # h_mu = product of the trivial characters h_{mu_i}, multiplied packed;
     # its value at (1^|mu|) is positive, so |mu| is its top multiplicity.
@@ -407,7 +419,7 @@ def _prod_h_p(mu):
     return _unpacked(_mul_p(_packed(_prod_h_p(mu[:-1])), ones))
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _schur_p(lam):
     # the row chi^lam; its value at (1^|lam|) counts standard tableaux and
     # is never 0, so |lam| is its top multiplicity
@@ -438,7 +450,7 @@ def _target_cap(target, degrees):
 
 
 # R by degree: _P_TO_M[k] holds the rows for degree k once built.
-_P_TO_M = []
+_P_TO_M = _memo([])
 
 
 def _p_to_m(d):

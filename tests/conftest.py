@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from symf.characters import _reset_memo
+from symf.partitions import _reset_memo
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -11,12 +11,13 @@ from fractions import Fraction
 import symf
 from symf.characters import (CACHE_FORMAT_VERSION, CHAR_TABLE_CAP,
                              CharacterTable, RepCharacter, _load_table,
-                             _reset_memo, cache_dir, char_of_functor,
-                             character_table, chi, schur_functor_char)
+                             cache_dir, char_of_functor, character_table, chi,
+                             schur_functor_char)
 from symf.errors import ResourceLimitError
 from symf.invariants import SnPermutation, inv_char
 from symf.oracles import oracle_syt
-from symf.partitions import Partition, partitions_of, z_of
+from symf.partitions import (_MEMOS, Partition, _reset_memo, partitions_of,
+                             z_of)
 from symf.symfunc import _schur_p, e, h, p, s, to_basis
 
 
@@ -92,12 +93,12 @@ def test_reset_forgets_the_schur_rows():
     assert to_basis(s(4, 2, 1), "p") == before
 
 
-# Memos that _reset_memo keeps on purpose: partitions, z_mu and the
+# Memos left out of the registry on purpose: partitions, z_mu and the
 # oracles' permutation lists and counts depend only on their integer
-# arguments, and the monomial count of invariants is bounded.
+# arguments, and the registry itself lists the others.
 KEPT_MEMOS = {
     "symf.partitions.z_of", "symf.partitions._partitions_of",
-    "symf.partitions._pentagonal_counts", "symf.invariants._monomial_count",
+    "symf.partitions._pentagonal_counts", "symf.partitions._MEMOS",
     "symf.oracles._symmetric_group", "symf.oracles._bounded_partition_count",
 }
 
@@ -127,10 +128,14 @@ def _memo_size(memo):
 
 
 def test_reset_clears_every_memo_not_kept_on_purpose():
+    # every module level memo is registered or kept, and every registered
+    # memo is a module level one
     memos = _module_memos()
     assert KEPT_MEMOS <= memos.keys()
     cleared = {name: memo for name, memo in memos.items()
-               if name not in KEPT_MEMOS}
+               if any(memo is m for m in _MEMOS)}
+    assert memos.keys() - cleared.keys() == KEPT_MEMOS
+    assert {id(memo) for memo in cleared.values()} == set(map(id, _MEMOS))
     assert {"symf.symfunc._prod_h_p", "symf.symfunc._P_TO_M",
             "symf.symfunc._KEYS", "symf.invariants._SN_SERIES",
             "symf.symfunc._schur_p", "symf.characters._chi",
@@ -175,7 +180,7 @@ def test_corrupt_cache_is_rebuilt(fresh_cache):
         assert _load_table(4) is None, text
         table = character_table(4)
         assert list(table.row((2, 2)).values()) == [0, -1, 2, 0, 2]
-        assert _load_table(4) == table.rows, text
+        assert _load_table(4) == [list(row) for row in table.rows], text
 
 
 def test_version_mismatch_is_rebuilt(fresh_cache):
@@ -230,7 +235,7 @@ def test_inexact_cache_is_rebuilt(fresh_cache, doctor):
         json.dump(doc, fh)
     _reset_memo()
     assert _load_table(4) is None
-    assert character_table(4).rows == R4
+    assert [list(row) for row in character_table(4).rows] == R4
     _reset_memo()
     assert _load_table(4) == R4
 
@@ -244,7 +249,7 @@ def test_v1_cache_is_rewritten_as_v2(fresh_cache):
     with open(path, "w") as fh:
         json.dump({"version": 1, "r": 4, "entries": entries}, fh)
     assert _load_table(4) is None
-    assert character_table(4).rows == R4
+    assert [list(row) for row in character_table(4).rows] == R4
     with open(path) as fh:
         assert json.load(fh) == {"version": 2, "r": 4, "rows": R4}
 

@@ -18,11 +18,11 @@ from pathlib import Path
 import pytest
 
 from symf import selftest
-from symf.characters import _load_table, _reset_memo
+from symf.characters import _load_table
 from symf.cli import main
 from symf.invariants import GLnAdjoint, inv_char
 from symf.oracles import oracle_syt
-from symf.partitions import partition_count, partitions_of
+from symf.partitions import _reset_memo, partition_count, partitions_of
 from symf.symfunc import dimension
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -180,6 +180,35 @@ class TestEval:
         for _ in range(2):
             assert run(capsys, "eval", "s[3,5]") == (0, "s[5,3]\n", warning)
         assert warnings.showwarning is shown
+
+    def test_long_chains_answer(self, capsys):
+        # sums, products and bracket chains are read in loops, so their
+        # length costs no stack
+        assert run(capsys, "eval", "+".join(["h1"] * 3000)) == \
+            (0, "3000*s[1]\n", "")
+        assert run(capsys, "eval", "*".join(["1"] * 3000 + ["h1"])) == \
+            (0, "s[1]\n", "")
+        assert run(capsys, "eval", "h1" + "[h1]" * 3000, "--basis", "p") == \
+            (0, "p[1]\n", "")
+
+    def test_nesting_is_capped(self, capsys):
+        # 200 nested plethysms answer, and so does every kind of nesting
+        # at the cap of 256 levels; one level more is a syntax error
+        nested = "h1[" * 200 + "h1" + "]" * 200
+        assert run(capsys, "eval", nested, "--basis", "p") == (0, "p[1]\n", "")
+        for opener, closer, out in (("(", ")", "s[1]\n"),
+                                    ("h1[", "]", "s[1]\n"),
+                                    ("ones(", ")", "1\n")):
+            assert run(capsys, "eval", opener * 256 + "h1" + closer * 256) \
+                == (0, out, "")
+            code, out, err = run(capsys, "eval",
+                                 opener * 257 + "h1" + closer * 257)
+            assert (code, out) == (2, "")
+            assert err.startswith("symf: column ") and err.count("\n") == 1
+            assert "nested more than 256 levels" in err
+        code, out, err = run(capsys, "eval", "(" * 300 + "h1" + ")" * 300)
+        assert (code, out) == (2, "")
+        assert err.startswith("symf: ") and err.count("\n") == 1
 
     def test_json_respects_basis(self, capsys):
         code, out, err = run(capsys, "eval", "s2", "--basis", "p", "--json")

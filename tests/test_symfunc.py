@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import operator
 import pickle
 from functools import lru_cache
 
@@ -9,10 +10,10 @@ from fractions import Fraction
 
 from symf import characters, symfunc
 from symf.errors import DegreeError, ResourceLimitError
-from symf.invariants import GLnAdjoint, inv_char
+from symf.invariants import Custom, GLnAdjoint, SnPermutation, inv_char
 from symf.oracles import _kostka, oracle_syt
-from symf.partitions import Partition, partitions_of, z_of
-from symf.plethysm import fundamental, plethysm
+from symf.partitions import Partition, _reset_memo, partitions_of, z_of
+from symf.plethysm import GradedSeries, fundamental, plethysm
 from symf.symfunc import (BASES, SymFn, _p_dict, _p_to_m, _prod_h_p,
                           dimension, e, from_json_dict, generator, h,
                           kronecker, m, monomial_coefficient, one, p, s,
@@ -70,6 +71,10 @@ def test_copy_and_pickle_keep_basis_and_term_order():
     for other in copies:
         assert type(other) is SymFn and other.basis == "s"
         assert list(other.terms.items()) == list(f.terms.items())
+        # read-only, and still a dict, which bench/spans.py counts
+        assert isinstance(other.terms, dict)
+        with pytest.raises(TypeError):
+            other.terms.clear()
 
 
 def test_degrees_and_homogeneity():
@@ -208,20 +213,53 @@ def test_dimension_matches_the_full_expansion():
         assert type(got) is Fraction and got == want, f
 
 
+# every way to edit a dict in place, each given the terms and one key
+_EDITS = (
+    lambda t, mu: t.__setitem__(mu, t[mu] + 1),
+    lambda t, mu: t.__setitem__(Partition((99,)), Fraction(1)),
+    lambda t, mu: t.__delitem__(mu),
+    lambda t, mu: t.pop(mu),
+    lambda t, mu: t.popitem(),
+    lambda t, mu: t.setdefault(Partition((99,)), Fraction(1)),
+    lambda t, mu: t.update({mu: Fraction(0)}),
+    lambda t, mu: operator.ior(t, {mu: Fraction(0)}),
+    lambda t, mu: t.clear(),
+)
+
+
 def test_kernel_results_share_no_memo():
-    # a result's terms are its own: editing them changes no later answer
+    # a result's terms refuse every edit, so memos hand results out
+    # as they are: each edit raises, and no answer changes after it
+    series = GradedSeries(4, {2: s(2), 4: h(3, 1) - e(4)})
     makes = (lambda: to_basis(s(4, 2), "p"), lambda: to_basis(h(3, 3), "m"),
              lambda: fundamental(h(2), h(4) * h(4), 4, "s"),
-             lambda: inv_char(GLnAdjoint(3), 5))
+             lambda: inv_char(GLnAdjoint(3), 5),
+             lambda: inv_char(SnPermutation(3), 4),
+             lambda: inv_char(Custom(series), 4))
     for make in makes:
         before = list(make().terms.items())
         f = make()
-        for mu in f.terms:
-            f.terms[mu] += 1
-        f.terms[Partition((99,))] = Fraction(1)
-        assert list(make().terms.items()) == before
-        f.terms.clear()
-        assert list(make().terms.items()) == before
+        for edit in _EDITS:
+            with pytest.raises(TypeError):
+                edit(f.terms, before[0][0])
+            assert list(f.terms.items()) == before
+            assert list(make().terms.items()) == before
+
+
+def test_memo_results_refuse_the_edits_that_leaked():
+    # each of these edits used to change every later answer
+    with pytest.raises(TypeError):
+        inv_char(SnPermutation(3), 4).terms.clear()
+    assert str(inv_char(SnPermutation(3), 4)) == (
+        "1/2*p[4] + 2/3*p[3,1] + 3/4*p[2,2] + 3/2*p[2,1,1] + 7/12*p[1,1,1,1]")
+    with pytest.raises(TypeError):
+        characters.character_table(3).rows[0][0] = 99
+    assert characters.character_table(3).rows[0] == (1, 1, 1)
+    series = GradedSeries(3, {1: h(1), 3: s(2, 1)})
+    with pytest.raises(TypeError):
+        inv_char(Custom(series), 3).terms[Partition((2, 1))] += 1
+    assert list(inv_char(Custom(series), 3).terms.items()) == [
+        (Partition((2, 1)), Fraction(1))]
 
 
 def test_specialize_ones():
@@ -394,7 +432,7 @@ def test_p_to_m_rows_match_the_h_products():
 
 
 def test_p_to_m_builds_no_h_products(monkeypatch):
-    characters._reset_memo()
+    _reset_memo()
 
     def refused(*args):
         raise AssertionError("called with %r" % (args,))
