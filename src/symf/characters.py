@@ -5,10 +5,16 @@ Murnaghan-Nakayama rule, phrased on first-column hook lengths (beta
 numbers): removing a border strip of size t from lambda means picking a
 beta number b with b - t >= 0 not already a beta number, and the sign is
 (-1)^(number of beta numbers strictly between b - t and b).  The
-recursion is memoized globally, so building a full table shares all
-subproblems across rows and columns, and so do the rows chi^lam that
-symfunc reads for Schur inputs of any weight.  The memo is unbounded:
-it keeps every value computed in the process.
+strips of each (lam, t) are memoized, and values are memoized in two
+orientations built on them.  Rows: _chi(lam, mu) recurses on mu minus
+its first part, one value at a time; it serves chi and the rows chi^lam
+that symfunc reads for Schur inputs of any weight, where a column would
+span all p(|lam|) shapes.  Columns: _column(mu) holds chi^lam(mu) for
+every lam of weight |mu| where it is nonzero, from one pass over the
+column of mu minus its first part; it serves symfunc's s target, which
+reads the columns of its input's classes only, and the cold build of a
+full table.  Both memos are unbounded: they keep every value computed
+in the process.
 
 A table is its integer rows: rows[i][j] is the character of the i-th
 shape on the j-th class, both in partitions_of(r) order.  Each full
@@ -41,21 +47,30 @@ CACHE_FORMAT_VERSION = 2
 
 @_memo
 def _strip_removals(lam, size):
-    # All ways to remove a border strip of `size` cells from lam.
-    # Returns tuples (smaller partition, sign).
+    # All ways to remove a border strip of `size` cells from lam, as
+    # tuples (smaller partition, sign).  The strip moves the beta number
+    # b_i down to b_i - size, past b_(i+1) .. b_(j-1), the beta numbers
+    # between the two: rows i+1 .. j-1 move up one row, one cell
+    # shorter, row j-1 gets b_i - size - (n - j) cells, and the sign is
+    # (-1)^(j - i - 1).
     n = len(lam)
-    beta = tuple(lam[i] + (n - 1 - i) for i in range(n))
-    bset = set(beta)
+    beta = [lam[i] + n - 1 - i for i in range(n)]
     out = []
-    for b in beta:
-        nb = b - size
-        if nb < 0 or nb in bset:
+    for i in range(n):
+        nb = beta[i] - size
+        if nb < 0:
             continue
-        crossed = sum(1 for x in beta if nb < x < b)
-        sign = -1 if crossed % 2 else 1
-        newbeta = sorted((bset - {b}) | {nb}, reverse=True)
-        parts = tuple(newbeta[i] - (n - 1 - i) for i in range(n))
-        out.append((tuple(a for a in parts if a > 0), sign))
+        j = i + 1
+        while j < n and beta[j] > nb:
+            j += 1
+        if j < n and beta[j] == nb:
+            continue
+        sub = (lam[:i] + tuple(a - 1 for a in lam[i + 1:j])
+               + (nb - n + j,) + lam[j:])
+        if j == n:
+            # a strip that reaches the last row can empty rows there
+            sub = tuple(a for a in sub if a)
+        out.append((sub, -1 if (j - i - 1) % 2 else 1))
     return tuple(out)
 
 
@@ -72,6 +87,31 @@ def _chi(lam, mu):
     return total
 
 
+_COLUMNS = _memo({})
+
+
+def _column(mu):
+    # {lam: chi^lam(mu)} over the lam of weight |mu| where it is nonzero,
+    # keyed by the Partitions of partitions_of in that order: each lam
+    # sums over its border strips of size mu[0] in the column of mu[1:].
+    col = _COLUMNS.get(mu)
+    if col is None:
+        if not mu:
+            col = {Partition(): 1}
+        else:
+            rest = _column(mu[1:])
+            col = {}
+            for lam in partitions_of(sum(mu)):
+                v = 0
+                for sub, sign in _strip_removals(lam, mu[0]):
+                    if sub in rest:
+                        v += sign * rest[sub]
+                if v:
+                    col[lam] = v
+        _COLUMNS[mu] = col
+    return col
+
+
 def chi(lam, mu):
     """Irreducible character value chi^lam at cycle type mu, exact."""
     lam = Partition(lam)
@@ -86,13 +126,26 @@ class CharacterTable:
 
     rows[i][j] is the character of the i-th shape on the j-th class,
     both indexed by partitions_of(r), in reverse lexicographic order.
-    The rows are tuples, so a table held in the memo cannot be edited.
+    Immutable: the rows are tuples and attributes refuse assignment, so
+    a table held in the memo cannot be edited.
     """
 
+    __slots__ = ("r", "rows", "_index")
+
     def __init__(self, r, rows):
-        self.r = r
-        self.rows = tuple(map(tuple, rows))
-        self._index = {lam: i for i, lam in enumerate(partitions_of(r))}
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "_index", {
+            lam: i for i, lam in enumerate(partitions_of(r))})
+
+    def _refuse(self, *args):
+        raise AttributeError("CharacterTable is immutable")
+
+    __setattr__ = __delattr__ = _refuse
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return type(self), (self.r, self.rows)
 
     def shapes(self):
         return partitions_of(self.r)
@@ -129,8 +182,9 @@ def character_table(r):
         return _TABLES[r]
     rows = _load_table(r)
     if rows is None:
-        shapes = [tuple(lam) for lam in partitions_of(r)]
-        rows = [[_chi(lam, mu) for mu in shapes] for lam in shapes]
+        shapes = partitions_of(r)
+        cols = [_column(mu) for mu in shapes]
+        rows = [[col.get(lam, 0) for col in cols] for lam in shapes]
         _store_table(r, rows)
     table = CharacterTable(r, rows)
     _TABLES[r] = table

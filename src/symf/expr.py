@@ -233,32 +233,43 @@ def parse(text):
 
 
 def pretty(node):
-    """Canonical text for a tree; parses back to an equal tree."""
+    """Canonical text for a tree; parses back to an equal tree.
+
+    Like evaluate, it walks the left spine of a chain in a loop.
+    """
+    spine = []
+    while isinstance(node, (BinOp, Pleth)):
+        spine.append(node)
+        node = node.left if isinstance(node, BinOp) else node.outer
     if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, BasisAtom):
-        return "%s%s" % (node.basis, node.parts)
-    if isinstance(node, PartitionLit):
-        return str(node.parts)
-    if isinstance(node, BinOp):
-        left = pretty(node.left)
-        right = pretty(node.right)
-        if node.op == "*":
-            if isinstance(node.left, BinOp) and node.left.op in "+-":
-                left = "(%s)" % left
-            if isinstance(node.right, BinOp) and node.right.op in "+-":
+        text = str(node.value)
+    elif isinstance(node, BasisAtom):
+        text = "%s%s" % (node.basis, node.parts)
+    elif isinstance(node, PartitionLit):
+        text = str(node.parts)
+    elif isinstance(node, Call):
+        text = "%s(%s)" % (node.func, ", ".join(pretty(a) for a in node.args))
+    else:
+        raise TypeError("not an expression node: %r" % (node,))
+    # text prints node, the left operand or outer function of parent
+    for parent in reversed(spine):
+        if isinstance(parent, Pleth):
+            if isinstance(node, (BinOp, Num)):
+                text = "(%s)" % text
+            text = "%s[%s]" % (text, pretty(parent.inner))
+        else:
+            right = pretty(parent.right)
+            if parent.op == "*" and _is_sum(node):
+                text = "(%s)" % text
+            if _is_sum(parent.right):
                 right = "(%s)" % right
-        elif isinstance(node.right, BinOp) and node.right.op in "+-":
-            right = "(%s)" % right
-        return "%s %s %s" % (left, node.op, right)
-    if isinstance(node, Pleth):
-        outer = pretty(node.outer)
-        if isinstance(node.outer, (BinOp, Num)):
-            outer = "(%s)" % outer
-        return "%s[%s]" % (outer, pretty(node.inner))
-    if isinstance(node, Call):
-        return "%s(%s)" % (node.func, ", ".join(pretty(a) for a in node.args))
-    raise TypeError("not an expression node: %r" % (node,))
+            text = "%s %s %s" % (text, parent.op, right)
+        node = parent
+    return text
+
+
+def _is_sum(node):
+    return isinstance(node, BinOp) and node.op in "+-"
 
 
 def _as_symfn(value, what):

@@ -38,16 +38,20 @@ The multiply _mul_p keys by packed partitions, m_i in bits 7(i-1) to
 keys appear gives each key's weight, z and parts.  Packed keys stay
 inside _mul_p and plethysm's p-basis ring; SymFn.__mul__ and _prod_h_p,
 the h products of h and e inputs and monomial_coefficient, pack around
-it.  The rest (SymFn, _p_dict, _scalar_p, to_basis, _chi, _p_to_m) keys
-by the shared Partitions of partitions_of and the key table.  SymFn's
-constructor validates its input but takes Partition keys and Fraction
-values as they are, so kernel results are not rebuilt.  Where
-partitions are packed, a product that could repeat a part 128 times,
-and so spill into the next field, is refused first.
+it.  The rest (SymFn, _p_dict, _scalar_p, to_basis, _chi, _column,
+_p_to_m) keys by the shared Partitions of partitions_of and the key
+table.  SymFn's constructor validates its input but takes Partition
+keys and Fraction values as they are, so kernel results are not
+rebuilt.  Where partitions are packed, a product that could repeat a
+part 128 times, and so spill into the next field, is refused first.
 
 A Schur input s_lam is its row chi^lam, read value by value from
 characters._chi (Murnaghan-Nakayama) at every weight; no character
-table is built for it, so the table cap does not bound it.
+table is built for it, so the table cap does not bound it.  The s
+target reads columns instead: <f, s_lam> is the sum of a_mu
+chi^lam(mu) / z_mu, so each class mu of f adds its memoized column
+characters._column(mu), chi^lam(mu) over every lam, and no other class
+is read.  A column spans all p(d) shapes, so the table cap bounds it.
 """
 
 import math
@@ -122,8 +126,10 @@ class SymFn:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", _Terms(clean))
 
-    def __setattr__(self, name, value):
+    def _refuse(self, *args):
         raise AttributeError("SymFn is immutable")
+
+    __setattr__ = __delattr__ = _refuse
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, since __setattr__ refuses
@@ -565,11 +571,13 @@ def to_basis(f, target):
     for d in sorted({sum(mu) for mu in fp}):
         n, part = _scaled({mu: c for mu, c in fp.items() if sum(mu) == d})
         if target == "s":
-            # <f, s_lam> = sum over mu of a_mu chi^lam(mu) / z_mu
-            for lam in partitions_of(d):
-                c = sum(a * characters._chi(lam, mu) for mu, a in part.items())
-                if c:
-                    out[lam] = Fraction(c, n)
+            # <f, s_lam> = sum over mu of a_mu chi^lam(mu) / z_mu, read
+            # from the columns of f's classes
+            acc = {}
+            for mu, a in part.items():
+                _add_into(acc, characters._column(mu), a)
+            out.update((lam, Fraction(acc[lam], n))
+                       for lam in partitions_of(d) if lam in acc)
         elif target == "m":
             # <f, h_mu> = sum over nu of a_nu R[nu][mu] / z_nu
             rows = _p_to_m(d)

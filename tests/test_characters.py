@@ -1,6 +1,8 @@
+import copy
 import importlib
 import json
 import os
+import pickle
 import pkgutil
 import warnings
 from decimal import Decimal
@@ -10,8 +12,9 @@ from fractions import Fraction
 
 import symf
 from symf.characters import (CACHE_FORMAT_VERSION, CHAR_TABLE_CAP,
-                             CharacterTable, RepCharacter, _load_table,
-                             cache_dir, char_of_functor, character_table, chi,
+                             CharacterTable, RepCharacter, _chi, _column,
+                             _load_table, _strip_removals, cache_dir,
+                             char_of_functor, character_table, chi,
                              schur_functor_char)
 from symf.errors import ResourceLimitError
 from symf.invariants import SnPermutation, inv_char
@@ -79,6 +82,59 @@ def test_table_accessors():
     assert isinstance(table, CharacterTable)
 
 
+def _strip_removals_by_beta_sets(lam, size):
+    # the reference: move one beta number b down to b - size in the set
+    # of beta numbers and read the partition back off the sorted set
+    n = len(lam)
+    beta = [lam[i] + n - 1 - i for i in range(n)]
+    out = []
+    for b in beta:
+        nb = b - size
+        if nb < 0 or nb in beta:
+            continue
+        crossed = sum(1 for x in beta if nb < x < b)
+        newbeta = sorted(set(beta) - {b} | {nb}, reverse=True)
+        parts = [newbeta[i] - (n - 1 - i) for i in range(n)]
+        out.append((tuple(a for a in parts if a > 0), (-1) ** crossed))
+    return tuple(out)
+
+
+def test_strip_removals_match_the_beta_set_reference():
+    for d in range(15):
+        for lam in partitions_of(d):
+            for size in range(1, d + 2):
+                assert _strip_removals(lam, size) == \
+                    _strip_removals_by_beta_sets(lam, size), (lam, size)
+
+
+def test_columns_are_the_nonzero_chi_values():
+    for d in range(13):
+        shapes = partitions_of(d)
+        for mu in shapes:
+            assert list(_column(mu).items()) == [
+                (lam, v) for lam in shapes if (v := _chi(lam, mu))], mu
+
+
+def test_cold_tables_match_the_chi_rows(fresh_cache):
+    for r in range(11):
+        shapes = partitions_of(r)
+        assert character_table(r).rows == tuple(
+            tuple(_chi(lam, mu) for mu in shapes) for lam in shapes), r
+
+
+def test_table_refuses_assignment_and_round_trips():
+    table = character_table(3)
+    with pytest.raises(AttributeError):
+        table.rows = ((99,),)
+    with pytest.raises(AttributeError):
+        del table.r
+    assert character_table(3).rows[0] == (1, 1, 1)
+    for again in (copy.copy(table), copy.deepcopy(table),
+                  pickle.loads(pickle.dumps(table))):
+        assert (again.r, again.rows) == (3, table.rows)
+        assert again.row((2, 1)) == table.row((2, 1))
+
+
 def test_cap_is_enforced():
     with pytest.raises(ResourceLimitError):
         character_table(CHAR_TABLE_CAP + 1)
@@ -139,9 +195,10 @@ def test_reset_clears_every_memo_not_kept_on_purpose():
     assert {"symf.symfunc._prod_h_p", "symf.symfunc._P_TO_M",
             "symf.symfunc._KEYS", "symf.invariants._SN_SERIES",
             "symf.symfunc._schur_p", "symf.characters._chi",
-            "symf.characters._strip_removals",
+            "symf.characters._strip_removals", "symf.characters._COLUMNS",
             "symf.characters._TABLES"} <= cleared.keys()
     character_table(4)
+    to_basis(p(2, 1), "s")
     to_basis(h(3, 2) * s(2, 1) + e(2), "m")
     inv_char(SnPermutation(2), 4)
     assert all(_memo_size(memo) for memo in cleared.values())

@@ -127,6 +127,15 @@ class TestPretty:
         assert pretty(parse("h2 + h3*h1")) == "h[2] + h[3] * h[1]"
         assert pretty(parse("(h2 + h3)*h1")) == "(h[2] + h[3]) * h[1]"
 
+    @pytest.mark.parametrize("text", [
+        "+".join(["h1"] * 3000), "-".join(["h1"] * 3000),
+        "*".join(["h1"] * 3000), "h1" + "[h1]" * 3000],
+        ids=["sum", "difference", "product", "plethysm"])
+    def test_long_chains(self, text):
+        # compared as strings: tree equality still recurses per node
+        once = pretty(parse(text))
+        assert pretty(parse(once)) == once
+
 
 class TestDiagnostics:
     def test_out_of_order_partition_sorted_with_warning(self):

@@ -258,6 +258,8 @@ def test_memo_results_refuse_the_edits_that_leaked():
     series = GradedSeries(3, {1: h(1), 3: s(2, 1)})
     with pytest.raises(TypeError):
         inv_char(Custom(series), 3).terms[Partition((2, 1))] += 1
+    with pytest.raises(AttributeError):
+        del inv_char(Custom(series), 3).terms
     assert list(inv_char(Custom(series), 3).terms.items()) == [
         (Partition((2, 1)), Fraction(1))]
 
@@ -443,6 +445,33 @@ def test_p_to_m_builds_no_h_products(monkeypatch):
     assert rows[(1,) * 16][(16,)] == 1
     assert rows[(1,) * 16][(1,) * 16] == math.factorial(16)
     assert _prod_h_p.cache_info().currsize == 0
+
+
+def test_s_target_and_tables_read_columns_not_chi(monkeypatch, fresh_cache):
+    f = to_basis(inv_char(SnPermutation(2), 12), "p")
+    expected = {lam: scalar(f, s(*lam)) for lam in partitions_of(12)}
+    shapes = partitions_of(12)
+    rows = tuple(tuple(characters._chi(lam, mu) for mu in shapes)
+                 for lam in shapes)
+    _reset_memo()
+
+    def refused(*args):
+        raise AssertionError("called with %r" % (args,))
+    monkeypatch.setattr(characters, "_chi", refused)
+    in_s = to_basis(f, "s")
+    assert list(in_s.terms.items()) == [
+        (lam, c) for lam, c in expected.items() if c]
+    assert characters.character_table(12).rows == rows
+    # terms in partitions_of order, not in the order the columns add keys
+    assert list(to_basis(p(4) + 2 * p(2, 2), "s").terms.items()) == [
+        ((4,), 3), ((3, 1), -3), ((2, 2), 4), ((2, 1, 1), -1),
+        ((1, 1, 1, 1), 1)]
+
+
+def test_s_target_builds_only_the_input_columns():
+    _reset_memo()
+    assert to_basis(p(20), "s").terms[Partition((1,) * 20)] == -1
+    assert set(characters._COLUMNS) == {(20,), ()}
 
 
 def test_m_target_above_the_matrix_cap(monkeypatch):
