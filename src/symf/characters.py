@@ -4,17 +4,20 @@ The irreducible character value chi^lambda(mu) is computed by the
 Murnaghan-Nakayama rule, phrased on first-column hook lengths (beta
 numbers): removing a border strip of size t from lambda means picking a
 beta number b with b - t >= 0 not already a beta number, and the sign is
-(-1)^(number of beta numbers strictly between b - t and b).  The
-strips of each (lam, t) are memoized, and values are memoized in two
-orientations built on them.  Rows: _chi(lam, mu) recurses on mu minus
-its first part, one value at a time; it serves chi and the rows chi^lam
-that symfunc reads for Schur inputs of any weight, where a column would
-span all p(|lam|) shapes.  Columns: _column(mu) holds chi^lam(mu) for
-every lam of weight |mu| where it is nonzero, from one pass over the
-column of mu minus its first part; it serves symfunc's s target, which
-reads the columns of its input's classes only, and the cold build of a
-full table.  Both memos are unbounded: they keep every value computed
-in the process.
+(-1)^(number of beta numbers strictly between b - t and b).  Values
+are memoized in two orientations.  Rows: _chi(lam, mu) recurses on mu
+minus its first part, one value at a time, on the memoized strips of
+each (lam, t); it serves chi and the rows chi^lam that symfunc reads
+for Schur inputs of any weight, where a column would span all p(|lam|)
+shapes.  Columns: _column(mu) is the dense list of chi^lam(mu) over
+every lam of weight |mu|, zeros included, indexed by position in
+partitions_of(|mu|).  It is one pass over the column of mu minus its
+first part through the strip table of (|mu|, mu[0]), every strip of
+that size as an (i, j, sign) triple of positions, so no partition is
+hashed per entry.  Columns serve symfunc's s target, which reads the
+columns of its input's classes only, and the cold build of a full
+table, which transposes them.  The memos are unbounded: they keep
+every value computed in the process.
 
 A table is its integer rows: rows[i][j] is the character of the i-th
 shape on the j-th class, both in partitions_of(r) order.  Each full
@@ -34,7 +37,7 @@ import os
 import warnings
 
 from .errors import ResourceLimitError
-from .partitions import Partition, _memo, partitions_of
+from .partitions import Partition, _memo, _positions, partitions_of
 
 # Practical cap on full-table construction, and on the s basis as a
 # target, which pairs with every chi^lam of the degree.  Beyond it the
@@ -87,27 +90,35 @@ def _chi(lam, mu):
     return total
 
 
+@_memo
+def _strip_table(d, size):
+    # (i, j, sign) for each border strip of `size` cells that takes the
+    # i-th partition of d to the j-th partition of d - size, positions in
+    # partitions_of order.  The strips come from the enumeration itself,
+    # not its memo: the table holds them as positions, and keeping the
+    # tuples too cost 1.4 MB of peak memory on the schur_expand benchmark.
+    pos = _positions(d - size)
+    return [(i, pos[sub], sign) for i, lam in enumerate(partitions_of(d))
+            for sub, sign in _strip_removals.__wrapped__(lam, size)]
+
+
 _COLUMNS = _memo({})
 
 
 def _column(mu):
-    # {lam: chi^lam(mu)} over the lam of weight |mu| where it is nonzero,
-    # keyed by the Partitions of partitions_of in that order: each lam
-    # sums over its border strips of size mu[0] in the column of mu[1:].
+    # [chi^lam(mu) for lam in partitions_of(|mu|)], zeros included: each
+    # lam sums over its border strips of size mu[0] in the column of
+    # mu[1:].
     col = _COLUMNS.get(mu)
     if col is None:
         if not mu:
-            col = {Partition(): 1}
+            col = [1]
         else:
+            d = sum(mu)
             rest = _column(mu[1:])
-            col = {}
-            for lam in partitions_of(sum(mu)):
-                v = 0
-                for sub, sign in _strip_removals(lam, mu[0]):
-                    if sub in rest:
-                        v += sign * rest[sub]
-                if v:
-                    col[lam] = v
+            col = [0] * len(_positions(d))
+            for i, j, sign in _strip_table(d, mu[0]):
+                col[i] += sign * rest[j]
         _COLUMNS[mu] = col
     return col
 
@@ -130,13 +141,11 @@ class CharacterTable:
     a table held in the memo cannot be edited.
     """
 
-    __slots__ = ("r", "rows", "_index")
+    __slots__ = ("r", "rows")
 
     def __init__(self, r, rows):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "rows", tuple(map(tuple, rows)))
-        object.__setattr__(self, "_index", {
-            lam: i for i, lam in enumerate(partitions_of(r))})
 
     def _refuse(self, *args):
         raise AttributeError("CharacterTable is immutable")
@@ -151,14 +160,16 @@ class CharacterTable:
         return partitions_of(self.r)
 
     def value(self, lam, mu):
-        return self.rows[self._index[Partition(lam)]][self._index[Partition(mu)]]
+        pos = _positions(self.r)
+        return self.rows[pos[Partition(lam)]][pos[Partition(mu)]]
 
     def __getitem__(self, pair):
         return self.value(*pair)
 
     def row(self, lam):
         """Character values of chi^lam as a map cycle type -> integer."""
-        return dict(zip(self.shapes(), self.rows[self._index[Partition(lam)]]))
+        return dict(zip(self.shapes(),
+                        self.rows[_positions(self.r)[Partition(lam)]]))
 
     def __repr__(self):
         return "CharacterTable(r=%d)" % self.r
@@ -182,9 +193,7 @@ def character_table(r):
         return _TABLES[r]
     rows = _load_table(r)
     if rows is None:
-        shapes = partitions_of(r)
-        cols = [_column(mu) for mu in shapes]
-        rows = [[col.get(lam, 0) for col in cols] for lam in shapes]
+        rows = list(zip(*map(_column, partitions_of(r))))
         _store_table(r, rows)
     table = CharacterTable(r, rows)
     _TABLES[r] = table
@@ -241,7 +250,9 @@ def _store_table(r, rows):
         fd, tmp = tempfile.mkstemp(prefix="chartable-", suffix=".tmp", dir=directory)
         try:
             with os.fdopen(fd, "w", encoding="ascii") as fh:
-                json.dump(doc, fh)
+                # one write: json.dump would feed the file chunk by chunk
+                # through the pure-Python encoder
+                fh.write(json.dumps(doc))
             os.replace(tmp, _table_path(r))
         except BaseException:
             try:

@@ -14,8 +14,8 @@ Record, the immutable base of the invariant families, enumeration specs
 and expression nodes, lives here too, since every layer imports this
 module.  So does the registry of memos: each memo of computed values is
 declared through _memo where it is defined, and _reset_memo clears
-every one that registered.  The caches of partitions and z_mu below
-are pure functions of small arguments and are kept.
+every one that registered.  The caches of partitions, their positions
+and z_mu below are pure functions of small arguments and are kept.
 """
 
 from functools import lru_cache
@@ -112,20 +112,88 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % (name,))
 
+    # __eq__, __hash__ and __repr__ give what comparing, hashing and
+    # printing the tuple of field values would, but walk nested records
+    # and the plain tuples holding them with a stack, so an expression
+    # tree thousands of nodes deep does not exhaust the recursion limit.
+
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            a_fields, b_fields = _fields(a), _fields(b)
+            if (a_fields is None or b_fields is None
+                    or a.__class__ is not b.__class__
+                    or len(a_fields) != len(b_fields)):
+                if not a == b:
+                    return False
+            else:
+                stack.extend(zip(a_fields, b_fields))
+        return True
 
     def __hash__(self):
-        return hash(self._values())
+        return _fold(self, hash, _hash_of)
 
     def __repr__(self):
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % item for item in zip(self.__slots__, self._values())))
+        return _fold(self, repr, _repr_of)
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+def _fields(x):
+    # what a Record or a plain tuple holds; None for any other value
+    if isinstance(x, Record):
+        return x._values()
+    return x if type(x) is tuple else None
+
+
+def _fold(root, leaf, join):
+    # join(x, [results of x's fields]) for each Record and plain tuple
+    # under root, fields first, and leaf(x) for every other value
+    stack, done = [(root, None)], []
+    while stack:
+        x, kids = stack.pop()
+        if kids is not None:
+            # every field of x is folded, in order, at the end of done
+            start = len(done) - len(kids)
+            parts = done[start:]
+            del done[start:]
+            done.append(join(x, parts))
+        elif (kids := _fields(x)) is None:
+            done.append(leaf(x))
+        else:
+            stack.append((x, kids))
+            stack.extend((kid, None) for kid in reversed(kids))
+    return done[0]
+
+
+def _hash_of(x, parts):
+    # a tuple's hash reads only its items' hashes
+    return hash(tuple(map(_Hash, parts)))
+
+
+def _repr_of(x, parts):
+    if isinstance(x, Record):
+        return "%s(%s)" % (type(x).__qualname__, ", ".join(
+            "%s=%s" % item for item in zip(x.__slots__, parts)))
+    return "(%s%s)" % (", ".join(parts), "," if len(parts) == 1 else "")
+
+
+class _Hash:
+    """Stands in for a value whose hash is already known."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
 
 
 _MEMOS = []  # every registered memo, in registration order
@@ -169,6 +237,14 @@ def partitions_of(n, max_part=None):
     if max_part is None:
         max_part = n
     return list(_partitions_of(n, max(max_part, 0)))
+
+
+@lru_cache(maxsize=None)
+def _positions(n):
+    # {lam: i} for the i-th partition of n in partitions_of order, keyed
+    # by the shared Partitions: the index of every dense row or column
+    # over the partitions of n
+    return {lam: i for i, lam in enumerate(_partitions_of(n, n))}
 
 
 def partition_count(n):

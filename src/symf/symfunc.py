@@ -26,41 +26,47 @@ reverse lexicographic order since mu then dominates nu.  Row nu is p_nu
 in the m basis, counted from a lower degree: for s the smallest part of
 nu and nu' the other parts, p_nu = p_nu' p_s, and m_lam p_s raises one
 part v of lam, or a new part 0, to v + s, with the multiplicity of v + s
-as coefficient.  _p_to_m builds the degrees in turn and keeps them.  The
-m coefficients of f are <f, h_mu> = sum of a_nu R[nu][mu] / z_nu, its h
-coefficients solve R c = a by forward substitution, and an m input is
-solved for a by one back substitution per degree; no inverse is ever
-formed.  e goes through omega in both directions: e inputs expand as h
-and are flipped, and e targets flip f before solving for h coefficients.
+as coefficient.  _p_to_m builds the degrees in turn and keeps them, each
+row a dense list indexed by position in partitions_of(d) and cut after
+its diagonal.  The m coefficients of f are <f, h_mu> = sum of a_nu
+R[nu][mu] / z_nu, its h coefficients solve R c = a by forward
+substitution, and an m input is solved for a by one back substitution
+per degree; no inverse is ever formed.  e goes through omega in both
+directions: e inputs expand as h and are flipped, and e targets flip f
+before solving for h coefficients.
 
 The multiply _mul_p keys by packed partitions, m_i in bits 7(i-1) to
 7i-1 of one int, so a union of partitions is + and a table filled as
 keys appear gives each key's weight, z and parts.  Packed keys stay
 inside _mul_p and plethysm's p-basis ring; SymFn.__mul__ and _prod_h_p,
 the h products of h and e inputs and monomial_coefficient, pack around
-it.  The rest (SymFn, _p_dict, _scalar_p, to_basis, _chi, _column,
-_p_to_m) keys by the shared Partitions of partitions_of and the key
-table.  SymFn's constructor validates its input but takes Partition
-keys and Fraction values as they are, so kernel results are not
-rebuilt.  Where partitions are packed, a product that could repeat a
-part 128 times, and so spill into the next field, is refused first.
+it.  The rest (SymFn, _p_dict, _scalar_p, to_basis, _chi) keys by the
+shared Partitions of partitions_of and the key table, and the dense
+columns and rows of R are indexed by their positions,
+partitions._positions.  SymFn's constructor validates its input but
+takes Partition keys and Fraction values as they are, so kernel results
+are not rebuilt.  Where partitions are packed, a product that could
+repeat a part 128 times, and so spill into the next field, is refused
+first.
 
 A Schur input s_lam is its row chi^lam, read value by value from
-characters._chi (Murnaghan-Nakayama) at every weight; no character
-table is built for it, so the table cap does not bound it.  The s
-target reads columns instead: <f, s_lam> is the sum of a_mu
-chi^lam(mu) / z_mu, so each class mu of f adds its memoized column
-characters._column(mu), chi^lam(mu) over every lam, and no other class
-is read.  A column spans all p(d) shapes, so the table cap bounds it.
+characters._chi (Murnaghan-Nakayama) at every weight; no character table
+is built for it, so the table cap does not bound it.  The s target reads
+columns instead: <f, s_lam> is the sum of a_mu chi^lam(mu) / z_mu, so
+each class mu of f adds a_mu times its memoized column
+characters._column(mu), the list of chi^lam(mu) over every lam, and no
+other class is read.  A column spans all p(d) shapes, so the table cap
+bounds it.
 """
 
 import math
 from decimal import Decimal
 from fractions import Fraction
+from operator import mul
 
 from . import characters
 from .errors import DegreeError, ResourceLimitError
-from .partitions import Partition, _memo, partitions_of, z_of
+from .partitions import Partition, _memo, _positions, partitions_of, z_of
 
 BASES = ("p", "h", "e", "m", "s")
 
@@ -460,44 +466,47 @@ _P_TO_M = _memo([])
 
 
 def _p_to_m(d):
-    # Rows of R as {nu: {mu: int}}, both in partitions_of order, so each
-    # row ends on its diagonal entry prod_i m_i(nu)!.  Row nu is p_nu in
-    # the m basis: with s the smallest part of nu and nu' the rest, p_nu
-    # is p_nu' p_s, so row nu is row nu' of degree d - s times p_s.  The
-    # degrees missing from _P_TO_M are built in turn, up to d, each with
-    # the moves m_lam p_s it meets.
+    # Rows of R as lists, both indices positions in partitions_of(d):
+    # row i is p_nu in the m basis for nu the i-th partition, cut after
+    # its diagonal entry prod_i m_i(nu)!, the last that can be nonzero.
+    # With s the smallest part of nu and nu' the rest, p_nu is p_nu' p_s,
+    # so row nu is row nu' of degree d - s times p_s.  The degrees
+    # missing from _P_TO_M are built in turn, up to d, each with the
+    # moves m_lam p_s it meets.
     for k in range(len(_P_TO_M), d + 1):
-        shapes = partitions_of(k)
-        shared = dict(zip(shapes, shapes))
+        pos = _positions(k)
         moves = {}
-        rows = {}
-        for nu in shapes:
+        rows = []
+        for i, nu in enumerate(pos):
             if not nu:
-                rows[nu] = {nu: 1}
+                rows.append([1])
                 continue
             s = nu[-1]
-            acc = {}
-            for lam, c in _P_TO_M[k - s][nu[:-1]].items():
-                out = moves.get((lam, s))
-                if out is None:
-                    out = moves[lam, s] = _times_p(lam, s, shared)
-                for rho, r in out:
-                    acc[rho] = acc.get(rho, 0) + c * r
-            rows[nu] = {mu: acc[mu] for mu in shapes if mu in acc}
+            if s not in moves:
+                moves[s] = partitions_of(k - s), [None] * len(_P_TO_M[k - s])
+            lams, step = moves[s]
+            acc = [0] * (i + 1)
+            for j, c in enumerate(_P_TO_M[k - s][_positions(k - s)[nu[:-1]]]):
+                if c:
+                    out = step[j]
+                    if out is None:
+                        out = step[j] = _times_p(lams[j], s, pos)
+                    for t, r in out:
+                        acc[t] += c * r
+            rows.append(acc)
         _P_TO_M.append(rows)
     return _P_TO_M[d]
 
 
-def _times_p(lam, s, shared):
-    # m_lam p_s as [(rho, m_rho(v + s))]: rho, taken from shared, is lam
+def _times_p(lam, s, pos):
+    # m_lam p_s as [(position of rho in pos, m_rho(v + s))]: rho is lam
     # with one part v raised to v + s, once for each distinct v among
     # lam's parts and 0
     out = []
     for v in {0, *lam}:
         i = lam.index(v) if v else len(lam)
-        rho = shared[tuple(sorted(lam[:i] + lam[i + 1:] + (v + s,),
-                                  reverse=True))]
-        out.append((rho, rho.count(v + s)))
+        rho = tuple(sorted(lam[:i] + lam[i + 1:] + (v + s,), reverse=True))
+        out.append((pos[rho], rho.count(v + s)))
     return out
 
 
@@ -509,17 +518,28 @@ def _m_to_p(terms):
         _m_cap(sum(lam))
     out = {}
     for d in sorted({sum(lam) for lam in terms}):
-        rows, n = _p_to_m(d), math.factorial(d)
-        acc = {lam: c * n for lam, c in terms.items() if sum(lam) == d}
-        part = {}
-        for nu in reversed(rows):
-            c = acc.get(nu)
+        rows, n, pos = _p_to_m(d), math.factorial(d), _positions(d)
+        shapes = partitions_of(d)
+        acc = [0] * len(shapes)
+        for lam, c in terms.items():
+            if sum(lam) == d:
+                acc[pos[lam]] = c * n
+        part = []
+        for i in reversed(range(len(shapes))):
+            c = acc[i]
             if c:
-                a = part[nu] = _div(c * math.prod(nu), n)
-                # subtracts a times row nu; its diagonal cancels acc[nu]
-                _add_into(acc, rows[nu], -a * (n // z_of(nu)))
-        out.update(reversed(part.items()))
+                nu = shapes[i]
+                a = _div(c * math.prod(nu), n)
+                part.append((nu, a))
+                # subtracts a times row nu; its diagonal cancels acc[i]
+                acc[:i + 1] = _axpy(acc, -a * (n // z_of(nu)), rows[i])
+        out.update(reversed(part))
     return out
+
+
+def _axpy(acc, a, row):
+    # acc + a * row over the positions of row
+    return [x + a * r if r else x for x, r in zip(acc, row)]
 
 
 def _p_dict(f):
@@ -570,31 +590,26 @@ def to_basis(f, target):
     out = {}
     for d in sorted({sum(mu) for mu in fp}):
         n, part = _scaled({mu: c for mu, c in fp.items() if sum(mu) == d})
-        if target == "s":
+        pos = _positions(d)
+        if target in ("s", "m"):
             # <f, s_lam> = sum over mu of a_mu chi^lam(mu) / z_mu, read
-            # from the columns of f's classes
-            acc = {}
+            # from the columns of f's classes; <f, h_mu> = sum over nu of
+            # a_nu R[nu][mu] / z_nu, from the rows of R
+            rows = _p_to_m(d) if target == "m" else None
+            acc = [0] * len(pos)
             for mu, a in part.items():
-                _add_into(acc, characters._column(mu), a)
-            out.update((lam, Fraction(acc[lam], n))
-                       for lam in partitions_of(d) if lam in acc)
-        elif target == "m":
-            # <f, h_mu> = sum over nu of a_nu R[nu][mu] / z_nu
-            rows = _p_to_m(d)
-            acc = {}
-            for nu, a in part.items():
-                _add_into(acc, rows[nu], a)
-            out.update((mu, Fraction(acc[mu], n)) for mu in rows if mu in acc)
+                vec = characters._column(mu) if rows is None else rows[pos[mu]]
+                acc[:len(vec)] = _axpy(acc, a, vec)
+            out.update((lam, Fraction(v, n)) for lam, v in zip(pos, acc) if v)
         else:
-            # Forward substitution for R c = a.  Row nu ends on the
-            # diagonal, whose c_nu is not in out yet.
-            for nu, row in _p_to_m(d).items():
-                c = fp.get(nu, 0)
-                for mu, r in row.items():
-                    if mu in out:
-                        c -= r * out[mu]
+            # Forward substitution for R c = a: row i meets the c of the
+            # shapes before it, and its last entry is the diagonal.
+            cs = []
+            for nu, row in zip(pos, _p_to_m(d)):
+                c = fp.get(nu, 0) - sum(map(mul, row, cs))
                 if c:
-                    out[nu] = _div(c, row[nu])
+                    c = out[nu] = _div(c, row[-1])
+                cs.append(c)
     return SymFn(target, out)
 
 

@@ -107,12 +107,11 @@ def test_strip_removals_match_the_beta_set_reference():
                     _strip_removals_by_beta_sets(lam, size), (lam, size)
 
 
-def test_columns_are_the_nonzero_chi_values():
+def test_columns_are_the_chi_values():
     for d in range(13):
         shapes = partitions_of(d)
         for mu in shapes:
-            assert list(_column(mu).items()) == [
-                (lam, v) for lam in shapes if (v := _chi(lam, mu))], mu
+            assert _column(mu) == [_chi(lam, mu) for lam in shapes], mu
 
 
 def test_cold_tables_match_the_chi_rows(fresh_cache):
@@ -149,11 +148,13 @@ def test_reset_forgets_the_schur_rows():
     assert to_basis(s(4, 2, 1), "p") == before
 
 
-# Memos left out of the registry on purpose: partitions, z_mu and the
-# oracles' permutation lists and counts depend only on their integer
-# arguments, and the registry itself lists the others.
+# Memos left out of the registry on purpose: partitions, their
+# positions, z_mu and the oracles' permutation lists and counts depend
+# only on their integer arguments, and the registry itself lists the
+# others.
 KEPT_MEMOS = {
     "symf.partitions.z_of", "symf.partitions._partitions_of",
+    "symf.partitions._positions",
     "symf.partitions._pentagonal_counts", "symf.partitions._MEMOS",
     "symf.oracles._symmetric_group", "symf.oracles._bounded_partition_count",
 }
@@ -196,6 +197,7 @@ def test_reset_clears_every_memo_not_kept_on_purpose():
             "symf.symfunc._KEYS", "symf.invariants._SN_SERIES",
             "symf.symfunc._schur_p", "symf.characters._chi",
             "symf.characters._strip_removals", "symf.characters._COLUMNS",
+            "symf.characters._strip_table",
             "symf.characters._TABLES"} <= cleared.keys()
     character_table(4)
     to_basis(p(2, 1), "s")

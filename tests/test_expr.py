@@ -132,9 +132,20 @@ class TestPretty:
         "*".join(["h1"] * 3000), "h1" + "[h1]" * 3000],
         ids=["sum", "difference", "product", "plethysm"])
     def test_long_chains(self, text):
-        # compared as strings: tree equality still recurses per node
-        once = pretty(parse(text))
-        assert pretty(parse(once)) == once
+        tree = parse(text)
+        once = pretty(tree)
+        again = parse(once)
+        assert pretty(again) == once
+        # equality, hashing and printing walk the tree without recursing
+        assert again == tree and not again != tree
+        assert hash(again) == hash(tree)
+        assert repr(again) == repr(tree)
+        assert repr(tree).count("BasisAtom(basis='h', parts=Partition([1]))") \
+            == text.count("h1")
+        # the first leaf is the deepest node
+        other = parse(text.replace("h1", "h2", 1))
+        assert other != tree and not other == tree
+        assert hash(other) != hash(tree)
 
 
 class TestDiagnostics:

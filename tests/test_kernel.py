@@ -68,6 +68,30 @@ def test_plethysm_term_order_is_pinned():
     assert got == _PLETHYSM_PINS
 
 
+# to_basis(f[g], target) over _CONVERTS, per target basis
+_TARGET_PINS = {
+    "s": ["fc5135cac80201f7", "ceba484115a374a9", "2a4d2b46d671491e",
+          "e91ae53abe3286e6", "394742f7ae976ea3", "00aae50129a2971e",
+          "51458a9b34e5bf2e", "64c3d30d2c4b9c37", "21950c9325c29a2a"],
+    "m": ["4b646102ec4e6a39", "d6ca65680c7dd51d", "2256401507c2c59f",
+          "82f54ea891f8bfb8", "1b52a738be21eb81", "356db52ceb64d898",
+          "4f3ac988fa656361", "52bd706ff5906d5e", "5b1a98e3f3213cae"],
+    "h": ["0fd1af3fe10ec83c", "3951dcaf947787f0", "a542bad9cec5e4a7",
+          "f6f0120bb7c7be96", "20c95654cb49c885", "55458b9a1bafcbcf",
+          "30d07ea184809f9e", "fa05ad33d79021f3", "9042e9da4e9e61c9"],
+    "e": ["0e431d8ac71a0877", "5cd2fed6a4a7fbcb", "a2c1283d34bb74a1",
+          "827ba4c0fe778d50", "494326788d971fbe", "48be56dd6f1c3280",
+          "20586203b7af633e", "9b83b516280f1886", "b831d23ae5d26eea"],
+}
+
+
+def test_target_term_order_is_pinned():
+    got = {t: [_digest(to_basis(plethysm(generator(*f), generator(*g)),
+                                t).terms.items()) for f, g in _CONVERTS]
+           for t in _TARGET_PINS}
+    assert got == _TARGET_PINS
+
+
 def test_fundamental_term_order_is_pinned():
     got = {}
     for k, r in ((2, 8), (8, 2)):

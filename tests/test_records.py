@@ -110,6 +110,23 @@ def test_match_tells_classes_apart():
     assert name(SnPermutation(2)) is None
 
 
+def test_nested_fields_compare_hash_and_print_as_tuples():
+    # records inside the plain tuples of other records, as Call holds
+    # its arguments
+    tree = Call("f", (Num(1), Call("g", (Num(2),))))
+    values = ("f", (Num(1), Call("g", (Num(2),))))
+    assert tree == Call(*values) and hash(tree) == hash(values)
+    assert repr(tree) == ("Call(func='f', args=(Num(value=1), "
+                          "Call(func='g', args=(Num(value=2),))))")
+    for other in (Call("f", (Num(1),)), Call("f", (Num(1), Num(2))),
+                  Call("f", (Num(1), Call("g", (Num(2), Num(2))))),
+                  Call("f", (Num(1), Call("g", ()))),
+                  Call("f", (Num(1), Call("h", (Num(2),)))),
+                  Call("f", (Num(1), (Num(2),)))):
+        assert tree != other and other != tree
+        assert not tree == other
+
+
 def test_distinct_classes_are_unequal():
     assert SLnDefining(2) != Sp2nDefining(2)
     assert SnPermutation(2) != SLnDefining(2)

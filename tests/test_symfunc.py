@@ -12,7 +12,8 @@ from symf import characters, symfunc
 from symf.errors import DegreeError, ResourceLimitError
 from symf.invariants import Custom, GLnAdjoint, SnPermutation, inv_char
 from symf.oracles import _kostka, oracle_syt
-from symf.partitions import Partition, _reset_memo, partitions_of, z_of
+from symf.partitions import (Partition, _positions, _reset_memo,
+                             partitions_of, z_of)
 from symf.plethysm import GradedSeries, fundamental, plethysm
 from symf.symfunc import (BASES, SymFn, _p_dict, _p_to_m, _prod_h_p,
                           dimension, e, from_json_dict, generator, h,
@@ -382,7 +383,11 @@ def test_full_degree_16_m_input_returns_to_p():
     f = plethysm(h(4), h(4))
     in_m = to_basis(f, "m")
     assert len(in_m.terms) == 231
-    assert to_basis(in_m, "p").terms == f.terms
+    in_p = to_basis(in_m, "p")
+    assert in_p.terms == f.terms
+    # the back substitution hands its terms out in partitions_of order
+    assert list(in_p.terms) == [mu for mu in partitions_of(16)
+                                if mu in f.terms]
 
 
 def _fusions(nu, mu):
@@ -401,36 +406,35 @@ def test_p_to_m_matrix_counts_fusions():
     for d in range(11):
         shapes = [tuple(lam) for lam in partitions_of(d)]
         rows = _p_to_m(d)
-        assert list(rows) == shapes
-        for i, nu in enumerate(shapes):
-            row = rows[nu]
-            assert all(type(r) is int for r in row.values())
-            # lower triangular, ending on the diagonal prod_i m_i(nu)!
-            assert list(row) == [mu for mu in shapes[:i + 1] if mu in row]
-            assert list(row)[-1] == nu
-            assert row[nu] == math.prod(math.factorial(nu.count(a))
-                                        for a in set(nu))
-            for mu in shapes:
-                assert row.get(mu, 0) == _fusions(nu, mu)
+        assert len(rows) == len(shapes)
+        for i, (nu, row) in enumerate(zip(shapes, rows)):
+            assert all(type(r) is int for r in row)
+            # lower triangular, cut after the diagonal prod_i m_i(nu)!
+            assert len(row) == i + 1
+            assert row[i] == math.prod(math.factorial(nu.count(a))
+                                       for a in set(nu))
+            for j, mu in enumerate(shapes):
+                assert (row[j] if j <= i else 0) == _fusions(nu, mu)
 
 
 def _p_to_m_by_columns(d):
     # the reference: column mu of R is h_mu's class function, the
-    # product of the trivial characters h_{mu_i}
-    rows = {nu: {} for nu in partitions_of(d)}
-    for mu in rows:
+    # product of the trivial characters h_{mu_i}, as full rows
+    shapes = partitions_of(d)
+    rows = {nu: [0] * len(shapes) for nu in shapes}
+    for j, mu in enumerate(shapes):
         for nu, a in _prod_h_p(mu).items():
-            rows[nu][mu] = a
-    return rows
-
-
-def _listed(rows):
-    return [(nu, list(row.items())) for nu, row in rows.items()]
+            rows[nu][j] = a
+    return list(rows.values())
 
 
 def test_p_to_m_rows_match_the_h_products():
     for d in range(17):
-        assert _listed(_p_to_m(d)) == _listed(_p_to_m_by_columns(d)), d
+        size = len(partitions_of(d))
+        rows = _p_to_m(d)
+        assert [len(row) for row in rows] == list(range(1, size + 1)), d
+        assert [row + [0] * (size - len(row)) for row in rows] == \
+            _p_to_m_by_columns(d), d
 
 
 def test_p_to_m_builds_no_h_products(monkeypatch):
@@ -442,8 +446,9 @@ def test_p_to_m_builds_no_h_products(monkeypatch):
     monkeypatch.setattr(symfunc, "_prod_h_p", refused)
     rows = _p_to_m(16)
     assert len(rows) == 231
-    assert rows[(1,) * 16][(16,)] == 1
-    assert rows[(1,) * 16][(1,) * 16] == math.factorial(16)
+    pos = _positions(16)
+    assert rows[pos[(1,) * 16]][pos[(16,)]] == 1
+    assert rows[pos[(1,) * 16]][pos[(1,) * 16]] == math.factorial(16)
     assert _prod_h_p.cache_info().currsize == 0
 
 
