@@ -37,10 +37,12 @@ import os
 import warnings
 
 from .errors import ResourceLimitError
-from .partitions import Partition, _memo, _positions, partitions_of
+from .partitions import (Partition, Record, _memo, _positions,
+                         partitions_of)
 
-# Practical cap on full-table construction, and on the s basis as a
-# target, which pairs with every chi^lam of the degree.  Beyond it the
+# Practical cap on full-table construction, and on the s and m bases as
+# targets, which read a vector p(d) entries wide per class: every
+# chi^lam of the degree, or a row of the p-to-m matrix.  Beyond it the
 # table has more than 600k entries and cold construction stops being
 # interactive.  Single rows, as a Schur input needs, are not capped here.
 CHAR_TABLE_CAP = 20
@@ -132,29 +134,19 @@ def chi(lam, mu):
     return _chi(tuple(lam), tuple(mu))
 
 
-class CharacterTable:
+class CharacterTable(Record):
     """The full character table of S_r.
 
     rows[i][j] is the character of the i-th shape on the j-th class,
     both indexed by partitions_of(r), in reverse lexicographic order.
-    Immutable: the rows are tuples and attributes refuse assignment, so
+    Immutable: the rows are tuples and the fields refuse assignment, so
     a table held in the memo cannot be edited.
     """
 
     __slots__ = ("r", "rows")
 
-    def __init__(self, r, rows):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
-
-    def _refuse(self, *args):
-        raise AttributeError("CharacterTable is immutable")
-
-    __setattr__ = __delattr__ = _refuse
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, since __setattr__ refuses
-        return type(self), (self.r, self.rows)
+    def _check(self):
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
 
     def shapes(self):
         return partitions_of(self.r)
@@ -244,15 +236,16 @@ def _store_table(r, rows):
     import json
     import tempfile
     directory = cache_dir()
-    doc = {"version": CACHE_FORMAT_VERSION, "r": r, "rows": rows}
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix="chartable-", suffix=".tmp", dir=directory)
         try:
             with os.fdopen(fd, "w", encoding="ascii") as fh:
-                # one write: json.dump would feed the file chunk by chunk
-                # through the pure-Python encoder
-                fh.write(json.dumps(doc))
+                # json.dumps(doc)'s text in one write, encoded row by row:
+                # json.dump feeds the file through the pure-Python encoder,
+                # and json.dumps(doc) holds every token of the document
+                fh.write('{"version": %d, "r": %d, "rows": [%s]}' % (
+                    CACHE_FORMAT_VERSION, r, ", ".join(map(json.dumps, rows))))
             os.replace(tmp, _table_path(r))
         except BaseException:
             try:

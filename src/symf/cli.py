@@ -19,10 +19,15 @@ from .enumeration import (DealSpec, RegularGraphSpec, card_deals,
 from .errors import DegreeError, ExprError, ResourceLimitError, TruncationError
 from .expr import evaluate_text
 from .invariants import (GLnAdjoint, PolyFunctor, SLnDefining, SnPermutation,
-                         Sp2nDefining, hilbert_dim, inv_char,
+                         Sp2nDefining, _never_vanishes, hilbert_dim, inv_char,
                          inv_char_polyfunc)
 from .partitions import Partition, partitions_of
-from .symfunc import SymFn, _target_cap, to_basis, to_json_dict
+from .plethysm import _check_degree
+from .symfunc import BASES, SymFn, _target_cap, to_basis, to_json_dict
+
+# The --family names and the classes they build.
+FAMILIES = (("sl", SLnDefining), ("sp", Sp2nDefining),
+            ("perm", SnPermutation), ("gl-adjoint", GLnAdjoint))
 
 
 class _UsageError(Exception):
@@ -37,13 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _family(args):
-    if args.family == "sl":
-        return SLnDefining(args.n)
-    if args.family == "sp":
-        return Sp2nDefining(args.n)
-    if args.family == "perm":
-        return SnPermutation(args.n)
-    return GLnAdjoint(args.n)
+    return dict(FAMILIES)[args.family](args.n)
 
 
 def _print_symfn(f, basis):
@@ -60,14 +59,11 @@ def _json_value(value):
 
 def _cmd_eval(args):
     value = evaluate_text(args.expr)
+    if isinstance(value, SymFn):
+        value = to_basis(value, args.basis)
     if args.json:
         import json
-        if isinstance(value, SymFn):
-            value = to_basis(value, args.basis)
         print(json.dumps(_json_value(value)))
-        return 0
-    if isinstance(value, SymFn):
-        _print_symfn(value, args.basis)
     else:
         print(str(value))
     return 0
@@ -82,14 +78,17 @@ def _functor_from(args):
 
 def _cmd_inv(args):
     family = _family(args)
-    if args.functor is None:
-        if isinstance(family, (SnPermutation, GLnAdjoint)):
-            # nonzero in every degree (GL(n) has h_r from lam = (r)), so
-            # r alone decides the refusal, before the character is built
-            _target_cap(args.basis, [args.r])
-        out = inv_char(family, args.r)
-    else:
-        out = inv_char_polyfunc(family, _functor_from(args), args.r)
+    P = None if args.functor is None else _functor_from(args)
+    if _never_vanishes(family) and (P is None or P.degree == 1):
+        # I_r(V) is nonzero, and so is I_r(P(V)) for P = c h_1, whose
+        # p_1^r coefficient is c^r dim I_r(V) / r!: r alone decides the
+        # refusal, before anything is built, and after the plethysm cap
+        # that a functor meets first
+        if P is not None:
+            _check_degree(args.r)
+        _target_cap(args.basis, [args.r])
+    out = (inv_char(family, args.r) if P is None
+           else inv_char_polyfunc(family, P, args.r))
     _print_symfn(out, args.basis)
     return 0
 
@@ -145,26 +144,26 @@ def build_parser():
 
     q = sub.add_parser("eval", help="evaluate an expression")
     q.add_argument("expr", help="expression such as 'scalar(h2[h2], h2*h2)'")
-    q.add_argument("--basis", choices=("p", "h", "e", "m", "s"), default="s",
+    q.add_argument("--basis", choices=BASES, default="s",
                    help="output basis for symmetric function results")
     q.add_argument("--json", action="store_true", help="print a JSON object")
     q.set_defaults(handler=_cmd_eval)
 
     q = sub.add_parser("inv", help="invariant character of a classical family")
     q.add_argument("--family", required=True,
-                   choices=("sl", "sp", "perm", "gl-adjoint"))
+                   choices=dict(FAMILIES))
     q.add_argument("--n", type=int, required=True,
                    help="group parameter; sp acts through Sp(2n)")
     q.add_argument("--r", type=int, required=True, help="degree")
     q.add_argument("--functor", default=None,
                    help="apply the family to this functor character first")
-    q.add_argument("--basis", choices=("p", "h", "e", "m", "s"), default="s")
+    q.add_argument("--basis", choices=BASES, default="s")
     q.set_defaults(handler=_cmd_inv)
 
     q = sub.add_parser("hilbert",
                        help="dimension of the degree r invariants of a functor")
     q.add_argument("--family", required=True,
-                   choices=("sl", "sp", "perm", "gl-adjoint"))
+                   choices=dict(FAMILIES))
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--functor", required=True)
     q.add_argument("--r", type=int, required=True)
@@ -208,27 +207,17 @@ def main(argv=None):
 
 
 def _main(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print("symf: %s" % exc, file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
-    except ValueError as exc:
-        # out of range argument values (m=0 players, n=0 groups, ...)
+    except (_UsageError, ValueError, ExprError, DegreeError, TruncationError,
+            ResourceLimitError) as exc:
+        # 1 for usage and out of range values (m=0 players, n=0 groups),
+        # 2 syntax, 3 degrees and truncation, 4 size caps
         print("symf: %s" % exc, file=sys.stderr)
-        return 1
-    except ExprError as exc:
-        print("symf: %s" % exc, file=sys.stderr)
-        return 2
-    except (DegreeError, TruncationError) as exc:
-        print("symf: %s" % exc, file=sys.stderr)
-        return 3
-    except ResourceLimitError as exc:
-        print("symf: %s" % exc, file=sys.stderr)
-        return 4
+        codes = ((ExprError, 2), ((DegreeError, TruncationError), 3),
+                 (ResourceLimitError, 4))
+        return next((code for kind, code in codes if isinstance(exc, kind)), 1)
     except BrokenPipeError:
         # the reader left: flush quietly into devnull, exit 128 + SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -30,12 +30,15 @@ from fractions import Fraction
 
 from .errors import ExprError
 from .partitions import Partition, Record
-from .symfunc import (SymFn, _coerce, dimension, generator, kronecker,
-                      monomial_coefficient, scalar, specialize_ones)
+from .symfunc import (BASES, SymFn, _coerce, dimension, generator,
+                      kronecker, monomial_coefficient, scalar, specialize_ones)
 from .plethysm import plethysm
 
-FUNCS = ("scalar", "kron", "dim", "ones", "coeff")
-BASIS_LETTERS = "phems"
+# The functions of the language as (name, library call, arity), the
+# arity one letter per argument: f a symmetric function, p a partition.
+FUNCS = (("scalar", scalar, "ff"), ("kron", kronecker, "ff"),
+         ("dim", dimension, "f"), ("ones", specialize_ones, "f"),
+         ("coeff", monomial_coefficient, "fp"))
 
 # Deepest nesting of parentheses, brackets and calls that parses; deeper
 # input is refused as a syntax error rather than exhausting the stack.
@@ -66,16 +69,8 @@ class Call(Record):
     __slots__ = ("func", "args")
 
 
-class _Token:
+class _Token(Record):
     __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
-
-    def __repr__(self):
-        return "_Token(%r, %r, %d)" % (self.kind, self.value, self.pos)
 
 
 def _tokenize(text):
@@ -170,7 +165,7 @@ class _Parser:
             self.expect(")")
         elif tok.kind == "[":
             node = PartitionLit(self.partition_body(tok.pos))
-        elif tok.kind == "name" and tok.value in FUNCS:
+        elif tok.kind == "name" and _function(tok.value):
             self.expect("(")
             args = [self.expr()]
             if self.peek().kind == ",":
@@ -178,8 +173,7 @@ class _Parser:
                 args.append(self.expr())
             self.expect(")")
             node = Call(tok.value, tuple(args))
-        elif (tok.kind == "name" and len(tok.value) == 1
-              and tok.value in BASIS_LETTERS):
+        elif tok.kind == "name" and tok.value in BASES:
             node = BasisAtom(tok.value, self.basis_part(tok))
         elif tok.kind == "name":
             raise ExprError("unknown name %r" % tok.value, tok.pos)
@@ -320,28 +314,25 @@ def _binop(op, left, right):
     return left + right if op == "+" else left - right
 
 
+def _function(name):
+    # the entry of FUNCS for name, or None
+    return next((entry for entry in FUNCS if entry[0] == name), None)
+
+
 def _call(node):
     args = list(map(evaluate, node.args))
-    want = 2 if node.func in ("scalar", "kron", "coeff") else 1
-    if len(args) != want:
-        raise ExprError("%s takes %d argument%s" % (node.func, want,
-                                                    "s" if want > 1 else ""))
-    if node.func == "scalar":
-        return scalar(_as_symfn(args[0], "scalar argument"),
-                      _as_symfn(args[1], "scalar argument"))
-    if node.func == "kron":
-        return kronecker(_as_symfn(args[0], "kron argument"),
-                         _as_symfn(args[1], "kron argument"))
-    if node.func == "dim":
-        return dimension(_as_symfn(args[0], "dim argument"))
-    if node.func == "ones":
-        return specialize_ones(_as_symfn(args[0], "ones argument"))
-    if node.func == "coeff":
-        if not isinstance(args[1], Partition):
-            raise ExprError("the second argument of coeff must be a "
-                            "partition literal like [2,1]")
-        return monomial_coefficient(_as_symfn(args[0], "coeff argument"), args[1])
-    raise ExprError("unknown function %r" % node.func)
+    name, call, arity = _function(node.func)
+    if len(args) != len(arity):
+        raise ExprError("%s takes %d argument%s" % (
+            name, len(arity), "s" if len(arity) > 1 else ""))
+    # a partition literal is checked first: coeff([2], h2) names it
+    for ordinal, kind, value in zip(("first", "second"), arity, args):
+        if kind == "p" and not isinstance(value, Partition):
+            raise ExprError("the %s argument of %s must be a partition "
+                            "literal like [2,1]" % (ordinal, name))
+    return call(*(value if kind == "p" else
+                  _as_symfn(value, "%s argument" % name)
+                  for kind, value in zip(arity, args)))
 
 
 def evaluate_text(text):

@@ -392,11 +392,17 @@ def _p_basis_cost(shapes, k, r):
     return _P_STEP * ((shapes + 1) * partition_count(d) + newton)
 
 
+def _never_vanishes(family):
+    # I_d(V) is nonzero in every degree d for perm and GL(n): its
+    # dimension is a restricted Bell number, and the GL sum holds
+    # lam = (d), whose Kronecker square is h_d
+    return isinstance(family, (SnPermutation, GLnAdjoint))
+
+
 def _p_route_invariants(family, d):
-    # I_d(V), refused above the plethysm cap unless it is zero; perm and
-    # GL(n) never vanish (a restricted Bell number; the GL sum holds
-    # lam = (d), whose Kronecker square is h_d), so before it is built
-    if isinstance(family, (SnPermutation, GLnAdjoint)):
+    # I_d(V), refused above the plethysm cap unless it is zero, and
+    # before it is built where it never is
+    if _never_vanishes(family):
         _check_degree(d)
     G = inv_char(family, d)
     if not G.is_zero():

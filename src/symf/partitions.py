@@ -10,12 +10,13 @@ Whenever the partitions of n are listed, they appear in reverse
 lexicographic order, from (n) down to (1,...,1).  Every module relies on
 that one canonical order; nothing ever depends on hash order.
 
-Record, the immutable base of the invariant families, enumeration specs
-and expression nodes, lives here too, since every layer imports this
-module.  So does the registry of memos: each memo of computed values is
-declared through _memo where it is defined, and _reset_memo clears
-every one that registered.  The caches of partitions, their positions
-and z_mu below are pure functions of small arguments and are kept.
+Record, the immutable base of the invariant families, enumeration specs,
+expression nodes and tokens, and character tables, lives here too,
+since every layer imports this module.  So does the registry of memos:
+each memo of computed values is declared through _memo where it is
+defined, and _reset_memo clears every one that registered.  The caches
+of partitions, their positions and z_mu below are pure functions of
+small arguments and are kept.
 """
 
 from functools import lru_cache

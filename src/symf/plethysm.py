@@ -236,23 +236,23 @@ def fundamental(F, G, r, mode="p"):
         raise ValueError("r must be nonnegative")
     if mode not in ("p", "s"):
         raise ValueError("mode must be 'p' or 's'")
-    fp = _p_dict(F)
-    if not fp:
+    # every basis gives the degrees of the p expansion, read before it
+    fdegs = F.degrees()
+    if not fdegs:
         raise DegreeError("F must be nonzero and homogeneous of degree >= 1")
-    fdegs = {sum(mu) for mu in fp}
     if len(fdegs) != 1:
-        raise DegreeError("F must be homogeneous, found degrees %s" % sorted(fdegs))
-    k = fdegs.pop()
+        raise DegreeError("F must be homogeneous, found degrees %s" % fdegs)
+    k = fdegs[0]
     if k < 1:
         raise DegreeError("F must have degree >= 1")
-    gp = _p_dict(G)
-    if not gp:
+    gdegs = G.degrees()
+    if not gdegs:
         return zero(mode)
-    gdegs = {sum(mu) for mu in gp}
-    if len(gdegs) != 1 or gdegs.pop() != r * k:
+    if gdegs != [r * k]:
         raise DegreeError(
             "G must be homogeneous of degree r*deg(F) = %d, found degrees %s"
-            % (r * k, sorted({sum(mu) for mu in gp})))
+            % (r * k, gdegs))
+    fp, gp = _p_dict(F), _p_dict(G)
 
     # p_lam[F] for lam |- r multiplies at most r substitutions into F
     _check_multiplicity(r * _multiplicity(fp))

@@ -76,8 +76,8 @@ BASES = ("p", "h", "e", "m", "s")
 _INEXACT = (float, complex, Decimal)
 
 # Degree cap on base changes that solve against the p-to-m matrix R: h
-# and e targets and m inputs.  The m target only multiplies by R and is
-# not capped.
+# and e targets and m inputs.  The m target only multiplies by R and
+# shares the s target's cap, characters.CHAR_TABLE_CAP.
 _M_MATRIX_CAP = 16
 
 # Bits per part multiplicity in a packed key: a product that repeats a
@@ -451,12 +451,18 @@ def _m_cap(d):
 def _target_cap(target, degrees):
     # Refuse a base change to target, before any expansion, when one of
     # the degrees is beyond its cap: the s target reads the characters
-    # of S_d, and the h and e targets solve against the p-to-m matrix.
+    # of S_d and the m target the rows of R, each a vector p(d) entries
+    # wide per class, under the table cap; the h and e targets solve
+    # against R, under its own.
     for d in degrees:
         if target == "s" and d > characters.CHAR_TABLE_CAP:
             raise ResourceLimitError(
                 "Schur expansion needs characters of S_%d, beyond the "
                 "cap r <= %d" % (d, characters.CHAR_TABLE_CAP))
+        if target == "m" and d > characters.CHAR_TABLE_CAP:
+            raise ResourceLimitError(
+                "monomial expansion of degree %d is beyond the cap %d"
+                % (d, characters.CHAR_TABLE_CAP))
         if target in ("h", "e"):
             _m_cap(d)
 
@@ -577,7 +583,7 @@ def to_basis(f, target):
         raise ValueError("unknown basis %r" % (target,))
     if f.basis == target:
         return f
-    if target in ("h", "e") or target == "s" and f.basis != "m":
+    if target != "p" and (target != "s" or f.basis != "m"):
         # an m input never meets the Schur cap: above degree 16 its own
         # expansion refuses it first, with that refusal's message
         _target_cap(target, f.degrees())

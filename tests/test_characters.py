@@ -132,6 +132,12 @@ def test_table_refuses_assignment_and_round_trips():
                   pickle.loads(pickle.dumps(table))):
         assert (again.r, again.rows) == (3, table.rows)
         assert again.row((2, 1)) == table.row((2, 1))
+        assert again == table
+    assert repr(table) == "CharacterTable(r=3)"
+    # rows given as lists are held as tuples, and tables compare by value
+    built = CharacterTable(3, [list(row) for row in table.rows])
+    assert built.rows == table.rows and built == table
+    assert built != character_table(4)
 
 
 def test_cap_is_enforced():
@@ -226,6 +232,18 @@ def test_cache_file_round_trip(fresh_cache):
     again = character_table(5)
     assert again.rows == built
     assert again.row((3, 2)) == RepCharacter.irreducible((3, 2)).trace
+
+
+def test_cache_file_is_the_json_text_of_the_document(fresh_cache):
+    # written row by row, the file holds the bytes json.dumps gives
+    for r in range(9):
+        rows = character_table(r).rows
+        with open(os.path.join(str(fresh_cache), "chartable-r%d.json" % r),
+                  "rb") as fh:
+            text = fh.read()
+        doc = {"version": CACHE_FORMAT_VERSION, "r": r,
+               "rows": [list(row) for row in rows]}
+        assert text == json.dumps(doc).encode("ascii"), r
 
 
 def test_corrupt_cache_is_rebuilt(fresh_cache):

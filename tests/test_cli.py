@@ -549,6 +549,53 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", stderr)
         assert elapsed < 2.0, elapsed
 
+    @pytest.mark.parametrize("argv,stderr", [
+        (["perm", "--n", "2", "--functor", "h1", "--r", "24"],
+         "symf: Schur expansion needs characters of S_24, beyond the cap "
+         "r <= 20\n"),
+        (["gl-adjoint", "--n", "2", "--functor", "3*h1", "--r", "24"],
+         "symf: Schur expansion needs characters of S_24, beyond the cap "
+         "r <= 20\n"),
+        (["perm", "--n", "3", "--functor", "p1", "--r", "17", "--basis", "e"],
+         "symf: monomial basis transitions are capped at degree 16, got 17\n"),
+        (["perm", "--n", "2", "--functor", "h1", "--r", "21", "--basis", "m"],
+         "symf: monomial expansion of degree 21 is beyond the cap 20\n"),
+        (["perm", "--n", "2", "--functor", "h1", "--r", "41", "--basis", "p"],
+         "symf: plethysm of degree 41 is beyond the cap 40\n"),
+        (["gl-adjoint", "--n", "1", "--functor", "h1", "--r", "41"],
+         "symf: plethysm of degree 41 is beyond the cap 40\n"),
+    ], ids=["perm-s", "gl-adjoint-s", "perm-e", "perm-m", "perm-p-41",
+            "gl-adjoint-s-41"])
+    def test_degree_one_functor_refused_from_the_arguments(
+            self, capsys, monkeypatch, argv, stderr):
+        # c h_1 gives I_r(P(V)) the p_1^r coefficient c^r dim I_r(V) / r!,
+        # never zero for perm and GL(n), so r alone decides; the plethysm
+        # cap still speaks first.  Building the answer took 0.41 s for
+        # perm at r = 24 and 0.24 s for GL(2).
+        def fail(*args):
+            raise AssertionError("built %r" % (args,))
+        monkeypatch.setattr("symf.cli.inv_char_polyfunc", fail)
+        monkeypatch.setattr("symf.cli.inv_char", fail)
+        assert run(capsys, "inv", "--family", *argv) == (4, "", stderr)
+
+    @pytest.mark.parametrize("argv", [
+        ["perm", "--n", "2", "--functor", "e2", "--r", "17", "--basis", "h"],
+        ["sl", "--n", "2", "--functor", "h1", "--r", "24"],
+        ["sp", "--n", "1", "--functor", "h1", "--r", "24"],
+    ], ids=["perm-degree-2", "sl", "sp"])
+    def test_functors_that_may_vanish_are_built(self, capsys, monkeypatch,
+                                                argv):
+        # e2 gives 0 at r = 17 for perm(2), and SL and Sp vanish in some
+        # degrees, so these reach the construction before any target cap
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built()
+        monkeypatch.setattr("symf.cli.inv_char_polyfunc", built)
+        with pytest.raises(Built):
+            main(["inv", "--family"] + argv)
+
     def test_closed_pipe_ends_quietly(self, tmp_path):
         # the reader takes one line of a 273 KB table and leaves; the
         # writer ends as a shell reports a SIGPIPE, with no traceback

@@ -204,6 +204,13 @@ class TestDiagnostics:
     def test_coeff_needs_partition_literal(self):
         with pytest.raises(ExprError, match="partition literal"):
             evaluate_text("coeff(h2, h2)")
+        # the partition is checked before the function
+        with pytest.raises(ExprError, match="^the second argument of coeff "
+                           "must be a partition literal like \\[2,1\\]$"):
+            evaluate_text("coeff([2], h2)")
+        with pytest.raises(ExprError, match="^coeff argument must be a "
+                           "symmetric function, not a partition$"):
+            evaluate_text("coeff([2], [2])")
 
     def test_partition_where_function_expected(self):
         with pytest.raises(ExprError, match="not a partition"):

@@ -222,6 +222,29 @@ def test_fundamental_rejections():
         fundamental(h(2), h(4), -1)
 
 
+def test_fundamental_checks_degrees_before_expanding(monkeypatch):
+    # h_(50,2) has degree 52, not r*deg F = 4; expanding it first took
+    # 10.8 s.  Each refusal keeps its message, read off the degrees.
+    def spy(*args):
+        raise AssertionError("expanded")
+    monkeypatch.setattr(sys.modules["symf.plethysm"], "_p_dict", spy)
+    for F, G, r, message in (
+            (h(2), h(50, 2), 2, "G must be homogeneous of degree r*deg(F) "
+                                "= 4, found degrees [52]"),
+            (h(2), h(4) + h(3), 2, "G must be homogeneous of degree "
+                                   "r*deg(F) = 4, found degrees [3, 4]"),
+            (zero(), h(4), 2, "F must be nonzero and homogeneous of "
+                              "degree >= 1"),
+            (h(2) + s(3, 1), h(4), 2, "F must be homogeneous, found "
+                                      "degrees [2, 4]"),
+            (one(), h(4), 2, "F must have degree >= 1")):
+        for mode in ("p", "s"):
+            with pytest.raises(DegreeError) as info:
+                fundamental(F, G, r, mode)
+            assert str(info.value) == message
+    assert fundamental(h(2), zero(), 30, "s") == zero("s")
+
+
 def test_fundamental_forms_check():
     # the selftest suite fundamental-forms, which no acceptance test runs
     check_fundamental_forms()

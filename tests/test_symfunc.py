@@ -341,7 +341,8 @@ def test_conversion_caps_guard_big_inputs():
         to_basis(p(17), "h")
     with pytest.raises(ResourceLimitError):
         to_basis(m(17), "p")
-    # the m target only multiplies by the p-to-m matrix, uncapped
+    # the m target only multiplies by the p-to-m matrix, so it shares the
+    # table cap of 20, not the matrix cap of 16
     assert to_basis(p(17), "m") == m(17)
 
 
@@ -490,6 +491,20 @@ def test_m_target_above_the_matrix_cap(monkeypatch):
         to_basis(in_m, "p")
     monkeypatch.setattr(symfunc, "_M_MATRIX_CAP", 18)
     assert to_basis(in_m, "p") == f
+
+
+def test_m_target_is_refused_above_the_table_cap(monkeypatch):
+    # each class reads a row of R p(d) entries wide, as the s target
+    # reads a column; h16 * h16 took 41 s and 1.9 GB in the m basis
+    def fail(d):
+        raise AssertionError("built R(%d)" % d)
+    monkeypatch.setattr(symfunc, "_p_to_m", fail)
+    for f in (p(21), h(1) + h(16, 5), s(11, 10) - e(22)):
+        with pytest.raises(ResourceLimitError, match=(
+                "^monomial expansion of degree 21 is beyond the cap 20$")):
+            to_basis(f, "m")
+    # an m input is the answer as it is
+    assert to_basis(m(30), "m") == m(30)
 
 
 def test_class_function_values_of_characters_are_ints():
