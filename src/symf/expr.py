@@ -20,16 +20,18 @@ entries given out of order are sorted with a warning.
 
 Evaluation produces either a SymFn or an exact rational; partition
 literals are only meaningful as the second argument of coeff.  Sums,
-products and bracket chains of any length are read and evaluated in
-loops; parentheses, brackets and calls nested more than _NESTING_CAP
-(256) levels deep are refused as a syntax error.
+products and bracket chains of any length are read in loops, and a tree
+is evaluated and printed by partitions._fold, the walk without recursion
+that also hashes and prints Records, so neither length nor nesting costs
+stack there.  Parentheses, brackets and calls nested more than
+_NESTING_CAP (256) levels deep are refused as a syntax error.
 """
 
 import warnings
 from fractions import Fraction
 
 from .errors import ExprError
-from .partitions import Partition, Record
+from .partitions import Partition, Record, _fold
 from .symfunc import (BASES, SymFn, _coerce, dimension, generator,
                       kronecker, monomial_coefficient, scalar, specialize_ones)
 from .plethysm import plethysm
@@ -227,39 +229,34 @@ def parse(text):
 
 
 def pretty(node):
-    """Canonical text for a tree; parses back to an equal tree.
-
-    Like evaluate, it walks the left spine of a chain in a loop.
-    """
-    spine = []
-    while isinstance(node, (BinOp, Pleth)):
-        spine.append(node)
-        node = node.left if isinstance(node, BinOp) else node.outer
-    if isinstance(node, Num):
-        text = str(node.value)
-    elif isinstance(node, BasisAtom):
-        text = "%s%s" % (node.basis, node.parts)
-    elif isinstance(node, PartitionLit):
-        text = str(node.parts)
-    elif isinstance(node, Call):
-        text = "%s(%s)" % (node.func, ", ".join(pretty(a) for a in node.args))
-    else:
+    """Canonical text for a tree; parses back to an equal tree."""
+    if not isinstance(node, Record):
         raise TypeError("not an expression node: %r" % (node,))
-    # text prints node, the left operand or outer function of parent
-    for parent in reversed(spine):
-        if isinstance(parent, Pleth):
-            if isinstance(node, (BinOp, Num)):
-                text = "(%s)" % text
-            text = "%s[%s]" % (text, pretty(parent.inner))
-        else:
-            right = pretty(parent.right)
-            if parent.op == "*" and _is_sum(node):
-                text = "(%s)" % text
-            if _is_sum(parent.right):
-                right = "(%s)" % right
-            text = "%s %s %s" % (text, parent.op, right)
-        node = parent
-    return text
+    return _fold(node, str, _text)
+
+
+def _text(node, parts):
+    # the text of node from the texts of its fields, each child put in
+    # parentheses where its node type would bind differently unwrapped
+    if isinstance(node, (Num, BasisAtom, PartitionLit)):
+        return "".join(parts)
+    if isinstance(node, BinOp):
+        op, left, right = parts
+        if op == "*" and _is_sum(node.left):
+            left = "(%s)" % left
+        if _is_sum(node.right) or op == "*" and isinstance(node.right, BinOp):
+            right = "(%s)" % right
+        return "%s %s %s" % (left, op, right)
+    if isinstance(node, Pleth):
+        outer, inner = parts
+        if isinstance(node.outer, (BinOp, Num)):
+            outer = "(%s)" % outer
+        return "%s[%s]" % (outer, inner)
+    if isinstance(node, Call):
+        return "%s(%s)" % tuple(parts)
+    if type(node) is tuple:
+        return ", ".join(parts)
+    raise TypeError("not an expression node: %r" % (node,))
 
 
 def _is_sum(node):
@@ -274,33 +271,31 @@ def _as_symfn(value, what):
 
 
 def evaluate(node):
-    """Evaluate a tree to a SymFn, a Fraction, or a Partition.
-
-    The left spine of a chain such as h1 + h1 + ... or f[g][h] is walked
-    in a loop, so only nesting costs stack depth.
-    """
-    spine = []
-    while isinstance(node, (BinOp, Pleth)):
-        spine.append(node)
-        node = node.left if isinstance(node, BinOp) else node.outer
-    if isinstance(node, Num):
-        value = Fraction(node.value)
-    elif isinstance(node, BasisAtom):
-        value = generator(node.basis, node.parts)
-    elif isinstance(node, PartitionLit):
-        value = node.parts
-    elif isinstance(node, Call):
-        value = _call(node)
-    else:
+    """Evaluate a tree to a SymFn, a Fraction, or a Partition."""
+    if not isinstance(node, Record):
         raise TypeError("not an expression node: %r" % (node,))
-    for node in reversed(spine):
-        if isinstance(node, Pleth):
-            inner = evaluate(node.inner)
-            value = plethysm(_as_symfn(value, "plethysm outer"),
-                             _as_symfn(inner, "plethysm inner"))
-        else:
-            value = _binop(node.op, value, evaluate(node.right))
-    return value
+    return _fold(node, lambda value: value, _value)
+
+
+def _value(node, parts):
+    # the value of node from the values of its fields
+    if isinstance(node, Num):
+        return Fraction(node.value)
+    if isinstance(node, BasisAtom):
+        return generator(node.basis, node.parts)
+    if isinstance(node, PartitionLit):
+        return node.parts
+    if isinstance(node, BinOp):
+        return _binop(*parts)
+    if isinstance(node, Pleth):
+        outer, inner = parts
+        return plethysm(_as_symfn(outer, "plethysm outer"),
+                        _as_symfn(inner, "plethysm inner"))
+    if isinstance(node, Call):
+        return _call(*parts)
+    if type(node) is tuple:
+        return parts  # the arguments of a Call
+    raise TypeError("not an expression node: %r" % (node,))
 
 
 def _binop(op, left, right):
@@ -319,9 +314,8 @@ def _function(name):
     return next((entry for entry in FUNCS if entry[0] == name), None)
 
 
-def _call(node):
-    args = list(map(evaluate, node.args))
-    name, call, arity = _function(node.func)
+def _call(func, args):
+    name, call, arity = _function(func)
     if len(args) != len(arity):
         raise ExprError("%s takes %d argument%s" % (
             name, len(arity), "s" if len(arity) > 1 else ""))

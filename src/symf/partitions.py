@@ -12,11 +12,14 @@ that one canonical order; nothing ever depends on hash order.
 
 Record, the immutable base of the invariant families, enumeration specs,
 expression nodes and tokens, and character tables, lives here too,
-since every layer imports this module.  So does the registry of memos:
-each memo of computed values is declared through _memo where it is
-defined, and _reset_memo clears every one that registered.  The caches
-of partitions, their positions and z_mu below are pure functions of
-small arguments and are kept.
+since every layer imports this module, and so does _fold, the one walk
+over a tree of Records without recursion: Records hash and print
+through it, and the expression language evaluates and prints its trees
+through it.  So does the registry of memos: each memo of computed values
+is declared through _memo where it is defined, and _reset_memo clears
+every one that registered.  The caches of partitions, their positions,
+their counts and z_mu below are pure functions of small arguments and
+are kept.
 """
 
 from functools import lru_cache
@@ -155,7 +158,8 @@ def _fields(x):
 
 def _fold(root, leaf, join):
     # join(x, [results of x's fields]) for each Record and plain tuple
-    # under root, fields first, and leaf(x) for every other value
+    # under root, fields first, and leaf(x) for every other value; the
+    # stack stands in for recursion, so nesting costs no frames
     stack, done = [(root, None)], []
     while stack:
         x, kids = stack.pop()
@@ -248,6 +252,9 @@ def _positions(n):
     return {lam: i for i, lam in enumerate(_partitions_of(n, n))}
 
 
+_COUNTS = [1]  # p(0), p(1), ...: one table every partition_count extends
+
+
 def partition_count(n):
     """Number of partitions of n, by Euler's pentagonal number recurrence.
 
@@ -256,14 +263,8 @@ def partition_count(n):
     """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    counts = _pentagonal_counts(n)
-    return counts[n]
-
-
-@lru_cache(maxsize=None)
-def _pentagonal_counts(n):
-    counts = [1]
-    for m in range(1, n + 1):
+    counts = _COUNTS
+    for m in range(len(counts), n + 1):
         total = 0
         k = 1
         while True:
@@ -278,7 +279,7 @@ def _pentagonal_counts(n):
                 total += sign * counts[m - g2]
             k += 1
         counts.append(total)
-    return counts
+    return counts[n]
 
 
 @lru_cache(maxsize=None)

@@ -161,7 +161,7 @@ def test_reset_forgets_the_schur_rows():
 KEPT_MEMOS = {
     "symf.partitions.z_of", "symf.partitions._partitions_of",
     "symf.partitions._positions",
-    "symf.partitions._pentagonal_counts", "symf.partitions._MEMOS",
+    "symf.partitions._COUNTS", "symf.partitions._MEMOS",
     "symf.oracles._symmetric_group", "symf.oracles._bounded_partition_count",
 }
 

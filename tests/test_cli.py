@@ -5,6 +5,7 @@ output; failures are checked through exit codes and the symf: prefix on
 stderr.
 """
 
+import doctest
 import hashlib
 import json
 import os
@@ -622,6 +623,12 @@ class TestDeterminism:
 class TestReadme:
     def test_examples_are_found(self):
         assert len(README_EXAMPLES) == 8
+
+    def test_python_examples_run(self):
+        # the >>> blocks, as `python -m doctest README.md` runs them
+        failed, attempted = doctest.testfile(
+            str(ROOT / "README.md"), module_relative=False)
+        assert (failed, attempted) == (0, 5)
 
     @pytest.mark.parametrize("argv,shown", README_EXAMPLES,
                              ids=[" ".join(a) for a, _ in README_EXAMPLES])

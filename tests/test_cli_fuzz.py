@@ -7,11 +7,14 @@ and partition literals, joined by + - * and plethysm brackets, and each
 function of expr.FUNCS at its arity, nested at most three deep.  Each
 runs in process through `symf eval` in a random output basis, sometimes
 with --json.  Whatever it means, the command must end in an exit code
-of 0-4 and must not raise.
+of 0-4 and must not raise.  The same expressions, wrapped in up to the
+nesting cap's levels of parentheses, brackets and calls, print with
+pretty to text that parses back to the same tree.
 """
 
 import contextlib
 import io
+import sys
 
 import pytest
 
@@ -19,8 +22,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from symf.cli import main
-from symf.expr import FUNCS
-from symf.partitions import partitions_of
+from symf.expr import (_NESTING_CAP, FUNCS, BasisAtom, BinOp, Call, Num,
+                       Pleth, evaluate, parse, pretty)
+from symf.partitions import Partition, partitions_of
 from symf.symfunc import BASES
 
 fuzzed = settings(derandomize=True, database=None, deadline=None,
@@ -64,3 +68,55 @@ def test_eval_ends_in_an_exit_code(text, basis, as_json):
     assert code in range(5), (argv, code, err.getvalue())
     if code:
         assert out.getvalue() == "" and err.getvalue().startswith("symf: ")
+
+
+# one level of each kind of nesting: the text around a subexpression's
+# text, and the tree that parses to around the subexpression's tree
+WRAPPERS = (
+    ("(%s)", lambda tree: tree),
+    ("2 * (%s)", lambda tree: BinOp("*", Num(2), tree)),
+    ("h1[%s]", lambda tree: Pleth(BasisAtom("h", Partition((1,))), tree)),
+    ("dim(%s)", lambda tree: Call("dim", (tree,))),
+)
+
+
+@settings(fuzzed, max_examples=200)  # only parses and prints
+@given(expressions(3), st.lists(st.sampled_from(WRAPPERS), min_size=1,
+                                max_size=3),
+       st.integers(0, _NESTING_CAP - 3))
+def test_pretty_round_trips(text, kinds, levels):
+    # expressions(3) nests up to three levels itself, so the wrapped
+    # text stays within the cap
+    tree = parse(text)
+    for form, wrap in (kinds * levels)[:levels]:
+        text, tree = form % text, wrap(tree)
+    assert parse(text) == tree
+    once = pretty(tree)
+    assert parse(once) == tree
+    assert pretty(parse(once)) == once
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("form", [form for form, _ in WRAPPERS])
+def test_walks_of_deep_trees_need_no_stack(form):
+    # with the recursion limit a small margin above this test's frames,
+    # evaluating, printing, hashing and repr of 256 nested levels
+    # recurse no deeper than a flat tree would
+    text = "h1"
+    for _ in range(_NESTING_CAP):
+        text = form % text
+    tree = parse(text)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        evaluate(tree), hash(tree), repr(tree)
+        printed = pretty(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert parse(printed) == tree

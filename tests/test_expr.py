@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from symf.errors import ExprError
-from symf.expr import evaluate, evaluate_text, parse, pretty
+from symf.expr import _Token, evaluate, evaluate_text, parse, pretty
 from symf.partitions import Partition
 from symf.plethysm import plethysm
 from symf.symfunc import e, h, p, s
@@ -114,6 +114,7 @@ class TestPretty:
         "h[2][h[2]][h[2]]",
         "scalar(h[2], h[2])",
         "coeff(h[2][h[2]], [2,2])",
+        "h[2] * (h[3] * h[4])",
     ]
 
     @pytest.mark.parametrize("text", CASES)
@@ -146,6 +147,13 @@ class TestPretty:
         other = parse(text.replace("h1", "h2", 1))
         assert other != tree and not other == tree
         assert hash(other) != hash(tree)
+
+    @pytest.mark.parametrize("walk", [evaluate, pretty])
+    def test_only_expression_nodes_are_walked(self, walk):
+        for root in (5, None, Partition((1,)), (parse("h1"),),
+                     _Token("num", 1, 0)):
+            with pytest.raises(TypeError, match="not an expression node"):
+                walk(root)
 
 
 class TestDiagnostics:

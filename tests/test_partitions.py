@@ -42,6 +42,12 @@ def test_counts_match_pentagonal_recurrence():
         assert len(partitions_of(n)) == partition_count(n)
 
 
+def test_counts_far_out_in_any_order():
+    # a larger n first, then a smaller one the same table already holds
+    assert partition_count(200) == 3972999029388
+    assert partition_count(100) == 190569292
+
+
 def test_max_part_restriction():
     assert partitions_of(5, max_part=2) == [(2, 2, 1), (2, 1, 1, 1),
                                             (1, 1, 1, 1, 1)]
