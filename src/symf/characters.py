@@ -14,9 +14,12 @@ every lam of weight |mu|, zeros included, indexed by position in
 partitions_of(|mu|).  It is one pass over the column of mu minus its
 first part through the strip table of (|mu|, mu[0]), every strip of
 that size as an (i, j, sign) triple of positions, so no partition is
-hashed per entry.  Columns serve symfunc's s target, which reads the
-columns of its input's classes only, and the cold build of a full
-table, which transposes them.  The memos are unbounded: they keep
+hashed per entry.  The tables are read off beta-set bitmasks, ints
+whose set bits are a partition's beta numbers, through one
+{mask: position} map per degree, _beta_positions, so building one
+builds no partition either.  Columns serve symfunc's s target, which
+reads the columns of its input's classes only, and the cold build of a
+full table, which transposes them.  The memos are unbounded: they keep
 every value computed in the process.
 
 A table is its integer rows: rows[i][j] is the character of the i-th
@@ -37,8 +40,8 @@ import os
 import warnings
 
 from .errors import ResourceLimitError
-from .partitions import (Partition, Record, _memo, _positions,
-                         partitions_of)
+from .partitions import (Partition, Record, _memo, _partitions_of,
+                         _positions, partitions_of)
 
 # Practical cap on full-table construction, and on the s and m bases as
 # targets, which read a vector p(d) entries wide per class: every
@@ -93,15 +96,34 @@ def _chi(lam, mu):
 
 
 @_memo
+def _beta_positions(n):
+    # {mask: i} for the i-th partition lam of n, the mask's set bits its
+    # beta numbers lam_i + len(lam) - 1 - i; bit 0 is clear
+    return {sum(1 << a + len(lam) - 1 - i for i, a in enumerate(lam)): i
+            for i, lam in enumerate(_partitions_of(n, n))}
+
+
+@_memo
 def _strip_table(d, size):
     # (i, j, sign) for each border strip of `size` cells that takes the
     # i-th partition of d to the j-th partition of d - size, positions in
-    # partitions_of order.  The strips come from the enumeration itself,
-    # not its memo: the table holds them as positions, and keeping the
-    # tuples too cost 1.4 MB of peak memory on the schur_expand benchmark.
-    pos = _positions(d - size)
-    return [(i, pos[sub], sign) for i, lam in enumerate(partitions_of(d))
-            for sub, sign in _strip_removals.__wrapped__(lam, size)]
+    # partitions_of order.  A strip moves a set bit b of the mask to the
+    # clear bit b - size >= 0, signed by the parity of the set bits
+    # between; the bits of rows it empties, set at the bottom, are
+    # shifted out.  _strip_removals, which _chi reads, cross-checks it.
+    pos = _beta_positions(d - size)
+    out = []
+    for mask, i in _beta_positions(d).items():
+        moves = mask & ~(mask << size) & -(1 << size)
+        while moves:
+            top = moves & -moves
+            moves ^= top
+            low = top >> size
+            sub = mask ^ top ^ low
+            sub >>= (sub ^ (sub + 1)).bit_length() - 1
+            out.append((i, pos[sub],
+                        -1 if (mask & (top - low)).bit_count() & 1 else 1))
+    return out
 
 
 _COLUMNS = _memo({})

@@ -64,7 +64,7 @@ from math import comb, factorial, perm, prod
 from operator import le
 
 from .characters import CHAR_TABLE_CAP
-from .errors import DegreeError
+from .errors import DegreeError, ResourceLimitError
 from .partitions import (Partition, Record, _memo, partition_count,
                          partitions_of)
 from .plethysm import (_check_degree, _h_of, _pairings, _pleth_p, fundamental,
@@ -325,12 +325,21 @@ class _Alphabet:
 _P_STEP = 2
 _ALPHABET_SETUP = 150
 
+# Cap on the finite route's estimate, refused before any product runs:
+# the p route is refused above the plethysm cap, and this route would
+# otherwise run whatever its estimate.  Every documented command
+# estimates below 1.6e6; SL(2) on h_1 at r = 734, the last degree
+# below the cap, takes about 13 s.
+_ALPHABET_CAP = 10 ** 8
+
 
 def _alphabet_for(family, F, r):
     """The finite alphabet for <h_r[F], I_{rk}(V)>, k = deg F, or None
     where the p-basis route stays: other families, degrees without
     invariants, and where the estimated cost of the finite route is
-    above that of the p basis.  Neither estimate expands anything."""
+    above that of the p basis.  Neither estimate expands anything.
+    Where the finite route is taken at an estimate above _ALPHABET_CAP,
+    the query is refused."""
     if not isinstance(family, (SLnDefining, Sp2nDefining)) or r < 0:
         return None
     k = F.degree()
@@ -342,8 +351,13 @@ def _alphabet_for(family, F, r):
         return None  # below the cost of setting an alphabet up
     alphabet = _Alphabet(shapes)
     m = _monomial_count(F.basis, F.terms, k, len(alphabet.bounds))
-    if _finite_cost(alphabet.bounds, m, k, r) > p_cost:
+    cost = _finite_cost(alphabet.bounds, m, k, r)
+    if cost > p_cost:
         return None
+    if cost > _ALPHABET_CAP:
+        raise ResourceLimitError(
+            "the finite-alphabet route is estimated at %d steps, beyond "
+            "the cap %d" % (cost, _ALPHABET_CAP))
     return alphabet
 
 

@@ -226,7 +226,8 @@ def _partitions_of(n, largest):
     out = []
     for first in range(min(n, largest), 0, -1):
         for rest in _partitions_of(n - first, first):
-            out.append(Partition((first,) + rest))
+            # valid by construction, so not validated again
+            out.append(tuple.__new__(Partition, (first,) + rest))
     return tuple(out)
 
 

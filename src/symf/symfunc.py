@@ -40,14 +40,16 @@ The multiply _mul_p keys by packed partitions, m_i in bits 7(i-1) to
 keys appear gives each key's weight, z and parts.  Packed keys stay
 inside _mul_p and plethysm's p-basis ring; SymFn.__mul__ and _prod_h_p,
 the h products of h and e inputs and monomial_coefficient, pack around
-it.  The rest (SymFn, _p_dict, _scalar_p, to_basis, _chi) keys by the
-shared Partitions of partitions_of and the key table, and the dense
+it, except that a product of two h or two e functions stays in its
+basis, h_mu h_nu = h_(mu+nu).  The rest (SymFn, _p_dict, _scalar_p,
+to_basis, _chi) keys by the shared Partitions of partitions_of and the
+key table, and the dense
 columns and rows of R are indexed by their positions,
 partitions._positions.  SymFn's constructor validates its input but
 takes Partition keys and Fraction values as they are, so kernel results
 are not rebuilt.  Where partitions are packed, a product that could
 repeat a part 128 times, and so spill into the next field, is refused
-first.
+first; for an h or e product, that is when it expands.
 
 A Schur input s_lam is its row chi^lam, read value by value from
 characters._chi (Murnaghan-Nakayama) at every weight; no character table
@@ -200,6 +202,13 @@ class SymFn:
             c = Fraction(other)
             return SymFn(self.basis, {mu: c * v for mu, v in self.terms.items()})
         if isinstance(other, SymFn):
+            if self.basis == other.basis and self.basis in ("h", "e"):
+                # h_mu h_nu = h_(mu+nu), and so for e: nothing is expanded
+                return SymFn(self.basis, (
+                    (tuple.__new__(Partition, sorted(mu + nu, reverse=True)),
+                     c * d)
+                    for mu, c in self.terms.items()
+                    for nu, d in other.terms.items()))
             a, b = _p_dict(self), _p_dict(other)
             _check_multiplicity(_multiplicity(a) + _multiplicity(b))
             return _p_symfn(_unpacked(_mul_p(_packed(a), _packed(b))))

@@ -5,6 +5,7 @@ import os
 import pickle
 import pkgutil
 import warnings
+from collections import Counter
 from decimal import Decimal
 
 import pytest
@@ -13,14 +14,14 @@ from fractions import Fraction
 import symf
 from symf.characters import (CACHE_FORMAT_VERSION, CHAR_TABLE_CAP,
                              CharacterTable, RepCharacter, _chi, _column,
-                             _load_table, _strip_removals, cache_dir,
-                             char_of_functor, character_table, chi,
-                             schur_functor_char)
+                             _load_table, _strip_removals, _strip_table,
+                             cache_dir, char_of_functor, character_table,
+                             chi, schur_functor_char)
 from symf.errors import ResourceLimitError
 from symf.invariants import SnPermutation, inv_char
 from symf.oracles import oracle_syt
-from symf.partitions import (_MEMOS, Partition, _reset_memo, partitions_of,
-                             z_of)
+from symf.partitions import (_MEMOS, Partition, _positions, _reset_memo,
+                             partitions_of, z_of)
 from symf.symfunc import _schur_p, e, h, p, s, to_basis
 
 
@@ -105,6 +106,22 @@ def test_strip_removals_match_the_beta_set_reference():
             for size in range(1, d + 2):
                 assert _strip_removals(lam, size) == \
                     _strip_removals_by_beta_sets(lam, size), (lam, size)
+
+
+def test_strip_tables_match_the_strip_removals():
+    # the tables read strips off beta-set masks; each shape's entries,
+    # as a multiset of (position, sign), are the strips _chi enumerates
+    for d in range(15):
+        shapes = partitions_of(d)
+        for size in range(1, d + 1):
+            pos = _positions(d - size)
+            got = [Counter() for _ in shapes]
+            for i, j, sign in _strip_table(d, size):
+                got[i][j, sign] += 1
+            want = [Counter((pos[sub], sign)
+                            for sub, sign in _strip_removals(lam, size))
+                    for lam in shapes]
+            assert got == want, (d, size)
 
 
 def test_columns_are_the_chi_values():
@@ -204,6 +221,7 @@ def test_reset_clears_every_memo_not_kept_on_purpose():
             "symf.symfunc._schur_p", "symf.characters._chi",
             "symf.characters._strip_removals", "symf.characters._COLUMNS",
             "symf.characters._strip_table",
+            "symf.characters._beta_positions",
             "symf.characters._TABLES"} <= cleared.keys()
     character_table(4)
     to_basis(p(2, 1), "s")

@@ -465,6 +465,9 @@ FAILURES = [
     (4, ["eval", "p[%s]*p1" % ",".join("1" * 127), "--basis", "p"]),
     # chi^(130) at (1^130) would repeat a part 130 times
     (4, ["eval", "s[130]", "--basis", "p"]),
+    # the finite alphabet's estimate is 2.0e9 steps, above its cap
+    (4, ["hilbert", "--family", "sl", "--n", "2", "--functor", "h1",
+         "--r", "2000"]),
 ]
 
 
@@ -480,6 +483,12 @@ class TestExitCodes:
     def test_success_is_zero(self, capsys):
         code, out, err = run(capsys, "eval", "h2")
         assert code == 0 and err == ""
+
+    def test_h_products_stay_in_h(self, capsys):
+        # expanding h2*h50 over the p basis took 18 s before the h
+        # target refused degree 52; the product stays h[50,2]
+        assert run(capsys, "eval", "h2*h50", "--basis", "h") == \
+            (0, "h[50,2]\n", "")
 
     def test_oversized_plethysm_exits_4_quickly(self):
         # degree 2 * 30 = 60 is past the plethysm cap of 40; expanding

@@ -349,6 +349,23 @@ def test_routing_rule_on_larger_groups():
         assert not _routed(family, h(2), 2)
 
 
+def test_finite_route_is_capped_before_any_product(monkeypatch):
+    # SL(2) on h_1 at r = 2000 takes the finite route at an estimated
+    # 2.0e9 steps (the p basis's is 1.2e49): refused before it multiplies
+    def fail(*args):
+        raise AssertionError("an alphabet product ran")
+    monkeypatch.setattr(_Alphabet, "mul", fail)
+    for query in (hilbert_dim, inv_char_polyfunc):
+        with pytest.raises(ResourceLimitError,
+                           match="estimated at 2005001150 steps, beyond "
+                                 "the cap 100000000"):
+            query(SLnDefining(2), h(1), 2000)
+    # r = 734 is the last degree with invariants below the cap
+    assert _routed(SLnDefining(2), h(1), 734)
+    with pytest.raises(ResourceLimitError):
+        _routed(SLnDefining(2), h(1), 736)
+
+
 def test_routing_expands_nothing(monkeypatch):
     # the estimates read the shapes' bounds and F's own terms only: no
     # Jacobi-Trudi term, chi^lam row or character value while routing

@@ -32,6 +32,15 @@ def test_reverse_lexicographic_order():
     assert partitions_of(1) == [(1,)]
 
 
+def test_enumerated_partitions_are_valid():
+    # the enumeration builds its Partitions without validating them
+    for n in range(21):
+        shapes = partitions_of(n)
+        assert all(type(lam) is Partition for lam in shapes)
+        assert shapes == [Partition(list(lam)) for lam in shapes]
+        assert {lam.weight for lam in shapes} == {n}
+
+
 def test_counts_match_pentagonal_recurrence():
     # p(n) for small n, then the independent recurrence for the rest
     known = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]

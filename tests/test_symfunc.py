@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import pickle
+import random
 from functools import lru_cache
 
 import pytest
@@ -131,6 +132,26 @@ def test_monomial_expansions():
     assert to_basis(h(2), "m") == m(2) + m(1, 1)
     assert to_basis(s(2, 1), "m") == m(2, 1) + 2 * m(1, 1, 1)
     assert to_basis(e(2), "m") == m(1, 1)
+
+
+def test_h_and_e_products_stay_in_their_basis():
+    # h_mu h_nu = h_(mu+nu) and e_mu e_nu = e_(mu+nu), formed in the
+    # basis and equal to the product of the p expansions
+    rng = random.Random(5)
+    for basis in ("h", "e"):
+        for _ in range(30):
+            f, g = (SymFn(basis, [
+                (rng.choice(partitions_of(rng.randint(0, 5))),
+                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 3))]) for _ in range(2))
+            got = f * g
+            assert got.basis == basis
+            assert got == to_basis(f, "p") * to_basis(g, "p"), (f, g)
+    assert str(h(2) * h(30)) == "h[30,2]"
+    # nothing is packed, so the multiplicity cap waits for an expansion
+    assert h(64) * h(64) == SymFn("h", {(64, 64): 1})
+    with pytest.raises(ResourceLimitError, match="a part repeated 128"):
+        to_basis(e(64) * e(64), "p")
 
 
 def test_hall_product_orthogonality():
