@@ -2,25 +2,26 @@
 
 The irreducible character value chi^lambda(mu) is computed by the
 Murnaghan-Nakayama rule, phrased on first-column hook lengths (beta
-numbers): removing a border strip of size t from lambda means picking a
-beta number b with b - t >= 0 not already a beta number, and the sign is
-(-1)^(number of beta numbers strictly between b - t and b).  Values
-are memoized in two orientations.  Rows: _chi(lam, mu) recurses on mu
-minus its first part, one value at a time, on the memoized strips of
-each (lam, t); it serves chi and the rows chi^lam that symfunc reads
-for Schur inputs of any weight, where a column would span all p(|lam|)
+numbers).  A partition is read as its beta-set mask, _mask(lam), an int
+whose set bits are its beta numbers.  There is one border-strip move,
+_strips(mask, t): removing a strip of t cells moves a set bit b to the
+clear bit b - t >= 0, and the sign is (-1)^(number of set bits strictly
+between b - t and b).  Values are memoized in two orientations, both
+read through that move.  Rows: _chi(mask, mu) recurses on mu minus its
+first part, one value at a time, on the memoized strips of each
+(mask, t); it serves chi and the rows chi^lam that symfunc reads for
+Schur inputs of any weight, where a column would span all p(|lam|)
 shapes.  Columns: _column(mu) is the dense list of chi^lam(mu) over
 every lam of weight |mu|, zeros included, indexed by position in
 partitions_of(|mu|).  It is one pass over the column of mu minus its
 first part through the strip table of (|mu|, mu[0]), every strip of
 that size as an (i, j, sign) triple of positions, so no partition is
-hashed per entry.  The tables are read off beta-set bitmasks, ints
-whose set bits are a partition's beta numbers, through one
-{mask: position} map per degree, _beta_positions, so building one
-builds no partition either.  Columns serve symfunc's s target, which
-reads the columns of its input's classes only, and the cold build of a
-full table, which transposes them.  The memos are unbounded: they keep
-every value computed in the process.
+hashed per entry.  A table positions the strips of every mask of its
+degree through one {mask: position} map per degree, _beta_positions,
+so building one builds no partition either.  Columns serve symfunc's s
+target, which reads the columns of its input's classes only, and the
+cold build of a full table, which transposes them.  The memos are
+unbounded: they keep every value computed in the process.
 
 A table is its integer rows: rows[i][j] is the character of the i-th
 shape on the j-th class, both in partitions_of(r) order.  Each full
@@ -53,77 +54,61 @@ CHAR_TABLE_CAP = 20
 CACHE_FORMAT_VERSION = 2
 
 
+def _mask(lam):
+    # lam's beta-set mask: an int whose set bits are its beta numbers
+    # lam_i + len(lam) - 1 - i; bit 0 is clear, and () is 0
+    n = len(lam) - 1
+    return sum(1 << a + n - i for i, a in enumerate(lam))
+
+
 @_memo
-def _strip_removals(lam, size):
-    # All ways to remove a border strip of `size` cells from lam, as
-    # tuples (smaller partition, sign).  The strip moves the beta number
-    # b_i down to b_i - size, past b_(i+1) .. b_(j-1), the beta numbers
-    # between the two: rows i+1 .. j-1 move up one row, one cell
-    # shorter, row j-1 gets b_i - size - (n - j) cells, and the sign is
-    # (-1)^(j - i - 1).
-    n = len(lam)
-    beta = [lam[i] + n - 1 - i for i in range(n)]
+def _strips(mask, size):
+    # (sub, sign) for each border strip of `size` cells, sub the mask left
+    # when it is removed.  A strip moves a set bit b of the mask to the
+    # clear bit b - size >= 0, signed by the parity of the set bits
+    # between; the bits of rows it empties, set at the bottom, are
+    # shifted out.
     out = []
-    for i in range(n):
-        nb = beta[i] - size
-        if nb < 0:
-            continue
-        j = i + 1
-        while j < n and beta[j] > nb:
-            j += 1
-        if j < n and beta[j] == nb:
-            continue
-        sub = (lam[:i] + tuple(a - 1 for a in lam[i + 1:j])
-               + (nb - n + j,) + lam[j:])
-        if j == n:
-            # a strip that reaches the last row can empty rows there
-            sub = tuple(a for a in sub if a)
-        out.append((sub, -1 if (j - i - 1) % 2 else 1))
+    moves = mask & ~(mask << size) & -(1 << size)
+    while moves:
+        top = moves & -moves
+        moves ^= top
+        low = top >> size
+        sub = mask ^ top ^ low
+        sub >>= (sub ^ (sub + 1)).bit_length() - 1
+        out.append((sub, -1 if (mask & (top - low)).bit_count() & 1 else 1))
     return tuple(out)
 
 
 @_memo
-def _chi(lam, mu):
-    # lam, mu part tuples or Partitions, which hash and compare alike, of
-    # equal weight; mu consumed left to right.
+def _chi(mask, mu):
+    # chi^lam(mu) for lam of beta-set mask `mask` and a part tuple or
+    # Partition mu of the same weight, consumed left to right
     if not mu:
         return 1
     head, rest = mu[0], mu[1:]
     total = 0
-    for sub, sign in _strip_removals(lam, head):
+    for sub, sign in _strips(mask, head):
         total += sign * _chi(sub, rest)
     return total
 
 
 @_memo
 def _beta_positions(n):
-    # {mask: i} for the i-th partition lam of n, the mask's set bits its
-    # beta numbers lam_i + len(lam) - 1 - i; bit 0 is clear
-    return {sum(1 << a + len(lam) - 1 - i for i, a in enumerate(lam)): i
-            for i, lam in enumerate(_partitions_of(n, n))}
+    # {_mask(lam): i} for the i-th partition lam of n
+    return {_mask(lam): i for i, lam in enumerate(_partitions_of(n, n))}
 
 
 @_memo
 def _strip_table(d, size):
     # (i, j, sign) for each border strip of `size` cells that takes the
     # i-th partition of d to the j-th partition of d - size, positions in
-    # partitions_of order.  A strip moves a set bit b of the mask to the
-    # clear bit b - size >= 0, signed by the parity of the set bits
-    # between; the bits of rows it empties, set at the bottom, are
-    # shifted out.  _strip_removals, which _chi reads, cross-checks it.
+    # partitions_of order.  The strips are enumerated afresh, not read
+    # from _strips' memo: a table meets each mask once.
     pos = _beta_positions(d - size)
-    out = []
-    for mask, i in _beta_positions(d).items():
-        moves = mask & ~(mask << size) & -(1 << size)
-        while moves:
-            top = moves & -moves
-            moves ^= top
-            low = top >> size
-            sub = mask ^ top ^ low
-            sub >>= (sub ^ (sub + 1)).bit_length() - 1
-            out.append((i, pos[sub],
-                        -1 if (mask & (top - low)).bit_count() & 1 else 1))
-    return out
+    strips = _strips.__wrapped__
+    return [(i, pos[sub], sign) for mask, i in _beta_positions(d).items()
+            for sub, sign in strips(mask, size)]
 
 
 _COLUMNS = _memo({})
@@ -153,7 +138,13 @@ def chi(lam, mu):
     mu = Partition(mu)
     if lam.weight != mu.weight:
         raise ValueError("chi needs |lam| = |mu|, got %s and %s" % (lam, mu))
-    return _chi(tuple(lam), tuple(mu))
+    # _chi recurses once per part of mu; symfunc's rows stop at the same
+    # bound, the largest part multiplicity a packed key holds
+    from .symfunc import _KEY_LIMIT
+    if len(mu) >= _KEY_LIMIT:
+        raise ResourceLimitError("a class of %d parts is beyond the cap %d"
+                                 % (len(mu), _KEY_LIMIT - 1))
+    return _chi(_mask(lam), tuple(mu))
 
 
 class CharacterTable(Record):

@@ -42,23 +42,24 @@ inside _mul_p and plethysm's p-basis ring; SymFn.__mul__ and _prod_h_p,
 the h products of h and e inputs and monomial_coefficient, pack around
 it, except that a product of two h or two e functions stays in its
 basis, h_mu h_nu = h_(mu+nu).  The rest (SymFn, _p_dict, _scalar_p,
-to_basis, _chi) keys by the shared Partitions of partitions_of and the
-key table, and the dense
-columns and rows of R are indexed by their positions,
-partitions._positions.  SymFn's constructor validates its input but
-takes Partition keys and Fraction values as they are, so kernel results
-are not rebuilt.  Where partitions are packed, a product that could
-repeat a part 128 times, and so spill into the next field, is refused
-first; for an h or e product, that is when it expands.
+to_basis) keys by the shared Partitions of partitions_of and the key
+table, and the dense columns and rows of R are indexed by their
+positions, partitions._positions.  SymFn's constructor validates its
+input but takes Partition keys and Fraction values as they are, so
+kernel results are not rebuilt.  Where partitions are packed, a
+product that could repeat a part 128 times, and so spill into the next
+field, is refused first; for an h or e product, that is when it
+expands.
 
 A Schur input s_lam is its row chi^lam, read value by value from
-characters._chi (Murnaghan-Nakayama) at every weight; no character table
-is built for it, so the table cap does not bound it.  The s target reads
-columns instead: <f, s_lam> is the sum of a_mu chi^lam(mu) / z_mu, so
-each class mu of f adds a_mu times its memoized column
-characters._column(mu), the list of chi^lam(mu) over every lam, and no
-other class is read.  A column spans all p(d) shapes, so the table cap
-bounds it.
+characters._chi (Murnaghan-Nakayama), keyed by lam's beta-set mask,
+computed once per row, and each class, at every weight; no character
+table is built for it, so the table cap does not bound it.  The s
+target reads columns instead: <f, s_lam> is the sum of a_mu
+chi^lam(mu) / z_mu, so each class mu of f adds a_mu times its memoized
+column characters._column(mu), the list of chi^lam(mu) over every lam,
+and no other class is read.  A column spans all p(d) shapes, so the
+table cap bounds it.
 """
 
 import math
@@ -445,9 +446,9 @@ def _schur_p(lam):
     # the row chi^lam; its value at (1^|lam|) counts standard tableaux and
     # is never 0, so |lam| is its top multiplicity
     _check_multiplicity(sum(lam))
-    chi = characters._chi
+    chi, mask = characters._chi, characters._mask(lam)
     return {mu: v for mu in partitions_of(sum(lam))
-            if (v := chi(lam, mu))}
+            if (v := chi(mask, mu))}
 
 
 def _m_cap(d):

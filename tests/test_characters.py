@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import symf
 from symf.characters import (CACHE_FORMAT_VERSION, CHAR_TABLE_CAP,
-                             CharacterTable, RepCharacter, _chi, _column,
-                             _load_table, _strip_removals, _strip_table,
+                             CharacterTable, RepCharacter, _column,
+                             _load_table, _mask, _strip_table, _strips,
                              cache_dir, char_of_functor, character_table,
                              chi, schur_functor_char)
 from symf.errors import ResourceLimitError
@@ -42,6 +42,23 @@ def test_chi_validates_weights():
     assert chi((2, 1), (3,)) == -1
     with pytest.raises(ValueError):
         chi((2, 1), (2, 2))
+
+
+def test_chi_refuses_classes_of_128_parts(monkeypatch):
+    # _chi recurses once per part of mu, so a class as long as the
+    # recursion limit would raise RecursionError; 127 parts still answer
+    assert chi((127,), (1,) * 127) == 1
+    assert chi((1,) * 127, (1,) * 127) == 1
+
+    def refused(*args):
+        raise AssertionError("recursed on %r" % (args,))
+    monkeypatch.setattr(symf.characters, "_chi", refused)
+    for lam, mu in (((128,), (1,) * 128), ((1000,), (1,) * 1000),
+                    ((64, 64), (1,) * 128)):
+        with pytest.raises(ResourceLimitError,
+                           match="class of %d parts is beyond the cap 127"
+                           % len(mu)):
+            chi(lam, mu)
 
 
 def test_trivial_and_sign_rows():
@@ -100,17 +117,28 @@ def _strip_removals_by_beta_sets(lam, size):
     return tuple(out)
 
 
-def test_strip_removals_match_the_beta_set_reference():
+def _shape(mask):
+    # the partition whose beta-set mask is `mask`, bit 0 clear
+    beta = [b for b in range(mask.bit_length()) if mask >> b & 1][::-1]
+    n = len(beta)
+    return tuple(b - (n - 1 - i) for i, b in enumerate(beta))
+
+
+def test_strips_match_the_beta_set_reference():
+    # as a multiset: the masks are walked from the bottom row up
     for d in range(15):
         for lam in partitions_of(d):
+            assert _shape(_mask(lam)) == lam
             for size in range(1, d + 2):
-                assert _strip_removals(lam, size) == \
-                    _strip_removals_by_beta_sets(lam, size), (lam, size)
+                got = Counter((_shape(sub), sign)
+                              for sub, sign in _strips(_mask(lam), size))
+                assert got == Counter(
+                    _strip_removals_by_beta_sets(lam, size)), (lam, size)
 
 
-def test_strip_tables_match_the_strip_removals():
-    # the tables read strips off beta-set masks; each shape's entries,
-    # as a multiset of (position, sign), are the strips _chi enumerates
+def test_strip_tables_match_the_beta_set_reference():
+    # each shape's entries, as a multiset of (position, sign), are its
+    # strips moved in its beta set
     for d in range(15):
         shapes = partitions_of(d)
         for size in range(1, d + 1):
@@ -118,8 +146,8 @@ def test_strip_tables_match_the_strip_removals():
             got = [Counter() for _ in shapes]
             for i, j, sign in _strip_table(d, size):
                 got[i][j, sign] += 1
-            want = [Counter((pos[sub], sign)
-                            for sub, sign in _strip_removals(lam, size))
+            want = [Counter((pos[sub], sign) for sub, sign
+                            in _strip_removals_by_beta_sets(lam, size))
                     for lam in shapes]
             assert got == want, (d, size)
 
@@ -128,14 +156,14 @@ def test_columns_are_the_chi_values():
     for d in range(13):
         shapes = partitions_of(d)
         for mu in shapes:
-            assert _column(mu) == [_chi(lam, mu) for lam in shapes], mu
+            assert _column(mu) == [chi(lam, mu) for lam in shapes], mu
 
 
 def test_cold_tables_match_the_chi_rows(fresh_cache):
     for r in range(11):
         shapes = partitions_of(r)
         assert character_table(r).rows == tuple(
-            tuple(_chi(lam, mu) for mu in shapes) for lam in shapes), r
+            tuple(chi(lam, mu) for mu in shapes) for lam in shapes), r
 
 
 def test_table_refuses_assignment_and_round_trips():
@@ -219,7 +247,7 @@ def test_reset_clears_every_memo_not_kept_on_purpose():
     assert {"symf.symfunc._prod_h_p", "symf.symfunc._P_TO_M",
             "symf.symfunc._KEYS", "symf.invariants._SN_SERIES",
             "symf.symfunc._schur_p", "symf.characters._chi",
-            "symf.characters._strip_removals", "symf.characters._COLUMNS",
+            "symf.characters._strips", "symf.characters._COLUMNS",
             "symf.characters._strip_table",
             "symf.characters._beta_positions",
             "symf.characters._TABLES"} <= cleared.keys()
