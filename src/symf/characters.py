@@ -20,8 +20,9 @@ hashed per entry.  A table positions the strips of every mask of its
 degree through one {mask: position} map per degree, _beta_positions,
 so building one builds no partition either.  Columns serve symfunc's s
 target, which reads the columns of its input's classes only, and the
-cold build of a full table, which transposes them.  The memos are
-unbounded: they keep every value computed in the process.
+cold build of a full table, which transposes them, and _table(r) keeps
+each full table.  Every memo is a function in an unbounded lru_cache:
+it keeps every value computed in the process.
 
 A table is its integer rows: rows[i][j] is the character of the i-th
 shape on the j-th class, both in partitions_of(r) order.  Each full
@@ -111,24 +112,18 @@ def _strip_table(d, size):
             for sub, sign in strips(mask, size)]
 
 
-_COLUMNS = _memo({})
-
-
+@_memo
 def _column(mu):
     # [chi^lam(mu) for lam in partitions_of(|mu|)], zeros included: each
     # lam sums over its border strips of size mu[0] in the column of
-    # mu[1:].
-    col = _COLUMNS.get(mu)
-    if col is None:
-        if not mu:
-            col = [1]
-        else:
-            d = sum(mu)
-            rest = _column(mu[1:])
-            col = [0] * len(_positions(d))
-            for i, j, sign in _strip_table(d, mu[0]):
-                col[i] += sign * rest[j]
-        _COLUMNS[mu] = col
+    # mu[1:].  Recurses once per part of mu, at most CHAR_TABLE_CAP deep.
+    if not mu:
+        return [1]
+    d = sum(mu)
+    rest = _column(mu[1:])
+    col = [0] * len(_positions(d))
+    for i, j, sign in _strip_table(d, mu[0]):
+        col[i] += sign * rest[j]
     return col
 
 
@@ -164,23 +159,26 @@ class CharacterTable(Record):
     def shapes(self):
         return partitions_of(self.r)
 
+    def _index(self, lam):
+        # lam's position in partitions_of(r)
+        lam = Partition(lam)
+        i = _positions(self.r).get(lam)
+        if i is None:
+            raise ValueError("%s is not a partition of r=%d" % (lam, self.r))
+        return i
+
     def value(self, lam, mu):
-        pos = _positions(self.r)
-        return self.rows[pos[Partition(lam)]][pos[Partition(mu)]]
+        return self.rows[self._index(lam)][self._index(mu)]
 
     def __getitem__(self, pair):
         return self.value(*pair)
 
     def row(self, lam):
         """Character values of chi^lam as a map cycle type -> integer."""
-        return dict(zip(self.shapes(),
-                        self.rows[_positions(self.r)[Partition(lam)]]))
+        return dict(zip(self.shapes(), self.rows[self._index(lam)]))
 
     def __repr__(self):
         return "CharacterTable(r=%d)" % self.r
-
-
-_TABLES = _memo({})
 
 
 def character_table(r):
@@ -194,15 +192,17 @@ def character_table(r):
     if r > CHAR_TABLE_CAP:
         raise ResourceLimitError(
             "character table for r=%d exceeds the documented cap r <= %d" % (r, CHAR_TABLE_CAP))
-    if r in _TABLES:
-        return _TABLES[r]
+    return _table(r)
+
+
+@_memo
+def _table(r):
+    # the table of S_r read from disk, or built from its columns and stored
     rows = _load_table(r)
     if rows is None:
         rows = list(zip(*map(_column, partitions_of(r))))
         _store_table(r, rows)
-    table = CharacterTable(r, rows)
-    _TABLES[r] = table
-    return table
+    return CharacterTable(r, rows)
 
 
 def cache_dir():

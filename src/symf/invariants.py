@@ -153,17 +153,12 @@ def _target_shapes(family, d):
     return [Partition([a for a in mu for _ in (0, 1)]) for mu in halves]
 
 
-_SN_SERIES = _memo({})
-
-
+@_memo
 def _sn_component(n, r):
-    # Degree-r piece of (1 + h_1 + ... + h_n)[h_1 + h_2 + ...], with the
-    # series memoized per n and regrown when a higher degree is asked.
-    cached = _SN_SERIES.get(n)
-    if cached is None or cached.truncation_degree < r:
-        cached = plethysm_series(h_sum_series(r, highest=n), h_plus_series(r), r)
-        _SN_SERIES[n] = cached
-    return cached.component(r)
+    # Degree-r piece of (1 + h_1 + ... + h_n)[h_1 + h_2 + ...], from the
+    # series truncated at r
+    return plethysm_series(h_sum_series(r, highest=n), h_plus_series(r),
+                           r).component(r)
 
 
 class PolyFunctor:

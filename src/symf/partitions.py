@@ -16,8 +16,9 @@ since every layer imports this module, and so does _fold, the one walk
 over a tree of Records without recursion: Records hash and print
 through it, and the expression language evaluates and prints its trees
 through it.  So does the registry of memos: each memo of computed values
-is declared through _memo where it is defined, and _reset_memo clears
-every one that registered.  The caches of partitions, their positions,
+is a function of its arguments, declared through _memo where it is
+defined, which puts it in an lru_cache, and _reset_memo clears every
+one that registered.  The caches of partitions, their positions,
 their counts and z_mu below are pure functions of small arguments and
 are kept.
 """
@@ -204,18 +205,18 @@ class _Hash:
 _MEMOS = []  # every registered memo, in registration order
 
 
-def _memo(x):
-    # register a dict or list as it is, a function in an unbounded lru_cache
-    if not isinstance(x, (dict, list)):
-        x = lru_cache(maxsize=None)(x)
-    _MEMOS.append(x)
-    return x
+def _memo(fn):
+    # fn in an unbounded lru_cache, registered; cache_info() gives each
+    # memo's hits, misses and size
+    fn = lru_cache(maxsize=None)(fn)
+    _MEMOS.append(fn)
+    return fn
 
 
 def _reset_memo():
     # Test hook: forget every value held in a registered memo.
     for memo in _MEMOS:
-        (getattr(memo, "cache_clear", None) or memo.clear)()
+        memo.cache_clear()
 
 
 @lru_cache(maxsize=None)

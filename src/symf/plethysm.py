@@ -27,7 +27,7 @@ Each algorithm is written once, over a ring of dicts with `one`,
 f[g] in _pleth_p (its sum over the p_mu[g] in _pleth_sum), h_r[f] by
 Newton's recurrence in _h_of, the p_lam[f] pairings in _pairings.  The
 rings are _PBasis, on class function values keyed by packed partitions
-that unpack to the key table's Partitions, and invariants._Alphabet, on
+that unpack to symfunc._key's Partitions, and invariants._Alphabet, on
 truncated polynomials keyed by packed exponent vectors, which its
 pairing reads as they are.
 """

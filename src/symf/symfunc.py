@@ -26,30 +26,29 @@ reverse lexicographic order since mu then dominates nu.  Row nu is p_nu
 in the m basis, counted from a lower degree: for s the smallest part of
 nu and nu' the other parts, p_nu = p_nu' p_s, and m_lam p_s raises one
 part v of lam, or a new part 0, to v + s, with the multiplicity of v + s
-as coefficient.  _p_to_m builds the degrees in turn and keeps them, each
-row a dense list indexed by position in partitions_of(d) and cut after
-its diagonal.  The m coefficients of f are <f, h_mu> = sum of a_nu
-R[nu][mu] / z_nu, its h coefficients solve R c = a by forward
-substitution, and an m input is solved for a by one back substitution
-per degree; no inverse is ever formed.  e goes through omega in both
+as coefficient.  _p_to_m(d) builds degree d from the lower degrees it
+reads, each memoized, each row a dense list indexed by position in
+partitions_of(d) and cut after its diagonal.  The m coefficients of f
+are <f, h_mu> = sum of a_nu R[nu][mu] / z_nu, its h coefficients
+solve R c = a by forward substitution, and an m input is solved for a
+by one back substitution per degree; no inverse is ever formed.  e goes through omega in both
 directions: e inputs expand as h and are flipped, and e targets flip f
 before solving for h coefficients.
 
 The multiply _mul_p keys by packed partitions, m_i in bits 7(i-1) to
-7i-1 of one int, so a union of partitions is + and a table filled as
-keys appear gives each key's weight, z and parts.  Packed keys stay
+7i-1 of one int, so a union of partitions is + and _key, memoized as
+keys appear, gives each key's weight, z and parts.  Packed keys stay
 inside _mul_p and plethysm's p-basis ring; SymFn.__mul__ and _prod_h_p,
 the h products of h and e inputs and monomial_coefficient, pack around
 it, except that a product of two h or two e functions stays in its
 basis, h_mu h_nu = h_(mu+nu).  The rest (SymFn, _p_dict, _scalar_p,
-to_basis) keys by the shared Partitions of partitions_of and the key
-table, and the dense columns and rows of R are indexed by their
-positions, partitions._positions.  SymFn's constructor validates its
-input but takes Partition keys and Fraction values as they are, so
-kernel results are not rebuilt.  Where partitions are packed, a
-product that could repeat a part 128 times, and so spill into the next
-field, is refused first; for an h or e product, that is when it
-expands.
+to_basis) keys by the shared Partitions of partitions_of and of _key,
+and the dense columns and rows of R are indexed by their positions,
+partitions._positions.  SymFn's constructor validates its input but
+takes Partition keys and Fraction values as they are, so kernel
+results are not rebuilt.  Where partitions are packed, a product
+that could repeat a part 128 times, and so spill into the next field,
+is refused first; for an h or e product, that is when it expands.
 
 A Schur input s_lam is its row chi^lam, read value by value from
 characters._chi (Murnaghan-Nakayama), keyed by lam's beta-set mask,
@@ -313,7 +312,7 @@ def s(*parts):
 #
 # The kernel works on plain dicts mapping partitions, or packed keys in
 # and out of _mul_p, to class function values a_mu.  Its keys are the
-# Partitions of partitions_of and of the key table, shared rather than
+# Partitions of partitions_of and of _key, shared rather than
 # rebuilt; Partition subclasses tuple and hashes and compares as one, so
 # a part tuple reads the same entries.
 
@@ -354,24 +353,18 @@ def _add_into(out, terms, c=1):
     return out
 
 
-class _KeyTable(dict):
-    """(weight, z_mu, mu) of each packed key mu, filled the first time the
-    key is read, so it holds only the partitions the kernel has met."""
-
-    def __missing__(self, key):
-        parts, z, i, rest = [], 1, 1, key
-        while rest:
-            m = rest & (_KEY_LIMIT - 1)
-            parts += [i] * m
-            z *= i ** m * math.factorial(m)
-            rest >>= _KEY_BITS
-            i += 1
-        row = self[key] = (sum(parts), z,
-                           tuple.__new__(Partition, parts[::-1]))
-        return row
-
-
-_KEYS = _memo(_KeyTable())
+@_memo
+def _key(key):
+    # (weight, z_mu, mu) of the packed key of mu, kept the first time the
+    # key is read, so the memo holds only the partitions the kernel met
+    parts, z, i, rest = [], 1, 1, key
+    while rest:
+        m = rest & (_KEY_LIMIT - 1)
+        parts += [i] * m
+        z *= i ** m * math.factorial(m)
+        rest >>= _KEY_BITS
+        i += 1
+    return sum(parts), z, tuple.__new__(Partition, parts[::-1])
 
 
 def _pack(mu):
@@ -384,7 +377,7 @@ def _packed(a):
 
 
 def _unpacked(a):
-    return {_KEYS[k][2]: v for k, v in a.items()}
+    return {_key(k)[2]: v for k, v in a.items()}
 
 
 def _multiplicity(a):
@@ -409,20 +402,20 @@ def _mul_p(a, b, cap=None):
     # terms are listed once per room.
     if len(a) > len(b):
         a, b = b, a
-    keys = _KEYS
+    key_of = _key
     rests = {}
     out = {}
     for mu, c in a.items():
-        w, zmu, _ = keys[mu]
+        w, zmu, _ = key_of(mu)
         room = None if cap is None else cap - w
         rest = rests.get(room)
         if rest is None:
             rest = rests[room] = [(nu, d, z) for nu, d in b.items()
-                                  for wnu, z, _ in (keys[nu],)
+                                  for wnu, z, _ in (key_of(nu),)
                                   if room is None or wnu <= room]
         for nu, d, znu in rest:
             key = mu + nu
-            val = out.get(key, 0) + c * d * (keys[key][1] // (zmu * znu))
+            val = out.get(key, 0) + c * d * (key_of(key)[1] // (zmu * znu))
             if val:
                 out[key] = val
             elif key in out:
@@ -477,41 +470,36 @@ def _target_cap(target, degrees):
             _m_cap(d)
 
 
-# R by degree: _P_TO_M[k] holds the rows for degree k once built.
-_P_TO_M = _memo([])
-
-
+@_memo
 def _p_to_m(d):
     # Rows of R as lists, both indices positions in partitions_of(d):
     # row i is p_nu in the m basis for nu the i-th partition, cut after
     # its diagonal entry prod_i m_i(nu)!, the last that can be nonzero.
     # With s the smallest part of nu and nu' the rest, p_nu is p_nu' p_s,
-    # so row nu is row nu' of degree d - s times p_s.  The degrees
-    # missing from _P_TO_M are built in turn, up to d, each with the
-    # moves m_lam p_s it meets.
-    for k in range(len(_P_TO_M), d + 1):
-        pos = _positions(k)
-        moves = {}
-        rows = []
-        for i, nu in enumerate(pos):
-            if not nu:
-                rows.append([1])
-                continue
-            s = nu[-1]
-            if s not in moves:
-                moves[s] = partitions_of(k - s), [None] * len(_P_TO_M[k - s])
-            lams, step = moves[s]
-            acc = [0] * (i + 1)
-            for j, c in enumerate(_P_TO_M[k - s][_positions(k - s)[nu[:-1]]]):
-                if c:
-                    out = step[j]
-                    if out is None:
-                        out = step[j] = _times_p(lams[j], s, pos)
-                    for t, r in out:
-                        acc[t] += c * r
-            rows.append(acc)
-        _P_TO_M.append(rows)
-    return _P_TO_M[d]
+    # so row nu is row nu' of _p_to_m(d - s) times p_s, through the
+    # moves m_lam p_s it meets.  Recurses at most d deep.
+    pos = _positions(d)
+    moves = {}
+    rows = []
+    for i, nu in enumerate(pos):
+        if not nu:
+            rows.append([1])
+            continue
+        s = nu[-1]
+        if s not in moves:
+            lower = _p_to_m(d - s)
+            moves[s] = lower, partitions_of(d - s), [None] * len(lower)
+        lower, lams, step = moves[s]
+        acc = [0] * (i + 1)
+        for j, c in enumerate(lower[_positions(d - s)[nu[:-1]]]):
+            if c:
+                out = step[j]
+                if out is None:
+                    out = step[j] = _times_p(lams[j], s, pos)
+                for t, r in out:
+                    acc[t] += c * r
+        rows.append(acc)
+    return rows
 
 
 def _times_p(lam, s, pos):

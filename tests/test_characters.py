@@ -100,6 +100,18 @@ def test_table_accessors():
     assert isinstance(table, CharacterTable)
 
 
+def test_table_accessors_refuse_partitions_of_another_weight():
+    table = character_table(4)
+    for lookup, bad in ((lambda: table.value((3,), (1, 1, 1)), "[3]"),
+                        (lambda: table.value((4,), (3, 2)), "[3,2]"),
+                        (lambda: table[(2, 1), (1, 1, 1, 1)], "[2,1]"),
+                        (lambda: table.row((5,)), "[5]"),
+                        (lambda: table.row(()), "[]")):
+        with pytest.raises(ValueError) as info:
+            lookup()
+        assert str(info.value) == "%s is not a partition of r=4" % bad
+
+
 def _strip_removals_by_beta_sets(lam, size):
     # the reference: move one beta number b down to b - size in the set
     # of beta numbers and read the partition back off the sorted set
@@ -244,13 +256,13 @@ def test_reset_clears_every_memo_not_kept_on_purpose():
                if any(memo is m for m in _MEMOS)}
     assert memos.keys() - cleared.keys() == KEPT_MEMOS
     assert {id(memo) for memo in cleared.values()} == set(map(id, _MEMOS))
-    assert {"symf.symfunc._prod_h_p", "symf.symfunc._P_TO_M",
-            "symf.symfunc._KEYS", "symf.invariants._SN_SERIES",
+    assert {"symf.symfunc._prod_h_p", "symf.symfunc._p_to_m",
+            "symf.symfunc._key", "symf.invariants._sn_component",
             "symf.symfunc._schur_p", "symf.characters._chi",
-            "symf.characters._strips", "symf.characters._COLUMNS",
+            "symf.characters._strips", "symf.characters._column",
             "symf.characters._strip_table",
             "symf.characters._beta_positions",
-            "symf.characters._TABLES"} <= cleared.keys()
+            "symf.characters._table"} <= cleared.keys()
     character_table(4)
     to_basis(p(2, 1), "s")
     to_basis(h(3, 2) * s(2, 1) + e(2), "m")

@@ -9,7 +9,9 @@ runs in process through `symf eval` in a random output basis, sometimes
 with --json.  Whatever it means, the command must end in an exit code
 of 0-4 and must not raise.  The same expressions, wrapped in up to the
 nesting cap's levels of parentheses, brackets and calls, print with
-pretty to text that parses back to the same tree.
+pretty to text that parses back to the same tree, and run through
+`symf eval` end in an exit code of 0-4 with at most one line, a `symf:`
+message, on stderr.
 """
 
 import contextlib
@@ -58,16 +60,22 @@ def expressions(depth):
                 for kind in entry[2]]))))
 
 
+def _eval(argv):
+    # (exit code, stdout, stderr) of `symf eval` run in process
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval"] + argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @fuzzed
 @given(expressions(3), st.sampled_from(BASES), st.booleans())
 def test_eval_ends_in_an_exit_code(text, basis, as_json):
-    argv = ["eval", text, "--basis", basis] + (["--json"] if as_json else [])
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in range(5), (argv, code, err.getvalue())
+    argv = [text, "--basis", basis] + (["--json"] if as_json else [])
+    code, out, err = _eval(argv)
+    assert code in range(5), (argv, code, err)
     if code:
-        assert out.getvalue() == "" and err.getvalue().startswith("symf: ")
+        assert out == "" and err.startswith("symf: ")
 
 
 # one level of each kind of nesting: the text around a subexpression's
@@ -94,6 +102,20 @@ def test_pretty_round_trips(text, kinds, levels):
     once = pretty(tree)
     assert parse(once) == tree
     assert pretty(parse(once)) == once
+
+
+@settings(fuzzed, max_examples=100)
+@given(expressions(3), st.lists(st.sampled_from(WRAPPERS), min_size=1,
+                                max_size=3),
+       st.integers(0, _NESTING_CAP - 3), st.sampled_from(BASES))
+def test_deep_trees_end_in_an_exit_code(text, kinds, levels, basis):
+    for form, _ in (kinds * levels)[:levels]:
+        text = form % text
+    code, out, err = _eval([text, "--basis", basis])
+    assert code in range(5), (text, code, err)
+    lines = err.splitlines()
+    assert len(lines) <= 1 and all(
+        line.startswith("symf: ") for line in lines), (text, err)
 
 
 def _stack_depth():

@@ -15,7 +15,7 @@ from symf.invariants import (Custom, GLnAdjoint, PolyFunctor, SLnDefining,
 from symf.oracles import (oracle_cayley_sylvester, oracle_matchings,
                           oracle_perm_inv_char, oracle_restricted_bell,
                           oracle_su2_inv_char, oracle_syt)
-from symf.partitions import partitions_of
+from symf.partitions import _reset_memo, partitions_of
 from symf.plethysm import (GradedSeries, _h_of, _pairings, fundamental,
                            h_sum_series, plethysm)
 from symf.symfunc import (SymFn, _p_dict, dimension, e, h, kronecker, one, p,
@@ -86,6 +86,21 @@ def test_perm_series_regrows():
     assert a7 == oracle_perm_inv_char(3, 7)
     assert a2 == oracle_perm_inv_char(3, 2)
     assert a8 == oracle_perm_inv_char(3, 8)
+
+
+def test_perm_terms_do_not_depend_on_what_ran_before():
+    # each degree from empty memos, then every degree again after a
+    # higher one: the same terms in the same insertion order
+    def terms(n, r):
+        return list(inv_char(SnPermutation(n), r).terms.items())
+    for n in range(2, 5):
+        fresh = []
+        for r in range(9):
+            _reset_memo()
+            fresh.append(terms(n, r))
+        _reset_memo()
+        terms(n, 12)
+        assert [terms(n, r) for r in range(9)] == fresh, n
 
 
 def test_gl_adjoint_stable_identity():

@@ -8,7 +8,7 @@ from symf.oracles import oracle_plethysm_schur
 from symf.plethysm import (GradedSeries, fundamental, h_plus_series,
                            h_sum_series, plethysm, plethysm_series)
 from symf.selftest import check_fundamental_forms
-from symf.symfunc import (SymFn, _KEYS, _mul_p, e, h, m, one, p, s, scalar,
+from symf.symfunc import (SymFn, _key, _mul_p, e, h, m, one, p, s, scalar,
                           to_basis, zero)
 
 
@@ -147,20 +147,17 @@ def test_series_plethysm_forms_no_product_above_the_cap(monkeypatch):
     # the multiply forms each pair's key as mu + nu, so operand keys that
     # record the weight of every union see each pair formed, including a
     # term met with the empty partition, whose key is the term's own
-    symfunc = sys.modules["symf.symfunc"]
-    table = symfunc._KeyTable()
     formed = []
 
     class Key(int):
         def __add__(self, other):
             union = int(self) + other
-            formed.append(table[union][0])
+            formed.append(_key(union)[0])
             return union
 
     def spied(a, b, cap=None):
         return _mul_p({Key(k): v for k, v in a.items()},
                       {Key(k): v for k, v in b.items()}, cap)
-    monkeypatch.setattr(symfunc, "_KEYS", table)
     monkeypatch.setattr(sys.modules["symf.plethysm"], "_mul_p", spied)
     for F, G, cap in _series_cases():
         formed.clear()
@@ -176,7 +173,7 @@ def test_series_plethysm_keeps_term_order(monkeypatch):
 
     def filtered(a, b, cap=None):
         return {nu: c for nu, c in _mul_p(a, b).items()
-                if cap is None or _KEYS[nu][0] <= cap}
+                if cap is None or _key(nu)[0] <= cap}
     monkeypatch.setattr(module, "_mul_p", filtered)
     full = [plethysm_series(F, G, cap) for F, G, cap in _series_cases()]
     for got, want in zip(capped, full):
