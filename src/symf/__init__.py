@@ -17,12 +17,43 @@ from .characters import (CharacterTable, RepCharacter, char_of_functor,
                          character_table, chi, schur_functor_char)
 from .plethysm import (GradedSeries, fundamental, h_plus_series, h_sum_series,
                        plethysm, plethysm_series)
-from .invariants import (Custom, GLnAdjoint, PolyFunctor, SLnDefining,
-                         SnPermutation, Sp2nDefining, hilbert_dim, hom_dim,
-                         hom_series_char, inv_char, inv_char_polyfunc)
-from .enumeration import (DealSpec, RegularGraphSpec, card_deals,
-                          deals_cycle_index, regular_graphs,
-                          regular_graphs_cycle_index)
+
+# The invariant and enumeration layers load on first access, so a
+# command that never reads them never compiles them.  plethysm stays
+# eager above: it is also the name of its submodule, and importing
+# symf.plethysm binds the module here unless the function is bound
+# first.
+_LAZY = (("invariants", ("Custom", "GLnAdjoint", "PolyFunctor",
+                         "SLnDefining", "SnPermutation", "Sp2nDefining",
+                         "hilbert_dim", "hom_dim", "hom_series_char",
+                         "inv_char", "inv_char_polyfunc")),
+         ("enumeration", ("DealSpec", "RegularGraphSpec", "card_deals",
+                          "deals_cycle_index", "regular_graphs",
+                          "regular_graphs_cycle_index")))
+
+
+def _lazy(scope, table):
+    """A module __getattr__ (PEP 562) for the module whose globals are
+    scope: each name of table, pairs of a submodule of symf and the
+    names read from it, is imported on first access and kept in scope."""
+    def __getattr__(name):
+        for module, names in table:
+            if name in names:
+                from importlib import import_module
+                value = getattr(import_module("." + module, __name__), name)
+                scope[name] = value
+                return value
+        raise AttributeError("module %r has no attribute %r"
+                             % (scope["__name__"], name))
+    return __getattr__
+
+
+__getattr__ = _lazy(globals(), _LAZY)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

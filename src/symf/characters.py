@@ -28,13 +28,15 @@ A table is its integer rows: rows[i][j] is the character of the i-th
 shape on the j-th class, both in partitions_of(r) order.  Each full
 table is cached on disk as chartable-r<r>.json holding
 {"version": 2, "r": r, "rows": rows}, so that a fresh process need not
-redo all p(r)^2 evaluations: at r = 14, reading the 64 KB file back is
-about twenty times faster than recomputing the values.  The cache
-location is $SYMF_CACHE_DIR when set, otherwise the user cache
-directory.  Files are written to a temporary name and renamed into
-place, so a crashed or concurrent writer never leaves a torn file.  A
-file that is unreadable, of another version, not a JSON object, or not
-exactly p(r) rows of p(r) integers is silently recomputed.
+redo all p(r)^2 evaluations: reading the 64 KB file back at r = 14 is
+about twice as fast as building and storing the table (5.4 against
+12.2 ms, and 69 against 134 ms at r = 20; medians of 5 in one process,
+Python 3.11.7 on 2 vCPUs).  The cache location is $SYMF_CACHE_DIR when
+set, otherwise the user cache directory.  Files are written to a
+temporary name and renamed into place, so a crashed or concurrent
+writer never leaves a torn file.  A file that is unreadable, of another
+version, not a JSON object, or not exactly p(r) rows of p(r) integers is
+silently recomputed.
 """
 
 import math

@@ -12,22 +12,30 @@ import sys
 import warnings
 from fractions import Fraction
 
+from . import _lazy
 from .characters import character_table
-from .enumeration import (DealSpec, RegularGraphSpec, card_deals,
-                          deals_cycle_index, regular_graphs,
-                          regular_graphs_cycle_index)
 from .errors import DegreeError, ExprError, ResourceLimitError, TruncationError
-from .expr import evaluate_text
-from .invariants import (GLnAdjoint, PolyFunctor, SLnDefining, SnPermutation,
-                         Sp2nDefining, _never_vanishes, hilbert_dim, inv_char,
-                         inv_char_polyfunc)
 from .partitions import Partition, partitions_of
 from .plethysm import _check_degree
 from .symfunc import BASES, SymFn, _target_cap, to_basis, to_json_dict
 
+# The layers a command may run load when it first reads them, so each
+# process compiles only its own command's.  Handlers read these names
+# through _cli, this module, at call time, as a bare global read does the
+# eager ones: a name set on symf.cli in its place is the one called.
+__getattr__ = _lazy(globals(), (
+    ("expr", ("evaluate_text",)),
+    ("invariants", ("GLnAdjoint", "PolyFunctor", "SLnDefining",
+                    "SnPermutation", "Sp2nDefining", "_never_vanishes",
+                    "hilbert_dim", "inv_char", "inv_char_polyfunc")),
+    ("enumeration", ("DealSpec", "RegularGraphSpec", "card_deals",
+                     "deals_cycle_index", "regular_graphs",
+                     "regular_graphs_cycle_index"))))
+_cli = sys.modules[__name__]
+
 # The --family names and the classes they build.
-FAMILIES = (("sl", SLnDefining), ("sp", Sp2nDefining),
-            ("perm", SnPermutation), ("gl-adjoint", GLnAdjoint))
+FAMILIES = (("sl", "SLnDefining"), ("sp", "Sp2nDefining"),
+            ("perm", "SnPermutation"), ("gl-adjoint", "GLnAdjoint"))
 
 
 class _UsageError(Exception):
@@ -42,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _family(args):
-    return dict(FAMILIES)[args.family](args.n)
+    return getattr(_cli, dict(FAMILIES)[args.family])(args.n)
 
 
 def _print_symfn(f, basis):
@@ -58,7 +66,7 @@ def _json_value(value):
 
 
 def _cmd_eval(args):
-    value = evaluate_text(args.expr)
+    value = _cli.evaluate_text(args.expr)
     if isinstance(value, SymFn):
         value = to_basis(value, args.basis)
     if args.json:
@@ -70,16 +78,16 @@ def _cmd_eval(args):
 
 
 def _functor_from(args):
-    value = evaluate_text(args.functor)
+    value = _cli.evaluate_text(args.functor)
     if not isinstance(value, SymFn):
         raise ExprError("--functor must evaluate to a symmetric function")
-    return PolyFunctor(value)
+    return _cli.PolyFunctor(value)
 
 
 def _cmd_inv(args):
     family = _family(args)
     P = None if args.functor is None else _functor_from(args)
-    if _never_vanishes(family) and (P is None or P.degree == 1):
+    if _cli._never_vanishes(family) and (P is None or P.degree == 1):
         # I_r(V) is nonzero, and so is I_r(P(V)) for P = c h_1, whose
         # p_1^r coefficient is c^r dim I_r(V) / r!: r alone decides the
         # refusal, before anything is built, and after the plethysm cap
@@ -87,33 +95,33 @@ def _cmd_inv(args):
         if P is not None:
             _check_degree(args.r)
         _target_cap(args.basis, [args.r])
-    out = (inv_char(family, args.r) if P is None
-           else inv_char_polyfunc(family, P, args.r))
+    out = (_cli.inv_char(family, args.r) if P is None
+           else _cli.inv_char_polyfunc(family, P, args.r))
     _print_symfn(out, args.basis)
     return 0
 
 
 def _cmd_hilbert(args):
-    value = hilbert_dim(_family(args), _functor_from(args), args.r)
+    value = _cli.hilbert_dim(_family(args), _functor_from(args), args.r)
     print(str(value))
     return 0
 
 
 def _cmd_deals(args):
-    spec = DealSpec(args.m, args.n)
+    spec = _cli.DealSpec(args.m, args.n)
     if args.cycle_index:
-        _print_symfn(deals_cycle_index(spec), "p")
+        _print_symfn(_cli.deals_cycle_index(spec), "p")
     else:
-        print(str(card_deals(spec)))
+        print(str(_cli.card_deals(spec)))
     return 0
 
 
 def _cmd_regular(args):
-    spec = RegularGraphSpec(args.n, args.k)
+    spec = _cli.RegularGraphSpec(args.n, args.k)
     if args.cycle_index:
-        _print_symfn(regular_graphs_cycle_index(spec), "p")
+        _print_symfn(_cli.regular_graphs_cycle_index(spec), "p")
     else:
-        print(str(regular_graphs(spec)))
+        print(str(_cli.regular_graphs(spec)))
     return 0
 
 
@@ -222,6 +230,10 @@ def _main(argv):
         # the reader left: flush quietly into devnull, exit 128 + SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except KeyboardInterrupt:
+        # Ctrl-C: one line, and the shell's 128 + SIGINT
+        print("symf: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -73,31 +73,31 @@ def oracle_deals(m, n):
     return extend(0, n, tuple([m] * n))
 
 
+@lru_cache(maxsize=None)
 def _deal_matrices(m, n):
-    # All n x n matrices, entries 0..m, every row and column sum m.
-    out = []
-    row_shapes = []
-
-    def compositions(total, slots, bound):
+    # All n x n matrices, entries 0..m, every row and column sum m, with
+    # their rows in lexicographic order.
+    def compositions(total, slots):
         if slots == 1:
-            if total <= bound:
-                yield (total,)
+            yield (total,)
             return
-        for first in range(min(total, bound) + 1):
-            for rest in compositions(total - first, slots - 1, bound):
+        for first in range(total + 1):
+            for rest in compositions(total - first, slots - 1):
                 yield (first,) + rest
 
-    def fill(rows, col_left):
-        depth = len(rows)
-        if depth == n:
-            out.append(tuple(rows))
-            return
-        for row in compositions(m, n, m):
-            if all(row[j] <= col_left[j] for j in range(n)):
-                fill(rows + [row], tuple(col_left[j] - row[j] for j in range(n)))
+    rows = tuple(compositions(m, n))
+    out = []
 
-    fill([], tuple([m] * n))
-    return out
+    def fill(mat, col_left):
+        if len(mat) == n:
+            out.append(mat)
+            return
+        for row in rows:
+            if all(row[j] <= col_left[j] for j in range(n)):
+                fill(mat + (row,), tuple(col_left[j] - row[j] for j in range(n)))
+
+    fill((), (m,) * n)
+    return tuple(out)
 
 
 def oracle_deals_matrix_count(m, n):

@@ -212,14 +212,15 @@ def test_reset_forgets_the_schur_rows():
 
 
 # Memos left out of the registry on purpose: partitions, their
-# positions, z_mu and the oracles' permutation lists and counts depend
-# only on their integer arguments, and the registry itself lists the
-# others.
+# positions, z_mu and the oracles' permutation lists, deal matrices and
+# counts depend only on their integer arguments, and the registry itself
+# lists the others.
 KEPT_MEMOS = {
     "symf.partitions.z_of", "symf.partitions._partitions_of",
     "symf.partitions._positions",
     "symf.partitions._COUNTS", "symf.partitions._MEMOS",
-    "symf.oracles._symmetric_group", "symf.oracles._bounded_partition_count",
+    "symf.oracles._symmetric_group", "symf.oracles._deal_matrices",
+    "symf.oracles._bounded_partition_count",
 }
 
 

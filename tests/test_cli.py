@@ -618,6 +618,51 @@ class TestExitCodes:
         stderr = proc.stderr.read()
         assert (proc.wait(timeout=60), stderr) == (141, b"")
 
+    def test_interrupt_is_one_line(self, capsys, monkeypatch):
+        # Ctrl-C in a long command, as the handler sees it: one message
+        # and 128 + SIGINT, with no traceback
+        def interrupted(text):
+            raise KeyboardInterrupt
+        monkeypatch.setattr("symf.cli.evaluate_text", interrupted)
+        assert run(capsys, "eval", "h60", "--basis", "p") == \
+            (130, "", "symf: interrupted\n")
+
+
+# Each library name that the benchmark's cli worker or a test sets on
+# symf.cli in place of the real one, with a command that calls it.
+PATCHED = [
+    ("character_table", ["table", "--r", "3"]),
+    ("to_basis", ["eval", "h2", "--basis", "p"]),
+    ("evaluate_text", ["eval", "h2"]),
+    ("inv_char", ["inv", "--family", "sl", "--n", "2", "--r", "4"]),
+    ("inv_char_polyfunc", ["inv", "--family", "perm", "--n", "2",
+                           "--functor", "h2", "--r", "2"]),
+    ("card_deals", ["deals", "--m", "2", "--n", "2"]),
+    ("deals_cycle_index", ["deals", "--m", "2", "--n", "2", "--cycle-index"]),
+    ("regular_graphs", ["regular", "--n", "2", "--k", "2"]),
+    ("regular_graphs_cycle_index", ["regular", "--n", "2", "--k", "2",
+                                    "--cycle-index"]),
+    ("PolyFunctor", ["hilbert", "--family", "sl", "--n", "2",
+                     "--functor", "h2", "--r", "2"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", PATCHED, ids=[n for n, _ in PATCHED])
+def test_handlers_call_the_name_set_on_the_module(capsys, monkeypatch, name,
+                                                  argv):
+    # the layers load lazily, and a handler still calls what stands on
+    # symf.cli at call time, so a wrapper set there sees every call
+    import symf.cli as cli
+    expected = run(capsys, *argv)
+    real, calls = getattr(cli, name), []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(cli, name, spy)
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0 and len(calls) == 1
+
 
 class TestDeterminism:
     def test_repeated_runs_identical(self, capsys):
@@ -654,6 +699,18 @@ class TestReadme:
         assert (proc.stdout[:len(head)] if dots else proc.stdout) == head
 
 
+def _fresh_python(tmp_path, code):
+    """Stdout of `python -c code` in a fresh interpreter that imports
+    symf from this checkout, with its own cache."""
+    env = dict(os.environ, SYMF_CACHE_DIR=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestPackaging:
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "symf", "eval", "h2[h2]"],
@@ -677,18 +734,51 @@ class TestPackaging:
                  "ran = set(sys.modules) - bare\n"
                  "print(code, ' '.join(sorted(imported)), ' '.join(sorted(ran)),"
                  " sep='\\n')\n")
-        env = dict(os.environ, SYMF_CACHE_DIR=str(tmp_path / "cache"))
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        printed, code, imported, ran = proc.stdout.split("\n")[-5:-1]
+        printed, code, imported, ran = \
+            _fresh_python(tmp_path, probe).split("\n")[-5:-1]
         assert printed == "s[2]" and code == "0"
         heavy = {"dataclasses", "inspect", "ast", "json"}
         assert "symf.cli" in imported.split()
         assert heavy.isdisjoint(imported.split())
         assert heavy.isdisjoint(ran.split())
+
+    @pytest.mark.parametrize("argv,unloaded", [
+        ("table --r 4", {"symf.invariants", "symf.enumeration", "symf.expr",
+                         "symf.oracles"}),
+        ("eval h2", {"symf.invariants", "symf.enumeration"}),
+        ("deals --m 2 --n 2", {"symf.invariants", "symf.expr"}),
+    ])
+    def test_a_command_loads_only_the_layers_it_runs(self, tmp_path, argv,
+                                                     unloaded):
+        probe = ("import sys\n"
+                 "from symf.cli import main\n"
+                 "code = main(%r)\n"
+                 "print(code, ' '.join(sorted(sys.modules)))\n"
+                 % argv.split())
+        code, ran = _fresh_python(tmp_path, probe).split("\n")[-2].split(" ", 1)
+        assert code == "0"
+        assert unloaded.isdisjoint(ran.split())
+
+    @pytest.mark.parametrize("first", ["", "import symf.expr",
+                                       "import symf.plethysm",
+                                       "import symf.enumeration"])
+    def test_package_names_resolve_lazily(self, tmp_path, first):
+        # symf.plethysm is the function, never its submodule, whatever
+        # was imported first; every name of __all__ is listed before it
+        # loads and resolves to its module's object; other names do not
+        probe = (first + "\n"
+                 "import sys, symf\n"
+                 "from symf import plethysm\n"
+                 "listed = set(symf.__all__) <= set(dir(symf))\n"
+                 "found = [getattr(symf, name) for name in symf.__all__]\n"
+                 "own = all(getattr(sys.modules[v.__module__], n) is v\n"
+                 "          for n, v in zip(symf.__all__, found)\n"
+                 "          if hasattr(v, '__module__'))\n"
+                 "print(listed, own, hasattr(symf, 'nothing'),\n"
+                 "      symf.plethysm is plethysm, type(plethysm).__name__,\n"
+                 "      plethysm.__module__)\n")
+        assert _fresh_python(tmp_path, probe) == \
+            "True True False True function symf.plethysm\n"
 
     def test_console_script_registered(self, tmp_path):
         """Building this checkout registers `symf = symf.cli:main`.
