@@ -13,7 +13,11 @@ functions of degree r.  Four families are built in:
                     degrees vanish.
   SnPermutation(n)  the symmetric group S_n on its n-point permutation
                     representation: the generating series of the I_r is
-                    the plethysm (1 + h_1 + ... + h_n)[h_1 + h_2 + ...].
+                    the plethysm (1 + h_1 + ... + h_n)[h_1 + h_2 + ...],
+                    and I_r sums prod_i h_(m_i)[h_i] over the block
+                    types lam |- r of at most n parts, m_i the
+                    multiplicity of part i (set partitions of r points
+                    into at most n blocks, Macdonald I.8).
   GLnAdjoint(n)     GL(n) acting by conjugation on n x n matrices:
                     I_r = sum over lam |- r with at most n rows of the
                     Kronecker square s_lam * s_lam (Schur-Weyl duality).
@@ -67,10 +71,11 @@ from .characters import CHAR_TABLE_CAP
 from .errors import DegreeError, ResourceLimitError
 from .partitions import (Partition, Record, _memo, partition_count,
                          partitions_of)
-from .plethysm import (_check_degree, _h_of, _pairings, _pleth_p, fundamental,
-                       h_plus_series, h_sum_series, plethysm_series)
-from .symfunc import (SymFn, _add_into, _p_dict, _p_symfn, _scalar_p,
-                      _schur_p, scalar, to_basis)
+from .plethysm import (_PBasis, _check_degree, _h_of, _pairings, _pleth_p,
+                       _prefix_products, fundamental)
+from .symfunc import (SymFn, _add_into, _check_multiplicity, _p_dict, _p_symfn,
+                      _packed, _prod_h_p, _scalar_p, _schur_p, _unpacked,
+                      scalar, to_basis)
 
 
 class SLnDefining(Record):
@@ -120,7 +125,8 @@ def inv_char(family, r):
     if isinstance(family, (SLnDefining, Sp2nDefining)):
         return SymFn("s", dict.fromkeys(_target_shapes(family, r), 1))
     if isinstance(family, SnPermutation):
-        return _sn_component(family.n, r)
+        # no block type has more than r blocks
+        return _sn_component(min(family.n, r), r)
     if isinstance(family, GLnAdjoint):
         # the Kronecker squares s_lam * s_lam, summed as the pointwise
         # squares of the chi^lam rows
@@ -155,10 +161,27 @@ def _target_shapes(family, d):
 
 @_memo
 def _sn_component(n, r):
-    # Degree-r piece of (1 + h_1 + ... + h_n)[h_1 + h_2 + ...], from the
-    # series truncated at r
-    return plethysm_series(h_sum_series(r, highest=n), h_plus_series(r),
-                           r).component(r)
+    # I_r = sum over lam |- r with at most n parts of prod_i h_(m_i)[h_i],
+    # m_i the multiplicity of part i: the set partitions of r points
+    # into at most n blocks, by block type.  In reverse lexicographic
+    # order, the lam that share their leading (part, multiplicity)
+    # blocks are adjacent, so each such prefix is multiplied once.
+    # Refused before any partition is listed where the class (1^r)
+    # would spill a key field.
+    _check_multiplicity(r)
+    types = [tuple(lam.multiplicities().items())
+             for lam in partitions_of(r) if len(lam) <= n]
+    factors = {block: _blocks(*block) for block in set().union(*types)}
+    total = {}
+    for _, prod in _prefix_products(types, factors, _PBasis()):
+        _add_into(total, prod)
+    return _p_symfn(_unpacked(total))
+
+
+@_memo
+def _blocks(a, m):
+    # h_m[h_a] on packed keys: m blocks of size a, unordered
+    return _packed(_pleth_p(_prod_h_p((m,)), _prod_h_p((a,))))
 
 
 class PolyFunctor:

@@ -46,20 +46,27 @@ _PLETHYSM_DEGREE_CAP = 40
 
 def _p_powers(g, partitions, ring):
     """(mu, p_mu[g]) in ring for each mu in partitions, a list in
-    lexicographic order, either way round.
-
-    Partitions that share a prefix are then adjacent, so the products
-    along the current prefix are the only ones kept: each prefix is
-    multiplied out once, in memory linear in the longest partition."""
+    lexicographic order, either way round."""
     subs = {a: ring.substitute(g, a) for a in set().union(*partitions)}
+    return _prefix_products(partitions, subs, ring)
+
+
+def _prefix_products(words, factors, ring):
+    """(word, product in ring of factors[a] over the letters a of word)
+    for each word in words, a list in which words that share a prefix
+    are adjacent.
+
+    The products along the current prefix are the only ones kept: each
+    prefix is multiplied out once, in memory linear in the longest
+    word."""
     stack = [((), ring.one)]
-    for mu in partitions:
-        while stack[-1][0] != mu[:len(stack[-1][0])]:
+    for word in words:
+        while stack[-1][0] != word[:len(stack[-1][0])]:
             stack.pop()
-        for a in mu[len(stack[-1][0]):]:
+        for a in word[len(stack[-1][0]):]:
             prefix, poly = stack[-1]
-            stack.append((prefix + (a,), ring.mul(poly, subs[a])))
-        yield mu, stack[-1][1]
+            stack.append((prefix + (a,), ring.mul(poly, factors[a])))
+        yield word, stack[-1][1]
 
 
 class _PBasis:

@@ -31,7 +31,8 @@ from .oracles import (oracle_cayley_sylvester, oracle_deals,
                       oracle_regular_graphs, oracle_restricted_bell,
                       oracle_su2_inv_char, oracle_su2_poly_dim, oracle_syt)
 from .partitions import partitions_of
-from .plethysm import fundamental, plethysm
+from .plethysm import (fundamental, h_plus_series, h_sum_series, plethysm,
+                       plethysm_series)
 from .symfunc import (SymFn, dimension, e, h, kronecker, one, s, scalar,
                       specialize_ones, to_basis, zero)
 
@@ -127,12 +128,17 @@ def check_fundamental_forms():
 def check_perm_family(max_n, max_r):
     """S_n on n points, n <= max_n, in degrees r <= max_r: the invariant
     character against the averaging oracle (its cap: n <= 5, r <= 8) and
-    its dimension against the Bell numbers restricted to n blocks."""
+    against the paper's series (1 + h_1 + ... + h_n)[h_1 + h_2 + ...]
+    truncated at max_r, and its dimension against the Bell numbers
+    restricted to n blocks."""
     for n in range(1, max_n + 1):
+        series = plethysm_series(h_sum_series(max_r, highest=n),
+                                 h_plus_series(max_r), max_r)
         for r in range(max_r + 1):
             got = inv_char(SnPermutation(n), r)
             _check(got == oracle_perm_inv_char(n, r),
                    "character n=%d r=%d" % (n, r))
+            _check(got == series.component(r), "series n=%d r=%d" % (n, r))
             _check(dimension(got) == oracle_restricted_bell(r, n),
                    "dimension n=%d r=%d" % (n, r))
 

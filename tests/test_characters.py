@@ -259,6 +259,7 @@ def test_reset_clears_every_memo_not_kept_on_purpose():
     assert {id(memo) for memo in cleared.values()} == set(map(id, _MEMOS))
     assert {"symf.symfunc._prod_h_p", "symf.symfunc._p_to_m",
             "symf.symfunc._key", "symf.invariants._sn_component",
+            "symf.invariants._blocks",
             "symf.symfunc._schur_p", "symf.characters._chi",
             "symf.characters._strips", "symf.characters._column",
             "symf.characters._strip_table",

@@ -69,6 +69,12 @@ EVAL_SHA256 = {
 PERM_N2_R16_SHA256 = (
     "94841441d77d819cdf37c95658af151e4dd4ccecd2ef559fa8a205ce6c966c2d")
 
+# sha256 of `symf inv --family perm --n 20 --r 20 --basis p` stdout, as
+# printed when the component was read off the series
+# (1 + h_1 + ... + h_20)[h_1 + h_2 + ...] truncated at degree 20.
+PERM_N20_R20_SHA256 = (
+    "ab3fb8a70a12e11c3a22fc0e92bdba57e04a81b6faa596d36aba569ad5f18764")
+
 # sha256 of `symf ARGV` stdout, as printed when inv_char(GLnAdjoint)
 # added one Kronecker square s_lam * s_lam at a time as SymFns.
 GL_ADJOINT_SHA256 = {
@@ -235,6 +241,12 @@ class TestInv:
                              "--n", "2", "--r", "16")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PERM_N2_R16_SHA256
+
+    def test_perm_block_types_bytes(self, capsys):
+        code, out, err = run(capsys, "inv", "--family", "perm", "--n", "20",
+                             "--r", "20", "--basis", "p")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == PERM_N20_R20_SHA256
 
     @pytest.mark.parametrize("argv", GL_ADJOINT_SHA256,
                              ids=[" ".join(a) for a in GL_ADJOINT_SHA256])

@@ -9,15 +9,16 @@ from fractions import Fraction
 from symf.errors import DegreeError, ResourceLimitError, TruncationError
 from symf.invariants import (Custom, GLnAdjoint, PolyFunctor, SLnDefining,
                              SnPermutation, Sp2nDefining, _Alphabet,
-                             _alphabet_for, _target_shapes, hilbert_dim,
-                             hom_dim, hom_series_char, inv_char,
+                             _alphabet_for, _sn_component, _target_shapes,
+                             hilbert_dim, hom_dim, hom_series_char, inv_char,
                              inv_char_polyfunc)
 from symf.oracles import (oracle_cayley_sylvester, oracle_matchings,
                           oracle_perm_inv_char, oracle_restricted_bell,
                           oracle_su2_inv_char, oracle_syt)
 from symf.partitions import _reset_memo, partitions_of
 from symf.plethysm import (GradedSeries, _h_of, _pairings, fundamental,
-                           h_sum_series, plethysm)
+                           h_plus_series, h_sum_series, plethysm,
+                           plethysm_series)
 from symf.symfunc import (SymFn, _p_dict, dimension, e, h, kronecker, one, p,
                           s, scalar, specialize_ones, to_basis, zero)
 
@@ -76,6 +77,39 @@ def test_perm_family_against_averaging():
             assert got == oracle_perm_inv_char(n, r)
             assert dimension(got) == oracle_restricted_bell(r, n)
     assert to_basis(inv_char(SnPermutation(2), 2), "h") == 2 * h(2)
+
+
+def test_perm_block_types_against_the_series():
+    # the sum over block types against the degree-r piece of the paper's
+    # series (1 + h_1 + ... + h_n)[h_1 + h_2 + ...], truncated at r
+    for r in range(13):
+        for n in [*range(1, 7), r + 3]:
+            series = plethysm_series(h_sum_series(r, highest=n),
+                                     h_plus_series(r), r)
+            assert inv_char(SnPermutation(n), r) == series.component(r), (n, r)
+
+
+def test_perm_memo_is_keyed_by_the_blocks_that_fit():
+    # no block type of r points has more than r blocks, so every n >= r
+    # reads one memo entry
+    _reset_memo()
+    small = inv_char(SnPermutation(8), 8)
+    assert inv_char(SnPermutation(30), 8) == small
+    info = _sn_component.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_perm_refused_before_any_partition_is_listed(monkeypatch):
+    # the class (1^128) would spill a packed key field
+    def unreachable(*args):
+        raise AssertionError("enumerated past the multiplicity cap")
+    monkeypatch.setattr(sys.modules["symf.plethysm"], "_mul_p", unreachable)
+    monkeypatch.setattr(sys.modules["symf.invariants"], "partitions_of",
+                        unreachable)
+    with pytest.raises(ResourceLimitError,
+                       match="^a part repeated 128 times is beyond the cap "
+                             "127$"):
+        inv_char(SnPermutation(2), 128)
 
 
 def test_perm_series_regrows():
