@@ -234,6 +234,12 @@ def _main(argv):
         # Ctrl-C: one line, and the shell's 128 + SIGINT
         print("symf: interrupted", file=sys.stderr)
         return 130
+    except MemoryError:
+        # past what the process may allocate: one line, and the size-cap
+        # code that a refusal made before the work would have given
+        print("symf: out of memory: the query needs more than this process "
+              "may allocate", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

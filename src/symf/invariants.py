@@ -54,10 +54,12 @@ Each query takes the route with the smaller estimate of its work, made
 before anything is expanded: Newton's r(r+1)/2 products in the box,
 each bounded by the monomials of F(x_1, ..., x_L) times those of the
 other factor, against the chi^lam rows of the shapes over p(d) classes
-and the same products over p-basis classes.  Both routes build h_r[F]
-by Newton's recurrence and pair p_lam[F] by the same code in
-plethysm.py, each in its own ring; the tests hold both against
-fundamental(F, inv_char(family, r*k), r, mode) in either mode.
+and the same products over p-basis classes.  _route makes that choice
+for both queries and returns the ring, F in it, and the pairing with
+I_d(V): Jacobi-Trudi's weights, or plethysm._p_pairing, the one that
+fundamental uses.  Both queries then build h_r[F] or p_lam[F] by the
+same code in plethysm.py in either ring; the tests hold both routes
+against fundamental(F, inv_char(family, r*k), r, mode) in either mode.
 """
 
 import warnings
@@ -71,43 +73,36 @@ from .characters import CHAR_TABLE_CAP
 from .errors import DegreeError, ResourceLimitError
 from .partitions import (Partition, Record, _memo, partition_count,
                          partitions_of)
-from .plethysm import (_PBasis, _check_degree, _h_of, _pairings, _pleth_p,
-                       _prefix_products, fundamental)
+from .plethysm import (_PBasis, _check_degree, _h_of, _p_pairing, _pairings,
+                       _pleth_p, _prefix_products)
 from .symfunc import (SymFn, _add_into, _check_multiplicity, _p_dict, _p_symfn,
-                      _packed, _prod_h_p, _scalar_p, _schur_p, _unpacked,
-                      scalar, to_basis)
+                      _packed, _prod_h_p, _schur_p, _unpacked, scalar,
+                      to_basis, zero)
 
 
-class SLnDefining(Record):
+class _Family(Record):
+    # a built-in family of groups G(n), named as its refusal names it
     __slots__ = ("n",)
 
     def _check(self):
         if self.n < 1:
-            raise ValueError("SL(n) needs n >= 1")
+            raise ValueError("%s needs n >= 1" % self._name)
 
 
-class Sp2nDefining(Record):
-    __slots__ = ("n",)
-
-    def _check(self):
-        if self.n < 1:
-            raise ValueError("Sp(2n) needs n >= 1")
+class SLnDefining(_Family):
+    _name = "SL(n)"
 
 
-class SnPermutation(Record):
-    __slots__ = ("n",)
-
-    def _check(self):
-        if self.n < 1:
-            raise ValueError("the permutation family needs n >= 1")
+class Sp2nDefining(_Family):
+    _name = "Sp(2n)"
 
 
-class GLnAdjoint(Record):
-    __slots__ = ("n",)
+class SnPermutation(_Family):
+    _name = "the permutation family"
 
-    def _check(self):
-        if self.n < 1:
-            raise ValueError("GL(n) needs n >= 1")
+
+class GLnAdjoint(_Family):
+    _name = "GL(n)"
 
 
 class Custom(Record):
@@ -173,8 +168,8 @@ def _sn_component(n, r):
              for lam in partitions_of(r) if len(lam) <= n]
     factors = {block: _blocks(*block) for block in set().union(*types)}
     total = {}
-    for _, prod in _prefix_products(types, factors, _PBasis()):
-        _add_into(total, prod)
+    for _, term in _prefix_products(types, factors, _PBasis()):
+        _add_into(total, term)
     return _p_symfn(_unpacked(total))
 
 
@@ -431,25 +426,33 @@ def _never_vanishes(family):
     return isinstance(family, (SnPermutation, GLnAdjoint))
 
 
-def _p_route_invariants(family, d):
-    # I_d(V), refused above the plethysm cap unless it is zero, and
-    # before it is built where it never is
+def _route(family, P, r):
+    """(ring, F in it, f -> <f, I_{rk}(V)>) for F = charP of degree k,
+    in the finite alphabet where _alphabet_for takes it, else in the p
+    basis, where I_{rk}(V) is refused above the plethysm cap unless it
+    is zero, and before it is built where it never is; None where it is
+    zero."""
+    F = _functor_character(P)
+    alphabet = _alphabet_for(family, F, r)
+    if alphabet is not None:
+        return alphabet, alphabet.evaluate(_p_dict(F)), alphabet.pair
+    d = r * F.degree()
     if _never_vanishes(family):
         _check_degree(d)
     G = inv_char(family, d)
-    if not G.is_zero():
-        _check_degree(d)
-    return G
+    if G.is_zero():
+        return None
+    _check_degree(d)
+    return (_PBasis(), *_p_pairing(F, G, r))
 
 
 def inv_char_polyfunc(family, P, r):
     """Invariant character I_r(P(V)) via the inner product construction."""
-    F = _functor_character(P)
-    alphabet = _alphabet_for(family, F, r)
-    if alphabet is not None:
-        f = alphabet.evaluate(_p_dict(F))
-        return _pairings(f, r, alphabet.pair, alphabet)
-    return fundamental(F, _p_route_invariants(family, r * F.degree()), r)
+    route = _route(family, P, r)
+    if route is None:
+        return zero()
+    ring, f, pair = route
+    return _pairings(f, r, pair, ring)
 
 
 def hilbert_dim(family, P, r):
@@ -459,15 +462,11 @@ def hilbert_dim(family, P, r):
     I_r(P(V)); returned as an exact rational, integral for genuine
     inputs.
     """
-    F = _functor_character(P)
-    alphabet = _alphabet_for(family, F, r)
-    if alphabet is not None:
-        f = alphabet.evaluate(_p_dict(F))
-        return Fraction(alphabet.pair(_h_of(f, r, alphabet)))
-    G = _p_route_invariants(family, r * F.degree())
-    if G.is_zero():
+    route = _route(family, P, r)
+    if route is None:
         return Fraction(0)
-    return _scalar_p(_h_of(_p_dict(F), r), _p_dict(G))
+    ring, f, pair = route
+    return Fraction(pair(_h_of(f, r, ring)))
 
 
 def hom_series_char(J, P, r):

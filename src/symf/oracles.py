@@ -427,7 +427,9 @@ def oracle_syt(lam):
         for j in range(row):
             hooks *= (row - j) + (conj[j] - i) - 1
     count, rem = divmod(_factorial(lam.weight), hooks)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError("hook product %d does not divide %d!"
+                              % (hooks, lam.weight))
     return count
 
 

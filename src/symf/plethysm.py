@@ -29,7 +29,10 @@ Newton's recurrence in _h_of, the p_lam[f] pairings in _pairings.  The
 rings are _PBasis, on class function values keyed by packed partitions
 that unpack to symfunc._key's Partitions, and invariants._Alphabet, on
 truncated polynomials keyed by packed exponent vectors, which its
-pairing reads as they are.
+pairing reads as they are.  The pairing with G in the p basis is
+_p_pairing, written once: both modes of fundamental and the p-basis
+route of invariants._route call it, and it refuses an F whose products
+p_lam[F] would spill a packed key.
 """
 
 from .errors import DegreeError, ResourceLimitError, TruncationError
@@ -125,6 +128,15 @@ def _pairings(f, r, pair, ring=_PBasis()):
     # the p-basis SymFn with class function value pair(p_lam[f]) at lam |- r
     return _p_symfn({lam: pair(ring.unpack(prod))
                      for lam, prod in _p_powers(f, partitions_of(r), ring)})
+
+
+def _p_pairing(F, G, r):
+    """F's class function values and f -> <f, G>, for f of G's degree;
+    refused where p_lam[F], lam |- r, would spill a key field."""
+    fp, gp = _p_dict(F), _p_dict(G)
+    # p_lam[F] for lam |- r multiplies at most r substitutions into F
+    _check_multiplicity(r * _multiplicity(fp))
+    return fp, lambda f: _scalar_p(f, gp)
 
 
 def _check_degree(d):
@@ -259,14 +271,11 @@ def fundamental(F, G, r, mode="p"):
         raise DegreeError(
             "G must be homogeneous of degree r*deg(F) = %d, found degrees %s"
             % (r * k, gdegs))
-    fp, gp = _p_dict(F), _p_dict(G)
-
-    # p_lam[F] for lam |- r multiplies at most r substitutions into F
-    _check_multiplicity(r * _multiplicity(fp))
+    fp, pair = _p_pairing(F, G, r)
     if mode == "p":
         # <p_lam[F], G> is the value at lam; zeros drop out in SymFn
-        return _pairings(fp, r, lambda prod: _scalar_p(prod, gp))
+        return _pairings(fp, r, pair)
     # a list, since every s_lam[F] is summed from the same p_mu[F]
     powers = list(_p_powers(fp, partitions_of(r), _PBasis()))
-    return SymFn("s", {lam: _scalar_p(_pleth_sum(_schur_p(lam), powers), gp)
+    return SymFn("s", {lam: pair(_pleth_sum(_schur_p(lam), powers))
                        for lam in partitions_of(r)})

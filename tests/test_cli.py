@@ -639,6 +639,18 @@ class TestExitCodes:
         assert run(capsys, "eval", "h60", "--basis", "p") == \
             (130, "", "symf: interrupted\n")
 
+    def test_out_of_memory_is_one_line(self, capsys, monkeypatch):
+        # an allocation past the process's limit, as the handler sees it
+        # (this command reaches one under a 1 GB address-space limit):
+        # one message and the size-cap code, with no traceback
+        def exhausted(family, r):
+            raise MemoryError
+        monkeypatch.setattr("symf.cli.inv_char", exhausted)
+        assert run(capsys, "inv", "--family", "gl-adjoint", "--n", "9",
+                   "--r", "41", "--basis", "p") == \
+            (4, "", "symf: out of memory: the query needs more than this "
+                    "process may allocate\n")
+
 
 # Each library name that the benchmark's cli worker or a test sets on
 # symf.cli in place of the real one, with a command that calls it.

@@ -1,5 +1,6 @@
 """Every name a module under src/symf imports is used in that module,
-and every module parses at the oldest Python pyproject.toml declares.
+every module parses at the oldest Python pyproject.toml declares, and
+no module holds an assert statement.
 
 A name counts as used when it is read anywhere in the module, or listed
 in its __all__ (the package re-exports its API that way).  The check is
@@ -70,3 +71,12 @@ def test_the_floor_check_refuses_newer_grammar():
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
                   feature_version=(3, 10))
+
+
+def test_no_assert_statements():
+    # python -O strips assert, and the self-test runs under -O: a check
+    # in the library raises instead
+    found = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
