@@ -13,15 +13,19 @@ first part, one value at a time, on the memoized strips of each
 Schur inputs of any weight, where a column would span all p(|lam|)
 shapes.  Columns: _column(mu) is the dense list of chi^lam(mu) over
 every lam of weight |mu|, zeros included, indexed by position in
-partitions_of(|mu|).  It is one pass over the column of mu minus its
-first part through the strip table of (|mu|, mu[0]), every strip of
-that size as an (i, j, sign) triple of positions, so no partition is
-hashed per entry.  A table positions the strips of every mask of its
-degree through one {mask: position} map per degree, _beta_positions,
-so building one builds no partition either.  Columns serve symfunc's s
-target, which reads the columns of its input's classes only, and the
-cold build of a full table, which transposes them, and _table(r) keeps
-each full table.  Every memo is a function in an unbounded lru_cache:
+partitions_of(|mu|): p_mu in the s basis (Macdonald I.7.8).  It is
+_expand(_strip_table, mu), which expands p_mu one power sum at a time,
+p_mu being p_mu[0] times p_mu[1:]: one pass over the list of mu minus
+its first part through the move table of (|mu|, mu[0]), every move an
+(i, j, c) triple of positions, so no partition is hashed per entry.
+Here the moves are the border strips of that size, c their signs;
+symfunc's rows of the p-to-m matrix, p_nu in the m basis, take the same
+walk through the monomial moves of its _raise_table.  A strip table
+positions the strips of every mask of its degree through one
+{mask: position} map per degree, _beta_positions, so building one
+builds no partition either.  Columns serve symfunc's s target, which
+reads the columns of its input's classes only, and the cold build of a
+full table, which transposes them, and _table(r) keeps each full table.  Every memo is a function in an unbounded lru_cache:
 it keeps every value computed in the process.
 
 A table is its integer rows: rows[i][j] is the character of the i-th
@@ -115,18 +119,25 @@ def _strip_table(d, size):
 
 
 @_memo
-def _column(mu):
-    # [chi^lam(mu) for lam in partitions_of(|mu|)], zeros included: each
-    # lam sums over its border strips of size mu[0] in the column of
-    # mu[1:].  Recurses once per part of mu, at most CHAR_TABLE_CAP deep.
+def _expand(moves, mu):
+    # p_mu in a basis, as a dense list over partitions_of(|mu|), zeros
+    # included: p_mu[0] times p_mu[1:], each (i, j, c) of moves(d,
+    # mu[0]) adding c times entry j of the list of mu[1:] to entry i.
+    # Recurses once per part of mu, at most CHAR_TABLE_CAP deep.
     if not mu:
         return [1]
     d = sum(mu)
-    rest = _column(mu[1:])
-    col = [0] * len(_positions(d))
-    for i, j, sign in _strip_table(d, mu[0]):
-        col[i] += sign * rest[j]
-    return col
+    rest = _expand(moves, mu[1:])
+    out = [0] * len(_positions(d))
+    for i, j, c in moves(d, mu[0]):
+        out[i] += c * rest[j]
+    return out
+
+
+def _column(mu):
+    # [chi^lam(mu) for lam in partitions_of(|mu|)]: each lam sums over
+    # its border strips of size mu[0] in the column of mu[1:]
+    return _expand(_strip_table, mu)
 
 
 def chi(lam, mu):

@@ -85,6 +85,9 @@ class _Family(Record):
     __slots__ = ("n",)
 
     def _check(self):
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise TypeError("%s needs an integer n, got %r"
+                            % (self._name, self.n))
         if self.n < 1:
             raise ValueError("%s needs n >= 1" % self._name)
 
@@ -437,12 +440,14 @@ def _route(family, P, r):
     if alphabet is not None:
         return alphabet, alphabet.evaluate(_p_dict(F)), alphabet.pair
     d = r * F.degree()
-    if _never_vanishes(family):
-        _check_degree(d)
-    G = inv_char(family, d)
-    if G.is_zero():
+    # I_d(V) is built after the cap where it never vanishes, and before
+    # it otherwise, so that a zero one is not refused
+    G = None if _never_vanishes(family) else inv_char(family, d)
+    if G is not None and G.is_zero():
         return None
     _check_degree(d)
+    if G is None:
+        G = inv_char(family, d)
     return (_PBasis(), *_p_pairing(F, G, r))
 
 

@@ -23,17 +23,19 @@ The other bases are views reached by exact base change.  R[nu][mu] =
 a_nu(h_mu) counts the ways to fuse the parts of nu into mu (Macdonald
 I.6), so R is an integer matrix, lower triangular in the canonical
 reverse lexicographic order since mu then dominates nu.  Row nu is p_nu
-in the m basis, counted from a lower degree: for s the smallest part of
-nu and nu' the other parts, p_nu = p_nu' p_s, and m_lam p_s raises one
-part v of lam, or a new part 0, to v + s, with the multiplicity of v + s
-as coefficient.  _p_to_m(d) builds degree d from the lower degrees it
-reads, each memoized, each row a dense list indexed by position in
-partitions_of(d) and cut after its diagonal.  The m coefficients of f
-are <f, h_mu> = sum of a_nu R[nu][mu] / z_nu, its h coefficients
-solve R c = a by forward substitution, and an m input is solved for a
-by one back substitution per degree; no inverse is ever formed.  e goes through omega in both
-directions: e inputs expand as h and are flipped, and e targets flip f
-before solving for h coefficients.
+in the m basis, _m_row(nu), walked one power sum at a time by the walk
+that builds the character columns, characters._expand: p_nu is p_t
+times p of nu's other parts, for t its first part, and m_lam p_t raises
+one part v of lam, or a new part 0, to v + t, with the multiplicity of
+v + t as coefficient.  _raise_table(d, t) lists those moves as triples
+of positions.  A row is a dense list indexed by position in
+partitions_of(d), memoized with the rows of its tails, and only the
+rows of the classes a query reads are built.  The m coefficients of f
+are <f, h_mu> = sum of a_nu R[nu][mu] / z_nu, its h coefficients solve
+R c = a by forward substitution, and an m input is solved for a by one
+back substitution per degree; no inverse is ever formed.  e goes
+through omega in both directions: e inputs expand as h and are flipped,
+and e targets flip f before solving for h coefficients.
 
 The multiply _mul_p keys by packed partitions, m_i in bits 7(i-1) to
 7i-1 of one int, so a union of partitions is + and _key, memoized as
@@ -78,8 +80,10 @@ BASES = ("p", "h", "e", "m", "s")
 _INEXACT = (float, complex, Decimal)
 
 # Degree cap on base changes that solve against the p-to-m matrix R: h
-# and e targets and m inputs.  The m target only multiplies by R and
-# shares the s target's cap, characters.CHAR_TABLE_CAP.
+# and e targets and m inputs, which read every row of R their terms
+# reach.  The m target reads only the rows of its input's classes, as
+# the s target reads its columns, and shares its cap,
+# characters.CHAR_TABLE_CAP.
 _M_MATRIX_CAP = 16
 
 # Bits per part multiplicity in a packed key: a product that repeats a
@@ -471,47 +475,24 @@ def _target_cap(target, degrees):
 
 
 @_memo
-def _p_to_m(d):
-    # Rows of R as lists, both indices positions in partitions_of(d):
-    # row i is p_nu in the m basis for nu the i-th partition, cut after
-    # its diagonal entry prod_i m_i(nu)!, the last that can be nonzero.
-    # With s the smallest part of nu and nu' the rest, p_nu is p_nu' p_s,
-    # so row nu is row nu' of _p_to_m(d - s) times p_s, through the
-    # moves m_lam p_s it meets.  Recurses at most d deep.
+def _raise_table(d, t):
+    # (i, j, c) for each term c m_rho of m_lam p_t, lam the j-th partition
+    # of d - t and rho the i-th of d: rho raises one part v of lam, or a
+    # new part 0, to v + t, once for each distinct v, and c = m_rho(v + t)
     pos = _positions(d)
-    moves = {}
-    rows = []
-    for i, nu in enumerate(pos):
-        if not nu:
-            rows.append([1])
-            continue
-        s = nu[-1]
-        if s not in moves:
-            lower = _p_to_m(d - s)
-            moves[s] = lower, partitions_of(d - s), [None] * len(lower)
-        lower, lams, step = moves[s]
-        acc = [0] * (i + 1)
-        for j, c in enumerate(lower[_positions(d - s)[nu[:-1]]]):
-            if c:
-                out = step[j]
-                if out is None:
-                    out = step[j] = _times_p(lams[j], s, pos)
-                for t, r in out:
-                    acc[t] += c * r
-        rows.append(acc)
-    return rows
-
-
-def _times_p(lam, s, pos):
-    # m_lam p_s as [(position of rho in pos, m_rho(v + s))]: rho is lam
-    # with one part v raised to v + s, once for each distinct v among
-    # lam's parts and 0
     out = []
-    for v in {0, *lam}:
-        i = lam.index(v) if v else len(lam)
-        rho = tuple(sorted(lam[:i] + lam[i + 1:] + (v + s,), reverse=True))
-        out.append((pos[rho], rho.count(v + s)))
+    for j, lam in enumerate(partitions_of(d - t)):
+        for v in {0, *lam}:
+            k = lam.index(v) if v else len(lam)
+            rho = tuple(sorted(lam[:k] + lam[k + 1:] + (v + t,), reverse=True))
+            out.append((pos[rho], j, rho.count(v + t)))
     return out
+
+
+def _m_row(nu):
+    # row nu of R, p_nu in the m basis over partitions_of(|nu|): zero
+    # after its diagonal entry prod_i m_i(nu)!, the last nonzero one
+    return characters._expand(_raise_table, nu)
 
 
 def _m_to_p(terms):
@@ -522,8 +503,7 @@ def _m_to_p(terms):
         _m_cap(sum(lam))
     out = {}
     for d in sorted({sum(lam) for lam in terms}):
-        rows, n, pos = _p_to_m(d), math.factorial(d), _positions(d)
-        shapes = partitions_of(d)
+        n, pos, shapes = math.factorial(d), _positions(d), partitions_of(d)
         acc = [0] * len(shapes)
         for lam, c in terms.items():
             if sum(lam) == d:
@@ -536,13 +516,13 @@ def _m_to_p(terms):
                 a = _div(c * math.prod(nu), n)
                 part.append((nu, a))
                 # subtracts a times row nu; its diagonal cancels acc[i]
-                acc[:i + 1] = _axpy(acc, -a * (n // z_of(nu)), rows[i])
+                acc = _axpy(acc, -a * (n // z_of(nu)), _m_row(nu))
         out.update(reversed(part))
     return out
 
 
 def _axpy(acc, a, row):
-    # acc + a * row over the positions of row
+    # acc + a * row, entry by entry
     return [x + a * r if r else x for x, r in zip(acc, row)]
 
 
@@ -598,21 +578,21 @@ def to_basis(f, target):
         if target in ("s", "m"):
             # <f, s_lam> = sum over mu of a_mu chi^lam(mu) / z_mu, read
             # from the columns of f's classes; <f, h_mu> = sum over nu of
-            # a_nu R[nu][mu] / z_nu, from the rows of R
-            rows = _p_to_m(d) if target == "m" else None
+            # a_nu R[nu][mu] / z_nu, from the rows of R of f's classes
+            vector = characters._column if target == "s" else _m_row
             acc = [0] * len(pos)
             for mu, a in part.items():
-                vec = characters._column(mu) if rows is None else rows[pos[mu]]
-                acc[:len(vec)] = _axpy(acc, a, vec)
+                acc = _axpy(acc, a, vector(mu))
             out.update((lam, Fraction(v, n)) for lam, v in zip(pos, acc) if v)
         else:
             # Forward substitution for R c = a: row i meets the c of the
-            # shapes before it, and its last entry is the diagonal.
+            # shapes before it, and row[i] is its diagonal.
             cs = []
-            for nu, row in zip(pos, _p_to_m(d)):
+            for i, nu in enumerate(pos):
+                row = _m_row(nu)
                 c = fp.get(nu, 0) - sum(map(mul, row, cs))
                 if c:
-                    c = out[nu] = _div(c, row[-1])
+                    c = out[nu] = _div(c, row[i])
                 cs.append(c)
     return SymFn(target, out)
 

@@ -257,11 +257,11 @@ def test_reset_clears_every_memo_not_kept_on_purpose():
                if any(memo is m for m in _MEMOS)}
     assert memos.keys() - cleared.keys() == KEPT_MEMOS
     assert {id(memo) for memo in cleared.values()} == set(map(id, _MEMOS))
-    assert {"symf.symfunc._prod_h_p", "symf.symfunc._p_to_m",
+    assert {"symf.symfunc._prod_h_p", "symf.symfunc._raise_table",
             "symf.symfunc._key", "symf.invariants._sn_component",
             "symf.invariants._blocks",
             "symf.symfunc._schur_p", "symf.characters._chi",
-            "symf.characters._strips", "symf.characters._column",
+            "symf.characters._strips", "symf.characters._expand",
             "symf.characters._strip_table",
             "symf.characters._beta_positions",
             "symf.characters._table"} <= cleared.keys()

@@ -27,6 +27,12 @@ def test_family_validation():
     for cls in (SLnDefining, Sp2nDefining, SnPermutation, GLnAdjoint):
         with pytest.raises(ValueError):
             cls(0)
+        # a float, bool or Fraction n is refused, not read as an int
+        for n in (2.5, 2.0, 1.5, True, Fraction(2)):
+            with pytest.raises(TypeError, match="needs an integer n, got "):
+                cls(n)
+    with pytest.raises(ValueError, match="^SL\\(n\\) needs n >= 1$"):
+        SLnDefining(-3)
     with pytest.raises(ValueError):
         inv_char(SLnDefining(2), -1)
     with pytest.raises(TypeError):

@@ -16,7 +16,7 @@ from symf.oracles import _kostka, oracle_syt
 from symf.partitions import (Partition, _positions, _reset_memo,
                              partitions_of, z_of)
 from symf.plethysm import GradedSeries, fundamental, plethysm
-from symf.symfunc import (BASES, SymFn, _p_dict, _p_to_m, _prod_h_p,
+from symf.symfunc import (BASES, SymFn, _m_row, _p_dict, _prod_h_p,
                           dimension, e, from_json_dict, generator, h,
                           kronecker, m, monomial_coefficient, one, p, s,
                           scalar, specialize_ones, to_basis, to_json_dict,
@@ -387,10 +387,10 @@ def test_h_and_e_targets_refuse_before_expanding(monkeypatch):
 def test_m_inputs_refuse_before_building_a_matrix(monkeypatch):
     built = []
 
-    def spy(d):
-        built.append(d)
-        raise AssertionError("built R(%d)" % d)
-    monkeypatch.setattr(symfunc, "_p_to_m", spy)
+    def spy(nu):
+        built.append(nu)
+        raise AssertionError("built row %r of R" % (nu,))
+    monkeypatch.setattr(symfunc, "_m_row", spy)
     with pytest.raises(ResourceLimitError, match="got 18$"):
         to_basis(m(15) + m(18), "p")
     assert built == []
@@ -427,16 +427,16 @@ def _fusions(nu, mu):
 def test_p_to_m_matrix_counts_fusions():
     for d in range(11):
         shapes = [tuple(lam) for lam in partitions_of(d)]
-        rows = _p_to_m(d)
-        assert len(rows) == len(shapes)
-        for i, (nu, row) in enumerate(zip(shapes, rows)):
+        for i, nu in enumerate(shapes):
+            row = _m_row(nu)
+            assert len(row) == len(shapes)
             assert all(type(r) is int for r in row)
-            # lower triangular, cut after the diagonal prod_i m_i(nu)!
-            assert len(row) == i + 1
+            # lower triangular: zero after the diagonal prod_i m_i(nu)!
             assert row[i] == math.prod(math.factorial(nu.count(a))
                                        for a in set(nu))
+            assert not any(row[i + 1:])
             for j, mu in enumerate(shapes):
-                assert (row[j] if j <= i else 0) == _fusions(nu, mu)
+                assert row[j] == _fusions(nu, mu)
 
 
 def _p_to_m_by_columns(d):
@@ -452,10 +452,7 @@ def _p_to_m_by_columns(d):
 
 def test_p_to_m_rows_match_the_h_products():
     for d in range(17):
-        size = len(partitions_of(d))
-        rows = _p_to_m(d)
-        assert [len(row) for row in rows] == list(range(1, size + 1)), d
-        assert [row + [0] * (size - len(row)) for row in rows] == \
+        assert [_m_row(nu) for nu in partitions_of(d)] == \
             _p_to_m_by_columns(d), d
 
 
@@ -466,7 +463,7 @@ def test_p_to_m_builds_no_h_products(monkeypatch):
         raise AssertionError("called with %r" % (args,))
     monkeypatch.setattr(symfunc, "_mul_p", refused)
     monkeypatch.setattr(symfunc, "_prod_h_p", refused)
-    rows = _p_to_m(16)
+    rows = [_m_row(nu) for nu in partitions_of(16)]
     assert len(rows) == 231
     pos = _positions(16)
     assert rows[pos[(1,) * 16]][pos[(16,)]] == 1
@@ -495,16 +492,27 @@ def test_s_target_and_tables_read_columns_not_chi(monkeypatch, fresh_cache):
         ((1, 1, 1, 1), 1)]
 
 
-def test_s_target_builds_only_the_input_columns(monkeypatch):
-    _reset_memo()
-    column, seen = characters._column, []
+def _walked_only(moves, *mus):
+    # whether the _expand memo holds the walks of mus through moves and
+    # nothing else: as many entries, each read back without a miss
+    expand = characters._expand
+    before = expand.cache_info()
+    for mu in mus:
+        expand(moves, mu)
+    return (before.currsize == len(mus)
+            and expand.cache_info().misses == before.misses)
 
-    def spied(mu):
-        seen.append(mu)
-        return column(mu)
-    monkeypatch.setattr(characters, "_column", spied)
+
+def test_s_target_builds_only_the_input_columns():
+    _reset_memo()
     assert to_basis(p(20), "s").terms[Partition((1,) * 20)] == -1
-    assert set(seen) == {(20,), ()}
+    assert _walked_only(characters._strip_table, (20,), ())
+
+
+def test_m_target_builds_only_the_input_rows():
+    _reset_memo()
+    assert to_basis(p(20), "m") == m(20)
+    assert _walked_only(symfunc._raise_table, (20,), ())
 
 
 def test_m_target_above_the_matrix_cap(monkeypatch):
@@ -523,9 +531,9 @@ def test_m_target_above_the_matrix_cap(monkeypatch):
 def test_m_target_is_refused_above_the_table_cap(monkeypatch):
     # each class reads a row of R p(d) entries wide, as the s target
     # reads a column; h16 * h16 took 41 s and 1.9 GB in the m basis
-    def fail(d):
-        raise AssertionError("built R(%d)" % d)
-    monkeypatch.setattr(symfunc, "_p_to_m", fail)
+    def fail(nu):
+        raise AssertionError("built row %r of R" % (nu,))
+    monkeypatch.setattr(symfunc, "_m_row", fail)
     for f in (p(21), h(1) + h(16, 5), s(11, 10) - e(22)):
         with pytest.raises(ResourceLimitError, match=(
                 "^monomial expansion of degree 21 is beyond the cap 20$")):
