@@ -8,12 +8,13 @@ _strips(mask, t): removing a strip of t cells moves a set bit b to the
 clear bit b - t >= 0, and the sign is (-1)^(number of set bits strictly
 between b - t and b).  Values are memoized in two orientations, both
 read through that move.  Rows: _chi(mask, mu) recurses on mu minus its
-first part, one value at a time, on the memoized strips of each
-(mask, t); it serves chi and the rows chi^lam that symfunc reads for
-Schur inputs of any weight, where a column would span all p(|lam|)
-shapes.  Columns: _column(mu) is the dense list of chi^lam(mu) over
-every lam of weight |mu|, zeros included, indexed by position in
-partitions_of(|mu|): p_mu in the s basis (Macdonald I.7.8).  It is
+first part, one value at a time, on the strips of each (mask, t),
+enumerated afresh: _chi's own memo holds every value they lead to.  It
+serves chi and the rows chi^lam that symfunc reads for Schur inputs of
+any weight, where a column would span all p(|lam|) shapes.  Columns:
+_column(mu) is the dense list of chi^lam(mu) over every lam of weight
+|mu|, zeros included, indexed by position in partitions_of(|mu|): p_mu
+in the s basis (Macdonald I.7.8).  It is
 _expand(_strip_table, mu), which expands p_mu one power sum at a time,
 p_mu being p_mu[0] times p_mu[1:]: one pass over the list of mu minus
 its first part through the move table of (|mu|, mu[0]), every move an
@@ -25,8 +26,10 @@ positions the strips of every mask of its degree through one
 {mask: position} map per degree, _beta_positions, so building one
 builds no partition either.  Columns serve symfunc's s target, which
 reads the columns of its input's classes only, and the cold build of a
-full table, which transposes them, and _table(r) keeps each full table.  Every memo is a function in an unbounded lru_cache:
-it keeps every value computed in the process.
+full table, which transposes them, and _table(r) keeps each full
+table.  The memos are _chi, _beta_positions, _strip_table, _expand and
+_table, each a function in an unbounded lru_cache: it keeps every value
+computed in the process.
 
 A table is its integer rows: rows[i][j] is the character of the i-th
 shape on the j-th class, both in partitions_of(r) order.  Each full
@@ -48,8 +51,8 @@ import os
 import warnings
 
 from .errors import ResourceLimitError
-from .partitions import (Partition, Record, _memo, _partitions_of,
-                         _positions, partitions_of)
+from .partitions import (Partition, Record, _check_integer, _memo,
+                         _partitions_of, _positions, partitions_of)
 
 # Practical cap on full-table construction, and on the s and m bases as
 # targets, which read a vector p(d) entries wide per class: every
@@ -68,7 +71,6 @@ def _mask(lam):
     return sum(1 << a + n - i for i, a in enumerate(lam))
 
 
-@_memo
 def _strips(mask, size):
     # (sub, sign) for each border strip of `size` cells, sub the mask left
     # when it is removed.  A strip moves a set bit b of the mask to the
@@ -110,12 +112,10 @@ def _beta_positions(n):
 def _strip_table(d, size):
     # (i, j, sign) for each border strip of `size` cells that takes the
     # i-th partition of d to the j-th partition of d - size, positions in
-    # partitions_of order.  The strips are enumerated afresh, not read
-    # from _strips' memo: a table meets each mask once.
+    # partitions_of order
     pos = _beta_positions(d - size)
-    strips = _strips.__wrapped__
     return [(i, pos[sub], sign) for mask, i in _beta_positions(d).items()
-            for sub, sign in strips(mask, size)]
+            for sub, sign in _strips(mask, size)]
 
 
 @_memo
@@ -200,6 +200,7 @@ def character_table(r):
     Memoized in process and persisted on disk.  Raises a resource error
     above CHAR_TABLE_CAP.
     """
+    _check_integer("character_table", "r", r)
     if r < 0:
         raise ValueError("r must be nonnegative")
     if r > CHAR_TABLE_CAP:

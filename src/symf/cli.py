@@ -16,7 +16,6 @@ from . import _lazy
 from .characters import character_table
 from .errors import DegreeError, ExprError, ResourceLimitError, TruncationError
 from .partitions import Partition, partitions_of
-from .plethysm import _check_degree
 from .symfunc import BASES, SymFn, _target_cap, to_basis, to_json_dict
 
 # The layers a command may run load when it first reads them, so each
@@ -27,7 +26,7 @@ __getattr__ = _lazy(globals(), (
     ("expr", ("evaluate_text",)),
     ("invariants", ("GLnAdjoint", "PolyFunctor", "SLnDefining",
                     "SnPermutation", "Sp2nDefining", "_never_vanishes",
-                    "hilbert_dim", "inv_char", "inv_char_polyfunc")),
+                    "_ring", "hilbert_dim", "inv_char", "inv_char_polyfunc")),
     ("enumeration", ("DealSpec", "RegularGraphSpec", "card_deals",
                      "deals_cycle_index", "regular_graphs",
                      "regular_graphs_cycle_index"))))
@@ -87,13 +86,17 @@ def _functor_from(args):
 def _cmd_inv(args):
     family = _family(args)
     P = None if args.functor is None else _functor_from(args)
-    if _cli._never_vanishes(family) and (P is None or P.degree == 1):
-        # I_r(V) is nonzero, and so is I_r(P(V)) for P = c h_1, whose
-        # p_1^r coefficient is c^r dim I_r(V) / r!: r alone decides the
-        # refusal, before anything is built, and after the plethysm cap
-        # that a functor meets first
-        if P is not None:
-            _check_degree(args.r)
+    # I_r(V) never vanishes for perm and GL(n), and I_r(P(V)) for
+    # P = c h_1, whose p_1^r coefficient is c^r dim I_r(V) / r!, vanishes
+    # exactly when I_r(V) does.  Where the answer is nonzero, r alone
+    # decides the output cap, checked before anything is built and after
+    # the cap of the ring the construction would take
+    if P is None:
+        nonzero = _cli._never_vanishes(family)
+    else:
+        nonzero = (P.degree == 1
+                   and _cli._ring(family, P.character, args.r) is not None)
+    if nonzero:
         _target_cap(args.basis, [args.r])
     out = (_cli.inv_char(family, args.r) if P is None
            else _cli.inv_char_polyfunc(family, P, args.r))

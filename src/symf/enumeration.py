@@ -24,7 +24,7 @@ numbers by another route; selftest holds the counts against them.
 from fractions import Fraction
 
 from .errors import DegreeError
-from .partitions import Record
+from .partitions import Record, _check_integer
 from .plethysm import _check_degree, fundamental, plethysm
 from .symfunc import generator, specialize_ones
 
@@ -34,6 +34,8 @@ class DealSpec(Record):
     __slots__ = ("m", "n")
 
     def _check(self):
+        _check_integer("a deal spec", "m", self.m)
+        _check_integer("a deal spec", "n", self.n)
         if self.m < 1 or self.n < 1:
             raise ValueError("deal specs need m >= 1 and n >= 1")
 
@@ -43,6 +45,8 @@ class RegularGraphSpec(Record):
     __slots__ = ("n", "k")
 
     def _check(self):
+        _check_integer("a graph spec", "n", self.n)
+        _check_integer("a graph spec", "k", self.k)
         if self.n < 1 or self.k < 0:
             raise ValueError("graph specs need n >= 1 and k >= 0")
 

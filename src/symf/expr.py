@@ -12,6 +12,11 @@ Grammar, whitespace insignificant:
             | '[' int (',' int)* ']'        partition literal, for coeff
     FUNC   := scalar | kron | dim | ones | coeff
 
+The tokens are runs of decimal digits, of any script that int() reads
+(Arabic-Indic digits too), runs of ASCII letters, and the marks
++ - * ( ) [ ] , and whitespace between them is skipped.  Any other
+character is a syntax error at its column.
+
 A partition can be attached to a basis letter as a single token (h3,
 h12) or in brackets (h[3], s[2,1], h[] for the empty index).  A bracket
 immediately after a basis letter is its partition; any further bracket
@@ -27,6 +32,7 @@ stack there.  Parentheses, brackets and calls nested more than
 _NESTING_CAP (256) levels deep are refused as a syntax error.
 """
 
+import re
 import warnings
 from fractions import Fraction
 
@@ -75,33 +81,21 @@ class _Token(Record):
     __slots__ = ("kind", "value", "pos")
 
 
+# One token per match: a run of decimal digits, of any script that int()
+# reads; a run of ASCII letters; or one mark of the grammar.  Whitespace
+# between tokens is skipped, and any other character is refused.
+_TOKEN = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z]+)|(?P<mark>[-+*()\[\],])"
+                    r"|(?P<other>\S)")
+
+
 def _tokenize(text):
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", int(text[i:j]), i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if c in "+-*()[],":
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ExprError("unexpected character %r" % c, i)
+    for match in _TOKEN.finditer(text):
+        kind, value, pos = match.lastgroup, match.group(), match.start()
+        if kind == "other":
+            raise ExprError("unexpected character %r" % value, pos)
+        tokens.append(_Token(value if kind == "mark" else kind,
+                             int(value) if kind == "num" else value, pos))
     tokens.append(_Token("end", None, len(text)))
     return tokens
 

@@ -54,10 +54,12 @@ Each query takes the route with the smaller estimate of its work, made
 before anything is expanded: Newton's r(r+1)/2 products in the box,
 each bounded by the monomials of F(x_1, ..., x_L) times those of the
 other factor, against the chi^lam rows of the shapes over p(d) classes
-and the same products over p-basis classes.  _route makes that choice
-for both queries and returns the ring, F in it, and the pairing with
-I_d(V): Jacobi-Trudi's weights, or plethysm._p_pairing, the one that
-fundamental uses.  Both queries then build h_r[F] or p_lam[F] by the
+and the same products over p-basis classes.  _ring makes that choice
+for both queries, and refuses the query there, before any work, or
+finds I_d(V) zero; symf inv reads it to refuse a degree-1 functor's
+output cap up front.  _route returns the ring, F in it, and the pairing
+with I_d(V): Jacobi-Trudi's weights, or plethysm._p_pairing, the one
+that fundamental uses.  Both queries then build h_r[F] or p_lam[F] by the
 same code in plethysm.py in either ring; the tests hold both routes
 against fundamental(F, inv_char(family, r*k), r, mode) in either mode.
 """
@@ -71,8 +73,8 @@ from operator import le
 
 from .characters import CHAR_TABLE_CAP
 from .errors import DegreeError, ResourceLimitError
-from .partitions import (Partition, Record, _memo, partition_count,
-                         partitions_of)
+from .partitions import (Partition, Record, _check_integer, _memo,
+                         partition_count, partitions_of)
 from .plethysm import (_PBasis, _check_degree, _h_of, _p_pairing, _pairings,
                        _pleth_p, _prefix_products)
 from .symfunc import (SymFn, _add_into, _check_multiplicity, _p_dict, _p_symfn,
@@ -85,9 +87,7 @@ class _Family(Record):
     __slots__ = ("n",)
 
     def _check(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise TypeError("%s needs an integer n, got %r"
-                            % (self._name, self.n))
+        _check_integer(self._name, "n", self.n)
         if self.n < 1:
             raise ValueError("%s needs n >= 1" % self._name)
 
@@ -118,6 +118,7 @@ def inv_char(family, r):
     Always homogeneous of degree r; the zero function when there are no
     invariants in that degree.
     """
+    _check_integer("inv_char", "r", r)
     if r < 0:
         raise ValueError("r must be nonnegative")
     if isinstance(family, (SLnDefining, Sp2nDefining)):
@@ -429,30 +430,38 @@ def _never_vanishes(family):
     return isinstance(family, (SnPermutation, GLnAdjoint))
 
 
-def _route(family, P, r):
-    """(ring, F in it, f -> <f, I_{rk}(V)>) for F = charP of degree k,
-    in the finite alphabet where _alphabet_for takes it, else in the p
-    basis, where I_{rk}(V) is refused above the plethysm cap unless it
-    is zero, and before it is built where it never is; None where it is
-    zero."""
-    F = _functor_character(P)
-    alphabet = _alphabet_for(family, F, r)
-    if alphabet is not None:
-        return alphabet, alphabet.evaluate(_p_dict(F)), alphabet.pair
+def _ring(family, F, r):
+    """The ring in which <h_r[F], I_{rk}(V)> is read, k = deg F: the
+    finite alphabet where _alphabet_for takes it, else the p basis,
+    refused above the plethysm cap; None where I_{rk}(V) is zero, which
+    is never refused.  Only the zero test builds anything: I_{rk}(V)
+    where it may vanish, a list of shapes for SL and Sp (which
+    _alphabet_for lists too) and a stored component for Custom."""
     d = r * F.degree()
-    # I_d(V) is built after the cap where it never vanishes, and before
-    # it otherwise, so that a zero one is not refused
-    G = None if _never_vanishes(family) else inv_char(family, d)
-    if G is not None and G.is_zero():
+    if not _never_vanishes(family) and inv_char(family, d).is_zero():
         return None
-    _check_degree(d)
-    if G is None:
-        G = inv_char(family, d)
-    return (_PBasis(), *_p_pairing(F, G, r))
+    alphabet = _alphabet_for(family, F, r)
+    if alphabet is None:
+        _check_degree(d)
+        return _PBasis()
+    return alphabet
+
+
+def _route(family, P, r):
+    """(ring, F in it, f -> <f, I_{rk}(V)>) for F = charP in the ring
+    that _ring picks; None where I_{rk}(V) is zero."""
+    F = _functor_character(P)
+    ring = _ring(family, F, r)
+    if ring is None:
+        return None
+    if isinstance(ring, _PBasis):
+        return (ring, *_p_pairing(F, inv_char(family, r * F.degree()), r))
+    return ring, ring.evaluate(_p_dict(F)), ring.pair
 
 
 def inv_char_polyfunc(family, P, r):
     """Invariant character I_r(P(V)) via the inner product construction."""
+    _check_integer("inv_char_polyfunc", "r", r)
     route = _route(family, P, r)
     if route is None:
         return zero()
@@ -467,6 +476,7 @@ def hilbert_dim(family, P, r):
     I_r(P(V)); returned as an exact rational, integral for genuine
     inputs.
     """
+    _check_integer("hilbert_dim", "r", r)
     route = _route(family, P, r)
     if route is None:
         return Fraction(0)

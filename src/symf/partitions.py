@@ -20,7 +20,8 @@ is a function of its arguments, declared through _memo where it is
 defined, which puts it in an lru_cache, and _reset_memo clears every
 one that registered.  The caches of partitions, their positions,
 their counts and z_mu below are pure functions of small arguments and
-are kept.
+are kept.  _check_integer is the one type test of the counts that the
+other layers take: group sizes, degrees, cards and vertices.
 """
 
 from functools import lru_cache
@@ -148,6 +149,13 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+def _check_integer(who, name, value):
+    # refuses a float, Fraction or bool where a count is meant, since it
+    # passes the range checks (2.5 >= 1, True >= 0) and is computed with
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError("%s needs an integer %s, got %r" % (who, name, value))
 
 
 def _fields(x):

@@ -36,7 +36,7 @@ p_lam[F] would spill a packed key.
 """
 
 from .errors import DegreeError, ResourceLimitError, TruncationError
-from .partitions import partitions_of
+from .partitions import _check_integer, partitions_of
 from .symfunc import (SymFn, generator, one, zero, _add_into,
                       _check_multiplicity, _div, _multiplicity, _mul_p,
                       _p_dict, _p_symfn, _pack, _scalar_p, _scaled, _schur_p,
@@ -251,6 +251,7 @@ def fundamental(F, G, r, mode="p"):
     p_mu[F], mu |- r, once per call and builds every s_lam[F] in full
     from those products before pairing it with G.
     """
+    _check_integer("fundamental", "r", r)
     if r < 0:
         raise ValueError("r must be nonnegative")
     if mode not in ("p", "s"):

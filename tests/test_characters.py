@@ -261,7 +261,7 @@ def test_reset_clears_every_memo_not_kept_on_purpose():
             "symf.symfunc._key", "symf.invariants._sn_component",
             "symf.invariants._blocks",
             "symf.symfunc._schur_p", "symf.characters._chi",
-            "symf.characters._strips", "symf.characters._expand",
+            "symf.characters._expand",
             "symf.characters._strip_table",
             "symf.characters._beta_positions",
             "symf.characters._table"} <= cleared.keys()

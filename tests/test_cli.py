@@ -586,14 +586,21 @@ class TestExitCodes:
          "symf: plethysm of degree 41 is beyond the cap 40\n"),
         (["gl-adjoint", "--n", "1", "--functor", "h1", "--r", "41"],
          "symf: plethysm of degree 41 is beyond the cap 40\n"),
+        (["sl", "--n", "3", "--functor", "h1", "--r", "36", "--basis", "h"],
+         "symf: monomial basis transitions are capped at degree 16, got 36\n"),
+        (["sl", "--n", "2", "--functor", "h1", "--r", "40", "--basis", "s"],
+         "symf: Schur expansion needs characters of S_40, beyond the cap "
+         "r <= 20\n"),
     ], ids=["perm-s", "gl-adjoint-s", "perm-e", "perm-m", "perm-p-41",
-            "gl-adjoint-s-41"])
+            "gl-adjoint-s-41", "sl-h-36", "sl-s-40"])
     def test_degree_one_functor_refused_from_the_arguments(
             self, capsys, monkeypatch, argv, stderr):
         # c h_1 gives I_r(P(V)) the p_1^r coefficient c^r dim I_r(V) / r!,
-        # never zero for perm and GL(n), so r alone decides; the plethysm
-        # cap still speaks first.  Building the answer took 0.41 s for
-        # perm at r = 24 and 0.24 s for GL(2).
+        # never zero for perm and GL(n), and for SL(n) and Sp(2n) zero
+        # exactly where I_r(V) is, so r alone decides; the cap of the
+        # ring the construction takes still speaks first.  Building the
+        # answer took 0.41 s for perm at r = 24, 0.24 s for GL(2), 3.2 s
+        # for SL(3) at r = 36 and 1.5 s for SL(2) at r = 40.
         def fail(*args):
             raise AssertionError("built %r" % (args,))
         monkeypatch.setattr("symf.cli.inv_char_polyfunc", fail)
@@ -602,13 +609,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["perm", "--n", "2", "--functor", "e2", "--r", "17", "--basis", "h"],
-        ["sl", "--n", "2", "--functor", "h1", "--r", "24"],
-        ["sp", "--n", "1", "--functor", "h1", "--r", "24"],
+        ["sl", "--n", "2", "--functor", "h2", "--r", "24"],
+        ["sp", "--n", "1", "--functor", "h2", "--r", "24"],
     ], ids=["perm-degree-2", "sl", "sp"])
     def test_functors_that_may_vanish_are_built(self, capsys, monkeypatch,
                                                 argv):
-        # e2 gives 0 at r = 17 for perm(2), and SL and Sp vanish in some
-        # degrees, so these reach the construction before any target cap
+        # e2 gives 0 at r = 17 for perm(2), and h2 on SL(2) or Sp(2), the
+        # adjoint, has no invariants in odd degrees, so these reach the
+        # construction before any target cap
         class Built(Exception):
             pass
 

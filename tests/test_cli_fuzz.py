@@ -11,7 +11,8 @@ of 0-4 and must not raise.  The same expressions, wrapped in up to the
 nesting cap's levels of parentheses, brackets and calls, print with
 pretty to text that parses back to the same tree, and run through
 `symf eval` end in an exit code of 0-4 with at most one line, a `symf:`
-message, on stderr.
+message, on stderr.  Short strings of any code points, run through
+`symf eval`, end the same way but never in an exit code of 1.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ import sys
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symf.cli import main
 from symf.expr import (_NESTING_CAP, FUNCS, BasisAtom, BinOp, Call, Num,
@@ -113,6 +114,20 @@ def test_deep_trees_end_in_an_exit_code(text, kinds, levels, basis):
         text = form % text
     code, out, err = _eval([text, "--basis", basis])
     assert code in range(5), (text, code, err)
+    lines = err.splitlines()
+    assert len(lines) <= 1 and all(
+        line.startswith("symf: ") for line in lines), (text, err)
+
+
+@fuzzed
+@given(st.text(max_size=8))
+@example("h\u00b2")
+def test_any_text_is_read_or_refused(text):
+    # any code point: a character int() cannot read, such as a
+    # superscript two, is a syntax error at its column, never an exit
+    # code of 1 or a traceback; "--" keeps a leading "-" an operand
+    code, out, err = _eval(["--", text])
+    assert code in (0, 2, 3, 4), (text, code, err)
     lines = err.splitlines()
     assert len(lines) <= 1 and all(
         line.startswith("symf: ") for line in lines), (text, err)

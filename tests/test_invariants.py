@@ -6,6 +6,8 @@ from operator import add, le
 import pytest
 from fractions import Fraction
 
+from symf.characters import character_table
+from symf.enumeration import DealSpec, RegularGraphSpec, regular_graphs
 from symf.errors import DegreeError, ResourceLimitError, TruncationError
 from symf.invariants import (Custom, GLnAdjoint, PolyFunctor, SLnDefining,
                              SnPermutation, Sp2nDefining, _Alphabet,
@@ -37,6 +39,29 @@ def test_family_validation():
         inv_char(SLnDefining(2), -1)
     with pytest.raises(TypeError):
         inv_char("sl", 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: regular_graphs(RegularGraphSpec(2.5, 0)),
+    lambda: regular_graphs(RegularGraphSpec(2.5, 2)),
+    lambda: RegularGraphSpec(4, 2.0),
+    lambda: DealSpec(2.0, 3),
+    lambda: DealSpec(2, True),
+    lambda: inv_char(Sp2nDefining(1), 4.0),
+    lambda: inv_char(SnPermutation(2), True),
+    lambda: inv_char_polyfunc(SLnDefining(2), h(1), 2.0),
+    lambda: hilbert_dim(SnPermutation(2), h(1), True),
+    lambda: fundamental(h(1), h(2), 2.0),
+    lambda: character_table(True),
+], ids=["graph-n", "graph-n-even", "graph-k", "deal-m", "deal-n",
+        "inv-float", "inv-bool", "polyfunc", "hilbert", "fundamental",
+        "table"])
+def test_counts_must_be_integers(call):
+    # a float or bool count passed the range checks and was computed
+    # with, or refused by whatever first needed an int, depending on
+    # what the memos held (2.0 and 2 are one lru_cache key)
+    with pytest.raises(TypeError, match="needs an integer [mnkr], got "):
+        call()
 
 
 def test_sl_family_is_a_single_rectangle():
