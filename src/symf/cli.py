@@ -52,27 +52,31 @@ def _family(args):
     return getattr(_cli, dict(FAMILIES)[args.family])(args.n)
 
 
-def _print_symfn(f, basis):
-    print(str(to_basis(f, basis)))
+def _print(value, text=str):
+    # an int beyond sys.get_int_max_str_digits() is refused as a size cap
+    try:
+        line = text(value)
+    except ValueError:
+        raise ResourceLimitError(
+            "the result has a number of more than %d digits, too long to "
+            "print" % sys.get_int_max_str_digits()) from None
+    print(line)
 
 
-def _json_value(value):
+def _json_text(value):
+    import json
     if isinstance(value, SymFn):
-        return to_json_dict(value)
+        return json.dumps(to_json_dict(value))
     if isinstance(value, Partition):
-        return {"partition": list(value)}
-    return {"rational": str(Fraction(value))}
+        return json.dumps({"partition": list(value)})
+    return json.dumps({"rational": str(Fraction(value))})
 
 
 def _cmd_eval(args):
     value = _cli.evaluate_text(args.expr)
     if isinstance(value, SymFn):
         value = to_basis(value, args.basis)
-    if args.json:
-        import json
-        print(json.dumps(_json_value(value)))
-    else:
-        print(str(value))
+    _print(value, _json_text if args.json else str)
     return 0
 
 
@@ -100,31 +104,30 @@ def _cmd_inv(args):
         _target_cap(args.basis, [args.r])
     out = (_cli.inv_char(family, args.r) if P is None
            else _cli.inv_char_polyfunc(family, P, args.r))
-    _print_symfn(out, args.basis)
+    _print(to_basis(out, args.basis))
     return 0
 
 
 def _cmd_hilbert(args):
-    value = _cli.hilbert_dim(_family(args), _functor_from(args), args.r)
-    print(str(value))
+    _print(_cli.hilbert_dim(_family(args), _functor_from(args), args.r))
     return 0
 
 
 def _cmd_deals(args):
     spec = _cli.DealSpec(args.m, args.n)
     if args.cycle_index:
-        _print_symfn(_cli.deals_cycle_index(spec), "p")
+        _print(to_basis(_cli.deals_cycle_index(spec), "p"))
     else:
-        print(str(_cli.card_deals(spec)))
+        _print(_cli.card_deals(spec))
     return 0
 
 
 def _cmd_regular(args):
     spec = _cli.RegularGraphSpec(args.n, args.k)
     if args.cycle_index:
-        _print_symfn(_cli.regular_graphs_cycle_index(spec), "p")
+        _print(to_basis(_cli.regular_graphs_cycle_index(spec), "p"))
     else:
-        print(str(_cli.regular_graphs(spec)))
+        _print(_cli.regular_graphs(spec))
     return 0
 
 

@@ -15,7 +15,7 @@ Grammar, whitespace insignificant:
 The tokens are runs of decimal digits, of any script that int() reads
 (Arabic-Indic digits too), runs of ASCII letters, and the marks
 + - * ( ) [ ] , and whitespace between them is skipped.  Any other
-character is a syntax error at its column.
+character, or a digit run too long for int(), is a syntax error there.
 
 A partition can be attached to a basis letter as a single token (h3,
 h12) or in brackets (h[3], s[2,1], h[] for the empty index).  A bracket
@@ -94,8 +94,12 @@ def _tokenize(text):
         kind, value, pos = match.lastgroup, match.group(), match.start()
         if kind == "other":
             raise ExprError("unexpected character %r" % value, pos)
-        tokens.append(_Token(value if kind == "mark" else kind,
-                             int(value) if kind == "num" else value, pos))
+        try:
+            value = int(value) if kind == "num" else value
+        except ValueError:  # beyond sys.get_int_max_str_digits()
+            raise ExprError("a number of %d digits is too long to read"
+                            % len(value), pos) from None
+        tokens.append(_Token(value if kind == "mark" else kind, value, pos))
     tokens.append(_Token("end", None, len(text)))
     return tokens
 

@@ -11,13 +11,11 @@ functions of degree r.  Four families are built in:
                     I_{2q} = sum of s_lam over lam |- 2q with every
                     column of even length and at most 2n rows; odd
                     degrees vanish.
-  SnPermutation(n)  the symmetric group S_n on its n-point permutation
-                    representation: the generating series of the I_r is
-                    the plethysm (1 + h_1 + ... + h_n)[h_1 + h_2 + ...],
-                    and I_r sums prod_i h_(m_i)[h_i] over the block
-                    types lam |- r of at most n parts, m_i the
-                    multiplicity of part i (set partitions of r points
-                    into at most n blocks, Macdonald I.8).
+  SnPermutation(n)  the symmetric group S_n permuting n points: I_r at
+                    a class mu of S_r averages over g in S_min(n, r) the
+                    product of the fixed point counts fix(g^c) over the
+                    parts c of mu (Burnside), and the I_r sum to the
+                    plethysm (1 + h_1 + ... + h_n)[h_1 + h_2 + ...].
   GLnAdjoint(n)     GL(n) acting by conjugation on n x n matrices:
                     I_r = sum over lam |- r with at most n rows of the
                     Kronecker square s_lam * s_lam (Schur-Weyl duality).
@@ -59,16 +57,18 @@ for both queries, and refuses the query there, before any work, or
 finds I_d(V) zero; symf inv reads it to refuse a degree-1 functor's
 output cap up front.  _route returns the ring, F in it, and the pairing
 with I_d(V): Jacobi-Trudi's weights, or plethysm._p_pairing, the one
-that fundamental uses.  Both queries then build h_r[F] or p_lam[F] by the
-same code in plethysm.py in either ring; the tests hold both routes
-against fundamental(F, inv_char(family, r*k), r, mode) in either mode.
+that fundamental uses.  For the permutation family, <f, I_d(V)> averages
+f at p_j = fix(g^j) over g in S_min(n, d) (Molien): _ring hands out
+_Classes, which pairs by that average.  Each query builds h_r[F] or
+p_lam[F] by the same code in plethysm.py in every ring; the tests hold
+every route against fundamental(F, inv_char(family, r*k), r, mode).
 """
 
 import warnings
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, permutations
-from math import comb, factorial, perm, prod
+from math import comb, factorial, gcd, perm, prod
 from operator import le
 
 from .characters import CHAR_TABLE_CAP
@@ -76,10 +76,9 @@ from .errors import DegreeError, ResourceLimitError
 from .partitions import (Partition, Record, _check_integer, _memo,
                          partition_count, partitions_of)
 from .plethysm import (_PBasis, _check_degree, _h_of, _p_pairing, _pairings,
-                       _pleth_p, _prefix_products)
-from .symfunc import (SymFn, _add_into, _check_multiplicity, _p_dict, _p_symfn,
-                      _packed, _prod_h_p, _schur_p, _unpacked, scalar,
-                      to_basis, zero)
+                       _pleth_p)
+from .symfunc import (SymFn, _add_into, _check_multiplicity, _over_z, _p_dict,
+                      _p_symfn, _schur_p, scalar, to_basis, zero)
 
 
 class _Family(Record):
@@ -124,7 +123,7 @@ def inv_char(family, r):
     if isinstance(family, (SLnDefining, Sp2nDefining)):
         return SymFn("s", dict.fromkeys(_target_shapes(family, r), 1))
     if isinstance(family, SnPermutation):
-        # no block type has more than r blocks
+        _check_multiplicity(r)  # before any partition is listed
         return _sn_component(min(family.n, r), r)
     if isinstance(family, GLnAdjoint):
         # the Kronecker squares s_lam * s_lam, summed as the pointwise
@@ -160,27 +159,9 @@ def _target_shapes(family, d):
 
 @_memo
 def _sn_component(n, r):
-    # I_r = sum over lam |- r with at most n parts of prod_i h_(m_i)[h_i],
-    # m_i the multiplicity of part i: the set partitions of r points
-    # into at most n blocks, by block type.  In reverse lexicographic
-    # order, the lam that share their leading (part, multiplicity)
-    # blocks are adjacent, so each such prefix is multiplied once.
-    # Refused before any partition is listed where the class (1^r)
-    # would spill a key field.
-    _check_multiplicity(r)
-    types = [tuple(lam.multiplicities().items())
-             for lam in partitions_of(r) if len(lam) <= n]
-    factors = {block: _blocks(*block) for block in set().union(*types)}
-    total = {}
-    for _, term in _prefix_products(types, factors, _PBasis()):
-        _add_into(total, term)
-    return _p_symfn(_unpacked(total))
-
-
-@_memo
-def _blocks(a, m):
-    # h_m[h_a] on packed keys: m blocks of size a, unordered
-    return _packed(_pleth_p(_prod_h_p((m,)), _prod_h_p((a,))))
+    # I_r of S_n, n <= r: its value at mu is <p_mu, I_r> (Burnside)
+    ring = _Classes(n)
+    return _pairings(ring.x, r, ring.pair, ring)
 
 
 class PolyFunctor:
@@ -334,6 +315,36 @@ class _Alphabet:
         return sum(w * f.get(e, 0) for e, w in self._packed_weights)
 
 
+class _Classes:
+    """Class functions of S_n keyed by cycle type, multiplied pointwise:
+    f is read at the eigenvalues of g, so x = p_1 is fix(g), p_j[f] at g
+    is f at g^j, and the pairing with I_d(V) averages over S_n."""
+
+    unpack = staticmethod(lambda f: f)
+    pair = staticmethod(_over_z)
+
+    def __init__(self, n):
+        self.one = dict.fromkeys(partitions_of(n), 1)
+        self.x = {rho: rho.count(1) for rho in self.one}
+
+    def mul(self, a, b, out=None):
+        """a * b pointwise, added into out when it is given."""
+        out = {} if out is None else out
+        for rho, v in a.items():
+            out[rho] = out.get(rho, 0) + v * b.get(rho, 0)
+        return out
+
+    def substitute(self, f, j):
+        """f at g^j: each a-cycle of g splits into gcd(a, j) cycles."""
+        return {rho: f.get(tuple(sorted(
+            [a // c for a in rho for c in (gcd(a, j),) for _ in range(c)],
+            reverse=True)), 0) for rho in self.one}
+
+    def evaluate(self, fp):
+        """f at x for f given by its class function values."""
+        return _pleth_p(fp, self.x, self)
+
+
 # The routing estimates count steps of the finite alphabet's multiply.
 # Measured on the invariants_grid queries, a step of the p-basis
 # multiply (Fraction values on packed partitions) takes about two, and
@@ -357,7 +368,7 @@ def _alphabet_for(family, F, r):
     above that of the p basis.  Neither estimate expands anything.
     Where the finite route is taken at an estimate above _ALPHABET_CAP,
     the query is refused."""
-    if not isinstance(family, (SLnDefining, Sp2nDefining)) or r < 0:
+    if not isinstance(family, (SLnDefining, Sp2nDefining)):
         return None
     k = F.degree()
     shapes = _target_shapes(family, r * k)
@@ -432,17 +443,22 @@ def _never_vanishes(family):
 
 def _ring(family, F, r):
     """The ring in which <h_r[F], I_{rk}(V)> is read, k = deg F: the
-    finite alphabet where _alphabet_for takes it, else the p basis,
-    refused above the plethysm cap; None where I_{rk}(V) is zero, which
-    is never refused.  Only the zero test builds anything: I_{rk}(V)
-    where it may vanish, a list of shapes for SL and Sp (which
-    _alphabet_for lists too) and a stored component for Custom."""
+    finite alphabet where _alphabet_for takes it, else _Classes for the
+    permutation family and the p basis for the others, refused above the
+    plethysm cap; None where I_{rk}(V) is zero, which is never refused.
+    Only the zero test builds anything: I_{rk}(V) where it may vanish, a
+    list of shapes for SL and Sp (which _alphabet_for lists too) and a
+    stored component for Custom."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
     d = r * F.degree()
     if not _never_vanishes(family) and inv_char(family, d).is_zero():
         return None
     alphabet = _alphabet_for(family, F, r)
     if alphabet is None:
         _check_degree(d)
+        if isinstance(family, SnPermutation):
+            return _Classes(min(family.n, d))
         return _PBasis()
     return alphabet
 

@@ -11,6 +11,7 @@ All oracles carry hard size caps and raise ResourceLimitError beyond
 them, because they are exponential on purpose.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -24,13 +25,6 @@ from .symfunc import SymFn
 def _require(condition, what):
     if not condition:
         raise ResourceLimitError("oracle bound exceeded: %s" % what)
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _class_representative(mu, n):
@@ -100,42 +94,50 @@ def _deal_matrices(m, n):
     return tuple(out)
 
 
+def _permute_rows(perm, mat):
+    return tuple(mat[i] for i in perm)
+
+
 def oracle_deals_matrix_count(m, n):
     """The same deal count from the matrix model: orbits of row/column
     sum m matrices under row permutation."""
     _require(n <= 5 and m * n <= 12, "matrix deal oracle needs n <= 5, m*n <= 12")
-    mats = _deal_matrices(m, n)
-    all_perms = _symmetric_group(n)
-    seen = set()
-    orbits = 0
-    for mat in mats:
-        if mat in seen:
-            continue
-        orbits += 1
-        for perm in all_perms:
-            seen.add(tuple(mat[perm[i]] for i in range(n)))
-    return orbits
+    return _orbit_count(_deal_matrices(m, n), n, _permute_rows)
 
 
 def oracle_deals_cycle_index(m, n):
     """Frobenius character of S_n permuting the rows of the deal
     matrices, from fixed point counts per conjugacy class."""
     _require(n <= 5 and m * n <= 12, "matrix deal oracle needs n <= 5, m*n <= 12")
-    mats = _deal_matrices(m, n)
-    terms = {}
-    for mu in partitions_of(n):
-        perm = _class_representative(mu, n)
-        fixed = sum(1 for mat in mats
-                    if all(mat[perm[i]] == mat[i] for i in range(n)))
-        if fixed:
-            terms[mu] = Fraction(fixed, z_of(mu))
-    return SymFn("p", terms)
+    return _permutation_character(_deal_matrices(m, n), n, _permute_rows)
 
 
 @lru_cache(maxsize=None)
 def _symmetric_group(n):
     from itertools import permutations
     return tuple(permutations(range(n)))
+
+
+def _orbit_count(objects, n, act):
+    # the orbits of S_n on objects, act(perm, obj) the image of obj
+    seen, orbits = set(), 0
+    for obj in objects:
+        if obj not in seen:
+            orbits += 1
+            seen.update(act(perm, obj) for perm in _symmetric_group(n))
+    return orbits
+
+
+def _permutation_character(objects, n, act):
+    # the Frobenius character of S_n permuting objects: at each class,
+    # the objects that a representative fixes
+    terms = {}
+    for mu in partitions_of(n):
+        perm = _class_representative(mu, n)
+        fixed = sum(1 for obj in objects if act(perm, obj) == obj)
+        if fixed:
+            terms[mu] = Fraction(fixed, z_of(mu))
+    return SymFn("p", terms)
 
 
 # ---------------------------------------------------------------------
@@ -181,50 +183,60 @@ def _regular_matrices(n, k):
     return out
 
 
+def _relabel(perm, mat):
+    return tuple(tuple(mat[i][j] for j in perm) for i in perm)
+
+
 def oracle_regular_graphs(n, k):
     """Count k-regular multigraphs with loops on n unlabelled vertices
     by enumerating adjacency matrices and collecting S_n orbits."""
     _require(n <= 5 and k <= 6, "regular graph oracle needs n <= 5, k <= 6")
     if (n * k) % 2:
         return 0
-    mats = _regular_matrices(n, k)
-    perms = _symmetric_group(n)
-    seen = set()
-    orbits = 0
-    for mat in mats:
-        if mat in seen:
-            continue
-        orbits += 1
-        for perm in perms:
-            seen.add(tuple(tuple(mat[perm[i]][perm[j]] for j in range(n))
-                           for i in range(n)))
-    return orbits
+    return _orbit_count(_regular_matrices(n, k), n, _relabel)
 
 
 def oracle_regular_cycle_index(n, k):
     """Frobenius character of S_n on labelled k-regular multigraphs."""
     _require(n <= 5 and k <= 6, "regular graph oracle needs n <= 5, k <= 6")
-    mats = _regular_matrices(n, k)
-    terms = {}
-    for mu in partitions_of(n):
-        perm = _class_representative(mu, n)
-        fixed = 0
-        for mat in mats:
-            if all(mat[perm[i]][perm[j]] == mat[i][j]
-                   for i in range(n) for j in range(n)):
-                fixed += 1
-        if fixed:
-            terms[mu] = Fraction(fixed, z_of(mu))
-    return SymFn("p", terms)
+    return _permutation_character(_regular_matrices(n, k), n, _relabel)
 
 
 # ---------------------------------------------------------------------
 # finite group averaging
 # ---------------------------------------------------------------------
 
-def _fix_counts(nu, d):
-    # Fixed points of g^d on n letters when g has cycle type nu.
-    return sum(v for v in nu if d % v == 0)
+def _cycle_type(g):
+    # The cycle lengths of the permutation g, longest first.
+    seen, parts = set(), []
+    for i in range(len(g)):
+        if i not in seen:
+            parts.append(0)
+            while i not in seen:
+                seen.add(i)
+                i, parts[-1] = g[i], parts[-1] + 1
+    return Partition(sorted(parts, reverse=True))
+
+
+def _fixed_points(g, top):
+    # [fix(g^0), fix(g^1), ..., fix(g^top)], composing g with itself.
+    power, out = tuple(range(len(g))), []
+    for _ in range(top + 1):
+        out.append(sum(i == j for i, j in enumerate(power)))
+        power = tuple(g[i] for i in power)
+    return out
+
+
+def _averaged(elements, d):
+    # The S_d-character whose value at mu averages w * prod of trace[c]
+    # over the parts c of mu, over one (w, trace) pair per group element.
+    terms = {}
+    for mu in partitions_of(d):
+        total = sum(w * math.prod(trace[c] for c in mu)
+                    for w, trace in elements)
+        if total:
+            terms[mu] = Fraction(total) / (len(elements) * z_of(mu))
+    return SymFn("p", terms)
 
 
 def oracle_perm_inv_char(n, r):
@@ -232,8 +244,8 @@ def oracle_perm_inv_char(n, r):
     power of its n-point permutation representation, by averaging.
 
     The trace of (g, sigma) on the tensor power is the product over the
-    cycles c of sigma of fix(g^{|c|}); averaging over g projects onto
-    the invariants.
+    cycles c of sigma of fix(g^{|c|}); averaging over the n! elements g
+    projects onto the invariants.
     """
     _require(n <= 5 and r <= 8, "averaging oracle needs n <= 5, r <= 8")
     return oracle_perm_hom_char(n, {nu: 1 for nu in partitions_of(n)}, r)
@@ -243,19 +255,8 @@ def oracle_perm_hom_char(n, w_trace, d):
     """S_d-character of Hom_{S_n}(V tensor d, W) for the permutation
     representation V, where w_trace gives the character of W by class."""
     _require(n <= 5 and d <= 8, "averaging oracle needs n <= 5, d <= 8")
-    terms = {}
-    for mu in partitions_of(d):
-        total = Fraction(0)
-        for nu in partitions_of(n):
-            prod = w_trace.get(Partition(nu), 0)
-            for c in mu:
-                if not prod:
-                    break
-                prod *= _fix_counts(nu, c)
-            total += Fraction(prod, z_of(nu))
-        if total:
-            terms[mu] = total / z_of(mu)
-    return SymFn("p", terms)
+    return _averaged([(w_trace.get(_cycle_type(g), 0), _fixed_points(g, d))
+                      for g in _symmetric_group(n)], d)
 
 
 def oracle_perm_inv_char_polyfunc(n, p_terms, r):
@@ -265,38 +266,22 @@ def oracle_perm_inv_char_polyfunc(n, p_terms, r):
     directly as a mapping partition -> coefficient, so this oracle does
     not lean on any base change code.  The trace of (g, sigma) on the
     tensor power of P(V) multiplies, over the cycles c of sigma, the
-    value of the p expansion at p_i = fix(g^{i*|c|}).
+    value of the p expansion at p_i = fix(g^{i*|c|}), averaged over the
+    n! elements g.
     """
     p_terms = {Partition(mu): Fraction(c) for mu, c in p_terms.items()}
     degrees = {mu.weight for mu in p_terms}
     _require(len(degrees) == 1, "functor character must be homogeneous")
     k = degrees.pop()
     _require(n <= 4 and r * k <= 8, "functor averaging oracle needs n <= 4, r*deg <= 8")
-
-    def value_at(nu, c):
-        total = Fraction(0)
-        for rho, coeff in p_terms.items():
-            prod = coeff
-            for i in rho:
-                prod *= _fix_counts(nu, i * c)
-                if not prod:
-                    break
-            total += prod
-        return total
-
-    terms = {}
-    for mu in partitions_of(r):
-        total = Fraction(0)
-        for nu in partitions_of(n):
-            prod = Fraction(1)
-            for c in mu:
-                prod *= value_at(nu, c)
-                if not prod:
-                    break
-            total += prod / z_of(nu)
-        if total:
-            terms[mu] = total / z_of(mu)
-    return SymFn("p", terms)
+    elements = []
+    for g in _symmetric_group(n):
+        fix = _fixed_points(g, r * k)
+        # the trace of g^c on P(V), c = 1..r
+        elements.append((1, [None] + [
+            sum(coeff * math.prod(fix[i * c] for i in rho)
+                for rho, coeff in p_terms.items()) for c in range(1, r + 1)]))
+    return _averaged(elements, r)
 
 
 # ---------------------------------------------------------------------
@@ -426,7 +411,7 @@ def oracle_syt(lam):
     for i, row in enumerate(lam):
         for j in range(row):
             hooks *= (row - j) + (conj[j] - i) - 1
-    count, rem = divmod(_factorial(lam.weight), hooks)
+    count, rem = divmod(math.factorial(lam.weight), hooks)
     if rem:
         raise ArithmeticError("hook product %d does not divide %d!"
                               % (hooks, lam.weight))

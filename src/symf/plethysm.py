@@ -27,9 +27,10 @@ Each algorithm is written once, over a ring of dicts with `one`,
 f[g] in _pleth_p (its sum over the p_mu[g] in _pleth_sum), h_r[f] by
 Newton's recurrence in _h_of, the p_lam[f] pairings in _pairings.  The
 rings are _PBasis, on class function values keyed by packed partitions
-that unpack to symfunc._key's Partitions, and invariants._Alphabet, on
+that unpack to symfunc._key's Partitions; invariants._Alphabet, on
 truncated polynomials keyed by packed exponent vectors, which its
-pairing reads as they are.  The pairing with G in the p basis is
+pairing reads as they are; and invariants._Classes, on class functions
+of S_n keyed by cycle type.  The pairing with G in the p basis is
 _p_pairing, written once: both modes of fundamental and the p-basis
 route of invariants._route call it, and it refuses an F whose products
 p_lam[F] would spill a packed key.
@@ -49,27 +50,18 @@ _PLETHYSM_DEGREE_CAP = 40
 
 def _p_powers(g, partitions, ring):
     """(mu, p_mu[g]) in ring for each mu in partitions, a list in
-    lexicographic order, either way round."""
+    lexicographic order, either way round, so that partitions sharing a
+    prefix are adjacent: each prefix is multiplied out once, and only
+    the products along the current one are kept."""
     subs = {a: ring.substitute(g, a) for a in set().union(*partitions)}
-    return _prefix_products(partitions, subs, ring)
-
-
-def _prefix_products(words, factors, ring):
-    """(word, product in ring of factors[a] over the letters a of word)
-    for each word in words, a list in which words that share a prefix
-    are adjacent.
-
-    The products along the current prefix are the only ones kept: each
-    prefix is multiplied out once, in memory linear in the longest
-    word."""
     stack = [((), ring.one)]
-    for word in words:
-        while stack[-1][0] != word[:len(stack[-1][0])]:
+    for mu in partitions:
+        while stack[-1][0] != mu[:len(stack[-1][0])]:
             stack.pop()
-        for a in word[len(stack[-1][0]):]:
+        for a in mu[len(stack[-1][0]):]:
             prefix, poly = stack[-1]
-            stack.append((prefix + (a,), ring.mul(poly, factors[a])))
-        yield word, stack[-1][1]
+            stack.append((prefix + (a,), ring.mul(poly, subs[a])))
+        yield mu, stack[-1][1]
 
 
 class _PBasis:

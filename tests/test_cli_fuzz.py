@@ -12,7 +12,8 @@ nesting cap's levels of parentheses, brackets and calls, print with
 pretty to text that parses back to the same tree, and run through
 `symf eval` end in an exit code of 0-4 with at most one line, a `symf:`
 message, on stderr.  Short strings of any code points, run through
-`symf eval`, end the same way but never in an exit code of 1.
+`symf eval`, end the same way but never in an exit code of 1, and so
+do numbers past Python's limit on the digits of an int.
 """
 
 import contextlib
@@ -131,6 +132,31 @@ def test_any_text_is_read_or_refused(text):
     lines = err.splitlines()
     assert len(lines) <= 1 and all(
         line.startswith("symf: ") for line in lines), (text, err)
+
+
+# Python's limit on the digits of an int read from or written to text;
+# 0 where there is none (early 3.10 releases, or the limit switched off)
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGITS, reason="no limit on int digits")
+@pytest.mark.parametrize("text,code,message", [
+    ("1" * (_DIGITS + 1), 2,
+     "symf: column 1: a number of %d digits is too long to read\n"
+     % (_DIGITS + 1)),
+    ("2 * " + "1" * (_DIGITS + 1), 2,
+     "symf: column 5: a number of %d digits is too long to read\n"
+     % (_DIGITS + 1)),
+    ("*".join(["12345678901234567890"] * (_DIGITS // 14)), 4,
+     "symf: the result has a number of more than %d digits, too long to "
+     "print\n" % _DIGITS),
+], ids=["literal", "literal-column", "product"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_numbers_beyond_the_digit_limit(text, code, message, as_json):
+    # a literal int() refuses is a syntax error at its column, and a
+    # result too long to print is a size cap, not an exit code of 1
+    assert _eval([text] + (["--json"] if as_json else [])) == (code, "",
+                                                                message)
 
 
 def _stack_depth():

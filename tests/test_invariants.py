@@ -111,8 +111,9 @@ def test_perm_family_against_averaging():
 
 
 def test_perm_block_types_against_the_series():
-    # the sum over block types against the degree-r piece of the paper's
-    # series (1 + h_1 + ... + h_n)[h_1 + h_2 + ...], truncated at r
+    # the average over the classes of S_n against the degree-r piece of
+    # the paper's series (1 + h_1 + ... + h_n)[h_1 + h_2 + ...], truncated
+    # at r, a sum over the block types of set partitions
     for r in range(13):
         for n in [*range(1, 7), r + 3]:
             series = plethysm_series(h_sum_series(r, highest=n),
@@ -121,8 +122,9 @@ def test_perm_block_types_against_the_series():
 
 
 def test_perm_memo_is_keyed_by_the_blocks_that_fit():
-    # no block type of r points has more than r blocks, so every n >= r
-    # reads one memo entry
+    # the average over S_n of a function of fix(g^c), c <= r, is the
+    # same over S_r for every n >= r (no set partition of r points has
+    # more than r blocks), so every such n reads one memo entry
     _reset_memo()
     small = inv_char(SnPermutation(8), 8)
     assert inv_char(SnPermutation(30), 8) == small
@@ -141,6 +143,34 @@ def test_perm_refused_before_any_partition_is_listed(monkeypatch):
                        match="^a part repeated 128 times is beyond the cap "
                              "127$"):
         inv_char(SnPermutation(2), 128)
+
+
+def test_perm_queries_run_no_p_basis_kernel(monkeypatch):
+    # the permutation family multiplies class functions of S_n pointwise:
+    # no p-basis product, Schur row or h product beyond the functor's own
+    # expansion of degree 2
+    def unreachable(*args):
+        raise AssertionError("a p-basis kernel call ran")
+    symfunc = sys.modules["symf.symfunc"]
+    real = symfunc._prod_h_p
+
+    def h_of_degree_2(mu):
+        if sum(mu) > 2:
+            unreachable()
+        return real(mu)
+    monkeypatch.setattr(sys.modules["symf.plethysm"], "_mul_p", unreachable)
+    monkeypatch.setattr(symfunc, "_schur_p", unreachable)
+    monkeypatch.setattr(symfunc, "_prod_h_p", h_of_degree_2)
+    quadrics = PolyFunctor(h(2))
+    assert hilbert_dim(SnPermutation(10), quadrics, 10) == 233016
+    assert specialize_ones(
+        inv_char_polyfunc(SnPermutation(10), quadrics, 10)) == 233016
+
+
+def test_perm_negative_degree_is_refused():
+    for query in (hilbert_dim, inv_char_polyfunc):
+        with pytest.raises(ValueError, match="^r must be nonnegative$"):
+            query(SnPermutation(2), h(2), -1)
 
 
 def test_perm_series_regrows():
@@ -381,6 +411,13 @@ ROUTED = [
     (SLnDefining(3), h(3), 10, True),        # 25,900 <= 92,934
     (SLnDefining(4), h(2), 12, False),       # 114,130 > 30,800
     (SLnDefining(2), e(3), 4, True),         # e_3 is 0 in two variables
+    # the permutation family reads its pairings in the class functions
+    # of S_min(n, rk), never in an alphabet
+    (SnPermutation(2), h(2), 4, False),
+    (SnPermutation(3), VIRTUAL, 3, False),
+    (SnPermutation(4), NON_INTEGRAL, 4, False),
+    (SnPermutation(3), s(2, 1), 3, False),
+    (SnPermutation(6), e(2), 3, False),
 ]
 
 
