@@ -8,13 +8,12 @@ _strips(mask, t): removing a strip of t cells moves a set bit b to the
 clear bit b - t >= 0, and the sign is (-1)^(number of set bits strictly
 between b - t and b).  Values are memoized in two orientations, both
 read through that move.  Rows: _chi(mask, mu) recurses on mu minus its
-first part, one value at a time, on the strips of each (mask, t),
-enumerated afresh: _chi's own memo holds every value they lead to.  It
-serves chi and the rows chi^lam that symfunc reads for Schur inputs of
-any weight, where a column would span all p(|lam|) shapes.  Columns:
-_column(mu) is the dense list of chi^lam(mu) over every lam of weight
-|mu|, zeros included, indexed by position in partitions_of(|mu|): p_mu
-in the s basis (Macdonald I.7.8).  It is
+first part, one value at a time, on the memoized strips of each
+(mask, t); it serves chi and the rows chi^lam that symfunc reads for
+Schur inputs of any weight, where a column would span all p(|lam|)
+shapes.  Columns: _column(mu) is the dense list of chi^lam(mu) over
+every lam of weight |mu|, zeros included, indexed by position in
+partitions_of(|mu|): p_mu in the s basis (Macdonald I.7.8).  It is
 _expand(_strip_table, mu), which expands p_mu one power sum at a time,
 p_mu being p_mu[0] times p_mu[1:]: one pass over the list of mu minus
 its first part through the move table of (|mu|, mu[0]), every move an
@@ -27,9 +26,9 @@ positions the strips of every mask of its degree through one
 builds no partition either.  Columns serve symfunc's s target, which
 reads the columns of its input's classes only, and the cold build of a
 full table, which transposes them, and _table(r) keeps each full
-table.  The memos are _chi, _beta_positions, _strip_table, _expand and
-_table, each a function in an unbounded lru_cache: it keeps every value
-computed in the process.
+table.  The memos are _strips, _chi, _beta_positions, _strip_table,
+_expand and _table, each a function in an unbounded lru_cache: it keeps
+every value computed in the process.
 
 A table is its integer rows: rows[i][j] is the character of the i-th
 shape on the j-th class, both in partitions_of(r) order.  Each full
@@ -50,7 +49,7 @@ import math
 import os
 import warnings
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _number
 from .partitions import (Partition, Record, _check_integer, _memo,
                          _partitions_of, _positions, partitions_of)
 
@@ -71,6 +70,7 @@ def _mask(lam):
     return sum(1 << a + n - i for i, a in enumerate(lam))
 
 
+@_memo
 def _strips(mask, size):
     # (sub, sign) for each border strip of `size` cells, sub the mask left
     # when it is removed.  A strip moves a set bit b of the mask to the
@@ -112,10 +112,12 @@ def _beta_positions(n):
 def _strip_table(d, size):
     # (i, j, sign) for each border strip of `size` cells that takes the
     # i-th partition of d to the j-th partition of d - size, positions in
-    # partitions_of order
+    # partitions_of order.  The strips are enumerated afresh, not read
+    # from _strips' memo: a table meets each mask once.
     pos = _beta_positions(d - size)
+    strips = _strips.__wrapped__
     return [(i, pos[sub], sign) for mask, i in _beta_positions(d).items()
-            for sub, sign in _strips(mask, size)]
+            for sub, sign in strips(mask, size)]
 
 
 @_memo
@@ -150,8 +152,8 @@ def chi(lam, mu):
     # bound, the largest part multiplicity a packed key holds
     from .symfunc import _KEY_LIMIT
     if len(mu) >= _KEY_LIMIT:
-        raise ResourceLimitError("a class of %d parts is beyond the cap %d"
-                                 % (len(mu), _KEY_LIMIT - 1))
+        raise ResourceLimitError("a class of %s parts is beyond the cap %d"
+                                 % (_number(len(mu)), _KEY_LIMIT - 1))
     return _chi(_mask(lam), tuple(mu))
 
 
@@ -205,7 +207,8 @@ def character_table(r):
         raise ValueError("r must be nonnegative")
     if r > CHAR_TABLE_CAP:
         raise ResourceLimitError(
-            "character table for r=%d exceeds the documented cap r <= %d" % (r, CHAR_TABLE_CAP))
+            "character table for r=%s exceeds the documented cap r <= %d"
+            % (_number(r), CHAR_TABLE_CAP))
     return _table(r)
 
 

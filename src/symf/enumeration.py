@@ -23,7 +23,7 @@ numbers by another route; selftest holds the counts against them.
 
 from fractions import Fraction
 
-from .errors import DegreeError
+from .errors import DegreeError, _number
 from .partitions import Record, _check_integer
 from .plethysm import _check_degree, fundamental, plethysm
 from .symfunc import generator, specialize_ones
@@ -80,7 +80,8 @@ def regular_graphs_cycle_index(spec):
     """
     n, k = spec.n, spec.k
     if (n * k) % 2:
-        raise DegreeError("no %d-regular graphs on %d vertices: n*k is odd" % (k, n))
+        raise DegreeError("no %s-regular graphs on %s vertices: n*k is odd"
+                          % (_number(k), _number(n)))
     if k == 0:
         _check_degree(n)
         return generator("h", (n,))

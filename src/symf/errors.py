@@ -2,7 +2,9 @@
 
 The command line maps these onto distinct exit codes, so keep the split:
 syntax problems, degree problems, truncation problems and resource caps
-are different failures.
+are different failures.  Every number a refusal echoes is written by
+_number, so that a number with more digits than Python converts to text
+is named by its digit count instead of failing the message.
 """
 
 
@@ -30,3 +32,16 @@ class ExprError(SymfError):
             message = "column %d: %s" % (position + 1, message)
         super().__init__(message)
         self.position = position
+
+
+def _number(n):
+    # the int n as a message shows it: its digits, or, beyond
+    # sys.get_int_max_str_digits(), how many there are; a list of ints
+    # as str shows it, each int shown so
+    if isinstance(n, list):
+        return "[%s]" % ", ".join(map(_number, n))
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # reads an int of any length exactly
+        return "(a number of %d digits)" % (Decimal(n).adjusted() + 1)

@@ -72,7 +72,7 @@ from math import comb, factorial, gcd, perm, prod
 from operator import le
 
 from .characters import CHAR_TABLE_CAP
-from .errors import DegreeError, ResourceLimitError
+from .errors import DegreeError, ResourceLimitError, _number
 from .partitions import (Partition, Record, _check_integer, _memo,
                          partition_count, partitions_of)
 from .plethysm import (_PBasis, _check_degree, _h_of, _p_pairing, _pairings,
@@ -384,8 +384,8 @@ def _alphabet_for(family, F, r):
         return None
     if cost > _ALPHABET_CAP:
         raise ResourceLimitError(
-            "the finite-alphabet route is estimated at %d steps, beyond "
-            "the cap %d" % (cost, _ALPHABET_CAP))
+            "the finite-alphabet route is estimated at %s steps, beyond "
+            "the cap %d" % (_number(cost), _ALPHABET_CAP))
     return alphabet
 
 

@@ -16,32 +16,42 @@ degree r in the outer alphabet.  It has two expansions,
 
 whose agreement is the Cauchy identity; the package computes either on
 demand and the test suite holds them against each other.  p mode is the
-default because it pairs each product p_lam[F] with G as it is formed,
-while s mode holds every p_mu[F], mu |- r, at once and sums each
-s_lam[F] from them over the Murnaghan-Nakayama row chi^lam
-(characters._chi, read through symfunc._schur_p).
+default because it pairs each product p_lam[F] with G as it is formed.
+s mode multiplies every p_mu[F], mu |- r, once and builds every s_lam[F]
+in full from them before any meets G: s_lam[F] is the sum over mu of
+chi^lam(mu) / z_mu p_mu[F], held transposed as one list over lam per
+key, to which each p_mu[F] adds its values times the column chi^.(mu)
+(characters._column).
 
 Each algorithm is written once, over a ring of dicts with `one`,
 `mul(a, b, out=None)` (a*b, added into out if given), `substitute`
 (f, j -> p_j[f]) and `unpack` (a result keyed as callers read it):
-f[g] in _pleth_p (its sum over the p_mu[g] in _pleth_sum), h_r[f] by
-Newton's recurrence in _h_of, the p_lam[f] pairings in _pairings.  The
-rings are _PBasis, on class function values keyed by packed partitions
-that unpack to symfunc._key's Partitions; invariants._Alphabet, on
-truncated polynomials keyed by packed exponent vectors, which its
-pairing reads as they are; and invariants._Classes, on class functions
-of S_n keyed by cycle type.  The pairing with G in the p basis is
-_p_pairing, written once: both modes of fundamental and the p-basis
-route of invariants._route call it, and it refuses an F whose products
-p_lam[F] would spill a packed key.
+f[g] in _pleth_p, h_r[f] by Newton's recurrence in _h_of, the p_lam[f]
+pairings in _pairings.  The rings are _PBasis, on class function values
+keyed by packed partitions that unpack to symfunc._key's Partitions;
+invariants._Alphabet, on truncated polynomials keyed by packed exponent
+vectors; and invariants._Classes, on class functions of S_n keyed by
+cycle type.  Each ring's pairing reads the ring's own keys, so _h_of and
+_pairings hand it their products as they are, and only _pleth_p, whose
+result leaves the engine, unpacks.  The pairing with G in the p basis
+is a _Pairing, made by _p_pairing: it keys G's weights g_mu n / z_mu,
+n = (deg G)!, by packed keys once per call (_key_of keeps each
+partition's key and class size n / z_mu), sums each f against them
+over the smaller side, and divides by n once.  Both
+modes of fundamental and the p-basis route of invariants._route call
+_p_pairing, and it refuses an F whose products p_lam[F] would spill a
+packed key.
 """
 
-from .errors import DegreeError, ResourceLimitError, TruncationError
-from .partitions import _check_integer, partitions_of
-from .symfunc import (SymFn, generator, one, zero, _add_into,
+import math
+from fractions import Fraction
+
+from .characters import _column
+from .errors import DegreeError, ResourceLimitError, TruncationError, _number
+from .partitions import _check_integer, _memo, partitions_of, z_of
+from .symfunc import (SymFn, generator, one, zero, _add_into, _axpy,
                       _check_multiplicity, _div, _multiplicity, _mul_p,
-                      _p_dict, _p_symfn, _pack, _scalar_p, _scaled, _schur_p,
-                      _unpacked)
+                      _key, _p_dict, _p_symfn, _pack, _scaled, _unpacked)
 
 # Largest degree deg f * deg g of a plethysm f[g]: p(40) = 37,338 terms.
 # Below symfunc._KEY_LIMIT, so no packed key of a plethysm can spill.
@@ -87,25 +97,20 @@ class _PBasis:
 
 
 def _pleth_p(fp, g, ring=_PBasis()):
-    # f[g] from the p_mu[g] of f's support, multiplied out here
-    return _pleth_sum(fp, _p_powers(g, sorted(fp), ring), ring)
-
-
-def _pleth_sum(fp, powers, ring=_PBasis()):
     # f[g] = sum over mu of a_mu / z_mu p_mu[g] for f's class function
-    # values a, on the common denominator d! of f's largest degree, read
-    # from (mu, p_mu[g]) pairs that cover f's support
+    # values a, on the common denominator d! of f's largest degree, from
+    # the p_mu[g] of f's support, multiplied out here
     n, weights = _scaled(fp)
     out = {}
-    for mu, prod in powers:
-        if mu in weights:
-            _add_into(out, prod, weights[mu])
+    for mu, prod in _p_powers(g, sorted(fp), ring):
+        _add_into(out, prod, weights[mu])
     return ring.unpack({nu: _div(c, n) for nu, c in out.items()})
 
 
 def _h_of(f, r, ring=_PBasis()):
     # h_r[f] by Newton's recurrence n h_n[f] = sum over j of p_j[f]
-    # h_(n-j)[f] (Macdonald I.2.11), in r(r+1)/2 products
+    # h_(n-j)[f] (Macdonald I.2.11), in r(r+1)/2 products, keyed as the
+    # ring keys it
     subs = {j: ring.substitute(f, j) for j in range(1, r + 1)}
     hs = [ring.one]
     for n in range(1, r + 1):
@@ -113,28 +118,65 @@ def _h_of(f, r, ring=_PBasis()):
         for j in range(1, n + 1):
             ring.mul(subs[j], hs[n - j], acc)
         hs.append({e: _div(c, n) for e, c in acc.items() if c})
-    return ring.unpack(hs[r])
+    return hs[r]
 
 
 def _pairings(f, r, pair, ring=_PBasis()):
     # the p-basis SymFn with class function value pair(p_lam[f]) at lam |- r
-    return _p_symfn({lam: pair(ring.unpack(prod))
+    return _p_symfn({lam: pair(prod)
                      for lam, prod in _p_powers(f, partitions_of(r), ring)})
 
 
+@_memo
+def _key_of(mu):
+    # mu's packed key and its class size |mu|!/z_mu, kept for the
+    # partitions a pairing's weights meet; _pack itself is not memoized,
+    # since _PBasis.substitute hands it generators.  z_mu is read from
+    # the key, which the kernel has decoded already where g came from
+    # its products.
+    key = _pack(mu)
+    weight, z, _ = _key(key)
+    return key, math.factorial(weight) // z
+
+
+class _Pairing:
+    """f -> <f, g> for f on _PBasis's packed keys and g homogeneous of
+    degree d, given by its class function values: g's weights
+    w_mu = g_mu d!/z_mu, keyed by the packed key of mu once, summed
+    against f over the smaller side and divided by n = d! once.  A class
+    of g that repeats a part 128 times spills its key into that of a
+    partition of smaller weight, which no f of degree d holds."""
+
+    __slots__ = ("n", "weights")
+
+    def __init__(self, gp):
+        # d is the weight of any one class of g
+        self.n = math.factorial(sum(next(iter(gp), ())))
+        self.weights = {key: v * size for mu, v in gp.items()
+                        for key, size in (_key_of(mu),)}
+
+    def __call__(self, f):
+        a, b = f, self.weights
+        if len(a) > len(b):
+            a, b = b, a
+        return Fraction(sum([c * b[k] for k, c in a.items() if k in b]),
+                        self.n)
+
+
 def _p_pairing(F, G, r):
-    """F's class function values and f -> <f, G>, for f of G's degree;
-    refused where p_lam[F], lam |- r, would spill a key field."""
-    fp, gp = _p_dict(F), _p_dict(G)
+    """F's class function values and the _Pairing with G, for f of G's
+    degree on packed keys; refused where p_lam[F], lam |- r, would spill
+    a key field."""
+    fp = _p_dict(F)
     # p_lam[F] for lam |- r multiplies at most r substitutions into F
     _check_multiplicity(r * _multiplicity(fp))
-    return fp, lambda f: _scalar_p(f, gp)
+    return fp, _Pairing(_p_dict(G))
 
 
 def _check_degree(d):
     if d > _PLETHYSM_DEGREE_CAP:
-        raise ResourceLimitError("plethysm of degree %d is beyond the cap %d"
-                                 % (d, _PLETHYSM_DEGREE_CAP))
+        raise ResourceLimitError("plethysm of degree %s is beyond the cap %d"
+                                 % (_number(d), _PLETHYSM_DEGREE_CAP))
 
 
 def plethysm(f, g):
@@ -169,8 +211,8 @@ class GradedSeries:
             if f.is_zero():
                 continue
             if not f.is_homogeneous() or f.degree() != d:
-                raise DegreeError("component at degree %d is not homogeneous "
-                                  "of degree %d" % (d, d))
+                raise DegreeError("component at degree %s is not homogeneous "
+                                  "of degree %s" % (_number(d), _number(d)))
             clean[d] = f
         self.components = clean
 
@@ -179,8 +221,8 @@ class GradedSeries:
             raise ValueError("negative degree")
         if d > self.truncation_degree:
             raise TruncationError(
-                "series truncated at degree %d, component %d requested"
-                % (self.truncation_degree, d))
+                "series truncated at degree %s, component %s requested"
+                % (_number(self.truncation_degree), _number(d)))
         return self.components.get(d, zero())
 
     def __repr__(self):
@@ -214,8 +256,9 @@ def plethysm_series(F, G, cap):
     """
     if cap > min(F.truncation_degree, G.truncation_degree):
         raise TruncationError(
-            "cap %d exceeds input truncation (%d, %d)"
-            % (cap, F.truncation_degree, G.truncation_degree))
+            "cap %s exceeds input truncation (%s, %s)"
+            % tuple(map(_number, (cap, F.truncation_degree,
+                                  G.truncation_degree))))
     if not G.component(0).is_zero():
         raise DegreeError("series plethysm needs G with zero constant term")
     ftot, gtot = {}, {}
@@ -241,7 +284,8 @@ def fundamental(F, G, r, mode="p"):
     plethysm of each Schur function, so the two modes cross-check each
     other rather than sharing their pairings.  s mode multiplies each
     p_mu[F], mu |- r, once per call and builds every s_lam[F] in full
-    from those products before pairing it with G.
+    from those products, summed over the columns chi^.(mu), before
+    pairing them with G.
     """
     _check_integer("fundamental", "r", r)
     if r < 0:
@@ -253,7 +297,8 @@ def fundamental(F, G, r, mode="p"):
     if not fdegs:
         raise DegreeError("F must be nonzero and homogeneous of degree >= 1")
     if len(fdegs) != 1:
-        raise DegreeError("F must be homogeneous, found degrees %s" % fdegs)
+        raise DegreeError("F must be homogeneous, found degrees %s"
+                          % _number(fdegs))
     k = fdegs[0]
     if k < 1:
         raise DegreeError("F must have degree >= 1")
@@ -262,13 +307,28 @@ def fundamental(F, G, r, mode="p"):
         return zero(mode)
     if gdegs != [r * k]:
         raise DegreeError(
-            "G must be homogeneous of degree r*deg(F) = %d, found degrees %s"
-            % (r * k, gdegs))
+            "G must be homogeneous of degree r*deg(F) = %s, found degrees %s"
+            % (_number(r * k), _number(gdegs)))
     fp, pair = _p_pairing(F, G, r)
     if mode == "p":
         # <p_lam[F], G> is the value at lam; zeros drop out in SymFn
         return _pairings(fp, r, pair)
-    # a list, since every s_lam[F] is summed from the same p_mu[F]
-    powers = list(_p_powers(fp, partitions_of(r), _PBasis()))
-    return SymFn("s", {lam: pair(_pleth_sum(_schur_p(lam), powers))
-                       for lam in partitions_of(r)})
+    # s_lam[F] = sum over mu of chi^lam(mu) / z_mu p_mu[F], on the common
+    # denominator r!, held transposed: one list over lam |- r per packed
+    # key, to which each p_mu[F] adds its values times the column
+    # chi^.(mu)
+    shapes = partitions_of(r)
+    n = math.factorial(r)
+    lists = {}
+    for mu, prod in _p_powers(fp, shapes, _PBasis()):
+        column, c = _column(mu), n // z_of(mu)
+        for key, v in prod.items():
+            lists[key] = _axpy(lists.get(key) or [0] * len(shapes),
+                               c * v, column)
+    # <s_lam[F], G> for every lam in one pass over the keys G weighs
+    total = [0] * len(shapes)
+    for key, w in pair.weights.items():
+        if key in lists:
+            total = _axpy(total, w, lists[key])
+    return SymFn("s", {lam: Fraction(v, n * pair.n)
+                       for lam, v in zip(shapes, total)})

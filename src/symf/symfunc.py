@@ -40,17 +40,19 @@ and e targets flip f before solving for h coefficients.
 The multiply _mul_p keys by packed partitions, m_i in bits 7(i-1) to
 7i-1 of one int, so a union of partitions is + and _key, memoized as
 keys appear, gives each key's weight, z and parts.  Packed keys stay
-inside _mul_p and plethysm's p-basis ring; SymFn.__mul__ and _prod_h_p,
-the h products of h and e inputs and monomial_coefficient, pack around
-it, except that a product of two h or two e functions stays in its
-basis, h_mu h_nu = h_(mu+nu).  The rest (SymFn, _p_dict, _scalar_p,
-to_basis) keys by the shared Partitions of partitions_of and of _key,
-and the dense columns and rows of R are indexed by their positions,
-partitions._positions.  SymFn's constructor validates its input but
-takes Partition keys and Fraction values as they are, so kernel
-results are not rebuilt.  Where partitions are packed, a product
-that could repeat a part 128 times, and so spill into the next field,
-is refused first; for an h or e product, that is when it expands.
+inside _mul_p and plethysm's p-basis ring, which pairs its products
+with G on those keys (plethysm._Pairing) and unpacks only the result of
+a plethysm; SymFn.__mul__ and _prod_h_p, the h products of h and e
+inputs and monomial_coefficient, pack around it, except that a product
+of two h or two e functions stays in its basis, h_mu h_nu = h_(mu+nu).
+The rest (SymFn, _p_dict, _scalar_p, to_basis) keys by the shared
+Partitions of partitions_of and of _key, and the dense columns and rows
+of R are indexed by their positions, partitions._positions.  SymFn's
+constructor validates its input but takes Partition keys and Fraction
+values as they are, so kernel results are not rebuilt.  Where
+partitions are packed, a product that could repeat a part 128 times,
+and so spill into the next field, is refused first; for an h or e
+product, that is when it expands.
 
 A Schur input s_lam is its row chi^lam, read value by value from
 characters._chi (Murnaghan-Nakayama), keyed by lam's beta-set mask,
@@ -69,7 +71,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import characters
-from .errors import DegreeError, ResourceLimitError
+from .errors import DegreeError, ResourceLimitError, _number
 from .partitions import Partition, _memo, _positions, partitions_of, z_of
 
 BASES = ("p", "h", "e", "m", "s")
@@ -163,7 +165,7 @@ class SymFn:
         """Degree of a homogeneous function; zero has degree 0 here."""
         degs = self.degrees()
         if len(degs) > 1:
-            raise DegreeError("not homogeneous, degrees %s" % (degs,))
+            raise DegreeError("not homogeneous, degrees %s" % _number(degs))
         return degs[0] if degs else 0
 
     def homogeneous_part(self, d):
@@ -393,8 +395,8 @@ def _check_multiplicity(m):
     # refused before packing: m repeats of a part would spill into the
     # next field of a packed key
     if m >= _KEY_LIMIT:
-        raise ResourceLimitError("a part repeated %d times is beyond the "
-                                 "cap %d" % (m, _KEY_LIMIT - 1))
+        raise ResourceLimitError("a part repeated %s times is beyond the "
+                                 "cap %d" % (_number(m), _KEY_LIMIT - 1))
 
 
 def _mul_p(a, b, cap=None):
@@ -451,8 +453,8 @@ def _schur_p(lam):
 def _m_cap(d):
     if d > _M_MATRIX_CAP:
         raise ResourceLimitError(
-            "monomial basis transitions are capped at degree %d, got %d"
-            % (_M_MATRIX_CAP, d))
+            "monomial basis transitions are capped at degree %d, got %s"
+            % (_M_MATRIX_CAP, _number(d)))
 
 
 def _target_cap(target, degrees):
@@ -464,12 +466,12 @@ def _target_cap(target, degrees):
     for d in degrees:
         if target == "s" and d > characters.CHAR_TABLE_CAP:
             raise ResourceLimitError(
-                "Schur expansion needs characters of S_%d, beyond the "
-                "cap r <= %d" % (d, characters.CHAR_TABLE_CAP))
+                "Schur expansion needs characters of S_%s, beyond the "
+                "cap r <= %d" % (_number(d), characters.CHAR_TABLE_CAP))
         if target == "m" and d > characters.CHAR_TABLE_CAP:
             raise ResourceLimitError(
-                "monomial expansion of degree %d is beyond the cap %d"
-                % (d, characters.CHAR_TABLE_CAP))
+                "monomial expansion of degree %s is beyond the cap %d"
+                % (_number(d), characters.CHAR_TABLE_CAP))
         if target in ("h", "e"):
             _m_cap(d)
 

@@ -22,6 +22,7 @@ from symf.invariants import SnPermutation, inv_char
 from symf.oracles import oracle_syt
 from symf.partitions import (_MEMOS, Partition, _positions, _reset_memo,
                              partitions_of, z_of)
+from symf.plethysm import fundamental
 from symf.symfunc import _schur_p, e, h, p, s, to_basis
 
 
@@ -261,13 +262,15 @@ def test_reset_clears_every_memo_not_kept_on_purpose():
             "symf.symfunc._key", "symf.invariants._sn_component",
             "symf.symfunc._schur_p", "symf.characters._chi",
             "symf.characters._expand",
-            "symf.characters._strip_table",
+            "symf.characters._strip_table", "symf.characters._strips",
             "symf.characters._beta_positions",
-            "symf.characters._table"} <= cleared.keys()
+            "symf.characters._table",
+            "symf.plethysm._key_of"} <= cleared.keys()
     character_table(4)
     to_basis(p(2, 1), "s")
     to_basis(h(3, 2) * s(2, 1) + e(2), "m")
     inv_char(SnPermutation(2), 4)
+    fundamental(h(2), h(2, 2), 2)
     assert all(_memo_size(memo) for memo in cleared.values())
     _reset_memo()
     assert {name: _memo_size(memo) for name, memo in cleared.items()} == \

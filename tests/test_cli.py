@@ -514,6 +514,20 @@ class TestExitCodes:
         assert proc.stderr == "symf: plethysm of degree 60 is beyond the cap 40\n"
         assert elapsed < 2.0, elapsed
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no limit on int digits")
+    def test_refusal_names_the_digits_of_a_number_past_the_limit(self, capsys):
+        # each literal is inside the limit and the degree 2N of the
+        # product one digit past it: the refusal names how many digits
+        # there are, where formatting the degree failed with exit 1
+        digits = sys.get_int_max_str_digits()
+        nines = "9" * digits
+        assert run(capsys, "eval", "h[%s]*h[%s]" % (nines, nines),
+                   "--basis", "s") == (
+            4, "", "symf: Schur expansion needs characters of S_(a number "
+                   "of %d digits), beyond the cap r <= 20\n" % (digits + 1))
+
     @pytest.mark.parametrize("argv,stderr", [
         (["--r", "24"], "symf: Schur expansion needs characters of S_24, "
                         "beyond the cap r <= 20\n"),

@@ -1,15 +1,19 @@
+import hashlib
+import json
 import sys
 
 import pytest
 from fractions import Fraction
 
 from symf.errors import DegreeError, ResourceLimitError, TruncationError
+from symf.invariants import (GLnAdjoint, PolyFunctor, SLnDefining, _ring,
+                             hilbert_dim)
 from symf.oracles import oracle_plethysm_schur
-from symf.plethysm import (GradedSeries, fundamental, h_plus_series,
+from symf.plethysm import (GradedSeries, _PBasis, fundamental, h_plus_series,
                            h_sum_series, plethysm, plethysm_series)
 from symf.selftest import check_fundamental_forms
 from symf.symfunc import (SymFn, _key, _mul_p, e, h, m, one, p, s, scalar,
-                          to_basis, zero)
+                          to_basis, to_json_dict, zero)
 
 
 def test_power_sum_substitution_rule():
@@ -273,3 +277,70 @@ def test_s_mode_multiplies_no_more_than_p_mode(monkeypatch):
         fundamental(F, G, 8, mode)
         counts[mode] = len(calls)
     assert 0 < counts["s"] <= counts["p"]
+
+
+# sha256 of the JSON list of to_json_dict(fundamental(F, G, r, mode)) over
+# _mode_pairs(k, r) and both modes, as computed when s mode summed each
+# s_lam[F] on Partition keys and paired it through symfunc._scalar_p;
+# keyed by the (deg F, r) of the schur_expand benchmark's mode queries
+FUNDAMENTAL_SHA256 = {
+    (1, 4): "5f5b79feabb58d895b603cb431c667d5f5b35dc3f05c310d19291713f63d7929",
+    (1, 6): "63d71baaf40fe2ff8f8e1c8f2fe30c9ea60147f1df46fafa8fd9dd17e6452c85",
+    (2, 3): "2c68ca5c84e668cf578384b8bc585f3d4910f9ec67934bc76309bd554ec77917",
+    (2, 4): "c0e909124b0e13308375b8b9033b97caf8d2bfcbe66044af71c788e91ac53a6e",
+    (3, 3): "72d15d276e18a558bed1d4a87d72d04e8a884abd28982c874e06b7530bac5ceb",
+    (2, 5): "6a3f696c4058e82e5ec7b0f12d13bf50431fc0dd6c36a646f376669543228ac1",
+    (3, 4): "bc39d1d0e03360b304dffb6438e6a9f9ebe98b38803a852d1266a53802dd7e91",
+    (4, 3): "e5ce58f20362a5dac62578029214b16bc4f82c65f488246c7e1a7c928432533d",
+    (2, 6): "72daebc30872ebe84c9bb86819e0806c92679a7d3e71f6eafc19b819409a6712",
+    (4, 4): "eb357f968b9848b24a12c8a13088aba559d0957bb9823387547949cc45a2d352",
+    (3, 5): "a706225278c64820ab78eabf806bb9f166c7b7a9e02999c0975d25ec1097d2a6",
+    (5, 3): "4d01abdacb9dc336c87254bdb817c2ab0a0099d3d87c041aa4b98b15b01810d2",
+    (2, 7): "3ef072447b5c8eb9fdd491f16f012fbc836f31c40582b7ad33ef9154649fb600",
+    (7, 2): "0d7433854f648d6fd6fad37f0424b539bc2ac5c75fecaa1ae8835611c2778890",
+    (2, 8): "6de440b98f5208becb648b32dec300320ee0a1e315a84e43a03444dda23b0ed2",
+    (8, 2): "e12c54fbca420e1ed88c8dc3ca66a1d2cc998f6b56802780fcf96fe3b0247f69",
+}
+
+
+def _mode_pairs(k, r):
+    # F = h_k, s_(k-1,1) and their conjugates (h_1 and e_1 for k = 1),
+    # each against h_a h_b and e_a e_b, a + b = r*k, as the benchmark
+    # draws them
+    d = r * k
+    a, b = d - d // 2, d // 2
+    Fs = ((h(1), e(1)) if k == 1 else
+          (h(k), s(k - 1, 1), e(k), s(2, *[1] * (k - 2))))
+    return [(F, G) for F in Fs for G in (h(a) * h(b), e(a) * e(b))]
+
+
+@pytest.mark.parametrize("k,r", sorted(FUNDAMENTAL_SHA256))
+def test_fundamental_pins_of_the_benchmark_shapes(k, r):
+    docs = [to_json_dict(fundamental(F, G, r, mode))
+            for F, G in _mode_pairs(k, r) for mode in "ps"]
+    assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == \
+        FUNDAMENTAL_SHA256[k, r]
+
+
+def test_pairings_unpack_no_product(monkeypatch):
+    # both modes of fundamental and hilbert_dim on the p basis pair every
+    # p_lam[F], s_lam[F] and h_r[F] on its packed keys
+    module = sys.modules["symf.plethysm"]
+    F, G, family = h(2), h(4) * h(4), GLnAdjoint(3)
+    want = {mode: fundamental(F, G, 4, mode) for mode in "ps"}
+    dim = hilbert_dim(family, PolyFunctor(F), 3)
+    small = hilbert_dim(SLnDefining(2), PolyFunctor(F), 2)
+    assert isinstance(_ring(family, F, 3), _PBasis)
+    assert isinstance(_ring(SLnDefining(2), F, 2), _PBasis)
+
+    def spy(a):
+        raise AssertionError("unpacked a product")
+    monkeypatch.setattr(module, "_unpacked", spy)
+    monkeypatch.setattr(module._PBasis, "unpack", staticmethod(spy))
+    for mode in "ps":
+        assert fundamental(F, G, 4, mode) == want[mode]
+    assert hilbert_dim(family, PolyFunctor(F), 3) == dim
+    assert hilbert_dim(SLnDefining(2), PolyFunctor(F), 2) == small
+    # the spy is live: plethysm still unpacks at its edge
+    with pytest.raises(AssertionError):
+        plethysm(h(2), h(2))

@@ -11,7 +11,8 @@ substitutes p_k -> p_nk in g.  The kernel product with a degree cap is
 the full product with the terms above the cap dropped, in the same
 order, and both match the tuple-keyed reference in test_kernel.py.
 Newton's recurrence builds h_r[a] equal to the plethysm of h_r with a,
-both on class function values and in a finite alphabet.  Every kernel
+both on class function values and in a finite alphabet, and the pairing
+on packed keys is the scalar product on partitions.  Every kernel
 result, whose Partition keys and Fraction values the constructor takes
 as they are, is the SymFn the constructor builds from its terms.
 """
@@ -21,14 +22,14 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from symf.partitions import Partition, partitions_of
 from symf.invariants import (GLnAdjoint, SLnDefining, SnPermutation,
                              Sp2nDefining, _Alphabet, inv_char)
-from symf.plethysm import _h_of, _pleth_p, fundamental, plethysm
-from symf.symfunc import (BASES, SymFn, e, h, kronecker, m, one, p, scalar,
-                          to_basis)
+from symf.plethysm import _Pairing, _h_of, _pleth_p, fundamental, plethysm
+from symf.symfunc import (BASES, SymFn, _packed, _scalar_p, _unpacked, e, h,
+                          kronecker, m, one, p, scalar, to_basis)
 from test_kernel import _reference_mul, mul
 
 derandomized = settings(derandomize=True, database=None, deadline=None,
@@ -221,7 +222,8 @@ def newton_operands(draw):
 def test_newton_recurrence_is_the_h_plethysm(operands):
     a, r = operands
     hr = dict.fromkeys(map(tuple, partitions_of(r)), 1)
-    assert _h_of(a, r) == _pleth_p(hr, a)
+    # _h_of keys h_r[a] by packed keys, as the p-basis ring does
+    assert _unpacked(_h_of(a, r)) == _pleth_p(hr, a)
 
 
 @derandomized
@@ -234,6 +236,23 @@ def test_newton_recurrence_in_a_finite_alphabet(operands, shapes):
     hr = dict.fromkeys(map(tuple, partitions_of(r)), 1)
     assert _h_of(alphabet.evaluate(a), r, alphabet) == \
         alphabet.evaluate(_pleth_p(hr, a))
+
+
+@derandomized
+@given(st.dictionaries(st.integers(0, 5).flatmap(shapes_of), class_values,
+                       max_size=6),
+       st.integers(0, 5).flatmap(lambda d: st.dictionaries(
+           shapes_of(d), class_values, min_size=1, max_size=6)),
+       st.booleans())
+@example({}, {(2, 1): 3}, False)
+@example({(2, 1): Fraction(1, 2)}, {(3,): 3}, False)
+def test_pairing_on_packed_keys_is_the_scalar_product(f, g, disjoint):
+    # g homogeneous, f of any degrees, int and Fraction values on either
+    # side; an empty f, or one off g's support, pairs to 0
+    if disjoint:
+        f = {mu: v for mu, v in f.items() if mu not in g}
+    got = _Pairing(g)(_packed(f))
+    assert type(got) is Fraction and got == _scalar_p(f, g)
 
 
 def assert_validated(f):
