@@ -75,8 +75,8 @@ from .characters import CHAR_TABLE_CAP
 from .errors import DegreeError, ResourceLimitError, _number
 from .partitions import (Partition, Record, _check_integer, _memo,
                          partition_count, partitions_of)
-from .plethysm import (_PBasis, _check_degree, _h_of, _p_pairing, _pairings,
-                       _pleth_p)
+from .plethysm import (_PLETHYSM_DEGREE_CAP, _PBasis, _check_degree, _h_of,
+                       _p_pairing, _pairings, _pleth_p)
 from .symfunc import (SymFn, _add_into, _check_multiplicity, _over_z, _p_dict,
                       _p_symfn, _schur_p, scalar, to_basis, zero)
 
@@ -374,12 +374,17 @@ def _alphabet_for(family, F, r):
     shapes = _target_shapes(family, r * k)
     if not shapes:
         return None
-    p_cost = _p_basis_cost(len(shapes), k, r)
-    if p_cost < _ALPHABET_SETUP:
-        return None  # below the cost of setting an alphabet up
+    if r * k <= _PLETHYSM_DEGREE_CAP:
+        p_cost = _p_basis_cost(len(shapes), k, r)
+        if p_cost < _ALPHABET_SETUP:
+            return None  # below the cost of setting an alphabet up
     alphabet = _Alphabet(shapes)
     m = _monomial_count(F.basis, F.terms, k, len(alphabet.bounds))
     cost = _finite_cost(alphabet.bounds, m, k, r)
+    if r * k > _PLETHYSM_DEGREE_CAP:
+        # above the setup cost already, as p(41) is; p(rk) may be far
+        # out of reach, so count only until the estimate passes cost
+        p_cost = _p_basis_cost(len(shapes), k, r, cost)
     if cost > p_cost:
         return None
     if cost > _ALPHABET_CAP:
@@ -424,11 +429,18 @@ def _monomial_count(basis, terms, k, length):
     return count
 
 
-def _p_basis_cost(shapes, k, r):
+def _p_basis_cost(shapes, k, r, floor=None):
     # the rows chi^lam of the shapes, then Newton's products
     # p_j[F] * h_(n-j)[F] over at most p(k) and p((n-j)k) classes, and
-    # the pairing over the p(rk) classes
+    # the pairing over the p(rk) classes.  Given a floor, the first
+    # lower bound above it, where one is found: p is increasing, so the
+    # rows over p(m) classes, m <= rk, bound the estimate from below.
     d = r * k
+    if floor is not None:
+        for m in range(d + 1):
+            bound = _P_STEP * (shapes + 1) * partition_count(m)
+            if bound > floor:
+                return bound
     newton = partition_count(k) * sum((r - i) * partition_count(i * k)
                                       for i in range(r))
     return _P_STEP * ((shapes + 1) * partition_count(d) + newton)

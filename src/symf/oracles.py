@@ -1,11 +1,11 @@
 """Independent brute-force checks for everything the package computes.
 
 Each oracle here re-derives a result by direct enumeration, group
-averaging, Weyl integration on SU(2), or another first-principles route,
-without touching the plethysm, scalar product or base change machinery
-it is meant to verify.  The only shared vocabulary is Partition and
-exact rational arithmetic; where an oracle hands back a symmetric
-function it fills in a p-basis SymFn directly from class data.
+averaging, Weyl integration on a torus, or another first-principles
+route, without touching the character, plethysm, scalar product or
+base change machinery it is meant to verify.  The only shared
+vocabulary is Partition, z_of and exact rational arithmetic; a
+symmetric function is filled into a p-basis SymFn from class data.
 
 All oracles carry hard size caps and raise ResourceLimitError beyond
 them, because they are exponential on purpose.
@@ -14,8 +14,9 @@ them, because they are exponential on purpose.
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
+from operator import add, sub
 
 from .errors import ResourceLimitError
 from .partitions import Partition, partitions_of, z_of
@@ -36,6 +37,12 @@ def _class_representative(mu, n):
             perm[start + i] = start + (i + 1) % c
         start += c
     return tuple(perm)
+
+
+def _p_character(value, d):
+    # the p-basis SymFn of the S_d-character with value(mu) at class mu
+    values = ((mu, value(mu)) for mu in partitions_of(d))
+    return SymFn("p", {mu: Fraction(v) / z_of(mu) for mu, v in values if v})
 
 
 # ---------------------------------------------------------------------
@@ -131,13 +138,10 @@ def _orbit_count(objects, n, act):
 def _permutation_character(objects, n, act):
     # the Frobenius character of S_n permuting objects: at each class,
     # the objects that a representative fixes
-    terms = {}
-    for mu in partitions_of(n):
+    def fixed(mu):
         perm = _class_representative(mu, n)
-        fixed = sum(1 for obj in objects if act(perm, obj) == obj)
-        if fixed:
-            terms[mu] = Fraction(fixed, z_of(mu))
-    return SymFn("p", terms)
+        return sum(1 for obj in objects if act(perm, obj) == obj)
+    return _p_character(fixed, n)
 
 
 # ---------------------------------------------------------------------
@@ -230,13 +234,9 @@ def _fixed_points(g, top):
 def _averaged(elements, d):
     # The S_d-character whose value at mu averages w * prod of trace[c]
     # over the parts c of mu, over one (w, trace) pair per group element.
-    terms = {}
-    for mu in partitions_of(d):
-        total = sum(w * math.prod(trace[c] for c in mu)
-                    for w, trace in elements)
-        if total:
-            terms[mu] = Fraction(total) / (len(elements) * z_of(mu))
-    return SymFn("p", terms)
+    return _p_character(lambda mu: Fraction(sum(
+        w * math.prod(trace[c] for c in mu) for w, trace in elements),
+        len(elements)), d)
 
 
 def oracle_perm_inv_char(n, r):
@@ -285,93 +285,94 @@ def oracle_perm_inv_char_polyfunc(n, p_terms, r):
 
 
 # ---------------------------------------------------------------------
-# SU(2) Weyl integration
+# Weyl integration over a maximal torus
 # ---------------------------------------------------------------------
 
-class LaurentPoly:
-    """Integer Laurent polynomials in one variable, dict backed."""
+def _torus(family, n):
+    # The weights of V with multiplicity and the positive roots, as
+    # exponent tuples on a maximal torus: of U(n) for SL(n), Sp(2n) on
+    # C^2n, U(n) on n x n matrices, and SU(2) on binary forms of degree n.
+    if family == "binary":
+        return [(w,) for w in range(-n, n + 1, 2)], [(2,)]
 
-    __slots__ = ("coeffs",)
+    def e(i, j, b=-1):  # e_i + b * e_j, so (1 + b) * e_i where i = j
+        return tuple((m == i) + b * (m == j) for m in range(n))
+    roots = [e(i, j) for i, j in combinations(range(n), 2)]
+    if family == "sl":
+        return [e(i, i, 0) for i in range(n)], roots
+    if family == "sp":
+        return ([e(i, i, b) for i in range(n) for b in (0, -2)], roots
+                + [e(i, j, 1) for i, j in
+                   combinations_with_replacement(range(n), 2)])
+    return [e(i, j) for i in range(n) for j in range(n)], roots
 
-    def __init__(self, coeffs=()):
-        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        clean = {}
-        for expo, c in items:
-            c = clean.get(expo, 0) + c
-            if c:
-                clean[expo] = c
-            elif expo in clean:
-                del clean[expo]
-        self.coeffs = clean
 
-    @classmethod
-    def su2_character(cls, k):
-        # Character of the (k+1)-dimensional irreducible on diag(q, 1/q).
-        return cls({e: 1 for e in range(-k, k + 1, 2)})
+def _times(f, g):
+    # the product of Laurent polynomials, dicts keyed by exponent tuples
+    out = {}
+    for ea, ca in f.items():
+        for eb, cb in g.items():
+            key = tuple(map(add, ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
 
-    def substitute_power(self, d):
-        return LaurentPoly({e * d: c for e, c in self.coeffs.items()})
 
-    def coefficient(self, expo):
-        return self.coeffs.get(expo, 0)
+def _weyl_integral(family, n, d):
+    """mu -> CT[x^-t prod_{c in mu} char_V(x^c) prod_{a > 0} (1 - x^a)],
+    the trace of a permutation of cycle type mu on the invariants of G
+    in the d-th tensor power of V (Weyl's integration formula).  t is 0,
+    except for SL(n), whose invariants are the det^(d/n) part for U(n):
+    t = (d/n, ..., d/n), and no term has its degree unless n | d."""
+    if family == "binary":
+        _require(n * d <= 24, "SU(2) oracle needs k*r <= 24")
+    else:  # the largest n and d, where a call takes about a second
+        top_n, top_d = {"sl": (6, 12), "sp": (3, 14),
+                        "gl-adjoint": (4, 10)}[family]
+        _require(1 <= n <= top_n and d <= top_d, "%s oracle needs n <= %d, "
+                 "d <= %d" % (family, top_n, top_d))
+    weights, roots = _torus(family, n)
+    zero = (0,) * len(weights[0])
+    delta = reduce(_times, ({zero: 1, a: -1} for a in roots), {zero: 1})
+    t = (d // n,) * n if family == "sl" else zero
+    reads = [(tuple(map(sub, t, a)), c) for a, c in delta.items() if c]
 
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                key = e1 + e2
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly(out)
+    @lru_cache(maxsize=None)
+    def power(c):  # char_V(x^c)
+        return Counter(tuple(c * x for x in w) for w in weights)
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+    def value(mu):
+        f = reduce(_times, map(power, mu), {zero: 1})
+        return sum(c * f.get(a, 0) for a, c in reads)
+    return value
 
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
 
-    __hash__ = None
-
-    def __repr__(self):
-        return "LaurentPoly(%r)" % (dict(sorted(self.coeffs.items())),)
+def oracle_weyl_inv_char(family, n, d):
+    """Frobenius character of S_d on the invariants of G in the d-th
+    tensor power of V, by Weyl integration: "sl" is SL(n) on C^n, "sp"
+    Sp(2n) on C^2n, "gl-adjoint" GL(n) on n x n matrices by conjugation
+    and "binary" SL(2) on the binary forms of degree n."""
+    return _p_character(_weyl_integral(family, n, d), d)
 
 
 def oracle_su2_frobenius(k, r, mu):
     """Trace of a cycle type mu permutation on the SL(2) invariants in
-    the r-th tensor power of the (k+1)-dimensional irreducible.
-
-    Weyl integration on SU(2): take the constant term in q of
-    (1 - q^2) * product over cycles c of chi_k(q^c).
-    """
-    _require(k * r <= 24, "SU(2) oracle needs k*r <= 24")
+    the r-th tensor power of the (k+1)-dimensional irreducible."""
+    value = _weyl_integral("binary", k, r)
     mu = Partition(mu)
     if mu.weight != r:
         raise ValueError("cycle type %s is not a partition of %d" % (mu, r))
-    prod = LaurentPoly({0: 1})
-    for c in mu:
-        prod = prod * LaurentPoly.su2_character(k).substitute_power(c)
-    return prod.coefficient(0) - prod.coefficient(-2)
+    return value(mu)
 
 
 def oracle_su2_inv_char(k, r):
     """Frobenius character of the S_r action on those SL(2) invariants."""
-    terms = {}
-    for mu in partitions_of(r):
-        v = oracle_su2_frobenius(k, r, mu)
-        if v:
-            terms[mu] = Fraction(v, z_of(mu))
-    return SymFn("p", terms)
+    return oracle_weyl_inv_char("binary", k, r)
 
 
 def oracle_su2_poly_dim(k, r):
     """Dimension of the degree-r SL(2) invariants of the binary k-form,
     straight from Weyl integration (trivial isotypic of the above)."""
-    total = Fraction(0)
-    for mu in partitions_of(r):
-        total += Fraction(oracle_su2_frobenius(k, r, mu), z_of(mu))
-    return total
+    return sum(oracle_su2_inv_char(k, r).terms.values(), Fraction(0))
 
 
 # ---------------------------------------------------------------------
@@ -431,10 +432,8 @@ def oracle_restricted_bell(r, n):
     Stirling recurrence."""
     @lru_cache(maxsize=None)
     def stirling(a, b):
-        if a == 0:
-            return 1 if b == 0 else 0
-        if b == 0:
-            return 0
+        if a == 0 or b == 0:
+            return int(a == b)
         return b * stirling(a - 1, b) + stirling(a - 1, b - 1)
 
     return sum(stirling(r, j) for j in range(min(r, n) + 1))

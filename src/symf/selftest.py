@@ -29,7 +29,8 @@ from .oracles import (oracle_cayley_sylvester, oracle_deals,
                       oracle_perm_inv_char_polyfunc, oracle_plethysm_monomials,
                       oracle_plethysm_schur, oracle_regular_cycle_index,
                       oracle_regular_graphs, oracle_restricted_bell,
-                      oracle_su2_inv_char, oracle_su2_poly_dim, oracle_syt)
+                      oracle_su2_inv_char, oracle_su2_poly_dim, oracle_syt,
+                      oracle_weyl_inv_char)
 from .partitions import partitions_of
 from .plethysm import (fundamental, h_plus_series, h_sum_series, plethysm,
                        plethysm_series)
@@ -158,12 +159,22 @@ def check_perm_polyfunctor(max_degree):
                        "P=%s n=%d r=%d" % (name, n, r))
 
 
-def check_sl2_catalan(max_m, max_r):
+def _against_weyl(name, family, max_n, max_d):
+    # inv_char of family(n), n <= max_n, in degrees d <= max_d against
+    # Weyl integration, below the stable ranges too
+    for n in range(1, max_n + 1):
+        for d in range(max_d + 1):
+            _check(inv_char(family(n), d) == oracle_weyl_inv_char(name, n, d),
+                   "Weyl integration n=%d d=%d" % (n, d))
+
+
+def check_sl2_catalan(max_m, max_r, weyl_n, weyl_d):
     """SL(2) on tensor powers for m <= max_m (at most 6): I_2m = s_(m,m),
     whose dimension is the m-th Catalan number, also by the hook length
     formula, and odd degrees vanish.  Then the invariants of the binary
     quartic in degrees r <= max_r (at most 6) against their known terms
-    and the Cayley-Sylvester count."""
+    and the Cayley-Sylvester count.  The full characters of SL(n) for
+    n <= weyl_n in degrees d <= weyl_d against Weyl integration."""
     for m in range(max_m + 1):
         ch = inv_char(SLnDefining(2), 2 * m)
         hooks = sum(c * oracle_syt(lam)
@@ -180,13 +191,15 @@ def check_sl2_catalan(max_m, max_r):
         got = hilbert_dim(SLnDefining(2), quartic, r)
         _check(got == _QUARTIC_INVARIANTS[r], "quartic r=%d" % r)
         _check(got == oracle_cayley_sylvester(4, r), "quartic vs oracle r=%d" % r)
+    _against_weyl("sl", SLnDefining, weyl_n, weyl_d)
 
 
-def check_sp_matchings(max_q):
+def check_sp_matchings(max_q, weyl_n, weyl_d):
     """Sp(2n) on tensor powers for q <= max_q (at most 5): in the stable
     range n >= q, checked at n = q..q+2, the invariants of degree 2q
     have the dimension (2q-1)!! of the perfect matchings, and odd degrees
-    vanish."""
+    vanish.  The full characters for n <= weyl_n in degrees d <= weyl_d
+    against Weyl integration."""
     for q in range(max_q + 1):
         _check(oracle_matchings(q) == _DOUBLE_FACTORIALS[q],
                "double factorial q=%d" % q)
@@ -197,13 +210,15 @@ def check_sp_matchings(max_q):
             if q:
                 _check(inv_char(Sp2nDefining(n), 2 * q - 1).is_zero(),
                        "odd degree q=%d n=%d" % (q, n))
+    _against_weyl("sp", Sp2nDefining, weyl_n, weyl_d)
 
 
-def check_gl_adjoint(max_r):
+def check_gl_adjoint(max_r, weyl_n, weyl_d):
     """GL(n) on n x n matrices in degrees r <= max_r: the sum of the
     Kronecker squares s_lam * s_lam over lam |- r, and the stable
     character (any n >= r), are the sum of all p_mu, of dimension r!;
-    GL(1) gives h_r."""
+    GL(1) gives h_r.  The full characters for n <= weyl_n in degrees
+    d <= weyl_d against Weyl integration."""
     for r in range(max_r + 1):
         want = SymFn("p", dict.fromkeys(partitions_of(r), 1))
         squares = zero("p")
@@ -215,6 +230,7 @@ def check_gl_adjoint(max_r):
         _check(dimension(stable) == math.factorial(r), "dimension r=%d" % r)
         _check(inv_char(GLnAdjoint(1), r) == (h(r) if r else one()),
                "GL(1) closed form r=%d" % r)
+    _against_weyl("gl-adjoint", GLnAdjoint, weyl_n, weyl_d)
 
 
 def check_hilbert_crosschecks(max_k, max_r, max_degree):
@@ -222,8 +238,9 @@ def check_hilbert_crosschecks(max_k, max_r, max_degree):
     r <= max_r with k*r <= max_degree (at most 120, the Cayley-Sylvester
     oracle's cap), counted for SL(2) and for Sp(2), the same group
     reached through other shapes, against the Cayley-Sylvester count.
-    Where k*r <= 24, Weyl integration on SU(2) checks the count and the
-    equivariant character too."""
+    Where k*r <= 24, Weyl integration on SU(2), the binary forms row of
+    the torus oracle, checks the count and the equivariant character
+    too."""
     for k in range(1, max_k + 1):
         form = PolyFunctor(h(k))
         for r in range(min(max_r, max_degree // k) + 1):
@@ -294,9 +311,11 @@ SUITES = (
     ("fundamental-forms", check_fundamental_forms, lambda d: ()),
     ("perm-family", check_perm_family, lambda d: (3, min(6, d))),
     ("perm-polyfunctor", check_perm_polyfunctor, lambda d: (min(6, d),)),
-    ("sl2-catalan", check_sl2_catalan, lambda d: (min(4, d // 2), min(6, d))),
-    ("sp-matchings", check_sp_matchings, lambda d: (min(4, d // 2),)),
-    ("gl-adjoint", check_gl_adjoint, lambda d: (min(6, d),)),
+    ("sl2-catalan", check_sl2_catalan,
+     lambda d: (min(4, d // 2), min(6, d), 2, min(6, d))),
+    ("sp-matchings", check_sp_matchings,
+     lambda d: (min(4, d // 2), 2, min(6, d))),
+    ("gl-adjoint", check_gl_adjoint, lambda d: (min(6, d), 2, min(6, d))),
     ("hilbert-crosschecks", check_hilbert_crosschecks, lambda d: (3, 4, d)),
     ("card-deals", check_card_deals, lambda d: (4, min(10, d + 2))),
     ("regular-graphs", check_regular_graphs, lambda d: (4, 4, min(12, d + 4))),

@@ -52,17 +52,17 @@ def test_c05_sl2_functors():
 
 
 def test_c06_catalan_dimensions():
-    check_sl2_catalan(6, 6)
+    check_sl2_catalan(6, 6, 4, 12)
     print("PASS c06 SL(2) invariant dimensions are the Catalan numbers")
 
 
 def test_c07_symplectic_double_factorials():
-    check_sp_matchings(5)
+    check_sp_matchings(5, 3, 10)
     print("PASS c07 stable Sp dimensions are the odd double factorials")
 
 
 def test_c08_adjoint_kronecker_identity():
-    check_gl_adjoint(8)
+    check_gl_adjoint(8, 3, 8)
     print("PASS c08 adjoint Kronecker sums equal the full power sum layer")
 
 

@@ -528,6 +528,22 @@ class TestExitCodes:
             4, "", "symf: Schur expansion needs characters of S_(a number "
                    "of %d digits), beyond the cap r <= 20\n" % (digits + 1))
 
+    def test_refusal_above_the_plethysm_cap_counts_few_partitions(
+            self, capsys, monkeypatch):
+        # the p basis's estimate passes the finite one long before
+        # p(40,000), which alone takes about 2 s to count
+        seen = []
+
+        def spy(n):
+            seen.append(n)
+            return partition_count(n)
+        monkeypatch.setattr("symf.invariants.partition_count", spy)
+        assert run(capsys, "hilbert", "--family", "sl", "--n", "2",
+                   "--functor", "h2", "--r", "20000") == (
+            4, "", "symf: the finite-alphabet route is estimated at "
+                   "6000750015150 steps, beyond the cap 100000000\n")
+        assert seen and max(seen) <= 2000, max(seen)
+
     @pytest.mark.parametrize("argv,stderr", [
         (["--r", "24"], "symf: Schur expansion needs characters of S_24, "
                         "beyond the cap r <= 20\n"),

@@ -16,7 +16,8 @@ from symf.invariants import (Custom, GLnAdjoint, PolyFunctor, SLnDefining,
                              inv_char_polyfunc)
 from symf.oracles import (oracle_cayley_sylvester, oracle_matchings,
                           oracle_perm_inv_char, oracle_restricted_bell,
-                          oracle_su2_inv_char, oracle_syt)
+                          oracle_su2_inv_char, oracle_syt,
+                          oracle_weyl_inv_char)
 from symf.partitions import _reset_memo, partitions_of
 from symf.plethysm import (GradedSeries, _h_of, _pairings, fundamental,
                            h_plus_series, h_sum_series, plethysm,
@@ -222,6 +223,20 @@ def test_gl_adjoint_finite_n():
     finite = inv_char(GLnAdjoint(2), 3)
     assert finite == inv_char(GLnAdjoint(3), 3) - kronecker(s(1, 1, 1), s(1, 1, 1))
     assert dimension(finite) == 5
+
+
+# (family name, class, n, top degree): each case below its stable range
+WEYL_CASES = (("sp", Sp2nDefining, 2, 10), ("sp", Sp2nDefining, 3, 8),
+              ("gl-adjoint", GLnAdjoint, 2, 8),
+              ("gl-adjoint", GLnAdjoint, 3, 6),
+              ("sl", SLnDefining, 3, 9), ("sl", SLnDefining, 4, 8))
+
+
+@pytest.mark.parametrize("name, cls, n, top", WEYL_CASES,
+                         ids=["%s-n%d" % (c[0], c[2]) for c in WEYL_CASES])
+def test_full_characters_against_weyl_integration(name, cls, n, top):
+    for d in range(top + 1):
+        assert inv_char(cls(n), d) == oracle_weyl_inv_char(name, n, d), d
 
 
 def test_custom_family_wraps_a_series():

@@ -3,12 +3,13 @@ trusting as referees if they agree with hand counts and with each other.
 """
 
 import hashlib
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from symf.errors import ResourceLimitError
-from symf.oracles import (LaurentPoly, _kostka, oracle_cayley_sylvester,
+from symf.oracles import (_kostka, _times, _torus, oracle_cayley_sylvester,
                           oracle_deals, oracle_deals_cycle_index,
                           oracle_deals_matrix_count, oracle_matchings,
                           oracle_perm_inv_char, oracle_plethysm_monomials,
@@ -16,7 +17,7 @@ from symf.oracles import (LaurentPoly, _kostka, oracle_cayley_sylvester,
                           oracle_regular_cycle_index, oracle_regular_graphs,
                           oracle_restricted_bell, oracle_su2_frobenius,
                           oracle_su2_inv_char, oracle_su2_poly_dim,
-                          oracle_syt)
+                          oracle_syt, oracle_weyl_inv_char)
 from symf.partitions import partitions_of
 from symf.symfunc import dimension, h, s, specialize_ones, to_basis
 
@@ -97,16 +98,14 @@ def test_matchings_and_bell_values():
     assert oracle_restricted_bell(3, 1) == 1
 
 
-def test_laurent_arithmetic():
-    chi1 = LaurentPoly.su2_character(1)
-    chi2 = LaurentPoly.su2_character(2)
-    chi0 = LaurentPoly.su2_character(0)
+def test_torus_arithmetic():
+    def chi(k):  # the SU(2) character of the binary forms of degree k
+        return Counter(_torus("binary", k)[0])
+
     # Clebsch-Gordan in rank one: chi_1^2 = chi_2 + chi_0
-    assert chi1 * chi1 == chi2 + chi0
-    assert chi1.substitute_power(2) == LaurentPoly({-2: 1, 2: 1})
-    assert (chi1 * chi1).coefficient(0) == 2
-    assert LaurentPoly({1: 1, -1: -1}) + LaurentPoly({-1: 1}) == \
-        LaurentPoly({1: 1})
+    assert _times(chi(1), chi(1)) == chi(2) + chi(0)
+    assert _times({(1, -1): 2}, {(-1, 1): 3, (0, 2): -1}) == \
+        {(0, 0): 6, (1, 1): -2}
 
 
 def test_su2_oracle_against_partition_count_oracle():
@@ -119,6 +118,37 @@ def test_su2_oracle_against_partition_count_oracle():
     assert oracle_su2_frobenius(1, 2, (1, 1)) == 1
     assert oracle_su2_frobenius(1, 3, (1, 1, 1)) == 0
     assert oracle_su2_frobenius(2, 2, (1, 1)) == 1
+
+
+# sha256 of repr of the rows (k, r, [(mu, oracle_su2_frobenius)],
+# sorted oracle_su2_inv_char terms, oracle_su2_poly_dim) over every
+# k*r <= 24, as the one-variable Laurent polynomials computed them.
+SU2_ORACLES_SHA256 = (
+    "f07a6ded06271ea04246f998bc77d5e2e22a9743eb2fb074a3c64152d9e7efd0")
+
+
+def test_su2_oracles_pinned_up_to_k_times_r_24():
+    rows = [(k, r,
+             [(tuple(mu), oracle_su2_frobenius(k, r, mu))
+              for mu in partitions_of(r)],
+             sorted((tuple(mu), c)
+                    for mu, c in oracle_su2_inv_char(k, r).terms.items()),
+             oracle_su2_poly_dim(k, r))
+            for k in range(25) for r in range(25) if k * r <= 24]
+    assert len(rows) == 133
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        SU2_ORACLES_SHA256
+
+
+def test_weyl_oracle_rows_agree_on_shared_groups():
+    # SL(2) = Sp(2), and SL(2) on C^2 is SU(2) on the binary 1-forms
+    for d in range(11):
+        sl2 = oracle_weyl_inv_char("sl", 2, d)
+        assert sl2 == oracle_weyl_inv_char("sp", 1, d)
+        assert sl2 == oracle_su2_inv_char(1, d)
+    # GL(1) acts trivially on 1 x 1 matrices: every invariant, h_d
+    for d in range(1, 9):
+        assert oracle_weyl_inv_char("gl-adjoint", 1, d) == h(d)
 
 
 def test_su2_characters_are_schur_integral():
@@ -211,5 +241,10 @@ def test_resource_caps_are_loud():
         oracle_perm_inv_char(6, 2)
     with pytest.raises(ResourceLimitError):
         oracle_su2_frobenius(5, 6, (6,))
+    for family, n, d in (("sl", 7, 2), ("sl", 2, 14), ("sp", 4, 2),
+                         ("sp", 1, 16), ("gl-adjoint", 5, 2),
+                         ("gl-adjoint", 1, 11)):
+        with pytest.raises(ResourceLimitError):
+            oracle_weyl_inv_char(family, n, d)
     with pytest.raises(ResourceLimitError):
         oracle_plethysm_schur("hh", 3, 3)
