@@ -24,11 +24,12 @@ walk through the monomial moves of its _raise_table.  A strip table
 positions the strips of every mask of its degree through one
 {mask: position} map per degree, _beta_positions, so building one
 builds no partition either.  Columns serve symfunc's s target, which
-reads the columns of its input's classes only, and the cold build of a
-full table, which transposes them, and _table(r) keeps each full
-table.  The memos are _strips, _chi, _beta_positions, _strip_table,
-_expand and _table, each a function in an unbounded lru_cache: it keeps
-every value computed in the process.
+reads the columns of its input's classes only, and plethysm.fundamental's
+s mode, both through one packed int per column (symfunc._packed_vector),
+and the cold build of a full table, which transposes them, and _table(r)
+keeps each full table.  The memos are _strips, _chi, _beta_positions,
+_strip_table, _expand and _table, each a function in an unbounded
+lru_cache: it keeps every value computed in the process.
 
 A table is its integer rows: rows[i][j] is the character of the i-th
 shape on the j-th class, both in partitions_of(r) order.  Each full
@@ -53,11 +54,14 @@ from .errors import ResourceLimitError, _number
 from .partitions import (Partition, Record, _check_integer, _memo,
                          _partitions_of, _positions, partitions_of)
 
-# Practical cap on full-table construction, and on the s and m bases as
-# targets, which read a vector p(d) entries wide per class: every
-# chi^lam of the degree, or a row of the p-to-m matrix.  Beyond it the
-# table has more than 600k entries and cold construction stops being
-# interactive.  Single rows, as a Schur input needs, are not capped here.
+# Practical cap on full-table construction, on the s and m bases as
+# targets and on plethysm.fundamental's s mode, which read a vector p(d)
+# entries wide per class: every chi^lam of the degree, or a row of the
+# p-to-m matrix.  Beyond it the table has more than 600k entries and
+# cold construction stops being interactive; below it every entry of
+# such a vector, at most 20! < 2^63, fits in one 64-bit field of the
+# packed vectors.  Single rows, as a Schur input needs, are not capped
+# here.
 CHAR_TABLE_CAP = 20
 
 CACHE_FORMAT_VERSION = 2

@@ -401,12 +401,14 @@ def _finite_cost(bounds, m, k, r):
     # the box, or the multisets of i monomials of f.  The box's
     # monomials by degree are the coefficients of
     # prod (1 + t + ... + t^B_i), read here at t = 2^s with s bits of
-    # room for any of them.
-    s = prod(b + 1 for b in bounds).bit_length()
+    # room for any of them, s a whole number of bytes, so that the
+    # coefficient of degree i*k is a slice of the box's bytes.
+    s = -(-prod(b + 1 for b in bounds).bit_length() // 8) * 8
     t = 1 << s
     box = prod((t ** (b + 1) - 1) // (t - 1) for b in bounds)
+    raw, w = box.to_bytes(-(-box.bit_length() // 8), "little"), s // 8
     return _ALPHABET_SETUP + m * sum(
-        (r - i) * min(box >> (s * i * k) & t - 1,
+        (r - i) * min(int.from_bytes(raw[w * i * k:w * (i * k + 1)], "little"),
                       comb(max(m, 1) + i - 1, i)) for i in range(r))
 
 

@@ -19,9 +19,12 @@ demand and the test suite holds them against each other.  p mode is the
 default because it pairs each product p_lam[F] with G as it is formed.
 s mode multiplies every p_mu[F], mu |- r, once and builds every s_lam[F]
 in full from them before any meets G: s_lam[F] is the sum over mu of
-chi^lam(mu) / z_mu p_mu[F], held transposed as one list over lam per
-key, to which each p_mu[F] adds its values times the column chi^.(mu)
-(characters._column).
+chi^lam(mu) / z_mu p_mu[F], held transposed as one packed int over lam
+per key, to which each p_mu[F] adds its values times the packed column
+chi^.(mu) (symfunc._packed_vector of characters._column).  G's weights
+then sum those ints into one, decoded once.  s mode reads the columns of
+S_r, so it is refused above characters.CHAR_TABLE_CAP, as the s target
+is; p mode has no cap on r.
 
 Each algorithm is written once, over a ring of dicts with `one`,
 `mul(a, b, out=None)` (a*b, added into out if given), `substitute`
@@ -49,9 +52,11 @@ from fractions import Fraction
 from .characters import _column
 from .errors import DegreeError, ResourceLimitError, TruncationError, _number
 from .partitions import _check_integer, _memo, partitions_of, z_of
-from .symfunc import (SymFn, generator, one, zero, _add_into, _axpy,
-                      _check_multiplicity, _div, _multiplicity, _mul_p,
-                      _key, _p_dict, _p_symfn, _pack, _scaled, _unpacked)
+from .symfunc import (SymFn, generator, one, zero, _add_into,
+                      _check_multiplicity, _cleared, _div, _multiplicity,
+                      _mul_p, _key, _p_dict, _p_symfn, _pack, _packed_vector,
+                      _scaled, _target_cap, _unpacked, _unpacked_vector,
+                      _width)
 
 # Largest degree deg f * deg g of a plethysm f[g]: p(40) = 37,338 terms.
 # Below symfunc._KEY_LIMIT, so no packed key of a plethysm can spill.
@@ -285,7 +290,8 @@ def fundamental(F, G, r, mode="p"):
     other rather than sharing their pairings.  s mode multiplies each
     p_mu[F], mu |- r, once per call and builds every s_lam[F] in full
     from those products, summed over the columns chi^.(mu), before
-    pairing them with G.
+    pairing them with G; it is refused for r above
+    characters.CHAR_TABLE_CAP, before any product.
     """
     _check_integer("fundamental", "r", r)
     if r < 0:
@@ -309,26 +315,42 @@ def fundamental(F, G, r, mode="p"):
         raise DegreeError(
             "G must be homogeneous of degree r*deg(F) = %s, found degrees %s"
             % (_number(r * k), _number(gdegs)))
+    if mode == "s":
+        # s mode reads the columns of S_r, as the s target does
+        _target_cap("s", [r])
     fp, pair = _p_pairing(F, G, r)
     if mode == "p":
         # <p_lam[F], G> is the value at lam; zeros drop out in SymFn
         return _pairings(fp, r, pair)
     # s_lam[F] = sum over mu of chi^lam(mu) / z_mu p_mu[F], on the common
-    # denominator r!, held transposed: one list over lam |- r per packed
-    # key, to which each p_mu[F] adds its values times the column
-    # chi^.(mu)
+    # denominator r! D^r, for D the lcm of the denominators of F's values:
+    # D F has integer values, its product p_mu[D F] is D^len(mu) p_mu[F],
+    # and class mu weighs D^(r - len(mu)).  Held transposed, one packed
+    # int per key, to which each p_mu[F] adds its values times the packed
+    # column chi^.(mu); G's weights are scaled to integers by the lcm E of
+    # their denominators.
     shapes = partitions_of(r)
     n = math.factorial(r)
+    D, fp = _cleared(fp)
+    E, weights = _cleared(pair.weights)
+    products = [(mu, n // z_of(mu) * D ** (r - len(mu)), prod)
+                for mu, prod in _p_powers(fp, shapes, _PBasis())]
+    # entry lam of the total is the sum over mu of chi^lam(mu) x_mu, x_mu
+    # at most c |w| |v| summed over the keys of p_mu[F]; by Cauchy-Schwarz
+    # against the row chi^lam, whose squares over z_mu sum to 1, it is at
+    # most the square root of the sum of z_mu x_mu^2
+    top = max(map(abs, weights.values()), default=0)
+    norm = sum([z_of(mu) * (c * sum(map(abs, prod.values()))) ** 2
+                for mu, c, prod in products])
+    k = _width(math.isqrt(norm * top * top))
     lists = {}
-    for mu, prod in _p_powers(fp, shapes, _PBasis()):
-        column, c = _column(mu), n // z_of(mu)
+    for mu, c, prod in products:
+        column = _packed_vector(_column, mu, k)
         for key, v in prod.items():
-            lists[key] = _axpy(lists.get(key) or [0] * len(shapes),
-                               c * v, column)
-    # <s_lam[F], G> for every lam in one pass over the keys G weighs
-    total = [0] * len(shapes)
-    for key, w in pair.weights.items():
-        if key in lists:
-            total = _axpy(total, w, lists[key])
-    return SymFn("s", {lam: Fraction(v, n * pair.n)
-                       for lam, v in zip(shapes, total)})
+            lists[key] = lists.get(key, 0) + c * v * column
+    # <s_lam[F], G> for every lam from one packed total over the keys G
+    # weighs, decoded once
+    total = sum([w * lists[key] for key, w in weights.items() if key in lists])
+    values = _unpacked_vector(total, k, len(shapes))
+    return SymFn("s", {lam: Fraction(v, n * D ** r * E * pair.n)
+                       for lam, v in zip(shapes, values)})

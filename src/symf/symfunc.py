@@ -63,9 +63,25 @@ chi^lam(mu) / z_mu, so each class mu of f adds a_mu times its memoized
 column characters._column(mu), the list of chi^lam(mu) over every lam,
 and no other class is read.  A column spans all p(d) shapes, so the
 table cap bounds it.
+
+The s and m targets add those vectors as one int each (Kronecker
+substitution): _packed_vector(vector, mu, k), memoized per field width,
+is the sum of v_i 2^(64ki) over the entries v_i of the column or row,
+written through array('q') as 64k-bit two's complement fields.  A
+weighted sum of them is then one bignum multiply-add per class, and one
+to_bytes decodes it, both in C.  The width comes from a bound that reads
+no vector, by Cauchy-Schwarz: the rows chi^lam are orthonormal under
+the weights 1/z_mu, and <h_lam, h_lam> <= d!, so with integer weights
+w_mu every entry is at most the square root of the sum of w_mu^2 z_mu,
+times d! under the root for the rows of R.  Rational weights are scaled
+to integers by the lcm of their denominators, divided out once.  Every
+entry of a vector read this way fits in 63 bits, since its degree is at
+most CHAR_TABLE_CAP = 20 and 20! < 2^63.
 """
 
 import math
+import sys
+from array import array
 from decimal import Decimal
 from fractions import Fraction
 from operator import mul
@@ -518,14 +534,86 @@ def _m_to_p(terms):
                 a = _div(c * math.prod(nu), n)
                 part.append((nu, a))
                 # subtracts a times row nu; its diagonal cancels acc[i]
-                acc = _axpy(acc, -a * (n // z_of(nu)), _m_row(nu))
+                b = a * (n // z_of(nu))
+                acc = [x - b * v if v else x
+                       for x, v in zip(acc, _m_row(nu))]
         out.update(reversed(part))
     return out
 
 
-def _axpy(acc, a, row):
-    # acc + a * row, entry by entry
-    return [x + a * r if r else x for x, r in zip(acc, row)]
+def _cleared(a):
+    # (D, D a) with int values, for D the lcm of the denominators of a's
+    # values
+    D = math.lcm(*(v.denominator for v in a.values()))
+    return D, {key: v.numerator * (D // v.denominator) for key, v in a.items()}
+
+
+def _width(bound):
+    # the words k of a 64k-bit two's complement field that holds every
+    # integer of absolute value at most bound
+    return bound.bit_length() // 64 + 1
+
+
+@_memo
+def _halves(k, n):
+    # 2^(64k-1) in each of n fields of 64k bits, kept for the widths and
+    # lengths met: every packed vector and every decode reads it
+    return int.from_bytes((bytes(8 * k - 1) + b"\x80") * n, "little")
+
+
+def _little(words):
+    # an array of machine words in little-endian byte order
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+@_memo
+def _packed_vector(vector, mu, k):
+    # vector(mu), entries v_i below 2^63 in absolute value, as the one int
+    # sum of v_i 2^(64ki) (Kronecker substitution): written as 64k-bit
+    # two's complement fields, whose top bit flipped gives v_i + 2^(64k-1),
+    # and that offset taken off as a whole
+    v = fields = array("q", vector(mu))
+    if k > 1:
+        fields = array("q", bytes(8 * k * len(v)))
+        fields[::k] = v
+        signs = array("q", [-(x < 0) for x in v])
+        for j in range(1, k):
+            fields[j::k] = signs
+    half = _halves(k, len(v))
+    return (int.from_bytes(_little(fields), "little") ^ half) - half
+
+
+def _unpacked_vector(total, k, n):
+    # the n entries c_i of total = sum of c_i 2^(64ki), each below
+    # 2^(64k-1) in absolute value, from one to_bytes: the offset makes
+    # every field c_i + 2^(64k-1), and its top bit flipped back leaves c_i
+    # in two's complement
+    half = _halves(k, n)
+    raw = ((total + half) ^ half).to_bytes(8 * k * n, "little")
+    if k == 1:
+        return _little(array("q", raw)).tolist()
+    step = 8 * k
+    return [int.from_bytes(raw[i:i + step], "little", signed=True)
+            for i in range(0, len(raw), step)]
+
+
+def _vector_sum(target, weights, d):
+    # (sums, D): D times the sum over mu of weights[mu] * vector(mu), entry
+    # by entry, for vector the class columns (s) or the rows of R (m) of
+    # degree d <= CHAR_TABLE_CAP and D the lcm of the weights'
+    # denominators, as one bignum multiply-add per class on the packed
+    # vectors and one decode.  The field width comes from a bound that
+    # reads no vector, by Cauchy-Schwarz over the classes: the sum of
+    # chi^lam(mu)^2 / z_mu is 1, and that of R[mu][lam]^2 / z_mu is
+    # <h_lam, h_lam> <= <h_1^d, h_1^d> = d!.
+    vector = characters._column if target == "s" else _m_row
+    D, ints = _cleared(weights)
+    norm = sum([w * w * z_of(mu) for mu, w in ints.items()])
+    k = _width(math.isqrt(norm if target == "s" else norm * math.factorial(d)))
+    total = sum([w * _packed_vector(vector, mu, k) for mu, w in ints.items()])
+    return _unpacked_vector(total, k, len(_positions(d))), D
 
 
 def _p_dict(f):
@@ -581,11 +669,9 @@ def to_basis(f, target):
             # <f, s_lam> = sum over mu of a_mu chi^lam(mu) / z_mu, read
             # from the columns of f's classes; <f, h_mu> = sum over nu of
             # a_nu R[nu][mu] / z_nu, from the rows of R of f's classes
-            vector = characters._column if target == "s" else _m_row
-            acc = [0] * len(pos)
-            for mu, a in part.items():
-                acc = _axpy(acc, a, vector(mu))
-            out.update((lam, Fraction(v, n)) for lam, v in zip(pos, acc) if v)
+            sums, D = _vector_sum(target, part, d)
+            out.update((lam, Fraction(v, n * D))
+                       for lam, v in zip(pos, sums) if v)
         else:
             # Forward substitution for R c = a: row i meets the c of the
             # shapes before it, and row[i] is its diagonal.

@@ -265,7 +265,9 @@ def test_reset_clears_every_memo_not_kept_on_purpose():
             "symf.characters._strip_table", "symf.characters._strips",
             "symf.characters._beta_positions",
             "symf.characters._table",
-            "symf.plethysm._key_of"} <= cleared.keys()
+            "symf.plethysm._key_of",
+            "symf.symfunc._packed_vector",
+            "symf.symfunc._halves"} <= cleared.keys()
     character_table(4)
     to_basis(p(2, 1), "s")
     to_basis(h(3, 2) * s(2, 1) + e(2), "m")

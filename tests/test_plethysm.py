@@ -246,6 +246,19 @@ def test_fundamental_checks_degrees_before_expanding(monkeypatch):
     assert fundamental(h(2), zero(), 30, "s") == zero("s")
 
 
+def test_s_mode_is_refused_above_the_table_cap(monkeypatch):
+    # s mode reads the columns of S_r, as the s target does; the refusal
+    # comes before any product, and after the zero-G return
+    def spy(*args):
+        raise AssertionError("multiplied")
+    monkeypatch.setattr(sys.modules["symf.plethysm"], "_p_powers", spy)
+    with pytest.raises(ResourceLimitError) as info:
+        fundamental(h(1), h(21), 21, "s")
+    assert str(info.value) == ("Schur expansion needs characters of S_21, "
+                               "beyond the cap r <= 20")
+    assert fundamental(h(2), zero(), 30, "s") == zero("s")
+
+
 def test_fundamental_forms_check():
     # the selftest suite fundamental-forms, which no acceptance test runs
     check_fundamental_forms()

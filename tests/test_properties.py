@@ -12,7 +12,9 @@ the full product with the terms above the cap dropped, in the same
 order, and both match the tuple-keyed reference in test_kernel.py.
 Newton's recurrence builds h_r[a] equal to the plethysm of h_r with a,
 both on class function values and in a finite alphabet, and the pairing
-on packed keys is the scalar product on partitions.  Every kernel
+on packed keys is the scalar product on partitions.  A weighted sum of
+packed class columns or rows of the p-to-m matrix, at every field width
+up to four words, is the plain sum in Fractions.  Every kernel
 result, whose Partition keys and Fraction values the constructor takes
 as they are, is the SymFn the constructor builds from its terms.
 """
@@ -28,7 +30,9 @@ from symf.partitions import Partition, partitions_of
 from symf.invariants import (GLnAdjoint, SLnDefining, SnPermutation,
                              Sp2nDefining, _Alphabet, inv_char)
 from symf.plethysm import _Pairing, _h_of, _pleth_p, fundamental, plethysm
-from symf.symfunc import (BASES, SymFn, _packed, _scalar_p, _unpacked, e, h,
+from symf import characters, symfunc
+from symf.symfunc import (BASES, SymFn, _packed, _scalar_p, _unpacked,
+                          _vector_sum, e, h,
                           kronecker, m, one, p, scalar, to_basis)
 from test_kernel import _reference_mul, mul
 
@@ -253,6 +257,62 @@ def test_pairing_on_packed_keys_is_the_scalar_product(f, g, disjoint):
         f = {mu: v for mu, v in f.items() if mu not in g}
     got = _Pairing(g)(_packed(f))
     assert type(got) is Fraction and got == _scalar_p(f, g)
+
+
+@st.composite
+def vector_sums(draw):
+    # the s or m target, a degree d up to the table cap and signed int or
+    # Fraction weights on classes of d, of up to 200 bits
+    target = draw(st.sampled_from("sm"))
+    d = draw(st.sampled_from((0, 1, 5, 12, 20)))
+    size = st.integers(0, 200).flatmap(
+        lambda bits: st.integers(-2 ** bits, 2 ** bits))
+    weight = st.one_of(size,
+                       st.builds(Fraction, size, st.integers(1, 10 ** 6)))
+    weights = draw(st.dictionaries(shapes_of(d), weight, min_size=1,
+                                   max_size=6))
+    return target, d, weights
+
+
+def plain_vector_sum(target, d, weights):
+    # the sum over mu of w_mu vector(mu), entry by entry, in Fractions
+    vector = characters._column if target == "s" else symfunc._m_row
+    return [sum(Fraction(w) * vector(mu)[i] for mu, w in weights.items())
+            for i in range(len(partitions_of(d)))]
+
+
+# one class of S_20 weighted about 2^b takes fields of 1, 2, 3 and 4 words
+WIDE = [(k, target, 20, {mu: w})
+        for target, mu, sign in (("s", (2,) * 10, 1), ("m", (20,), -1))
+        for k, b in enumerate((0, 80, 140, 200), 1)
+        for w in (sign * Fraction(2 ** b, 3),)]
+
+
+@derandomized
+@given(vector_sums())
+@example(("m", 20, {(20,): 1, (1,) * 20: -1}))
+def test_packed_vector_sum_is_the_plain_sum(case):
+    # columns of S_d and rows of R, whose entries reach 20! at d = 20
+    target, d, weights = case
+    sums, D = _vector_sum(target, weights, d)
+    assert all(type(v) is int for v in sums)
+    assert [Fraction(v, D) for v in sums] == plain_vector_sum(*case)
+
+
+@pytest.mark.parametrize("k, target, d, weights", WIDE)
+def test_packed_vector_sum_takes_every_width(k, target, d, weights,
+                                             monkeypatch):
+    widths = []
+    decode = symfunc._unpacked_vector
+
+    def spy(total, k, n):
+        widths.append(k)
+        return decode(total, k, n)
+    monkeypatch.setattr(symfunc, "_unpacked_vector", spy)
+    sums, D = _vector_sum(target, weights, d)
+    assert widths == [k]
+    assert [Fraction(v, D) for v in sums] == \
+        plain_vector_sum(target, d, weights)
 
 
 def assert_validated(f):
