@@ -15,10 +15,13 @@ degree r in the outer alphabet.  It has two expansions,
     sum over lam |- r of  <s_lam[F], G>          * s_lam        (s mode)
 
 whose agreement is the Cauchy identity; the package computes either on
-demand and the test suite holds them against each other.  p mode is the
-default because it pairs each product p_lam[F] with G as it is formed.
-s mode multiplies every p_mu[F], mu |- r, once and builds every s_lam[F]
-in full from them before any meets G: s_lam[F] is the sum over mu of
+demand and the test suite holds them against each other.  The products
+p_mu[F], mu |- r, depend on neither G nor the mode: _products keeps them
+once per (F, r), on packed keys, keyed by the integer class function
+values D F for D the lcm of the denominators of F's values, so that h_2
+and h_2 / 2 share one entry.  p mode, the default, pairs each p_lam[D F]
+with G and divides by D^len(lam).  s mode builds every s_lam[F] in full
+from the same products before any meets G: s_lam[F] is the sum over mu of
 chi^lam(mu) / z_mu p_mu[F], held transposed as one packed int over lam
 per key, to which each p_mu[F] adds its values times the packed column
 chi^.(mu) (symfunc._packed_vector of characters._column).  G's weights
@@ -30,7 +33,9 @@ Each algorithm is written once, over a ring of dicts with `one`,
 `mul(a, b, out=None)` (a*b, added into out if given), `substitute`
 (f, j -> p_j[f]) and `unpack` (a result keyed as callers read it):
 f[g] in _pleth_p, h_r[f] by Newton's recurrence in _h_of, the p_lam[f]
-pairings in _pairings.  The rings are _PBasis, on class function values
+pairings in _pairings, which on the uncapped _PBasis reads _products and
+on any other ring multiplies them out by _p_powers' prefix stack, as
+_pleth_p does.  The rings are _PBasis, on class function values
 keyed by packed partitions that unpack to symfunc._key's Partitions;
 invariants._Alphabet, on truncated polynomials keyed by packed exponent
 vectors; and invariants._Classes, on class functions of S_n keyed by
@@ -126,8 +131,32 @@ def _h_of(f, r, ring=_PBasis()):
     return hs[r]
 
 
+@_memo
+def _products(items, r):
+    # (lam, p_lam[f]) on packed keys for each lam |- r, f given by the
+    # items of its integer class function values: one list per (f, r),
+    # shared by both modes of fundamental and the p-basis route of
+    # invariants, whose callers only read it.  Keyed on integers, since a
+    # Fraction(1, 1) value equals and hashes like 1.
+    return list(_p_powers(dict(items), partitions_of(r), _PBasis()))
+
+
+def _cleared_products(f, r):
+    # (D, p_lam[D f] for lam |- r), D the lcm of the denominators of f's
+    # values: p_lam[D f] is D^len(lam) p_lam[f]
+    D, ints = _cleared(f)
+    return D, _products(tuple(ints.items()), r)
+
+
 def _pairings(f, r, pair, ring=_PBasis()):
-    # the p-basis SymFn with class function value pair(p_lam[f]) at lam |- r
+    # the p-basis SymFn with class function value pair(p_lam[f]) at lam |- r;
+    # on the uncapped p basis, read from the memoized p_lam[D f]
+    if isinstance(ring, _PBasis) and ring.cap is None:
+        D, products = _cleared_products(f, r)
+        values = {lam: pair(prod) for lam, prod in products}
+        if D > 1:
+            values = {lam: v / D ** len(lam) for lam, v in values.items()}
+        return _p_symfn(values)
     return _p_symfn({lam: pair(prod)
                      for lam, prod in _p_powers(f, partitions_of(r), ring)})
 
@@ -287,11 +316,11 @@ def fundamental(F, G, r, mode="p"):
     the coefficient of p_lam/z_lam is <p_lam[F], G>; in s mode the
     coefficient of s_lam is <s_lam[F], G>, computed through an honest
     plethysm of each Schur function, so the two modes cross-check each
-    other rather than sharing their pairings.  s mode multiplies each
-    p_mu[F], mu |- r, once per call and builds every s_lam[F] in full
-    from those products, summed over the columns chi^.(mu), before
-    pairing them with G; it is refused for r above
-    characters.CHAR_TABLE_CAP, before any product.
+    other rather than sharing their pairings.  Both modes read the
+    products p_mu[F], mu |- r, from one memo, formed once per (F, r) in
+    a process; s mode builds every s_lam[F] in full from them, summed
+    over the columns chi^.(mu), before pairing them with G.  s mode is
+    refused for r above characters.CHAR_TABLE_CAP, before any product.
     """
     _check_integer("fundamental", "r", r)
     if r < 0:
@@ -331,10 +360,10 @@ def fundamental(F, G, r, mode="p"):
     # their denominators.
     shapes = partitions_of(r)
     n = math.factorial(r)
-    D, fp = _cleared(fp)
+    D, products = _cleared_products(fp, r)
     E, weights = _cleared(pair.weights)
     products = [(mu, n // z_of(mu) * D ** (r - len(mu)), prod)
-                for mu, prod in _p_powers(fp, shapes, _PBasis())]
+                for mu, prod in products]
     # entry lam of the total is the sum over mu of chi^lam(mu) x_mu, x_mu
     # at most c |w| |v| summed over the keys of p_mu[F]; by Cauchy-Schwarz
     # against the row chi^lam, whose squares over z_mu sum to 1, it is at

@@ -351,10 +351,11 @@ def _p_symfn(a):
     return SymFn("p", {mu: Fraction(v, z_of(mu)) for mu, v in a.items()})
 
 
-def _scaled(a):
-    # (n, {mu: a_mu n / z_mu}), n = d! for d the largest degree in a: the
-    # p coefficients a_mu / z_mu on a common denominator, n / z_mu integral
-    n = math.factorial(max(map(sum, a), default=0))
+def _scaled(a, d=None):
+    # (n, {mu: a_mu n / z_mu}), n = d! for d the largest degree in a, read
+    # from a unless given: the p coefficients a_mu / z_mu on a common
+    # denominator, n / z_mu integral
+    n = math.factorial(max(map(sum, a), default=0) if d is None else d)
     return n, {mu: v * (n // z_of(mu)) for mu, v in a.items()}
 
 
@@ -578,9 +579,12 @@ def _packed_vector(vector, mu, k):
     if k > 1:
         fields = array("q", bytes(8 * k * len(v)))
         fields[::k] = v
-        signs = array("q", [-(x < 0) for x in v])
-        for j in range(1, k):
-            fields[j::k] = signs
+        if min(v) < 0:
+            # the fields above a negative entry are all ones; rows of R
+            # have none, and their fields stay zero
+            signs = array("q", [-(x < 0) for x in v])
+            for j in range(1, k):
+                fields[j::k] = signs
     half = _halves(k, len(v))
     return (int.from_bytes(_little(fields), "little") ^ half) - half
 
@@ -661,14 +665,17 @@ def to_basis(f, target):
     if target == "e":
         # omega exchanges h and e and is diagonal on the p basis.
         fp = _omega_p(fp)
+    parts = {}
+    for mu, c in fp.items():
+        parts.setdefault(sum(mu), {})[mu] = c
     out = {}
-    for d in sorted({sum(mu) for mu in fp}):
-        n, part = _scaled({mu: c for mu, c in fp.items() if sum(mu) == d})
+    for d, part in sorted(parts.items()):
         pos = _positions(d)
         if target in ("s", "m"):
             # <f, s_lam> = sum over mu of a_mu chi^lam(mu) / z_mu, read
             # from the columns of f's classes; <f, h_mu> = sum over nu of
             # a_nu R[nu][mu] / z_nu, from the rows of R of f's classes
+            n, part = _scaled(part, d)
             sums, D = _vector_sum(target, part, d)
             out.update((lam, Fraction(v, n * D))
                        for lam, v in zip(pos, sums) if v)
@@ -678,7 +685,7 @@ def to_basis(f, target):
             cs = []
             for i, nu in enumerate(pos):
                 row = _m_row(nu)
-                c = fp.get(nu, 0) - sum(map(mul, row, cs))
+                c = part.get(nu, 0) - sum(map(mul, row, cs))
                 if c:
                     c = out[nu] = _div(c, row[i])
                 cs.append(c)

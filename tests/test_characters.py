@@ -265,7 +265,7 @@ def test_reset_clears_every_memo_not_kept_on_purpose():
             "symf.characters._strip_table", "symf.characters._strips",
             "symf.characters._beta_positions",
             "symf.characters._table",
-            "symf.plethysm._key_of",
+            "symf.plethysm._key_of", "symf.plethysm._products",
             "symf.symfunc._packed_vector",
             "symf.symfunc._halves"} <= cleared.keys()
     character_table(4)

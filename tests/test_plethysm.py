@@ -9,11 +9,12 @@ from symf.errors import DegreeError, ResourceLimitError, TruncationError
 from symf.invariants import (GLnAdjoint, PolyFunctor, SLnDefining, _ring,
                              hilbert_dim)
 from symf.oracles import oracle_plethysm_schur
+from symf.partitions import _reset_memo
 from symf.plethysm import (GradedSeries, _PBasis, fundamental, h_plus_series,
                            h_sum_series, plethysm, plethysm_series)
 from symf.selftest import check_fundamental_forms
-from symf.symfunc import (SymFn, _key, _mul_p, e, h, m, one, p, s, scalar,
-                          to_basis, to_json_dict, zero)
+from symf.symfunc import (SymFn, _key, _mul_p, _p_dict, e, h, m, one, p, s,
+                          scalar, to_basis, to_json_dict, zero)
 
 
 def test_power_sum_substitution_rule():
@@ -273,9 +274,10 @@ def test_fundamental_modes_agree_on_fixed_pairs():
 
 
 def test_s_mode_multiplies_no_more_than_p_mode(monkeypatch):
-    # s mode multiplies each p_mu[F], mu |- r, once per call and sums
-    # every s_lam[F] from those products, as p mode pairs them; F and G
-    # come in the p basis, so no h expansion multiplies inside the count
+    # both modes read each p_mu[F], mu |- r, from one memo: either mode
+    # alone multiplies them all, and a repeat call in either mode
+    # multiplies nothing; F and G come in the p basis, so no h expansion
+    # multiplies inside the count
     module = sys.modules["symf.plethysm"]
     calls = []
 
@@ -286,10 +288,44 @@ def test_s_mode_multiplies_no_more_than_p_mode(monkeypatch):
     F, G = to_basis(h(2), "p"), to_basis(h(8) * h(8), "p")
     counts = {}
     for mode in "ps":
+        _reset_memo()
         calls.clear()
         fundamental(F, G, 8, mode)
         counts[mode] = len(calls)
-    assert 0 < counts["s"] <= counts["p"]
+    assert 0 < counts["s"] == counts["p"]
+    for mode in "ps":
+        calls.clear()
+        fundamental(F, G, 8, mode)
+        assert not calls
+
+
+# sha256 of the JSON list of to_json_dict(fundamental(F, G, 3, mode)) over
+# the F of test_products_memo_keys_on_cleared_integers and both modes, as
+# computed when each call multiplied its own products
+CLEARED_SHA256 = \
+    "440cf6f703236da1b32a56b8fbeaaf6b093ed33ba799ee0851651ed37dd7fe02"
+
+
+def test_products_memo_keys_on_cleared_integers():
+    # the memoized p_lam[F] are keyed on D F's integer values: F whose
+    # values are Fraction(1, 1), equal to and hashed as 1, shares them
+    # with F of int values, and h_2 / 2 with h_2, in either mode first
+    half = Fraction(1, 2)
+    Fs = [half * s(2) + half * s(1, 1), half * p(1, 1), half * h(2), h(2)]
+    assert any(type(v) is Fraction for v in _p_dict(Fs[0]).values())
+    G = h(4) * h(2) + s(3, 3)
+    runs = []
+    for modes in ("ps", "sp"):
+        _reset_memo()
+        got = {(i, mode): fundamental(F, G, 3, mode)
+               for i, F in enumerate(Fs) for mode in modes}
+        runs.append([to_json_dict(got[i, mode])
+                     for i in range(len(Fs)) for mode in "ps"])
+        for i in range(len(Fs)):
+            assert got[i, "p"] == got[i, "s"]
+    assert runs[0] == runs[1]
+    assert hashlib.sha256(json.dumps(runs[0]).encode()).hexdigest() == \
+        CLEARED_SHA256
 
 
 # sha256 of the JSON list of to_json_dict(fundamental(F, G, r, mode)) over
