@@ -49,24 +49,29 @@ exponent vectors packed into one int.  The other route runs the
 pairings in the p basis, where I_d(V) expands through the character
 rows chi^lam, refused above the plethysm cap unless I_d(V) is zero.
 Each query takes the route with the smaller estimate of its work, made
-before anything is expanded: Newton's r(r+1)/2 products in the box,
-each bounded by the monomials of F(x_1, ..., x_L) times those of the
-other factor, against the chi^lam rows of the shapes over p(d) classes
-and the same products over p-basis classes.  _ring makes that choice
-for both queries, and refuses the query there, before any work, or
-finds I_d(V) zero; symf inv reads it to refuse a degree-1 functor's
-output cap up front.  _route returns the ring, F in it, and the pairing
-with I_d(V): Jacobi-Trudi's weights, or plethysm._p_pairing, the one
-that fundamental uses.  For the permutation family, <f, I_d(V)> averages
-f at p_j = fix(g^j) over g in S_min(n, d) (Molien): _ring hands out
-_Classes, which pairs by that average.  Each query builds h_r[F] or
+from (family, F, r) alone, before anything is built or listed:
+Newton's r(r+1)/2 products in the box, each bounded by the monomials of
+F(x_1, ..., x_L) times those of the other factor, against the chi^lam
+rows of the shapes over p(d) classes and the same products over p-basis
+classes.  Whether I_d(V) vanishes (n | d for SL, d even for Sp), how
+many shapes it has and the bounds B_i all follow from n and d
+(_shape_facts), so the shapes are listed only by the route that pairs
+with them: the p basis's I_d(V), or the alphabet's Jacobi-Trudi
+weights.  _ring makes that choice for both queries, and refuses the
+query there, before any work, or finds I_d(V) zero; symf inv reads it
+to refuse a degree-1 functor's output cap up front.  _route returns the
+ring, F in it, and the pairing with I_d(V): Jacobi-Trudi's weights, or
+plethysm._p_pairing, the one that fundamental uses.  For the
+permutation family, <f, I_d(V)> averages f at p_j = fix(g^j) over g in
+S_min(n, d) (Molien): _ring hands out _Classes, which pairs by that
+average.  Each query builds h_r[F] or
 p_lam[F] by the same code in plethysm.py in every ring; the tests hold
 every route against fundamental(F, inv_char(family, r*k), r, mode).
 """
 
 import warnings
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, permutations
 from math import comb, factorial, gcd, perm, prod
 from operator import le
@@ -75,8 +80,8 @@ from .characters import CHAR_TABLE_CAP
 from .errors import DegreeError, ResourceLimitError, _number
 from .partitions import (Partition, Record, _check_integer, _memo,
                          partition_count, partitions_of)
-from .plethysm import (_PLETHYSM_DEGREE_CAP, _PBasis, _check_degree, _h_of,
-                       _p_pairing, _pairings, _pleth_p)
+from .plethysm import (_PBasis, _check_degree, _h_of, _p_pairing, _pairings,
+                       _pleth_p)
 from .symfunc import (SymFn, _add_into, _check_multiplicity, _over_z, _p_dict,
                       _p_symfn, _schur_p, scalar, to_basis, zero)
 
@@ -246,11 +251,18 @@ class _Alphabet:
     one = {0: 1}
     unpack = staticmethod(lambda f: f)  # pair reads the packed keys
 
-    def __init__(self, shapes):
-        length = max(len(lam) for lam in shapes)
-        self.rows = [tuple(lam) + (0,) * (length - len(lam)) for lam in shapes]
-        self._fields(tuple(max(col) + length - 1 - i
-                           for i, col in enumerate(zip(*self.rows))))
+    def __init__(self, shapes, bounds=None):
+        # shapes is a list of partitions, or, where their bounds are
+        # given, a function that lists them: the Jacobi-Trudi weights
+        # alone read them, so _alphabet_for, which reads the bounds from
+        # n and d, lists no shape until the pairing is first read
+        if bounds is None:
+            length = max(len(lam) for lam in shapes)
+            bounds = tuple(max(lam[i] for lam in shapes if len(lam) > i)
+                           + length - 1 - i for i in range(length))
+            shapes = partial(list, shapes)
+        self.shapes = shapes
+        self._fields(bounds)
 
     def _fields(self, bounds):
         self.bounds = bounds
@@ -274,9 +286,10 @@ class _Alphabet:
         # <f, h_alpha> = [x^alpha] f, so Jacobi-Trudi gives <f, s_lam> as
         # the sum of sign [x^alpha] f over its terms.  Built on first use:
         # the routing rule reads only the bounds.
-        weights = {}
-        for lam in self.rows:
-            for sign, alpha in _jacobi_trudi(lam):
+        weights, length = {}, len(self.bounds)
+        for lam in self.shapes():
+            # lam padded with zeros to L rows
+            for sign, alpha in _jacobi_trudi(lam + (0,) * (length - len(lam))):
                 weights[alpha] = weights.get(alpha, 0) + sign
         return weights
 
@@ -365,33 +378,50 @@ def _alphabet_for(family, F, r):
     """The finite alphabet for <h_r[F], I_{rk}(V)>, k = deg F, or None
     where the p-basis route stays: other families, degrees without
     invariants, and where the estimated cost of the finite route is
-    above that of the p basis.  Neither estimate expands anything.
-    Where the finite route is taken at an estimate above _ALPHABET_CAP,
-    the query is refused."""
+    above that of the p basis.  One comparison at every degree, of
+    estimates read from F's terms and _shape_facts: the p basis's is
+    counted only until it passes the finite one, so p(rk) is counted
+    only where the comparison needs it.  Where the finite route is taken
+    at an estimate above _ALPHABET_CAP, the query is refused.  The
+    alphabet is set up from the bounds; its shapes are listed when its
+    pairing is first read."""
     if not isinstance(family, (SLnDefining, Sp2nDefining)):
         return None
     k = F.degree()
-    shapes = _target_shapes(family, r * k)
-    if not shapes:
+    count, bounds = _shape_facts(family, r * k)
+    if not count:
         return None
-    if r * k <= _PLETHYSM_DEGREE_CAP:
-        p_cost = _p_basis_cost(len(shapes), k, r)
-        if p_cost < _ALPHABET_SETUP:
-            return None  # below the cost of setting an alphabet up
-    alphabet = _Alphabet(shapes)
-    m = _monomial_count(F.basis, F.terms, k, len(alphabet.bounds))
-    cost = _finite_cost(alphabet.bounds, m, k, r)
-    if r * k > _PLETHYSM_DEGREE_CAP:
-        # above the setup cost already, as p(41) is; p(rk) may be far
-        # out of reach, so count only until the estimate passes cost
-        p_cost = _p_basis_cost(len(shapes), k, r, cost)
-    if cost > p_cost:
+    cost = _finite_cost(bounds, _monomial_count(F.basis, F.terms, k,
+                                                len(bounds)), k, r)
+    if cost > _p_basis_cost(count, k, r, cost):
         return None
     if cost > _ALPHABET_CAP:
         raise ResourceLimitError(
             "the finite-alphabet route is estimated at %s steps, beyond "
             "the cap %d" % (_number(cost), _ALPHABET_CAP))
-    return alphabet
+    return _Alphabet(partial(_target_shapes, family, r * k), bounds)
+
+
+def _shape_facts(family, d):
+    # (count, bounds) for the shapes of I_d(V), SL(n) or Sp(2n), from n
+    # and d alone, (0, ()) where there are none, as _target_shapes would
+    # list them and _Alphabet bound them.  SL's one shape (m^n), m = d/n,
+    # has L = n rows (none at d = 0), so B_i = m + n - 1 - i.  Sp's shapes
+    # write twice each row of the mu |- q = d/2 with at most n rows, of
+    # which row j is at most q // (j + 1): L = 2 min(n, q) and B_i =
+    # q // (i // 2 + 1) + L - 1 - i, and they are as many as the
+    # partitions of q with parts at most n, counted one part at a time
+    if d % (family.n if isinstance(family, SLnDefining) else 2):
+        return 0, ()
+    if isinstance(family, SLnDefining):
+        L = family.n if d else 0
+        return 1, tuple(d // family.n + L - 1 - i for i in range(L))
+    q, L = d // 2, 2 * min(family.n, d // 2)
+    counts = [1] + [0] * q
+    for part in range(1, family.n + 1):
+        for m in range(part, q + 1):
+            counts[m] += counts[m - part]
+    return counts[q], tuple(q // (i // 2 + 1) + L - 1 - i for i in range(L))
 
 
 def _finite_cost(bounds, m, k, r):
@@ -431,18 +461,19 @@ def _monomial_count(basis, terms, k, length):
     return count
 
 
-def _p_basis_cost(shapes, k, r, floor=None):
+def _p_basis_cost(shapes, k, r, floor):
     # the rows chi^lam of the shapes, then Newton's products
     # p_j[F] * h_(n-j)[F] over at most p(k) and p((n-j)k) classes, and
-    # the pairing over the p(rk) classes.  Given a floor, the first
-    # lower bound above it, where one is found: p is increasing, so the
-    # rows over p(m) classes, m <= rk, bound the estimate from below.
+    # the pairing over the p(rk) classes; or, where one is found, the
+    # first lower bound above the floor, so that p(rk), far out of reach
+    # above the plethysm cap, is counted only where the comparison needs
+    # it: p is increasing, so the rows over p(m) classes, m <= rk, bound
+    # the estimate from below
     d = r * k
-    if floor is not None:
-        for m in range(d + 1):
-            bound = _P_STEP * (shapes + 1) * partition_count(m)
-            if bound > floor:
-                return bound
+    for m in range(d + 1):
+        bound = _P_STEP * (shapes + 1) * partition_count(m)
+        if bound > floor:
+            return bound
     newton = partition_count(k) * sum((r - i) * partition_count(i * k)
                                       for i in range(r))
     return _P_STEP * ((shapes + 1) * partition_count(d) + newton)
@@ -460,13 +491,16 @@ def _ring(family, F, r):
     finite alphabet where _alphabet_for takes it, else _Classes for the
     permutation family and the p basis for the others, refused above the
     plethysm cap; None where I_{rk}(V) is zero, which is never refused.
-    Only the zero test builds anything: I_{rk}(V) where it may vanish, a
-    list of shapes for SL and Sp (which _alphabet_for lists too) and a
-    stored component for Custom."""
+    Nothing is built to decide: the zero test reads n and d for SL and
+    Sp, as the estimates do, and a stored component for Custom; perm and
+    GL(n) never vanish.  No shape is listed here."""
     if r < 0:
         raise ValueError("r must be nonnegative")
     d = r * F.degree()
-    if not _never_vanishes(family) and inv_char(family, d).is_zero():
+    if isinstance(family, (SLnDefining, Sp2nDefining)):
+        if not _shape_facts(family, d)[0]:
+            return None
+    elif not _never_vanishes(family) and inv_char(family, d).is_zero():
         return None
     alphabet = _alphabet_for(family, F, r)
     if alphabet is None:

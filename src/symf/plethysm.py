@@ -33,7 +33,7 @@ Each algorithm is written once, over a ring of dicts with `one`,
 `mul(a, b, out=None)` (a*b, added into out if given), `substitute`
 (f, j -> p_j[f]) and `unpack` (a result keyed as callers read it):
 f[g] in _pleth_p, h_r[f] by Newton's recurrence in _h_of, the p_lam[f]
-pairings in _pairings, which on the uncapped _PBasis reads _products and
+pairings in _pairings, which on _PBasis reads _products and
 on any other ring multiplies them out by _p_powers' prefix stack, as
 _pleth_p does.  The rings are _PBasis, on class function values
 keyed by packed partitions that unpack to symfunc._key's Partitions;
@@ -150,13 +150,12 @@ def _cleared_products(f, r):
 
 def _pairings(f, r, pair, ring=_PBasis()):
     # the p-basis SymFn with class function value pair(p_lam[f]) at lam |- r;
-    # on the uncapped p basis, read from the memoized p_lam[D f]
-    if isinstance(ring, _PBasis) and ring.cap is None:
+    # on the p basis, whose pair is a _Pairing, read from the memoized
+    # p_lam[D f], each coefficient one Fraction over n D^len(lam) z_lam
+    if isinstance(ring, _PBasis):
         D, products = _cleared_products(f, r)
-        values = {lam: pair(prod) for lam, prod in products}
-        if D > 1:
-            values = {lam: v / D ** len(lam) for lam, v in values.items()}
-        return _p_symfn(values)
+        return SymFn("p", {lam: pair(prod, D ** len(lam) * z_of(lam))
+                           for lam, prod in products})
     return _p_symfn({lam: pair(prod)
                      for lam, prod in _p_powers(f, partitions_of(r), ring)})
 
@@ -189,12 +188,13 @@ class _Pairing:
         self.weights = {key: v * size for mu, v in gp.items()
                         for key, size in (_key_of(mu),)}
 
-    def __call__(self, f):
+    def __call__(self, f, scale=1):
+        """<f, g>, divided by scale as well where it is given."""
         a, b = f, self.weights
         if len(a) > len(b):
             a, b = b, a
         return Fraction(sum([c * b[k] for k, c in a.items() if k in b]),
-                        self.n)
+                        self.n * scale)
 
 
 def _p_pairing(F, G, r):

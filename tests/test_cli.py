@@ -601,6 +601,21 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", stderr)
         assert elapsed < 2.0, elapsed
 
+    @pytest.mark.parametrize("n", ["20", "30"])
+    def test_sp_refused_before_its_shapes_are_listed(self, n):
+        # routing reads the count and bounds of the shapes of I_140(Sp(2n))
+        # from n and d; listing the 3.0 and 3.9 million shapes first ended
+        # in a SystemError traceback, or in running out of memory
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "symf", "hilbert",
+                               "--family", "sp", "--n", n, "--functor", "h1",
+                               "--r", "140"],
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - t0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            4, "", "symf: plethysm of degree 140 is beyond the cap 40\n")
+        assert elapsed < 2.0, elapsed
+
     @pytest.mark.parametrize("argv,stderr", [
         (["perm", "--n", "2", "--functor", "h1", "--r", "24"],
          "symf: Schur expansion needs characters of S_24, beyond the cap "

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import warnings
@@ -11,16 +12,17 @@ from symf.enumeration import DealSpec, RegularGraphSpec, regular_graphs
 from symf.errors import DegreeError, ResourceLimitError, TruncationError
 from symf.invariants import (Custom, GLnAdjoint, PolyFunctor, SLnDefining,
                              SnPermutation, Sp2nDefining, _Alphabet,
-                             _alphabet_for, _sn_component, _target_shapes,
-                             hilbert_dim, hom_dim, hom_series_char, inv_char,
+                             _alphabet_for, _ring, _shape_facts,
+                             _sn_component, _target_shapes, hilbert_dim,
+                             hom_dim, hom_series_char, inv_char,
                              inv_char_polyfunc)
 from symf.oracles import (oracle_cayley_sylvester, oracle_matchings,
                           oracle_perm_inv_char, oracle_restricted_bell,
                           oracle_su2_inv_char, oracle_syt,
                           oracle_weyl_inv_char)
 from symf.partitions import _reset_memo, partitions_of
-from symf.plethysm import (GradedSeries, _h_of, _pairings, fundamental,
-                           h_plus_series, h_sum_series, plethysm,
+from symf.plethysm import (GradedSeries, _PBasis, _h_of, _pairings,
+                           fundamental, h_plus_series, h_sum_series, plethysm,
                            plethysm_series)
 from symf.symfunc import (SymFn, _p_dict, dimension, e, h, kronecker, one, p,
                           s, scalar, specialize_ones, to_basis, zero)
@@ -527,6 +529,77 @@ def test_routing_expands_nothing(monkeypatch):
     # one for each of the 4! permutations
     assert len(_alphabet_for(SLnDefining(4), e(4), 8).weights) == 24
     assert calls == ["_jacobi_trudi"]
+
+
+# (family, F, r) over SL(n <= 6), Sp(2n <= 10), GL(n <= 3) adjoint and
+# perm n <= 3, five functors and r*k <= 60: the ring _ring picks, or its
+# refusal, pinned by the digest of the routes taken at 9ca0dc7
+ROUTE_FAMILIES = ([SLnDefining(n) for n in range(1, 7)]
+                  + [Sp2nDefining(n) for n in range(1, 6)]
+                  + [GLnAdjoint(n) for n in range(1, 4)]
+                  + [SnPermutation(n) for n in range(1, 4)])
+ROUTE_FUNCTORS = {"h1": h(1), "h2": h(2), "h3": h(3), "e2": e(2),
+                  "s21": s(2, 1)}
+ROUTES_SHA256 = \
+    "72d1b8bd869886be2d524ef7f00d35be6d3967a3d6eb3b948792f3894dab0c8e"
+
+
+def test_routes_match_the_pinned_digest():
+    lines = []
+    for family in ROUTE_FAMILIES:
+        for name, F in ROUTE_FUNCTORS.items():
+            for r in range(60 // F.degree() + 1):
+                try:
+                    outcome = type(_ring(family, F, r)).__name__
+                except ResourceLimitError as exc:
+                    outcome = str(exc)
+                lines.append("%r %s %d %s" % (family, name, r, outcome))
+    assert len(lines) == 2805
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ROUTES_SHA256
+
+
+def test_shape_facts_match_the_listed_shapes():
+    # the zero test, the count and the bounds that routing reads from n
+    # and d, against the shapes themselves
+    for n in range(1, 9):
+        for family in (SLnDefining(n), Sp2nDefining(n)):
+            for d in range(61):
+                shapes = _target_shapes(family, d)
+                facts = _shape_facts(family, d)
+                bounds = _Alphabet(shapes).bounds if shapes else ()
+                assert facts == (len(shapes), bounds), (family, d)
+
+
+def test_shapes_are_listed_only_by_the_pairing(monkeypatch):
+    # routing reads the facts alone; each query lists the shapes once,
+    # for the p basis's pairing or the alphabet's Jacobi-Trudi weights
+    calls = []
+
+    def spy(family, d):
+        calls.append(d)
+        return _target_shapes(family, d)
+    monkeypatch.setattr("symf.invariants._target_shapes", spy)
+    cases = [(SLnDefining(2), h(2), 4, _PBasis),
+             (Sp2nDefining(2), s(2, 1), 2, _PBasis),
+             (SLnDefining(3), e(2), 6, _Alphabet),
+             (Sp2nDefining(1), e(2), 5, _Alphabet),
+             (SLnDefining(2), h(3), 3, type(None)),
+             (Sp2nDefining(1), s(2, 1), 1, type(None))]
+    for family, F, r, ring in cases:
+        d = r * F.degree()
+        assert type(_ring(family, F, r)) is ring
+        assert calls == []
+        for query in (hilbert_dim, inv_char_polyfunc):
+            query(family, F, r)
+            assert calls == ([] if ring is type(None) else [d]), \
+                (family, F, r, query)
+            calls.clear()
+    # above the plethysm cap, where I_140(Sp(40)) has 3,034,232 shapes
+    for query in (_ring, hilbert_dim):
+        with pytest.raises(ResourceLimitError, match="degree 140"):
+            query(Sp2nDefining(20), h(1), 140)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------
