@@ -55,7 +55,7 @@ F(x_1, ..., x_L) times those of the other factor, against the chi^lam
 rows of the shapes over p(d) classes and the same products over p-basis
 classes.  Whether I_d(V) vanishes (n | d for SL, d even for Sp), how
 many shapes it has and the bounds B_i all follow from n and d
-(_shape_facts), so the shapes are listed only by the route that pairs
+(_vanishes, _shape_facts), so the shapes are listed only by the route that pairs
 with them: the p basis's I_d(V), or the alphabet's Jacobi-Trudi
 weights.  _ring makes that choice for both queries, and refuses the
 query there, before any work, or finds I_d(V) zero; symf inv reads it
@@ -148,12 +148,10 @@ def _target_shapes(family, d):
     # The Schur indices of I_d(V) for SL(n) or Sp(2n), each with
     # coefficient 1, in reverse lexicographic order; empty when there
     # are no invariants in degree d.
-    if isinstance(family, SLnDefining):
-        if d % family.n:
-            return []
-        return [Partition([d // family.n] * family.n if d else [])]
-    if d % 2:
+    if _vanishes(family, d):
         return []
+    if isinstance(family, SLnDefining):
+        return [Partition([d // family.n] * family.n if d else [])]
     # even columns and at most 2n rows: the rows of a partition of d/2
     # with at most n rows, each written twice
     halves = sorted((nu.conjugate()
@@ -410,15 +408,16 @@ def _shape_facts(family, d):
     # write twice each row of the mu |- q = d/2 with at most n rows, of
     # which row j is at most q // (j + 1): L = 2 min(n, q) and B_i =
     # q // (i // 2 + 1) + L - 1 - i, and they are as many as the
-    # partitions of q with parts at most n, counted one part at a time
-    if d % (family.n if isinstance(family, SLnDefining) else 2):
+    # partitions of q with parts at most min(n, q), counted one part at a
+    # time, in O(q min(n, q)) steps however large n is
+    if _vanishes(family, d):
         return 0, ()
     if isinstance(family, SLnDefining):
         L = family.n if d else 0
         return 1, tuple(d // family.n + L - 1 - i for i in range(L))
     q, L = d // 2, 2 * min(family.n, d // 2)
     counts = [1] + [0] * q
-    for part in range(1, family.n + 1):
+    for part in range(1, min(family.n, q) + 1):
         for m in range(part, q + 1):
             counts[m] += counts[m - part]
     return counts[q], tuple(q // (i // 2 + 1) + L - 1 - i for i in range(L))
@@ -486,21 +485,28 @@ def _never_vanishes(family):
     return isinstance(family, (SnPermutation, GLnAdjoint))
 
 
+def _vanishes(family, d):
+    # whether I_d(V) is zero: from n and d alone for SL(n), unless n | d,
+    # and Sp(2n), unless d is even; never for perm and GL(n); a Custom
+    # family reads its stored component
+    if isinstance(family, (SLnDefining, Sp2nDefining)):
+        return d % (family.n if isinstance(family, SLnDefining) else 2) != 0
+    return not _never_vanishes(family) and inv_char(family, d).is_zero()
+
+
 def _ring(family, F, r):
     """The ring in which <h_r[F], I_{rk}(V)> is read, k = deg F: the
     finite alphabet where _alphabet_for takes it, else _Classes for the
     permutation family and the p basis for the others, refused above the
     plethysm cap; None where I_{rk}(V) is zero, which is never refused.
-    Nothing is built to decide: the zero test reads n and d for SL and
-    Sp, as the estimates do, and a stored component for Custom; perm and
-    GL(n) never vanish.  No shape is listed here."""
+    Nothing is built to decide: _vanishes reads n and d for SL and Sp,
+    and a stored component for Custom; perm and GL(n) never vanish.  The
+    estimates read _shape_facts once, in _alphabet_for.  No shape is
+    listed here."""
     if r < 0:
         raise ValueError("r must be nonnegative")
     d = r * F.degree()
-    if isinstance(family, (SLnDefining, Sp2nDefining)):
-        if not _shape_facts(family, d)[0]:
-            return None
-    elif not _never_vanishes(family) and inv_char(family, d).is_zero():
+    if _vanishes(family, d):
         return None
     alphabet = _alphabet_for(family, F, r)
     if alphabet is None:

@@ -616,6 +616,20 @@ class TestExitCodes:
             4, "", "symf: plethysm of degree 140 is beyond the cap 40\n")
         assert elapsed < 2.0, elapsed
 
+    @pytest.mark.parametrize("r,answer", [("0", "1\n"), ("2", "0\n"),
+                                          ("4", "0\n")])
+    def test_sp_of_huge_n_answers_at_once(self, r, answer):
+        # the count of the shapes of I_2r(Sp(2n)) runs over parts up to
+        # min(n, r), not n: up to n, a billion loop steps came first
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "symf", "hilbert",
+                               "--family", "sp", "--n", "1000000000",
+                               "--functor", "h1", "--r", r],
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - t0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, answer, "")
+        assert elapsed < 2.0, elapsed
+
     @pytest.mark.parametrize("argv,stderr", [
         (["perm", "--n", "2", "--functor", "h1", "--r", "24"],
          "symf: Schur expansion needs characters of S_24, beyond the cap "
