@@ -53,20 +53,20 @@ from (family, F, r) alone, before anything is built or listed:
 Newton's r(r+1)/2 products in the box, each bounded by the monomials of
 F(x_1, ..., x_L) times those of the other factor, against the chi^lam
 rows of the shapes over p(d) classes and the same products over p-basis
-classes.  Whether I_d(V) vanishes (n | d for SL, d even for Sp), how
-many shapes it has and the bounds B_i all follow from n and d
-(_vanishes, _shape_facts), so the shapes are listed only by the route that pairs
-with them: the p basis's I_d(V), or the alphabet's Jacobi-Trudi
-weights.  _ring makes that choice for both queries, and refuses the
-query there, before any work, or finds I_d(V) zero; symf inv reads it
-to refuse a degree-1 functor's output cap up front.  _route returns the
-ring, F in it, and the pairing with I_d(V): Jacobi-Trudi's weights, or
-plethysm._p_pairing, the one that fundamental uses.  For the
-permutation family, <f, I_d(V)> averages f at p_j = fix(g^j) over g in
-S_min(n, d) (Molien): _ring hands out _Classes, which pairs by that
-average.  Each query builds h_r[F] or
-p_lam[F] by the same code in plethysm.py in every ring; the tests hold
-every route against fundamental(F, inv_char(family, r*k), r, mode).
+classes.  Whether I_d(V) vanishes (n | d for SL, d even for Sp) is
+_vanishes; _shape_facts describes its shapes from n and d alone: how
+many, the bounds B_i, and a lister, called only by what pairs with
+them (inv_char for the p basis's I_d(V), or the alphabet's
+Jacobi-Trudi weights).  _ring makes that choice for both queries, and
+refuses the query there, before any work, or finds I_d(V) zero; symf
+inv reads the same description, or _ring, to refuse its output cap.
+_route returns the ring, F in it, and the pairing with I_d(V):
+Jacobi-Trudi's weights, or plethysm._p_pairing, the one that
+fundamental uses.  For the permutation family, <f, I_d(V)> averages f
+at p_j = fix(g^j) over g in S_min(n, d) (Molien): _ring and inv_char
+pair by that average in _Classes.  Each query builds h_r[F] or p_lam[F]
+by the same code in plethysm.py in every ring; the tests hold every
+route against fundamental(F, inv_char(family, r*k), r, mode).
 """
 
 import warnings
@@ -78,8 +78,8 @@ from operator import le
 
 from .characters import CHAR_TABLE_CAP
 from .errors import DegreeError, ResourceLimitError, _number
-from .partitions import (Partition, Record, _check_integer, _memo,
-                         partition_count, partitions_of)
+from .partitions import (Partition, Record, _check_integer, partition_count,
+                         partitions_of)
 from .plethysm import (_PBasis, _check_degree, _h_of, _p_pairing, _pairings,
                        _pleth_p)
 from .symfunc import (SymFn, _add_into, _check_multiplicity, _over_z, _p_dict,
@@ -125,11 +125,13 @@ def inv_char(family, r):
     _check_integer("inv_char", "r", r)
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if isinstance(family, (SLnDefining, Sp2nDefining)):
-        return SymFn("s", dict.fromkeys(_target_shapes(family, r), 1))
+    facts = _shape_facts(family, r)
+    if facts is not None:
+        return SymFn("s", dict.fromkeys(facts[2](), 1))
     if isinstance(family, SnPermutation):
         _check_multiplicity(r)  # before any partition is listed
-        return _sn_component(min(family.n, r), r)
+        ring = _Classes(min(family.n, r))
+        return _pairings(ring.x, r, ring.pair, ring)
     if isinstance(family, GLnAdjoint):
         # the Kronecker squares s_lam * s_lam, summed as the pointwise
         # squares of the chi^lam rows
@@ -142,29 +144,6 @@ def inv_char(family, r):
     if isinstance(family, Custom):
         return family.series.component(r)
     raise TypeError("unknown invariant family %r" % (family,))
-
-
-def _target_shapes(family, d):
-    # The Schur indices of I_d(V) for SL(n) or Sp(2n), each with
-    # coefficient 1, in reverse lexicographic order; empty when there
-    # are no invariants in degree d.
-    if _vanishes(family, d):
-        return []
-    if isinstance(family, SLnDefining):
-        return [Partition([d // family.n] * family.n if d else [])]
-    # even columns and at most 2n rows: the rows of a partition of d/2
-    # with at most n rows, each written twice
-    halves = sorted((nu.conjugate()
-                     for nu in partitions_of(d // 2, max_part=family.n)),
-                    reverse=True)
-    return [Partition([a for a in mu for _ in (0, 1)]) for mu in halves]
-
-
-@_memo
-def _sn_component(n, r):
-    # I_r of S_n, n <= r: its value at mu is <p_mu, I_r> (Burnside)
-    ring = _Classes(n)
-    return _pairings(ring.x, r, ring.pair, ring)
 
 
 class PolyFunctor:
@@ -377,18 +356,17 @@ def _alphabet_for(family, F, r):
     where the p-basis route stays: other families, degrees without
     invariants, and where the estimated cost of the finite route is
     above that of the p basis.  One comparison at every degree, of
-    estimates read from F's terms and _shape_facts: the p basis's is
-    counted only until it passes the finite one, so p(rk) is counted
-    only where the comparison needs it.  Where the finite route is taken
-    at an estimate above _ALPHABET_CAP, the query is refused.  The
-    alphabet is set up from the bounds; its shapes are listed when its
-    pairing is first read."""
-    if not isinstance(family, (SLnDefining, Sp2nDefining)):
-        return None
+    estimates read from F's terms and _shape_facts' count and bounds:
+    the p basis's is counted only until it passes the finite one, so
+    p(rk) is counted only where the comparison needs it.  Where the
+    finite route is taken at an estimate above _ALPHABET_CAP, the query
+    is refused.  The alphabet is set up from the bounds and keeps
+    _shape_facts' lister, called when its pairing is first read."""
     k = F.degree()
-    count, bounds = _shape_facts(family, r * k)
-    if not count:
+    facts = _shape_facts(family, r * k)
+    if not (facts and facts[0]):
         return None
+    count, bounds, shapes = facts
     cost = _finite_cost(bounds, _monomial_count(F.basis, F.terms, k,
                                                 len(bounds)), k, r)
     if cost > _p_basis_cost(count, k, r, cost):
@@ -397,30 +375,43 @@ def _alphabet_for(family, F, r):
         raise ResourceLimitError(
             "the finite-alphabet route is estimated at %s steps, beyond "
             "the cap %d" % (_number(cost), _ALPHABET_CAP))
-    return _Alphabet(partial(_target_shapes, family, r * k), bounds)
+    return _Alphabet(shapes, bounds)
 
 
 def _shape_facts(family, d):
-    # (count, bounds) for the shapes of I_d(V), SL(n) or Sp(2n), from n
-    # and d alone, (0, ()) where there are none, as _target_shapes would
-    # list them and _Alphabet bound them.  SL's one shape (m^n), m = d/n,
-    # has L = n rows (none at d = 0), so B_i = m + n - 1 - i.  Sp's shapes
+    # I_d(V) of SL(n) or Sp(2n) from n and d alone, as (count, bounds,
+    # shapes): how many Schur indices it has, each with coefficient 1,
+    # the alphabet's bounds B_i, and a function that lists them in
+    # reverse lexicographic order; (0, (), list) where there are none.
+    # None for the other families, built from class values in the p
+    # basis.  SL's one shape (m^n), m = d/n, has L = n rows (none at
+    # d = 0), so B_i = m + n - 1 - i.  Sp's shapes, with even columns,
     # write twice each row of the mu |- q = d/2 with at most n rows, of
     # which row j is at most q // (j + 1): L = 2 min(n, q) and B_i =
     # q // (i // 2 + 1) + L - 1 - i, and they are as many as the
     # partitions of q with parts at most min(n, q), counted one part at a
     # time, in O(q min(n, q)) steps however large n is
+    if not isinstance(family, (SLnDefining, Sp2nDefining)):
+        return None
     if _vanishes(family, d):
-        return 0, ()
+        return 0, (), list
+    n = family.n
     if isinstance(family, SLnDefining):
-        L = family.n if d else 0
-        return 1, tuple(d // family.n + L - 1 - i for i in range(L))
-    q, L = d // 2, 2 * min(family.n, d // 2)
+        L = n if d else 0
+        return (1, tuple(d // n + L - 1 - i for i in range(L)),
+                lambda: [Partition([d // n] * L)])
+    q, L = d // 2, 2 * min(n, d // 2)
     counts = [1] + [0] * q
-    for part in range(1, min(family.n, q) + 1):
+    for part in range(1, min(n, q) + 1):
         for m in range(part, q + 1):
             counts[m] += counts[m - part]
-    return counts[q], tuple(q // (i // 2 + 1) + L - 1 - i for i in range(L))
+
+    def shapes():
+        halves = sorted((nu.conjugate() for nu in
+                         partitions_of(q, max_part=n)), reverse=True)
+        return [Partition([a for a in mu for _ in (0, 1)]) for mu in halves]
+    return (counts[q], tuple(q // (i // 2 + 1) + L - 1 - i for i in range(L)),
+            shapes)
 
 
 def _finite_cost(bounds, m, k, r):
@@ -478,20 +469,15 @@ def _p_basis_cost(shapes, k, r, floor):
     return _P_STEP * ((shapes + 1) * partition_count(d) + newton)
 
 
-def _never_vanishes(family):
-    # I_d(V) is nonzero in every degree d for perm and GL(n): its
-    # dimension is a restricted Bell number, and the GL sum holds
-    # lam = (d), whose Kronecker square is h_d
-    return isinstance(family, (SnPermutation, GLnAdjoint))
-
-
 def _vanishes(family, d):
     # whether I_d(V) is zero: from n and d alone for SL(n), unless n | d,
-    # and Sp(2n), unless d is even; never for perm and GL(n); a Custom
-    # family reads its stored component
+    # and Sp(2n), unless d is even; never for perm and GL(n), whose
+    # dimension is a restricted Bell number and whose sum holds h_d; a
+    # Custom family reads its stored component
     if isinstance(family, (SLnDefining, Sp2nDefining)):
         return d % (family.n if isinstance(family, SLnDefining) else 2) != 0
-    return not _never_vanishes(family) and inv_char(family, d).is_zero()
+    return (not isinstance(family, (SnPermutation, GLnAdjoint))
+            and inv_char(family, d).is_zero())
 
 
 def _ring(family, F, r):
@@ -501,8 +487,8 @@ def _ring(family, F, r):
     plethysm cap; None where I_{rk}(V) is zero, which is never refused.
     Nothing is built to decide: _vanishes reads n and d for SL and Sp,
     and a stored component for Custom; perm and GL(n) never vanish.  The
-    estimates read _shape_facts once, in _alphabet_for.  No shape is
-    listed here."""
+    estimates read _shape_facts' count and bounds once, in
+    _alphabet_for.  No shape is listed here."""
     if r < 0:
         raise ValueError("r must be nonnegative")
     d = r * F.degree()

@@ -105,6 +105,16 @@ HILBERT_P_ROUTE_SHA256 = {
         "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
 }
 
+# (family, n, r) of `symf inv` commands, run in every basis, and the
+# sha256 of the repr of each (argv, exit code, stdout, stderr), one a
+# line, as printed when the CLI guessed the basis of the answer from the
+# family.
+INV_QUERIES = [("sl", 2, 0), ("sl", 2, 5), ("sl", 2, 6), ("sl", 2, 30),
+               ("sp", 2, 4), ("sp", 2, 5), ("perm", 3, 4),
+               ("gl-adjoint", 2, 4)]
+INV_SHA256 = \
+    "f5ef92d5e6f6e22bddfd0f5a61182f702e7214144d431c7738e199ba4e51cf55"
+
 # Printed by the p-basis route through the weight-36 Jacobi-Trudi
 # expansion of s_(18,18), before the finite alphabet took this query.
 SL2_SEXTICS_R6 = (
@@ -271,6 +281,19 @@ class TestInv:
                               for lam in partitions_of(21) if lam.length <= 9)
         finally:
             _reset_memo()  # the weight-21 character values
+
+    def test_bytes_match_the_pinned_digest(self, capsys):
+        # stdout, stderr and exit code in every basis, zero and nonzero
+        # degrees and a refusal, of the answers built in the s basis (SL,
+        # Sp) and the p basis (perm, GL(n) adjoint)
+        records = []
+        for family, n, r in INV_QUERIES:
+            for basis in "spmhe":
+                argv = ["inv", "--family", family, "--n", str(n),
+                        "--r", str(r), "--basis", basis]
+                records.append(repr((argv, *run(capsys, *argv))))
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+        assert digest == INV_SHA256
 
     def test_functor_flag(self, capsys):
         code, out, err = run(capsys, "inv", "--family", "sl", "--n", "2",
@@ -614,6 +637,26 @@ class TestExitCodes:
         elapsed = time.perf_counter() - t0
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             4, "", "symf: plethysm of degree 140 is beyond the cap 40\n")
+        assert elapsed < 2.0, elapsed
+
+    @pytest.mark.parametrize("basis,stderr", [
+        ("m", "symf: monomial expansion of degree 140 is beyond the cap 20\n"),
+        ("h", "symf: monomial basis transitions are capped at degree 16, "
+              "got 140\n"),
+        ("e", "symf: monomial basis transitions are capped at degree 16, "
+              "got 140\n"),
+    ])
+    def test_sp_inv_refused_before_its_shapes_are_listed(self, basis, stderr):
+        # inv reads from n and r that I_140(Sp(40)) is nonzero and built
+        # in the s basis, so the target's cap speaks first; listing its
+        # 3,034,232 shapes first took 25-28 s and ran out of memory
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "symf", "inv",
+                               "--family", "sp", "--n", "20", "--r", "140",
+                               "--basis", basis],
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - t0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", stderr)
         assert elapsed < 2.0, elapsed
 
     @pytest.mark.parametrize("r,answer", [("0", "1\n"), ("2", "0\n"),

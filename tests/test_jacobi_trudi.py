@@ -12,7 +12,7 @@ import random
 from itertools import permutations
 
 from symf.invariants import (GLnAdjoint, SLnDefining, Sp2nDefining, _Alphabet,
-                             _jacobi_trudi, _target_shapes, inv_char)
+                             _jacobi_trudi, _shape_facts, inv_char)
 from symf.partitions import partitions_of
 from symf.symfunc import SymFn, _add_into, _prod_h_p, _schur_p, s, to_basis
 from test_kernel import _digest
@@ -92,7 +92,7 @@ def test_alphabet_weights_match_the_vandermonde_expansion():
     # SL(n <= 5) and Sp(2n <= 6) up to degree 24, and random shape sets
     families = ([SLnDefining(n) for n in range(1, 6)]
                 + [Sp2nDefining(n) for n in range(1, 4)])
-    sets = [_target_shapes(family, d) for family in families
+    sets = [_shape_facts(family, d)[2]() for family in families
             for d in range(25)]
     for shapes in filter(None, sets + list(_random_shape_sets(100))):
         assert _Alphabet(shapes).weights == _a_delta_weights(shapes), shapes
