@@ -53,15 +53,16 @@ from (family, F, r) alone, before anything is built or listed:
 Newton's r(r+1)/2 products in the box, each bounded by the monomials of
 F(x_1, ..., x_L) times those of the other factor, against the chi^lam
 rows of the shapes over p(d) classes and the same products over p-basis
-classes.  Whether I_d(V) vanishes (n | d for SL, d even for Sp) is
-_vanishes; _shape_facts describes its shapes from n and d alone: how
-many, the bounds B_i, and a lister, called only by what pairs with
-them (inv_char for the p basis's I_d(V), or the alphabet's
-Jacobi-Trudi weights).  _ring makes that choice for both queries, and
-refuses the query there, before any work, or finds I_d(V) zero; symf
-inv reads the same description, or _ring, to refuse its output cap.
-_route returns the ring, F in it, and the pairing with I_d(V):
-Jacobi-Trudi's weights, or plethysm._p_pairing, the one that
+classes.  _shape_facts describes the shapes from n and d alone: how
+many (none, so I_d(V) is zero, unless n | d for SL and d is even for
+Sp), the bounds B_i, and a lister, called only by what pairs with them
+(inv_char for the p basis's I_d(V), or the alphabet's Jacobi-Trudi
+weights).  _ring is the one decision for both queries: it reads that
+description once, finds I_d(V) zero or compares the two estimates, and
+refuses the query above the alphabet's cap or the plethysm cap, before
+any work.  symf inv reads the same description, or _ring, to refuse its
+output cap.  _route returns the ring, F in it, and the pairing with
+I_d(V): Jacobi-Trudi's weights, or plethysm._p_pairing, the one that
 fundamental uses.  For the permutation family, <f, I_d(V)> averages f
 at p_j = fix(g^j) over g in S_min(n, d) (Molien): _ring and inv_char
 pair by that average in _Classes.  Each query builds h_r[F] or p_lam[F]
@@ -231,8 +232,8 @@ class _Alphabet:
     def __init__(self, shapes, bounds=None):
         # shapes is a list of partitions, or, where their bounds are
         # given, a function that lists them: the Jacobi-Trudi weights
-        # alone read them, so _alphabet_for, which reads the bounds from
-        # n and d, lists no shape until the pairing is first read
+        # alone read them, so _ring, which reads the bounds from n and
+        # d, lists no shape until the pairing is first read
         if bounds is None:
             length = max(len(lam) for lam in shapes)
             bounds = tuple(max(lam[i] for lam in shapes if len(lam) > i)
@@ -351,40 +352,14 @@ _ALPHABET_SETUP = 150
 _ALPHABET_CAP = 10 ** 8
 
 
-def _alphabet_for(family, F, r):
-    """The finite alphabet for <h_r[F], I_{rk}(V)>, k = deg F, or None
-    where the p-basis route stays: other families, degrees without
-    invariants, and where the estimated cost of the finite route is
-    above that of the p basis.  One comparison at every degree, of
-    estimates read from F's terms and _shape_facts' count and bounds:
-    the p basis's is counted only until it passes the finite one, so
-    p(rk) is counted only where the comparison needs it.  Where the
-    finite route is taken at an estimate above _ALPHABET_CAP, the query
-    is refused.  The alphabet is set up from the bounds and keeps
-    _shape_facts' lister, called when its pairing is first read."""
-    k = F.degree()
-    facts = _shape_facts(family, r * k)
-    if not (facts and facts[0]):
-        return None
-    count, bounds, shapes = facts
-    cost = _finite_cost(bounds, _monomial_count(F.basis, F.terms, k,
-                                                len(bounds)), k, r)
-    if cost > _p_basis_cost(count, k, r, cost):
-        return None
-    if cost > _ALPHABET_CAP:
-        raise ResourceLimitError(
-            "the finite-alphabet route is estimated at %s steps, beyond "
-            "the cap %d" % (_number(cost), _ALPHABET_CAP))
-    return _Alphabet(shapes, bounds)
-
-
 def _shape_facts(family, d):
     # I_d(V) of SL(n) or Sp(2n) from n and d alone, as (count, bounds,
     # shapes): how many Schur indices it has, each with coefficient 1,
     # the alphabet's bounds B_i, and a function that lists them in
     # reverse lexicographic order; (0, (), list) where there are none.
     # None for the other families, built from class values in the p
-    # basis.  SL's one shape (m^n), m = d/n, has L = n rows (none at
+    # basis.  I_d(V) is zero unless n | d for SL(n) and d is even for
+    # Sp(2n).  SL's one shape (m^n), m = d/n, has L = n rows (none at
     # d = 0), so B_i = m + n - 1 - i.  Sp's shapes, with even columns,
     # write twice each row of the mu |- q = d/2 with at most n rows, of
     # which row j is at most q // (j + 1): L = 2 min(n, q) and B_i =
@@ -393,10 +368,10 @@ def _shape_facts(family, d):
     # time, in O(q min(n, q)) steps however large n is
     if not isinstance(family, (SLnDefining, Sp2nDefining)):
         return None
-    if _vanishes(family, d):
+    n, sl = family.n, isinstance(family, SLnDefining)
+    if d % (n if sl else 2):
         return 0, (), list
-    n = family.n
-    if isinstance(family, SLnDefining):
+    if sl:
         L = n if d else 0
         return (1, tuple(d // n + L - 1 - i for i in range(L)),
                 lambda: [Partition([d // n] * L)])
@@ -469,38 +444,47 @@ def _p_basis_cost(shapes, k, r, floor):
     return _P_STEP * ((shapes + 1) * partition_count(d) + newton)
 
 
-def _vanishes(family, d):
-    # whether I_d(V) is zero: from n and d alone for SL(n), unless n | d,
-    # and Sp(2n), unless d is even; never for perm and GL(n), whose
-    # dimension is a restricted Bell number and whose sum holds h_d; a
-    # Custom family reads its stored component
-    if isinstance(family, (SLnDefining, Sp2nDefining)):
-        return d % (family.n if isinstance(family, SLnDefining) else 2) != 0
-    return (not isinstance(family, (SnPermutation, GLnAdjoint))
-            and inv_char(family, d).is_zero())
-
-
 def _ring(family, F, r):
-    """The ring in which <h_r[F], I_{rk}(V)> is read, k = deg F: the
-    finite alphabet where _alphabet_for takes it, else _Classes for the
-    permutation family and the p basis for the others, refused above the
-    plethysm cap; None where I_{rk}(V) is zero, which is never refused.
-    Nothing is built to decide: _vanishes reads n and d for SL and Sp,
-    and a stored component for Custom; perm and GL(n) never vanish.  The
-    estimates read _shape_facts' count and bounds once, in
-    _alphabet_for.  No shape is listed here."""
+    """The ring in which <h_r[F], I_{rk}(V)> is read, k = deg F, or None
+    where I_{rk}(V) is zero, which is never refused.  One decision, from
+    (family, F, r) alone, in this order:
+
+    - the zero test: _shape_facts' count 0 for SL and Sp, the stored
+      component for Custom; perm and GL(n) never vanish;
+    - for SL and Sp, the finite alphabet's estimate, read from F's terms
+      and _shape_facts' bounds, against the p basis's, counted only
+      until it passes the finite one, so that p(rk) is counted only
+      where the comparison needs it.  The alphabet is taken where it is
+      no dearer, and refused there above _ALPHABET_CAP;
+    - otherwise the plethysm cap, then _Classes for the permutation
+      family and the p basis for the others.
+
+    The alphabet is set up from the bounds and keeps _shape_facts'
+    lister, called when its pairing is first read: no shape is listed
+    here."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    d = r * F.degree()
-    if _vanishes(family, d):
+    k = F.degree()
+    d = r * k
+    if (facts := _shape_facts(family, d)) is not None:
+        count, bounds, shapes = facts
+        if not count:
+            return None
+        cost = _finite_cost(bounds, _monomial_count(F.basis, F.terms, k,
+                                                    len(bounds)), k, r)
+        if cost <= _p_basis_cost(count, k, r, cost):
+            if cost > _ALPHABET_CAP:
+                raise ResourceLimitError(
+                    "the finite-alphabet route is estimated at %s steps, "
+                    "beyond the cap %d" % (_number(cost), _ALPHABET_CAP))
+            return _Alphabet(shapes, bounds)
+    elif (not isinstance(family, (SnPermutation, GLnAdjoint))
+          and inv_char(family, d).is_zero()):
         return None
-    alphabet = _alphabet_for(family, F, r)
-    if alphabet is None:
-        _check_degree(d)
-        if isinstance(family, SnPermutation):
-            return _Classes(min(family.n, d))
-        return _PBasis()
-    return alphabet
+    _check_degree(d)
+    if isinstance(family, SnPermutation):
+        return _Classes(min(family.n, d))
+    return _PBasis()
 
 
 def _route(family, P, r):

@@ -11,10 +11,9 @@ from symf.characters import character_table
 from symf.enumeration import DealSpec, RegularGraphSpec, regular_graphs
 from symf.errors import DegreeError, ResourceLimitError, TruncationError
 from symf.invariants import (Custom, GLnAdjoint, PolyFunctor, SLnDefining,
-                             SnPermutation, Sp2nDefining, _Alphabet,
-                             _alphabet_for, _ring, _shape_facts, hilbert_dim,
-                             hom_dim, hom_series_char, inv_char,
-                             inv_char_polyfunc)
+                             SnPermutation, Sp2nDefining, _Alphabet, _ring,
+                             _shape_facts, hilbert_dim, hom_dim,
+                             hom_series_char, inv_char, inv_char_polyfunc)
 from symf.oracles import (oracle_cayley_sylvester, oracle_matchings,
                           oracle_perm_inv_char, oracle_restricted_bell,
                           oracle_su2_inv_char, oracle_syt,
@@ -457,7 +456,7 @@ def test_s_mode_keeps_the_schur_route(finite_calls):
 
 
 def _routed(family, F, r):
-    return _alphabet_for(family, F, r) is not None
+    return isinstance(_ring(family, F, r), _Alphabet)
 
 
 def test_routing_rule_on_larger_groups():
@@ -524,7 +523,7 @@ def test_routing_expands_nothing(monkeypatch):
     assert routes == [True, False, False, False, True, True, True, False]
     # the spies are live: the pairing weights are Jacobi-Trudi's terms,
     # one for each of the 4! permutations
-    assert len(_alphabet_for(SLnDefining(4), e(4), 8).weights) == 24
+    assert len(_ring(SLnDefining(4), e(4), 8).weights) == 24
     assert calls == ["_jacobi_trudi"]
 
 
