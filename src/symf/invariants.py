@@ -83,8 +83,9 @@ from .partitions import (Partition, Record, _check_integer, partition_count,
                          partitions_of)
 from .plethysm import (_PBasis, _check_degree, _h_of, _p_pairing, _pairings,
                        _pleth_p)
-from .symfunc import (SymFn, _add_into, _check_multiplicity, _over_z, _p_dict,
-                      _p_symfn, _schur_p, scalar, to_basis, zero)
+from .symfunc import (SymFn, _PLETHYSM_DEGREE_CAP, _add_into,
+                      _check_multiplicity, _over_z, _p_dict, _p_symfn,
+                      _schur_p, scalar, to_basis, zero)
 
 
 class _Family(Record):
@@ -121,16 +122,20 @@ def inv_char(family, r):
     """Frobenius character of the invariants in the r-th tensor power.
 
     Always homogeneous of degree r; the zero function when there are no
-    invariants in that degree.
+    invariants in that degree.  For SL(n), Sp(2n) and the permutation
+    family, an answer of more terms than p(40), a plethysm at the degree
+    cap, is refused before it is built.
     """
     _check_integer("inv_char", "r", r)
     if r < 0:
         raise ValueError("r must be nonnegative")
     facts = _shape_facts(family, r)
     if facts is not None:
+        _check_terms(facts[0])
         return SymFn("s", dict.fromkeys(facts[2](), 1))
     if isinstance(family, SnPermutation):
         _check_multiplicity(r)  # before any partition is listed
+        _check_terms(partition_count(r))
         ring = _Classes(min(family.n, r))
         return _pairings(ring.x, r, ring.pair, ring)
     if isinstance(family, GLnAdjoint):
@@ -145,6 +150,15 @@ def inv_char(family, r):
     if isinstance(family, Custom):
         return family.series.component(r)
     raise TypeError("unknown invariant family %r" % (family,))
+
+
+def _check_terms(count):
+    # an answer of count terms, at most, is refused before it is built
+    # above the p(40) = 37,338 terms of a plethysm at the degree cap
+    cap = partition_count(_PLETHYSM_DEGREE_CAP)
+    if count > cap:
+        raise ResourceLimitError("the answer has up to %s terms, beyond "
+                                 "the cap %d" % (_number(count), cap))
 
 
 class PolyFunctor:
@@ -500,11 +514,17 @@ def _route(family, P, r):
 
 
 def inv_char_polyfunc(family, P, r):
-    """Invariant character I_r(P(V)) via the inner product construction."""
+    """Invariant character I_r(P(V)) via the inner product construction.
+
+    A nonzero answer above degree 40, which may have more terms than
+    p(40), a plethysm at the degree cap, is refused after the ring's own
+    refusals and before it is built.
+    """
     _check_integer("inv_char_polyfunc", "r", r)
     route = _route(family, P, r)
     if route is None:
         return zero()
+    _check_terms(partition_count(r))
     ring, f, pair = route
     return _pairings(f, r, pair, ring)
 

@@ -60,12 +60,8 @@ from .partitions import _check_integer, _memo, partitions_of, z_of
 from .symfunc import (SymFn, generator, one, zero, _add_into,
                       _check_multiplicity, _cleared, _div, _multiplicity,
                       _mul_p, _key, _p_dict, _p_symfn, _pack, _packed_vector,
-                      _scaled, _target_cap, _unpacked, _unpacked_vector,
-                      _width)
-
-# Largest degree deg f * deg g of a plethysm f[g]: p(40) = 37,338 terms.
-# Below symfunc._KEY_LIMIT, so no packed key of a plethysm can spill.
-_PLETHYSM_DEGREE_CAP = 40
+                      _PLETHYSM_DEGREE_CAP, _scaled, _target_cap, _unpacked,
+                      _unpacked_vector, _width)
 
 
 def _p_powers(g, partitions, ring):

@@ -104,6 +104,10 @@ _INEXACT = (float, complex, Decimal)
 # characters.CHAR_TABLE_CAP.
 _M_MATRIX_CAP = 16
 
+# Largest degree deg f * deg g of a plethysm f[g]: p(40) = 37,338 terms.
+# Below _KEY_LIMIT, so no packed key of a plethysm can spill.
+_PLETHYSM_DEGREE_CAP = 40
+
 # Bits per part multiplicity in a packed key: a product that repeats a
 # part 128 times is refused, far above every documented command.
 _KEY_BITS = 7
@@ -479,7 +483,9 @@ def _target_cap(target, degrees):
     # the degrees is beyond its cap: the s target reads the characters
     # of S_d and the m target the rows of R, each a vector p(d) entries
     # wide per class, under the table cap; the h and e targets solve
-    # against R, under its own.
+    # against R, under its own.  The p target, p(d) terms for one term of
+    # another basis, is capped at the plethysm's degree cap, but only
+    # where a caller asks: to_basis expands into p uncapped.
     for d in degrees:
         if target == "s" and d > characters.CHAR_TABLE_CAP:
             raise ResourceLimitError(
@@ -491,6 +497,10 @@ def _target_cap(target, degrees):
                 % (_number(d), characters.CHAR_TABLE_CAP))
         if target in ("h", "e"):
             _m_cap(d)
+        if target == "p" and d > _PLETHYSM_DEGREE_CAP:
+            raise ResourceLimitError(
+                "power-sum expansion of degree %s is beyond the cap %d"
+                % (_number(d), _PLETHYSM_DEGREE_CAP))
 
 
 @_memo

@@ -613,10 +613,25 @@ class TestExitCodes:
         (["inv", "--family", "sp", "--n", "20", "--r", "140", "--basis", "e"],
          "symf: monomial basis transitions are capped at degree 16, "
          "got 140\n"),
+        (["inv", "--family", "sp", "--n", "20", "--r", "140", "--basis", "s"],
+         "symf: the answer has up to 3034232 terms, beyond the cap 37338\n"),
+        (["inv", "--family", "sp", "--n", "20", "--r", "140", "--basis", "p"],
+         "symf: power-sum expansion of degree 140 is beyond the cap 40\n"),
+        (["inv", "--family", "perm", "--n", "60", "--r", "60", "--basis",
+          "p"],
+         "symf: the answer has up to 966467 terms, beyond the cap 37338\n"),
+        (["inv", "--family", "sl", "--n", "2", "--functor", "h1", "--r", "60",
+          "--basis", "p"],
+         "symf: the answer has up to 966467 terms, beyond the cap 37338\n"),
+        (["inv", "--family", "sl", "--n", "2", "--r", "60", "--basis", "p"],
+         "symf: power-sum expansion of degree 60 is beyond the cap 40\n"),
+        (["inv", "--family", "sp", "--n", "20", "--r", "50", "--basis", "p"],
+         "symf: power-sum expansion of degree 50 is beyond the cap 40\n"),
     ], ids=["gl-adjoint-24", "gl-adjoint-26", "deals-cycle-index",
             "empty-graph-cycle-index", "perm-functor-42",
             "gl-adjoint-functor-42", "sl-functor-42", "sp-140-m", "sp-140-h",
-            "sp-140-e"])
+            "sp-140-e", "sp-140-s", "sp-140-p", "perm-60-p",
+            "sl-functor-60-p", "sl-60-p", "sp-50-p"])
     def test_refused_from_the_arguments(self, argv, stderr):
         # GL(n)'s I_r holds h_r, so r alone decides the target's cap;
         # building I_r first took 1.6 s at r = 24 and 3.4 s at r = 26.
@@ -629,7 +644,14 @@ class TestExitCodes:
         # reads from n and r that I_140(Sp(40)) is nonzero and built in
         # the s basis, so the m, h and e caps refuse it; listing its
         # 3,034,232 shapes first took 25-28 s and ran out of memory
-        # under a 2 GB limit.
+        # under a 2 GB limit.  The same count refuses the s basis, where
+        # the answer is built, at the term cap of p(40) terms, and the p
+        # target is capped at degree 40: listing the shapes, or
+        # expanding them over p(r) classes, took 28-32 s into a
+        # traceback or out of memory.  The perm answer and the
+        # alphabet's answer to inv --functor have up to p(r) terms, so
+        # the term cap refuses them above degree 40; the perm one was
+        # still running at 45 s, and the other took 48.8 s and 1.2 GB.
         t0 = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "symf"] + argv,
                               capture_output=True, text=True, timeout=60)

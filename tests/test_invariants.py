@@ -132,7 +132,8 @@ def test_perm_memo_is_keyed_by_the_blocks_that_fit():
 
 
 def test_perm_refused_before_any_partition_is_listed(monkeypatch):
-    # the class (1^128) would spill a packed key field
+    # the class (1^128) would spill a packed key field, and above degree
+    # 40 the answer's p(r) terms pass the term cap
     def unreachable(*args):
         raise AssertionError("enumerated past the multiplicity cap")
     monkeypatch.setattr(sys.modules["symf.plethysm"], "_mul_p", unreachable)
@@ -142,6 +143,10 @@ def test_perm_refused_before_any_partition_is_listed(monkeypatch):
                        match="^a part repeated 128 times is beyond the cap "
                              "127$"):
         inv_char(SnPermutation(2), 128)
+    with pytest.raises(ResourceLimitError,
+                       match="^the answer has up to 44583 terms, beyond the "
+                             "cap 37338$"):
+        inv_char(SnPermutation(2), 41)
 
 
 def test_perm_queries_run_no_p_basis_kernel(monkeypatch):
@@ -597,6 +602,13 @@ def test_shapes_are_listed_only_by_the_pairing(monkeypatch):
             assert calls == ([] if ring is type(None) else [d]), \
                 (family, F, r, query)
             calls.clear()
+    # I_82(Sp(40)) has 41,869 shapes, more than the term cap: refused
+    # from the count, before the lister runs
+    with pytest.raises(ResourceLimitError,
+                       match="^the answer has up to 41869 terms, beyond the "
+                             "cap 37338$"):
+        inv_char(Sp2nDefining(20), 82)
+    assert calls == []
     # above the plethysm cap, where I_140(Sp(40)) has 3,034,232 shapes
     for query in (_ring, hilbert_dim):
         with pytest.raises(ResourceLimitError, match="degree 140"):
