@@ -464,7 +464,9 @@ def _ring(family, F, r):
     (family, F, r) alone, in this order:
 
     - the zero test: _shape_facts' count 0 for SL and Sp, the stored
-      component for Custom; perm and GL(n) never vanish;
+      component for Custom; perm and GL(n) never vanish, since the
+      dimension of perm's I_d is a restricted Bell number and GL(n)'s
+      I_d holds h_d;
     - for SL and Sp, the finite alphabet's estimate, read from F's terms
       and _shape_facts' bounds, against the p basis's, counted only
       until it passes the finite one, so that p(rk) is counted only

@@ -495,6 +495,8 @@ def test_finite_route_is_capped_before_any_product(monkeypatch):
                            match="estimated at 2005001150 steps, beyond "
                                  "the cap 100000000"):
             query(SLnDefining(2), h(1), 2000)
+    # a zero answer comes before every cap, the term cap included
+    assert inv_char_polyfunc(SLnDefining(2), h(1), 2001).is_zero()
     # r = 734 is the last degree with invariants below the cap
     assert _routed(SLnDefining(2), h(1), 734)
     with pytest.raises(ResourceLimitError):
