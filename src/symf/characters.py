@@ -4,29 +4,33 @@ The irreducible character value chi^lambda(mu) is computed by the
 Murnaghan-Nakayama rule, phrased on first-column hook lengths (beta
 numbers).  A partition is read as its beta-set mask, _mask(lam), an int
 whose set bits are its beta numbers.  There is one border-strip move,
-_strips(mask, t): removing a strip of t cells moves a set bit b to the
-clear bit b - t >= 0, and the sign is (-1)^(number of set bits strictly
-between b - t and b).  Values are memoized in two orientations, both
-read through that move.  Rows: _chi(mask, mu) recurses on mu minus its
-first part, one value at a time, on the memoized strips of each
-(mask, t); it serves chi and the rows chi^lam that symfunc reads for
-Schur inputs of any weight, where a column would span all p(|lam|)
-shapes.  Columns: _column(mu) is the dense list of chi^lam(mu) over
-every lam of weight |mu|, zeros included, indexed by position in
-partitions_of(|mu|): p_mu in the s basis (Macdonald I.7.8).  It is
-_expand(_strip_table, mu), which expands p_mu one power sum at a time,
-p_mu being p_mu[0] times p_mu[1:]: one pass over the list of mu minus
-its first part through the move table of (|mu|, mu[0]), every move an
-(i, j, c) triple of positions, so no partition is hashed per entry.
-Here the moves are the border strips of that size, c their signs;
-symfunc's rows of the p-to-m matrix, p_nu in the m basis, take the same
-walk through the monomial moves of its _raise_table.  A strip table
-positions the strips of every mask of its degree through one
-{mask: position} map per degree, _beta_positions, so building one
-builds no partition either.  Columns serve symfunc's s target, which
-reads the columns of its input's classes only, and plethysm.fundamental's
-s mode, both through one packed int per column (symfunc._packed_vector),
-and the cold build of a full table, which transposes them, and _table(r)
+_border_strips(masks, t), written once: removing a strip of t cells
+moves a set bit b to the clear bit b - t >= 0, and the sign is
+(-1)^(number of set bits strictly between b - t and b).  One call makes
+the move over a whole sequence of masks and returns one flat list of
+(k, sub, sign) triples, k the index of the mask.  Values are memoized
+in two orientations, both read through that move.  Rows: _chi(mask, mu)
+recurses on mu minus its first part, one value at a time, on the
+memoized strips _strips(mask, t), which is the move called on the one
+mask; it serves chi and the rows chi^lam that symfunc reads for Schur
+inputs of any weight, where a column would span all p(|lam|) shapes.
+Columns: _column(mu) is the dense list of chi^lam(mu) over every lam of
+weight |mu|, zeros included, indexed by position in partitions_of(|mu|):
+p_mu in the s basis (Macdonald I.7.8).  It is _expand(_strip_table, mu),
+which expands p_mu one power sum at a time, p_mu being p_mu[0] times
+p_mu[1:]: one pass over the list of mu minus its first part through the
+move table of (|mu|, mu[0]), every move an (i, j, c) triple of
+positions, so no partition is hashed per entry.  Here the moves are the
+border strips of that size, c their signs; symfunc's rows of the p-to-m
+matrix, p_nu in the m basis, take the same walk through the monomial
+moves of its _raise_table.  A strip table is one call of the move over
+every mask of its degree, in the order of the {mask: position} map of
+that degree, _beta_positions, so k is already the position i, and the
+same map of degree d - t positions each sub: building a table builds no
+partition either.  Columns serve symfunc's s target, which reads the
+columns of its input's classes only, and plethysm.fundamental's s mode,
+both through one packed int per column (symfunc._packed_vector), and
+the cold build of a full table, which transposes them, and _table(r)
 keeps each full table.  The memos are _strips, _chi, _beta_positions,
 _strip_table, _expand and _table, each a function in an unbounded
 lru_cache: it keeps every value computed in the process.
@@ -71,26 +75,36 @@ def _mask(lam):
     # lam's beta-set mask: an int whose set bits are its beta numbers
     # lam_i + len(lam) - 1 - i; bit 0 is clear, and () is 0
     n = len(lam) - 1
-    return sum(1 << a + n - i for i, a in enumerate(lam))
+    return sum([1 << a + n - i for i, a in enumerate(lam)])
+
+
+def _border_strips(masks, size):
+    # (k, sub, sign) for each border strip of `size` cells of the k-th
+    # mask, sub the mask left when it is removed: one flat list over all
+    # the masks.  A strip moves a set bit b of the mask to the clear bit
+    # b - size >= 0, signed by the parity of the set bits between; bit 0
+    # of a mask is clear, so only a strip moved to bit 0 empties rows,
+    # whose bits, set at the bottom, are shifted out.
+    out = []
+    for k, mask in enumerate(masks):
+        moves = mask & ~(mask << size) & -(1 << size)
+        while moves:
+            top = moves & -moves
+            moves ^= top
+            low = top >> size
+            sub = mask ^ top ^ low
+            if low == 1:
+                sub >>= (sub ^ (sub + 1)).bit_length() - 1
+            out.append((k, sub,
+                        -1 if (mask & (top - low)).bit_count() & 1 else 1))
+    return out
 
 
 @_memo
 def _strips(mask, size):
-    # (sub, sign) for each border strip of `size` cells, sub the mask left
-    # when it is removed.  A strip moves a set bit b of the mask to the
-    # clear bit b - size >= 0, signed by the parity of the set bits
-    # between; the bits of rows it empties, set at the bottom, are
-    # shifted out.
-    out = []
-    moves = mask & ~(mask << size) & -(1 << size)
-    while moves:
-        top = moves & -moves
-        moves ^= top
-        low = top >> size
-        sub = mask ^ top ^ low
-        sub >>= (sub ^ (sub + 1)).bit_length() - 1
-        out.append((sub, -1 if (mask & (top - low)).bit_count() & 1 else 1))
-    return tuple(out)
+    # (sub, sign) for each border strip of `size` cells of the mask
+    return tuple([(sub, sign)
+                  for _, sub, sign in _border_strips((mask,), size)])
 
 
 @_memo
@@ -116,12 +130,11 @@ def _beta_positions(n):
 def _strip_table(d, size):
     # (i, j, sign) for each border strip of `size` cells that takes the
     # i-th partition of d to the j-th partition of d - size, positions in
-    # partitions_of order.  The strips are enumerated afresh, not read
-    # from _strips' memo: a table meets each mask once.
+    # partitions_of order: one pass of the move over the masks of d, in
+    # that order.  _strips' memo is not read: a table meets each mask once.
     pos = _beta_positions(d - size)
-    strips = _strips.__wrapped__
-    return [(i, pos[sub], sign) for mask, i in _beta_positions(d).items()
-            for sub, sign in strips(mask, size)]
+    return [(i, pos[sub], sign)
+            for i, sub, sign in _border_strips(_beta_positions(d), size)]
 
 
 @_memo

@@ -75,6 +75,10 @@ def _json_text(value):
 def _cmd_eval(args):
     value = _cli.evaluate_text(args.expr)
     if isinstance(value, SymFn):
+        # the p target's cap, which to_basis leaves to its callers; a
+        # value already in p prints as it is
+        if args.basis == "p" and value.basis != "p":
+            _target_cap("p", value.degrees())
         value = to_basis(value, args.basis)
     _print(value, _json_text if args.json else str)
     return 0

@@ -4,8 +4,9 @@ an independent oracle or a classical closed form and compares.
 A check is a function of its bounds, and is defined here once.  The
 acceptance tests c01-c11 in tests/test_acceptance.py call the checks at
 their bounds; `symf selftest` calls them at smaller bounds scaled by
-max_degree, so the default run of 8 takes about a second.  Each oracle
-is applied only where its own size cap admits the case.  Checks raise
+max_degree, so the default run of 8 takes about 0.16 s in a fresh
+process (median of 11, Python 3.11.7 on 2 vCPUs).  Each oracle is
+applied only where its own size cap admits the case.  Checks raise
 through _check, never assert, so they still fire under `python -O`.
 All iteration orders and random draws are fixed, so two runs print the
 same bytes.

@@ -28,9 +28,14 @@ that builds the character columns, characters._expand: p_nu is p_t
 times p of nu's other parts, for t its first part, and m_lam p_t raises
 one part v of lam, or a new part 0, to v + t, with the multiplicity of
 v + t as coefficient.  _raise_table(d, t) lists those moves as triples
-of positions.  A row is a dense list indexed by position in
-partitions_of(d), memoized with the rows of its tails, and only the
-rows of the classes a query reads are built.  The m coefficients of f
+of positions, made on the packed multiplicity keys of _mul_p below
+rather than on sorted part tuples: raising v takes one unit off field v
+and puts one on field v + t (a new part only adds the unit of field t),
+the coefficient is field v + t of the result, and the result's position
+is read from the {key: position} map of its degree, _key_positions(d).
+A row is a dense list indexed by position in partitions_of(d), memoized
+with the rows of its tails, and only the rows of the classes a query
+reads are built.  The m coefficients of f
 are <f, h_mu> = sum of a_nu R[nu][mu] / z_nu, its h coefficients solve
 R c = a by forward substitution, and an m input is solved for a by one
 back substitution per degree; no inverse is ever formed.  e goes
@@ -40,11 +45,12 @@ and e targets flip f before solving for h coefficients.
 The multiply _mul_p keys by packed partitions, m_i in bits 7(i-1) to
 7i-1 of one int, so a union of partitions is + and _key, memoized as
 keys appear, gives each key's weight, z and parts.  Packed keys stay
-inside _mul_p and plethysm's p-basis ring, which pairs its products
-with G on those keys (plethysm._Pairing) and unpacks only the result of
-a plethysm; SymFn.__mul__ and _prod_h_p, the h products of h and e
-inputs and monomial_coefficient, pack around it, except that a product
-of two h or two e functions stays in its basis, h_mu h_nu = h_(mu+nu).
+inside _mul_p, the moves of _raise_table and plethysm's p-basis ring,
+which pairs its products with G on those keys (plethysm._Pairing) and
+unpacks only the result of a plethysm.  SymFn.__mul__ and _prod_h_p,
+the h products of h and e inputs and monomial_coefficient, pack around
+_mul_p, except that a product of two h or two e functions stays in its
+basis, h_mu h_nu = h_(mu+nu).
 The rest (SymFn, _p_dict, _scalar_p, to_basis) keys by the shared
 Partitions of partitions_of and of _key, and the dense columns and rows
 of R are indexed by their positions, partitions._positions.  SymFn's
@@ -504,17 +510,26 @@ def _target_cap(target, degrees):
 
 
 @_memo
+def _key_positions(d):
+    # {_pack(lam): i} for the i-th partition lam of d
+    return {_pack(lam): i for i, lam in enumerate(partitions_of(d))}
+
+
+@_memo
 def _raise_table(d, t):
     # (i, j, c) for each term c m_rho of m_lam p_t, lam the j-th partition
     # of d - t and rho the i-th of d: rho raises one part v of lam, or a
-    # new part 0, to v + t, once for each distinct v, and c = m_rho(v + t)
-    pos = _positions(d)
+    # new part 0, to v + t, once for each distinct v.  On packed keys that
+    # takes a unit off field v and puts one on field v + t, and c =
+    # m_rho(v + t) is that field of rho's key.
+    pos = _key_positions(d)
     out = []
-    for j, lam in enumerate(partitions_of(d - t)):
+    for j, (lam, key) in enumerate(zip(partitions_of(d - t),
+                                       _key_positions(d - t))):
         for v in {0, *lam}:
-            k = lam.index(v) if v else len(lam)
-            rho = tuple(sorted(lam[:k] + lam[k + 1:] + (v + t,), reverse=True))
-            out.append((pos[rho], j, rho.count(v + t)))
+            shift = _KEY_BITS * (v + t - 1)
+            rho = key + (1 << shift) - (1 << _KEY_BITS * (v - 1) if v else 0)
+            out.append((pos[rho], j, rho >> shift & _KEY_LIMIT - 1))
     return out
 
 

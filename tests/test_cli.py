@@ -498,7 +498,7 @@ FAILURES = [
     (4, ["table", "--r", "21"]),
     (4, ["eval", "p21"]),
     (4, ["eval", "p[%s]*p1" % ",".join("1" * 127), "--basis", "p"]),
-    # chi^(130) at (1^130) would repeat a part 130 times
+    # degree 130 is past the p target's cap of 40
     (4, ["eval", "s[130]", "--basis", "p"]),
     # the finite alphabet's estimate is 2.0e9 steps, above its cap
     (4, ["hilbert", "--family", "sl", "--n", "2", "--functor", "h1",
@@ -627,11 +627,16 @@ class TestExitCodes:
          "symf: power-sum expansion of degree 60 is beyond the cap 40\n"),
         (["inv", "--family", "sp", "--n", "20", "--r", "50", "--basis", "p"],
          "symf: power-sum expansion of degree 50 is beyond the cap 40\n"),
+        (["eval", "h60", "--basis", "p"],
+         "symf: power-sum expansion of degree 60 is beyond the cap 40\n"),
+        (["eval", "scalar(s[130], p[130])"],
+         "symf: a part repeated 130 times is beyond the cap 127\n"),
     ], ids=["gl-adjoint-24", "gl-adjoint-26", "deals-cycle-index",
             "empty-graph-cycle-index", "perm-functor-42",
             "gl-adjoint-functor-42", "sl-functor-42", "sp-140-m", "sp-140-h",
             "sp-140-e", "sp-140-s", "sp-140-p", "perm-60-p",
-            "sl-functor-60-p", "sl-60-p", "sp-50-p"])
+            "sl-functor-60-p", "sl-60-p", "sp-50-p", "eval-60-p",
+            "eval-key-130"])
     def test_refused_from_the_arguments(self, argv, stderr):
         # GL(n)'s I_r holds h_r, so r alone decides the target's cap;
         # building I_r first took 1.6 s at r = 24 and 3.4 s at r = 26.
@@ -652,6 +657,10 @@ class TestExitCodes:
         # alphabet's answer to inv --functor have up to p(r) terms, so
         # the term cap refuses them above degree 40; the perm one was
         # still running at 45 s, and the other took 48.8 s and 1.2 GB.
+        # eval caps the p target at degree 40 as inv does: h60 in the p
+        # basis took 37.0 s for 51.5 MB of stdout.  chi^(130) at (1^130)
+        # would repeat a part 130 times, so s[130] is refused before its
+        # row is built.
         t0 = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "symf"] + argv,
                               capture_output=True, text=True, timeout=60)

@@ -1,9 +1,11 @@
 import copy
+import hashlib
 import json
 import math
 import operator
 import pickle
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -501,6 +503,46 @@ def _walked_only(moves, *mus):
         expand(moves, mu)
     return (before.currsize == len(mus)
             and expand.cache_info().misses == before.misses)
+
+
+def _sorted_raise_table(d, t):
+    # the raise moves on part tuples: rho sorted afresh and looked up in
+    # the positions of its partitions
+    pos = _positions(d)
+    out = []
+    for j, lam in enumerate(partitions_of(d - t)):
+        for v in {0, *lam}:
+            k = lam.index(v) if v else len(lam)
+            rho = tuple(sorted(lam[:k] + lam[k + 1:] + (v + t,), reverse=True))
+            out.append((pos[rho], j, rho.count(v + t)))
+    return out
+
+
+def test_raise_tables_match_the_sorted_reference():
+    # as multisets: _expand sums the moves in any order
+    for d in range(19):
+        for t in range(1, d + 1):
+            assert Counter(symfunc._raise_table(d, t)) == Counter(
+                _sorted_raise_table(d, t)), (d, t)
+
+
+# sha256 of the reprs of every class column _column(mu), d <= 18, then
+# every row _m_row(nu) of R, d <= 16, each in partitions_of order, as
+# built by the move tables on sorted part tuples and one strip call per
+# mask
+COLUMNS_AND_ROWS_SHA256 = (
+    "e4a2f3d08a5585ce1d810a245e21a6087d5f6e53c30c529e0aaa6e5035092c7a")
+
+
+def test_columns_and_rows_are_pinned():
+    digest = hashlib.sha256()
+    for d in range(19):
+        for mu in partitions_of(d):
+            digest.update(repr(characters._column(mu)).encode())
+    for d in range(17):
+        for nu in partitions_of(d):
+            digest.update(repr(_m_row(nu)).encode())
+    assert digest.hexdigest() == COLUMNS_AND_ROWS_SHA256
 
 
 def test_s_target_builds_only_the_input_columns():
