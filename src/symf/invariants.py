@@ -122,9 +122,11 @@ def inv_char(family, r):
     """Frobenius character of the invariants in the r-th tensor power.
 
     Always homogeneous of degree r; the zero function when there are no
-    invariants in that degree.  For SL(n), Sp(2n) and the permutation
-    family, an answer of more terms than p(40), a plethysm at the degree
-    cap, is refused before it is built.
+    invariants in that degree.  An answer of more terms than p(40), a
+    plethysm at the degree cap, is refused before it is built: for
+    SL(n) and Sp(2n) from the count of its shapes, and for the
+    permutation family and GL(n), nonzero at all p(r) classes of S_r,
+    from r alone.
     """
     _check_integer("inv_char", "r", r)
     if r < 0:
@@ -133,9 +135,10 @@ def inv_char(family, r):
     if facts is not None:
         _check_terms(facts[0])
         return SymFn("s", dict.fromkeys(facts[2](), 1))
-    if isinstance(family, SnPermutation):
+    if isinstance(family, (SnPermutation, GLnAdjoint)):
         _check_multiplicity(r)  # before any partition is listed
         _check_terms(partition_count(r))
+    if isinstance(family, SnPermutation):
         ring = _Classes(min(family.n, r))
         return _pairings(ring.x, r, ring.pair, ring)
     if isinstance(family, GLnAdjoint):

@@ -18,12 +18,12 @@ from symf.characters import (CACHE_FORMAT_VERSION, CHAR_TABLE_CAP,
                              cache_dir, char_of_functor, character_table,
                              chi, schur_functor_char)
 from symf.errors import ResourceLimitError
-from symf.invariants import SnPermutation, inv_char
+from symf.invariants import SnPermutation, Sp2nDefining, hilbert_dim, inv_char
 from symf.oracles import oracle_syt
 from symf.partitions import (_MEMOS, Partition, _positions, _reset_memo,
                              partitions_of, z_of)
-from symf.plethysm import fundamental
-from symf.symfunc import _schur_p, e, h, p, s, to_basis
+from symf.plethysm import fundamental, plethysm
+from symf.symfunc import _schur_p, e, h, p, s, scalar, to_basis
 
 
 def test_small_tables_are_the_classical_ones():
@@ -276,6 +276,47 @@ def test_reset_clears_every_memo_not_kept_on_purpose():
     _reset_memo()
     assert {name: _memo_size(memo) for name, memo in cleared.items()} == \
         dict.fromkeys(cleared, 0)
+
+
+# Upper bounds on the memo misses of a query run after _reset_memo():
+# work counted, not timed, so a change that does more of it fails here
+# on any machine.  Memos not named must miss 0 times.  A change that
+# raises a bound says so, and why, in CHANGES.md.
+MISSES = {
+    "hilbert_dim(Sp2nDefining(20), h(2), 12)": (
+        lambda: hilbert_dim(Sp2nDefining(20), h(2), 12),
+        {"_chi": 278286, "_strips": 12649, "_key": 1491, "_key_of": 504,
+         "_schur_p": 77, "_prod_h_p": 2}),
+    "scalar(p(9, 9, 9, 9), s(9, 9, 9, 9))": (
+        lambda: scalar(p(9, 9, 9, 9), s(9, 9, 9, 9)),
+        {"_chi": 152326, "_strips": 3743, "_schur_p": 1}),
+    'to_basis(plethysm(h(4), h(4)), "s")': (
+        lambda: to_basis(plethysm(h(4), h(4)), "s"),
+        {"_expand": 258, "_key": 176, "_packed_vector": 109,
+         "_strip_table": 56, "_beta_positions": 17, "_prod_h_p": 2,
+         "_halves": 1}),
+    'fundamental(h(2), h(8) * h(8), 8, "s")': (
+        lambda: fundamental(h(2), h(8) * h(8), 8, "s"),
+        {"_key": 355, "_key_of": 167, "_expand": 44, "_strip_table": 24,
+         "_packed_vector": 22, "_beta_positions": 9, "_prod_h_p": 4,
+         "_products": 1, "_halves": 1}),
+}
+
+
+@pytest.mark.parametrize("query", MISSES)
+def test_memo_misses_stay_within_their_bounds(query):
+    run, bounds = MISSES[query]
+    _reset_memo()
+    try:
+        run()
+        misses = {memo.__name__: memo.cache_info().misses for memo in _MEMOS}
+    finally:
+        _reset_memo()
+    assert len(misses) == len(_MEMOS)  # one name per memo
+    assert bounds.keys() <= misses.keys()
+    over = {name: (count, bounds.get(name, 0))
+            for name, count in misses.items() if count > bounds.get(name, 0)}
+    assert not over, over
 
 
 def test_cache_file_round_trip(fresh_cache):
