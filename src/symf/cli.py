@@ -25,7 +25,7 @@ from .symfunc import BASES, SymFn, _target_cap, to_basis, to_json_dict
 __getattr__ = _lazy(globals(), (
     ("expr", ("evaluate_text",)),
     ("invariants", ("GLnAdjoint", "PolyFunctor", "SLnDefining",
-                    "SnPermutation", "Sp2nDefining", "_ring", "_shape_facts",
+                    "SnPermutation", "Sp2nDefining", "_check_target",
                     "hilbert_dim", "inv_char", "inv_char_polyfunc")),
     ("enumeration", ("DealSpec", "RegularGraphSpec", "card_deals",
                      "deals_cycle_index", "regular_graphs",
@@ -94,21 +94,7 @@ def _functor_from(args):
 def _cmd_inv(args):
     family = _family(args)
     P = None if args.functor is None else _functor_from(args)
-    # I_r(V) is built in the s basis for SL(n) and Sp(2n), and vanishes
-    # where _shape_facts says; in the p basis for perm and GL(n), and
-    # never vanishes.  I_r(P(V)) is built in the p basis, and for
-    # P = c h_1 (p_1^r coefficient c^r dim I_r(V) / r!) vanishes exactly
-    # when I_r(V) does.  Where the answer is nonzero and --basis is
-    # another, r alone decides the output cap, checked before anything
-    # is built and after the cap of the ring the construction would take
-    built, nonzero = "p", True
-    if P is not None:
-        nonzero = (P.degree == 1
-                   and _cli._ring(family, P.character, args.r) is not None)
-    elif (facts := _cli._shape_facts(family, args.r)) is not None:
-        built, nonzero = "s", facts[0] > 0
-    if nonzero and args.basis != built:
-        _target_cap(args.basis, [args.r])
+    _cli._check_target(family, P, args.r, args.basis)
     out = (_cli.inv_char(family, args.r) if P is None
            else _cli.inv_char_polyfunc(family, P, args.r))
     _print(to_basis(out, args.basis))

@@ -60,8 +60,9 @@ Sp), the bounds B_i, and a lister, called only by what pairs with them
 weights).  _ring is the one decision for both queries: it reads that
 description once, finds I_d(V) zero or compares the two estimates, and
 refuses the query above the alphabet's cap or the plethysm cap, before
-any work.  symf inv reads the same description, or _ring, to refuse its
-output cap.  _route returns the ring, F in it, and the pairing with
+any work.  _check_target, which symf inv calls before it builds, reads
+the same description, or _ring and the answer's dimension, to refuse
+its output cap.  _route returns the ring, F in it, and the pairing with
 I_d(V): Jacobi-Trudi's weights, or plethysm._p_pairing, the one that
 fundamental uses.  For the permutation family, <f, I_d(V)> averages f
 at p_j = fix(g^j) over g in S_min(n, d) (Molien): _ring and inv_char
@@ -82,10 +83,10 @@ from .errors import DegreeError, ResourceLimitError, _number
 from .partitions import (Partition, Record, _check_integer, partition_count,
                          partitions_of)
 from .plethysm import (_PBasis, _check_degree, _h_of, _p_pairing, _pairings,
-                       _pleth_p)
+                       _p_powers, _pleth_p)
 from .symfunc import (SymFn, _PLETHYSM_DEGREE_CAP, _add_into,
                       _check_multiplicity, _over_z, _p_dict, _p_symfn,
-                      _schur_p, scalar, to_basis, zero)
+                      _schur_p, _target_cap, scalar, to_basis, zero)
 
 
 class _Family(Record):
@@ -516,6 +517,42 @@ def _route(family, P, r):
     if isinstance(ring, _PBasis):
         return (ring, *_p_pairing(F, inv_char(family, r * F.degree()), r))
     return ring, ring.evaluate(_p_dict(F)), ring.pair
+
+
+def _check_target(family, P, r, basis):
+    """Refuse, before it is built, an answer of symf inv that the cap of
+    the output basis would refuse: I_r(V) where P is None, else
+    I_r(P(V)).  I_r(V) is built in the s basis for SL(n) and Sp(2n), and
+    is zero where _shape_facts' count is; in the p basis for perm and
+    GL(n), and is never zero.  I_r(P(V)) is built in the p basis.  For
+    F = c h_1 its p_1^r coefficient is c^r dim I_r(V) / r!, so it is
+    zero exactly where _ring finds no ring; _ring is called in every
+    basis, so that its caps speak first.  A functor of higher degree may
+    give zero: it is refused where the answer's dimension is nonzero,
+    and built otherwise."""
+    built, vanishes = "p", False
+    if P is not None:
+        F = _functor_character(P)
+        vanishes = F.degree() == 1 and _ring(family, F, r) is None
+    elif (facts := _shape_facts(family, r)) is not None:
+        built, vanishes = "s", not facts[0]
+    if not vanishes and basis != built:
+        try:
+            _target_cap(basis, [r])
+        except ResourceLimitError:
+            if P is None or F.degree() == 1 or _dimension(family, P, r):
+                raise
+
+
+def _dimension(family, P, r):
+    # <F^r, I_rk(V)>, the value of I_r(P(V)) at the identity, so a
+    # nonzero one proves the answer nonzero, for any F, virtual or not:
+    # p_(1^r)[F], one of the products the build forms, in the ring
+    # _route picks, paired with I_rk(V); 0 where I_rk(V) is zero
+    if (route := _route(family, P, r)) is None:
+        return 0
+    ring, f, pair = route
+    return pair(next(_p_powers(f, [(1,) * r], ring))[1])
 
 
 def inv_char_polyfunc(family, P, r):

@@ -140,12 +140,15 @@ SUBCOMMANDS = [
 def test_c13_cli_contract(tmp_path):
     env = dict(os.environ, SYMF_CACHE_DIR=str(tmp_path))
 
-    proc = subprocess.run([sys.executable, "-m", "symf",
-                           "selftest", "--max-degree", "8"],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.rstrip("\n").split("\n")
-    assert len(lines) == 11 and all(l.startswith("ok ") for l in lines), lines
+    # under -O, which strips assert, and at the acceptance degree
+    for flags, degree in ((["-O"], "8"), ([], "12")):
+        proc = subprocess.run([sys.executable, *flags, "-m", "symf",
+                               "selftest", "--max-degree", degree],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.rstrip("\n").split("\n")
+        assert len(lines) == 11, lines
+        assert all(l.startswith("ok ") for l in lines), lines
 
     for name, argv in SUBCOMMANDS:
         runs = [subprocess.run([sys.executable, "-m", "symf"] + argv,
@@ -155,4 +158,5 @@ def test_c13_cli_contract(tmp_path):
         assert runs[0].returncode == runs[1].returncode, name
         assert runs[0].stdout == runs[1].stdout, name
         assert runs[0].stderr == runs[1].stderr, name
-    print("PASS c13 selftest exits clean and every subcommand is byte stable")
+    print("PASS c13 selftest exits clean under -O and at degree 12, and "
+          "every subcommand is byte stable")

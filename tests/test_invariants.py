@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 import warnings
+from math import factorial
 from operator import add, le
 
 import pytest
@@ -11,9 +12,10 @@ from symf.characters import character_table
 from symf.enumeration import DealSpec, RegularGraphSpec, regular_graphs
 from symf.errors import DegreeError, ResourceLimitError, TruncationError
 from symf.invariants import (Custom, GLnAdjoint, PolyFunctor, SLnDefining,
-                             SnPermutation, Sp2nDefining, _Alphabet, _ring,
-                             _shape_facts, hilbert_dim, hom_dim,
-                             hom_series_char, inv_char, inv_char_polyfunc)
+                             SnPermutation, Sp2nDefining, _Alphabet,
+                             _dimension, _ring, _shape_facts, hilbert_dim,
+                             hom_dim, hom_series_char, inv_char,
+                             inv_char_polyfunc)
 from symf.oracles import (oracle_cayley_sylvester, oracle_matchings,
                           oracle_perm_inv_char, oracle_restricted_bell,
                           oracle_su2_inv_char, oracle_syt,
@@ -324,14 +326,20 @@ def test_hilbert_dim_values():
     for r in range(7):
         assert hilbert_dim(SLnDefining(2), quartic, r) == \
             oracle_cayley_sylvester(4, r)
-    # functor characters are accepted bare as well
+    # functor characters are accepted bare as well, but not as text
     assert hilbert_dim(SLnDefining(2), h(4), 2) == 1
+    with pytest.raises(TypeError, match="PolyFunctor or a SymFn"):
+        hilbert_dim(SLnDefining(2), "h2", 1)
 
 
 def test_hilbert_dim_zero_cases():
     assert hilbert_dim(SLnDefining(2), PolyFunctor(h(3)), 1) == 0
     assert hilbert_dim(SLnDefining(3), PolyFunctor(h(2)), 1) == 0
     assert hilbert_dim(SnPermutation(2), PolyFunctor(h(1)), 0) == 1
+    # a series with nothing in degree 1 gives no ring at all
+    odd_zero = Custom(GradedSeries(4, {0: one(), 2: s(2)}))
+    assert hilbert_dim(odd_zero, h(1), 1) == 0
+    assert inv_char_polyfunc(odd_zero, h(1), 1).is_zero()
 
 
 def test_hom_series_reproduces_family_members():
@@ -739,6 +747,22 @@ def test_finite_route_below_the_rule(family):
                 assert alphabet.pair(_h_of(f, r, alphabet)) == want_dim
                 _same_terms(_pairings(f, r, alphabet.pair, alphabet),
                             want_char)
+
+
+@pytest.mark.parametrize("family", [SLnDefining(2), SLnDefining(3),
+                                    Sp2nDefining(1), SnPermutation(2),
+                                    GLnAdjoint(2)], ids=repr)
+def test_dimension_is_the_answer_at_the_identity(family):
+    # symf inv refuses a functor of degree >= 2 at its output cap where
+    # <F^r, I_rk(V)> is nonzero: it is r! times the p_(1^r) coefficient
+    # of I_r(P(V)), zero or not, for genuine and virtual F
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # p2 is virtual
+        for F in (h(2), e(2), p(2), s(2, 1)):
+            for r in range(6):
+                answer = to_basis(inv_char_polyfunc(family, F, r), "p")
+                assert _dimension(family, F, r) == \
+                    factorial(r) * answer.terms.get((1,) * r, 0), (F, r)
 
 
 def test_polyfunc_is_refused_before_the_invariants_are_built(monkeypatch):

@@ -311,6 +311,7 @@ def test_arithmetic_across_bases():
     assert 2 * h(2) == h(2) + h(2)
     assert h(2) * 0 == zero()
     assert (1 + h(1)) - 1 == h(1)
+    assert 1 - h(1) == one() - h(1) == -(h(1) - 1)
     with pytest.raises(ValueError):
         h(2) ** -1
 
