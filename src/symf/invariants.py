@@ -37,53 +37,55 @@ same construction against an arbitrary graded series of characters.
 
 For SL(n) and Sp(2n), I_d(V) is a sum of Schur functions s_lam with at
 most n (SL) or 2n (Sp) rows, so hilbert_dim and inv_char_polyfunc read
-each pairing off a polynomial in L variables, L the longest such lam.
-Jacobi-Trudi (Macdonald, Symmetric Functions and Hall Polynomials,
-I.3.4) writes s_lam as the sum of sign(sigma) h_alpha,
-alpha_i = lam_i - i + sigma(i) over lam padded to L rows, and h and m
-are dual, so <f, s_lam> sums sign(sigma) [x^alpha] f(x_1, ..., x_L),
-and plethysm becomes substitution, p_j[F](x) = F(x_1^j, ..., x_L^j).
-Polynomials are truncated at B_i = max lam_i + L - 1 - i in variable i
-(i from 0), the largest alpha_i of any term, and keyed by their
-exponent vectors packed into one int.  The other route runs the
-pairings in the p basis, where I_d(V) expands through the character
-rows chi^lam, refused above the plethysm cap unless I_d(V) is zero.
-Each query takes the route with the smaller estimate of its work, made
-from (family, F, r) alone, before anything is built or listed:
-Newton's r(r+1)/2 products in the box, each bounded by the monomials of
-F(x_1, ..., x_L) times those of the other factor, against the chi^lam
-rows of the shapes over p(d) classes and the same products over p-basis
-classes.  _shape_facts describes the shapes from n and d alone: how
-many (none, so I_d(V) is zero, unless n | d for SL and d is even for
-Sp), the bounds B_i, and a lister, called only by what pairs with them
-(inv_char for the p basis's I_d(V), or the alphabet's Jacobi-Trudi
-weights).  _ring is the one decision for both queries: it reads that
-description once, finds I_d(V) zero or compares the two estimates, and
-refuses the query above the alphabet's cap or the plethysm cap, before
-any work.  _check_target, which symf inv calls before it builds, reads
-the same description, or _ring and the answer's dimension, to refuse
-its output cap.  _route returns the ring, F in it, and the pairing with
-I_d(V): Jacobi-Trudi's weights, or plethysm._p_pairing, the one that
-fundamental uses.  For the permutation family, <f, I_d(V)> averages f
-at p_j = fix(g^j) over g in S_min(n, d) (Molien): _ring and inv_char
-pair by that average in _Classes.  Each query builds h_r[F] or p_lam[F]
-by the same code in plethysm.py in every ring; the tests hold every
+each pairing off a polynomial in L variables, L the longest such lam,
+in the finite alphabet of alphabet.py: <f, s_lam> from Jacobi-Trudi's
+terms, F listed from its own terms inside the box of bounds
+B_i = max lam_i + L - 1 - i, and h_r[F] as an Euler product.  The other
+route runs the pairings in the p basis, where I_d(V) expands through
+the character rows chi^lam, refused above the plethysm cap unless
+I_d(V) is zero.  Each query takes the route with the smaller estimate
+of its work, made from (family, F, r) alone, before anything is built
+or listed: Newton's r(r+1)/2 products in the box, each bounded by the
+monomials of F(x_1, ..., x_L) times those of the other factor, against
+the chi^lam rows of the shapes over p(d) classes and the same products
+over p-basis classes.  The estimate counts Newton's products, which the
+alphabet forms only where F(x_1, ..., x_L) is not integral or has large
+coefficients, so it overstates the alphabet's work.  _shape_facts
+describes the shapes from n and d alone: how many (none, so I_d(V) is
+zero, unless n | d for SL and d is even for Sp), the bounds B_i, and a
+lister, called only by what pairs with them (inv_char for the p basis's
+I_d(V), or the alphabet's Jacobi-Trudi weights).  _ring is the one
+decision for both queries: it reads that description once, finds
+I_d(V) zero or compares the two estimates, and refuses the query above
+the alphabet's cap or the plethysm cap, before any work.  _check_target,
+which symf inv calls before it builds, reads the same description, or
+_ring and the answer's dimension, to refuse its output cap.  _route
+returns the ring, F in it, and the pairing with I_d(V): Jacobi-Trudi's
+weights, or the _Pairing that fundamental builds through
+plethysm._p_pairing.  I_d(V)'s side is built once per (family, d) in a
+process and kept in memos, as are the estimates: the alphabet, whose
+weights and listed h_k are built on first use, and the p-basis pairing
+of a built-in family.  At r = 0, h_0[F] = 1 and F is not read.  For the
+permutation family, <f, I_d(V)> averages f at p_j = fix(g^j) over g in
+S_min(n, d) (Molien): _ring and inv_char pair by that average in
+_Classes.  Each query builds p_lam[F] by the same code in plethysm.py in
+every ring, and h_r[F] too outside the alphabet; the tests hold every
 route against fundamental(F, inv_char(family, r*k), r, mode).
 """
 
 import warnings
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import accumulate, permutations
+from itertools import accumulate
 from math import comb, factorial, gcd, perm, prod
 from operator import le
 
+from .alphabet import _Alphabet
 from .characters import CHAR_TABLE_CAP
 from .errors import DegreeError, ResourceLimitError, _number
-from .partitions import (Partition, Record, _check_integer, partition_count,
-                         partitions_of)
-from .plethysm import (_PBasis, _check_degree, _h_of, _p_pairing, _pairings,
-                       _p_powers, _pleth_p)
+from .partitions import (Partition, Record, _check_integer, _memo,
+                         partition_count, partitions_of)
+from .plethysm import (_PBasis, _Pairing, _check_degree, _h_of, _p_values,
+                       _pairings, _p_powers, _pleth_p)
 from .symfunc import (SymFn, _PLETHYSM_DEGREE_CAP, _add_into,
                       _check_multiplicity, _over_z, _p_dict, _p_symfn,
                       _schur_p, _target_cap, scalar, to_basis, zero)
@@ -185,11 +187,7 @@ class PolyFunctor:
         if character.degree() < 1:
             raise DegreeError("functor character must have degree >= 1")
         self.character = character
-        # positive integral combinations of h, e or s are Schur positive
-        # and integral already (Kostka numbers, Littlewood-Richardson)
-        genuine = character.basis in ("h", "e", "s") and all(
-            c > 0 and c.denominator == 1 for c in character.terms.values())
-        if not genuine and character.degree() <= CHAR_TABLE_CAP:
+        if not _genuine(character) and character.degree() <= CHAR_TABLE_CAP:
             expanded = to_basis(character, "s")
             bad = any(c < 0 or c.denominator != 1 for c in expanded.terms.values())
             if bad:
@@ -204,124 +202,27 @@ class PolyFunctor:
         return "PolyFunctor(%r)" % (self.character,)
 
 
+def _genuine(F):
+    # positive integral combinations of h, e or s are Schur positive and
+    # integral already (Kostka numbers, Littlewood-Richardson)
+    return F.basis in ("h", "e", "s") and all(
+        c > 0 and c.denominator == 1 for c in F.terms.values())
+
+
+def _at_one(F):
+    # F(1) = <F, h_k>, for F in the h, e or s basis: h_mu(1) = 1, while
+    # e_mu(1) and s_lam(1) are 1 only for mu = (1^k) and one row lam
+    return sum(c for mu, c in F.terms.items()
+               if F.basis == "h" or (mu[0] == 1 if F.basis == "e"
+                                     else len(mu) == 1))
+
+
 def _functor_character(P):
     if isinstance(P, PolyFunctor):
         return P.character
     if isinstance(P, SymFn):
         return PolyFunctor(P).character
     raise TypeError("expected a PolyFunctor or a SymFn character")
-
-
-def _jacobi_trudi(lam):
-    # s_lam = det(h_{lam_i - i + j}) = sum over sigma of sign(sigma) h_alpha,
-    # alpha_i = lam_i - i + sigma(i): yields (sign, alpha) in permutation
-    # order, skipping the sigma with a negative alpha_i (h_{-k} = 0).
-    n = len(lam)
-    for sigma in permutations(range(n)):
-        alpha = tuple(lam[i] - i + sigma[i] for i in range(n))
-        if min(alpha, default=0) >= 0:
-            inversions = sum(a > b for i, a in enumerate(sigma)
-                             for b in sigma[i + 1:])
-            yield -1 if inversions % 2 else 1, alpha
-
-
-class _Alphabet:
-    """The ring of polynomials in L variables, L the length of the
-    longest shape, in which pairings with the sum of s_lam are read.
-
-    Polynomials are dicts from packed exponent vectors to int, or to
-    Fraction when the functor's own polynomial needs it, truncated above
-    B_i = max lam_i + L - 1 - i in variable i (i from 0), the largest
-    Jacobi-Trudi exponent alpha_i the pairing reads.  Dropping the
-    monomials above it is a quotient by a monomial ideal, so it commutes
-    with products, with x -> x^j and with exact division.
-
-    The exponent of variable i sits in a field of bit_length(2 B_i + 1)
-    bits, whose top bit is a guard.  Two exponents up to B_i add up
-    below the guard, so the product of two monomials in the box is one
-    int `+` of their keys, and adding `off`, which is B_i + 1 short of
-    the guard in each field, sets a guard bit exactly when that product
-    leaves the box.
-    """
-
-    one = {0: 1}
-    unpack = staticmethod(lambda f: f)  # pair reads the packed keys
-
-    def __init__(self, shapes, bounds=None):
-        # shapes is a list of partitions, or, where their bounds are
-        # given, a function that lists them: the Jacobi-Trudi weights
-        # alone read them, so _ring, which reads the bounds from n and
-        # d, lists no shape until the pairing is first read
-        if bounds is None:
-            length = max(len(lam) for lam in shapes)
-            bounds = tuple(max(lam[i] for lam in shapes if len(lam) > i)
-                           + length - 1 - i for i in range(length))
-            shapes = partial(list, shapes)
-        self.shapes = shapes
-        self._fields(bounds)
-
-    def _fields(self, bounds):
-        self.bounds = bounds
-        self.shifts, self.guard, width = [], 0, 0
-        for b in bounds:
-            self.shifts.append(width)
-            width += (2 * b + 1).bit_length()
-            self.guard |= 1 << width - 1
-        self.off = self._offset(1)
-
-    def _offset(self, j):
-        # added to a key in the box, sets a guard bit exactly when some
-        # j * e_i is above B_i
-        return self.guard - self.pack([b // j + 1 for b in self.bounds])
-
-    def pack(self, exponents):
-        return sum(a << s for a, s in zip(exponents, self.shifts))
-
-    @cached_property
-    def weights(self):
-        # <f, h_alpha> = [x^alpha] f, so Jacobi-Trudi gives <f, s_lam> as
-        # the sum of sign [x^alpha] f over its terms.  Built on first use:
-        # the routing rule reads only the bounds.
-        weights, length = {}, len(self.bounds)
-        for lam in self.shapes():
-            # lam padded with zeros to L rows
-            for sign, alpha in _jacobi_trudi(lam + (0,) * (length - len(lam))):
-                weights[alpha] = weights.get(alpha, 0) + sign
-        return weights
-
-    @cached_property
-    def _packed_weights(self):
-        return [(self.pack(alpha), w) for alpha, w in self.weights.items()]
-
-    def mul(self, a, b, out=None):
-        """a * b truncated, added into out when it is given."""
-        out = {} if out is None else out
-        off, guard = self.off, self.guard
-        if len(a) > len(b):
-            a, b = b, a
-        b = list(b.items())
-        for ea, ca in a.items():
-            ea += off
-            for eb, cb in b:
-                e = ea + eb
-                if not e & guard:
-                    e -= off
-                    out[e] = out.get(e, 0) + ca * cb
-        return out
-
-    def substitute(self, f, j):
-        """f(x_1^j, ..., x_L^j), truncated."""
-        off, guard = self._offset(j), self.guard
-        return {j * e: c for e, c in f.items() if not (e + off) & guard}
-
-    def evaluate(self, fp):
-        """f(x_1, ..., x_L) for f given by its class function values."""
-        x = dict.fromkeys((1 << s for s in self.shifts), 1)  # all kept
-        return _pleth_p(fp, x, self)
-
-    def pair(self, f):
-        """<f, sum of s_lam> for f homogeneous of the shapes' weight."""
-        return sum(w * f.get(e, 0) for e, w in self._packed_weights)
 
 
 class _Classes:
@@ -366,7 +267,7 @@ _ALPHABET_SETUP = 150
 # the p route is refused above the plethysm cap, and this route would
 # otherwise run whatever its estimate.  Every documented command
 # estimates below 1.6e6; SL(2) on h_1 at r = 734, the last degree
-# below the cap, takes about 13 s.
+# below the cap, takes about 0.1 s.
 _ALPHABET_CAP = 10 ** 8
 
 
@@ -407,6 +308,7 @@ def _shape_facts(family, d):
             shapes)
 
 
+@_memo
 def _finite_cost(bounds, m, k, r):
     # Newton's products p_j[f] * h_(n-j)[f] for f = F(x_1, ..., x_L)
     # with m monomials (none when F needs more than L variables):
@@ -425,11 +327,12 @@ def _finite_cost(bounds, m, k, r):
                       comb(max(m, 1) + i - 1, i)) for i in range(r))
 
 
+@_memo
 def _monomial_count(basis, terms, k, length):
     # an upper bound on the monomials of F(x_1, ..., x_L) for F of degree
-    # k with these terms: h and p terms reach every monomial of degree k,
-    # and s_lam, e_mu and m_mu only the x^alpha whose sorted alpha is
-    # dominated by lam, mu' and mu (Macdonald I.6.5 and I.7)
+    # k with the tuple of these terms: h and p terms reach every monomial
+    # of degree k, and s_lam, e_mu and m_mu only the x^alpha whose sorted
+    # alpha is dominated by lam, mu' and mu (Macdonald I.6.5 and I.7)
     if basis in "hp":
         return comb(k + length - 1, k)
     tops = [list(accumulate(mu.conjugate() if basis == "e" else mu))
@@ -444,6 +347,7 @@ def _monomial_count(basis, terms, k, length):
     return count
 
 
+@_memo
 def _p_basis_cost(shapes, k, r, floor):
     # the rows chi^lam of the shapes, then Newton's products
     # p_j[F] * h_(n-j)[F] over at most p(k) and p((n-j)k) classes, and
@@ -460,6 +364,22 @@ def _p_basis_cost(shapes, k, r, floor):
     newton = partition_count(k) * sum((r - i) * partition_count(i * k)
                                       for i in range(r))
     return _P_STEP * ((shapes + 1) * partition_count(d) + newton)
+
+
+@_memo
+def _alphabet(family, d):
+    # the finite route's side of I_d(V), kept once per (family, d): the
+    # alphabet of _shape_facts' bounds, whose Jacobi-Trudi weights and
+    # listed h_k are built on first use and kept with it
+    _, bounds, shapes = _shape_facts(family, d)
+    return _Alphabet(shapes, bounds)
+
+
+@_memo
+def _inv_pairing(family, d):
+    # the p basis's pairing with I_d(V), kept once per (family, d) of a
+    # built-in family; Custom's series is read on every query
+    return _Pairing(_p_dict(inv_char(family, d)))
 
 
 def _ring(family, F, r):
@@ -481,7 +401,8 @@ def _ring(family, F, r):
 
     The alphabet is set up from the bounds and keeps _shape_facts'
     lister, called when its pairing is first read: no shape is listed
-    here."""
+    here.  The estimates and the alphabet are kept, once per argument
+    tuple, in memos."""
     if r < 0:
         raise ValueError("r must be nonnegative")
     k = F.degree()
@@ -490,14 +411,15 @@ def _ring(family, F, r):
         count, bounds, shapes = facts
         if not count:
             return None
-        cost = _finite_cost(bounds, _monomial_count(F.basis, F.terms, k,
-                                                    len(bounds)), k, r)
+        # F's monomials count only in products, of which r = 0 has none
+        m = r and _monomial_count(F.basis, tuple(F.terms), k, len(bounds))
+        cost = _finite_cost(bounds, m, k, r)
         if cost <= _p_basis_cost(count, k, r, cost):
             if cost > _ALPHABET_CAP:
                 raise ResourceLimitError(
                     "the finite-alphabet route is estimated at %s steps, "
                     "beyond the cap %d" % (_number(cost), _ALPHABET_CAP))
-            return _Alphabet(shapes, bounds)
+            return _alphabet(family, d)
     elif (not isinstance(family, (SnPermutation, GLnAdjoint))
           and inv_char(family, d).is_zero()):
         return None
@@ -509,14 +431,27 @@ def _ring(family, F, r):
 
 def _route(family, P, r):
     """(ring, F in it, f -> <f, I_{rk}(V)>) for F = charP in the ring
-    that _ring picks; None where I_{rk}(V) is zero."""
+    that _ring picks; None where I_{rk}(V) is zero.  F enters the finite
+    alphabet from its own terms, and the others through its class
+    function values; at r = 0, where h_0[F] = p_()[F] = 1, it is not
+    read, and every ring uses its one."""
     F = _functor_character(P)
     ring = _ring(family, F, r)
     if ring is None:
         return None
+    if not isinstance(ring, _PBasis):
+        pair = ring.pair
+    elif isinstance(family, Custom):
+        pair = _Pairing(_p_dict(inv_char(family, r * F.degree())))
+    else:
+        pair = _inv_pairing(family, r * F.degree())
+    if not r:
+        return ring, ring.one, pair
     if isinstance(ring, _PBasis):
-        return (ring, *_p_pairing(F, inv_char(family, r * F.degree()), r))
-    return ring, ring.evaluate(_p_dict(F)), ring.pair
+        return ring, _p_values(F, r), pair
+    if isinstance(ring, _Alphabet):
+        return ring, ring.polynomial(F), pair
+    return ring, ring.evaluate(_p_dict(F)), pair
 
 
 def _check_target(family, P, r, basis):
@@ -529,7 +464,9 @@ def _check_target(family, P, r, basis):
     zero exactly where _ring finds no ring; _ring is called in every
     basis, so that its caps speak first.  A functor of higher degree may
     give zero: it is refused where the answer's dimension is nonzero,
-    and built otherwise."""
+    and built otherwise.  For GL(n), whose I_rk holds h_rk, a Schur
+    positive F has dimension at least <F^r, h_rk> = F(1)^r, so it is
+    refused from its terms where F(1) > 0."""
     built, vanishes = "p", False
     if P is not None:
         F = _functor_character(P)
@@ -540,7 +477,10 @@ def _check_target(family, P, r, basis):
         try:
             _target_cap(basis, [r])
         except ResourceLimitError:
-            if P is None or F.degree() == 1 or _dimension(family, P, r):
+            if (P is None or F.degree() == 1
+                    or (isinstance(family, GLnAdjoint) and _genuine(F)
+                        and _at_one(F))
+                    or _dimension(family, P, r)):
                 raise
 
 
@@ -583,6 +523,8 @@ def hilbert_dim(family, P, r):
     if route is None:
         return Fraction(0)
     ring, f, pair = route
+    if isinstance(ring, _Alphabet):
+        return Fraction(pair(ring.h_of(f, r)))
     return Fraction(pair(_h_of(f, r, ring)))
 
 

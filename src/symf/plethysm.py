@@ -37,8 +37,9 @@ pairings in _pairings, which on _PBasis reads _products and
 on any other ring multiplies them out by _p_powers' prefix stack, as
 _pleth_p does.  The rings are _PBasis, on class function values
 keyed by packed partitions that unpack to symfunc._key's Partitions;
-invariants._Alphabet, on truncated polynomials keyed by packed exponent
-vectors; and invariants._Classes, on class functions of S_n keyed by
+alphabet._Alphabet, on truncated polynomials keyed by packed exponent
+vectors, which forms h_r[f] for an integral f by an Euler product of
+its own; and invariants._Classes, on class functions of S_n keyed by
 cycle type.  Each ring's pairing reads the ring's own keys, so _h_of and
 _pairings hand it their products as they are, and only _pleth_p, whose
 result leaves the engine, unpacks.  The pairing with G in the p basis
@@ -46,9 +47,10 @@ is a _Pairing, made by _p_pairing: it keys G's weights g_mu n / z_mu,
 n = (deg G)!, by packed keys once per call (_key_of keeps each
 partition's key and class size n / z_mu), sums each f against them
 over the smaller side, and divides by n once.  Both
-modes of fundamental and the p-basis route of invariants._route call
-_p_pairing, and it refuses an F whose products p_lam[F] would spill a
-packed key.
+modes of fundamental call _p_pairing, and the p-basis route of
+invariants._route keeps one _Pairing per (family, degree); each reads
+F's values through _p_values, which refuses an F whose products
+p_lam[F] would spill a packed key.
 """
 
 import math
@@ -197,10 +199,16 @@ def _p_pairing(F, G, r):
     """F's class function values and the _Pairing with G, for f of G's
     degree on packed keys; refused where p_lam[F], lam |- r, would spill
     a key field."""
+    pair = _Pairing(_p_dict(G))
+    return _p_values(F, r), pair
+
+
+def _p_values(F, r):
+    # F's class function values, refused where p_lam[F], lam |- r, which
+    # multiplies at most r substitutions into F, would spill a key field
     fp = _p_dict(F)
-    # p_lam[F] for lam |- r multiplies at most r substitutions into F
     _check_multiplicity(r * _multiplicity(fp))
-    return fp, _Pairing(_p_dict(G))
+    return fp
 
 
 def _check_degree(d):

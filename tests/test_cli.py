@@ -588,6 +588,21 @@ AT_ONCE = {
     "hilbert --family sl --n 2 --functor h2 --r 80000":
         (4, "", "symf: the finite-alphabet route is estimated at "
                 "384012000060150 steps, beyond the cap 100000000\n"),
+    # h_0[F] = 1 reads no F: expanding h_70 over its p(70) classes first
+    # ran 17.1 s into running out of memory
+    "hilbert --family sl --n 2 --functor h70 --r 0": (0, "1\n", ""),
+    # GL(n)'s I_40 holds h_40, so h2's answer has dimension at least 1:
+    # building I_40 of GL(9) over p(40) classes first, to read that
+    # dimension, ran 14-16 s into running out of memory
+    "inv --family gl-adjoint --n 9 --functor h2 --r 20 --basis h":
+        (4, "", "symf: monomial basis transitions are capped at degree 16, "
+                "got 20\n"),
+    # the finite alphabet lists h_60 from its monomials, and forms h_r[F]
+    # by the Euler product: evaluating h_60 from its p(60) classes was
+    # still running at 60 s, and Newton's recurrence at r = 734 took
+    # 11-13 s
+    "hilbert --family sl --n 2 --functor h60 --r 2": (0, "1\n", ""),
+    "hilbert --family sl --n 2 --functor h1 --r 734": (0, "0\n", ""),
 }
 
 

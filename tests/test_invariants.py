@@ -12,8 +12,9 @@ from symf.characters import character_table
 from symf.enumeration import DealSpec, RegularGraphSpec, regular_graphs
 from symf.errors import DegreeError, ResourceLimitError, TruncationError
 from symf.invariants import (Custom, GLnAdjoint, PolyFunctor, SLnDefining,
-                             SnPermutation, Sp2nDefining, _Alphabet,
-                             _dimension, _ring, _shape_facts, hilbert_dim,
+                             SnPermutation, Sp2nDefining, _Alphabet, _Classes,
+                             _alphabet, _check_target, _dimension,
+                             _inv_pairing, _ring, _shape_facts, hilbert_dim,
                              hom_dim, hom_series_char, inv_char,
                              inv_char_polyfunc)
 from symf.oracles import (oracle_cayley_sylvester, oracle_matchings,
@@ -21,7 +22,7 @@ from symf.oracles import (oracle_cayley_sylvester, oracle_matchings,
                           oracle_su2_inv_char, oracle_syt,
                           oracle_weyl_inv_char)
 from symf.partitions import _reset_memo, partitions_of
-from symf.plethysm import (GradedSeries, _PBasis, _h_of, _pairings,
+from symf.plethysm import (GradedSeries, _PBasis, _Pairing, _h_of, _pairings,
                            fundamental, h_plus_series, h_sum_series, plethysm,
                            plethysm_series)
 from symf.symfunc import (SymFn, _p_dict, dimension, e, h, kronecker, one, p,
@@ -394,15 +395,21 @@ def _same_terms(got, want):
 
 @pytest.fixture
 def finite_calls(monkeypatch):
-    """One entry per functor polynomial built in a finite alphabet: each
-    public call that takes the finite route builds exactly one."""
+    """One entry per functor polynomial built in a finite alphabet, named
+    by how: from F's own terms (polynomial) or from its class function
+    values (evaluate).  Each public call that takes the finite route
+    builds exactly one, from F's terms."""
     calls = []
-    real = _Alphabet.evaluate
 
-    def spy(self, fp):
-        calls.append("evaluate")
-        return real(self, fp)
-    monkeypatch.setattr(_Alphabet, "evaluate", spy)
+    def spy(name):
+        real = getattr(_Alphabet, name)
+
+        def wrapped(self, F):
+            calls.append(name)
+            return real(self, F)
+        monkeypatch.setattr(_Alphabet, name, wrapped)
+    spy("polynomial")
+    spy("evaluate")
     return calls
 
 
@@ -453,9 +460,9 @@ def test_routes_agree(finite_calls, family, F, r, finite):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got_dim = hilbert_dim(family, F, r)
-        assert finite_calls == (["evaluate"] if finite else [])
+        assert finite_calls == (["polynomial"] if finite else [])
         got_char = inv_char_polyfunc(family, F, r)
-    assert finite_calls == (["evaluate"] * 2 if finite else [])
+    assert finite_calls == (["polynomial"] * 2 if finite else [])
     assert got_dim == want_dim and type(got_dim) is Fraction
     _same_terms(got_char, want_char)
     # the trivial-isotypic part of the character, p_i = 1
@@ -494,10 +501,13 @@ def test_routing_rule_on_larger_groups():
 
 def test_finite_route_is_capped_before_any_product(monkeypatch):
     # SL(2) on h_1 at r = 2000 takes the finite route at an estimated
-    # 2.0e9 steps (the p basis's is 1.2e49): refused before it multiplies
+    # 2.0e9 steps (the p basis's is 1.2e49): refused before it lists F,
+    # multiplies, or forms h_r[F]
     def fail(*args):
-        raise AssertionError("an alphabet product ran")
-    monkeypatch.setattr(_Alphabet, "mul", fail)
+        raise AssertionError("an alphabet step ran")
+    for step in ("mul", "substitute", "polynomial", "evaluate", "h_of",
+                 "pair"):
+        monkeypatch.setattr(_Alphabet, step, fail)
     for query in (hilbert_dim, inv_char_polyfunc):
         with pytest.raises(ResourceLimitError,
                            match="estimated at 2005001150 steps, beyond "
@@ -525,7 +535,8 @@ def test_routing_expands_nothing(monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
     invariants, symfunc = (sys.modules["symf.invariants"],
                            sys.modules["symf.symfunc"])
-    spy(invariants, "_jacobi_trudi")
+    _reset_memo()  # the kept alphabets' weights are built afresh
+    spy(sys.modules["symf.alphabet"], "_jacobi_trudi")
     spy(invariants, "_schur_p")
     spy(symfunc, "_schur_p")
     spy(sys.modules["symf.characters"], "_chi")
@@ -585,8 +596,11 @@ def test_shape_facts_match_the_listed_shapes():
 
 
 def test_shapes_are_listed_only_by_the_pairing(monkeypatch):
-    # routing reads the facts alone; each query lists the shapes once,
-    # for the p basis's pairing or the alphabet's Jacobi-Trudi weights
+    # routing reads the facts alone; the shapes of each (family, d) are
+    # listed once in a process, by the first query that pairs with them,
+    # for the p basis's pairing or the alphabet's Jacobi-Trudi weights,
+    # both kept
+    _reset_memo()
     calls = []
 
     def spy(family, d):
@@ -607,10 +621,10 @@ def test_shapes_are_listed_only_by_the_pairing(monkeypatch):
         d = r * F.degree()
         assert type(_ring(family, F, r)) is ring
         assert calls == []
-        for query in (hilbert_dim, inv_char_polyfunc):
+        for query, lists in ((hilbert_dim, True), (inv_char_polyfunc, False)):
             query(family, F, r)
-            assert calls == ([] if ring is type(None) else [d]), \
-                (family, F, r, query)
+            assert calls == ([d] if lists and ring is not type(None)
+                             else []), (family, F, r, query)
             calls.clear()
     # I_82(Sp(40)) has 41,869 shapes, more than the term cap: refused
     # from the count, before the lister runs
@@ -706,6 +720,16 @@ def test_packed_ring_matches_the_tuple_ring_at_the_field_edges():
                     ref.substitute(f, j), (bounds, j)
 
 
+def test_binary_forms_against_cayley_sylvester():
+    # the oracle's whole range, k*r <= 120, r = 0 included: above the
+    # plethysm cap only the finite alphabet answers, and it lists h_k
+    # from its monomials, where it once expanded it over p(k) classes
+    for k in range(1, 121):
+        for r in range(120 // k + 1):
+            assert hilbert_dim(SLnDefining(2), h(k), r) == \
+                oracle_cayley_sylvester(k, r), (k, r)
+
+
 @pytest.mark.parametrize("k,r", [(4, 15), (4, 16), (8, 15)])
 def test_binary_forms_at_the_field_edges(finite_calls, k, r):
     # bounds (31, 30), (33, 32) and (61, 60): products reach 62 in a
@@ -714,7 +738,7 @@ def test_binary_forms_at_the_field_edges(finite_calls, k, r):
         (k * r // 2 + 1, k * r // 2)
     assert hilbert_dim(SLnDefining(2), h(k), r) == \
         oracle_cayley_sylvester(k, r)
-    assert finite_calls == ["evaluate"]
+    assert finite_calls == ["polynomial"]
 
 
 def test_finite_route_at_weight_36_on_sl4(finite_calls):
@@ -723,7 +747,7 @@ def test_finite_route_at_weight_36_on_sl4(finite_calls):
     # The p-basis route would expand the chi^(9,9,9,9) row here.
     assert hilbert_dim(SLnDefining(4), e(4), 9) == 1
     assert inv_char_polyfunc(SLnDefining(4), e(4), 9) == h(9)
-    assert finite_calls == ["evaluate"] * 2
+    assert finite_calls == ["polynomial"] * 2
 
 
 @pytest.mark.parametrize("family", [SLnDefining(1), SLnDefining(2),
@@ -747,6 +771,72 @@ def test_finite_route_below_the_rule(family):
                 assert alphabet.pair(_h_of(f, r, alphabet)) == want_dim
                 _same_terms(_pairings(f, r, alphabet.pair, alphabet),
                             want_char)
+
+
+def test_kept_sides_of_the_pairing_equal_fresh_ones():
+    # I_d(V)'s side is built once per (family, d) and kept: the alphabet
+    # with its bounds, weights and listed h_k, and the p-basis pairing
+    _reset_memo()
+    for family, d in [(SLnDefining(2), 12), (SLnDefining(3), 12),
+                      (Sp2nDefining(1), 10), (Sp2nDefining(2), 8)]:
+        kept = _alphabet(family, d)
+        assert _alphabet(family, d) is kept
+        hilbert_dim(family, h(d // 2), 2)  # builds weights and h_(d/2)
+        fresh = _Alphabet(_shape_facts(family, d)[2]())
+        assert (kept.bounds, kept.shifts, kept.weights) == \
+            (fresh.bounds, fresh.shifts, fresh.weights)
+        assert kept.polynomial(h(d // 2)) == fresh.polynomial(h(d // 2)) == \
+            fresh.evaluate(_p_dict(h(d // 2)))
+    for family, d in [(SLnDefining(2), 8), (Sp2nDefining(2), 6),
+                      (GLnAdjoint(2), 6), (GLnAdjoint(3), 0)]:
+        kept = _inv_pairing(family, d)
+        assert _inv_pairing(family, d) is kept
+        fresh = _Pairing(_p_dict(inv_char(family, d)))
+        assert (kept.n, kept.weights) == (fresh.n, fresh.weights)
+    _reset_memo()
+
+
+@pytest.mark.parametrize("family", [SLnDefining(2), Sp2nDefining(1),
+                                    SnPermutation(2), GLnAdjoint(2),
+                                    Custom(h_sum_series(4))], ids=repr)
+def test_r_zero_reads_no_functor(monkeypatch, family):
+    # h_0[F] = 1 and I_0 = 1, so every ring uses its one: F is neither
+    # counted, expanded nor listed, whatever its degree
+    def fail(*args):
+        raise AssertionError("F was read")
+    for owner, name in [(_Alphabet, "polynomial"), (_Alphabet, "evaluate"),
+                        (_Classes, "evaluate")]:
+        monkeypatch.setattr(owner, name, fail)
+    for name in ("_p_values", "_monomial_count"):
+        monkeypatch.setattr("symf.invariants." + name, fail)
+    for F in (h(70), s(40, 30), e(2)):
+        assert hilbert_dim(family, F, 0) == 1
+        assert inv_char_polyfunc(family, F, 0) == one()
+
+
+def test_gl_refuses_a_schur_positive_functor_from_its_terms(monkeypatch):
+    # GL(n)'s I_rk holds h_rk, so a Schur positive F with F(1) > 0 has an
+    # answer of dimension at least F(1)^r: refused at the target's cap
+    # without building I_rk; e2(1) = 0 and a virtual F still read it
+    dimensions = []
+
+    def spy(family, P, r):
+        dimensions.append(P)
+        return 1
+    monkeypatch.setattr("symf.invariants._dimension", spy)
+    for F in (h(2), s(2), s(2) + s(1, 1), e(1, 1) * 3, h(2, 1)):
+        with pytest.raises(ResourceLimitError, match="capped at degree 16"):
+            _check_target(GLnAdjoint(9), F, 20, "h")
+    assert dimensions == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # h2 - e2 is virtual
+        for F in (e(2), s(1, 1), h(2) - e(2)):
+            with pytest.raises(ResourceLimitError, match="capped at degree"):
+                _check_target(GLnAdjoint(9), F, 20, "h")
+    # the other families read it for any F
+    with pytest.raises(ResourceLimitError, match="capped at degree 16"):
+        _check_target(SLnDefining(2), h(2), 20, "h")
+    assert dimensions == [e(2), s(1, 1), h(2) - e(2), h(2)]
 
 
 @pytest.mark.parametrize("family", [SLnDefining(2), SLnDefining(3),

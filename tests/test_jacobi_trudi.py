@@ -11,8 +11,9 @@ made by test_kernel.py's digest.
 import random
 from itertools import permutations
 
+from symf.alphabet import _jacobi_trudi
 from symf.invariants import (GLnAdjoint, SLnDefining, Sp2nDefining, _Alphabet,
-                             _jacobi_trudi, _shape_facts, inv_char)
+                             _shape_facts, inv_char)
 from symf.partitions import partitions_of
 from symf.symfunc import SymFn, _add_into, _prod_h_p, _schur_p, s, to_basis
 from test_kernel import _digest

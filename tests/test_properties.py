@@ -12,9 +12,11 @@ the full product with the terms above the cap dropped, in the same
 order, and both match the tuple-keyed reference in test_kernel.py.
 Newton's recurrence builds h_r[a] equal to the plethysm of h_r with a,
 both on class function values and in a finite alphabet, and the pairing
-on packed keys is the scalar product on partitions.  A weighted sum of
-packed class columns or rows of the p-to-m matrix, at every field width
-up to four words, is the plain sum in Fractions.  Every kernel
+on packed keys is the scalar product on partitions.  In a finite
+alphabet, F listed from its own terms is F read from its class function
+values, and the Euler product gives h_r[f] as Newton's recurrence does.
+A weighted sum of packed class columns or rows of the p-to-m matrix, at
+every field width up to four words, is the plain sum in Fractions.  Every kernel
 result, whose Partition keys and Fraction values the constructor takes
 as they are, is the SymFn the constructor builds from its terms.
 """
@@ -31,7 +33,7 @@ from symf.invariants import (GLnAdjoint, SLnDefining, SnPermutation,
                              Sp2nDefining, _Alphabet, inv_char)
 from symf.plethysm import _Pairing, _h_of, _pleth_p, fundamental, plethysm
 from symf import characters, symfunc
-from symf.symfunc import (BASES, SymFn, _packed, _scalar_p, _unpacked,
+from symf.symfunc import (BASES, SymFn, _p_dict, _packed, _scalar_p, _unpacked,
                           _vector_sum, e, h,
                           kronecker, m, one, p, scalar, to_basis)
 from test_kernel import _reference_mul, mul
@@ -240,6 +242,43 @@ def test_newton_recurrence_in_a_finite_alphabet(operands, shapes):
     hr = dict.fromkeys(map(tuple, partitions_of(r)), 1)
     assert _h_of(alphabet.evaluate(a), r, alphabet) == \
         alphabet.evaluate(_pleth_p(hr, a))
+
+
+def _box(bounds):
+    # an alphabet's packing for any bounds, 0 included
+    alphabet = _Alphabet.__new__(_Alphabet)
+    alphabet._fields(tuple(bounds))
+    return alphabet
+
+
+box_bounds = st.lists(st.integers(0, 14), min_size=1, max_size=4)
+
+
+@settings(derandomized, max_examples=200)
+@given(st.integers(1, 12).flatmap(lambda k: symfns(degree=k)), box_bounds)
+@example(SymFn("s", {(5, 4, 3): 2, (12,): Fraction(-1, 3)}), [9, 8, 7, 6])
+@example(SymFn("e", {(4,): 1}), [1, 1, 0, 1])
+@example(SymFn("m", {(2, 2, 1, 1): 1}), [3, 2, 1, 1])
+def test_the_alphabet_lists_F_from_its_own_terms(F, bounds):
+    # L <= 4 variables, truncated at the bounds: h, e and p terms as
+    # products over their parts, m as orderings, s as tableaux, and
+    # rational sums of them, against F's class function values
+    alphabet = _box(bounds)
+    assert alphabet.polynomial(F) == alphabet.evaluate(_p_dict(F))
+
+
+@settings(derandomized, max_examples=200)
+@given(box_bounds, st.data(), st.integers(0, 8))
+def test_the_euler_product_is_newtons_recurrence(bounds, data, r):
+    # f integral, virtual or not, with a constant term or not, and with
+    # coefficients large enough that some take Newton's recurrence
+    alphabet = _box(bounds)
+    exponents = st.tuples(*(st.integers(0, b) for b in bounds))
+    f = data.draw(st.dictionaries(exponents.map(alphabet.pack),
+                                  st.integers(-9, 9).filter(bool),
+                                  min_size=1, max_size=5))
+    got = alphabet.h_of(f, r)
+    assert {key: c for key, c in got.items() if c} == _h_of(f, r, alphabet)
 
 
 @derandomized
