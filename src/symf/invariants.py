@@ -48,9 +48,11 @@ of its work, made from (family, F, r) alone, before anything is built
 or listed: Newton's r(r+1)/2 products in the box, each bounded by the
 monomials of F(x_1, ..., x_L) times those of the other factor, against
 the chi^lam rows of the shapes over p(d) classes and the same products
-over p-basis classes.  The estimate counts Newton's products, which the
-alphabet forms only where F(x_1, ..., x_L) is not integral or has large
-coefficients, so it overstates the alphabet's work.  _shape_facts
+over p-basis classes.  Both estimates count Newton's products, which
+the alphabet forms only where F(x_1, ..., x_L) is not integral or has
+large coefficients, and the p basis never: hilbert_dim there sums the
+pairings of the memoized p_lam[F], lam |- r, over z_lam, since
+h_r[F] = sum of p_lam[F] / z_lam and <p_lam, h_r> = 1.  _shape_facts
 describes the shapes from n and d alone: how many (none, so I_d(V) is
 zero, unless n | d for SL and d is even for Sp), the bounds B_i, and a
 lister, called only by what pairs with them (inv_char for the p basis's
@@ -69,8 +71,10 @@ of a built-in family.  At r = 0, h_0[F] = 1 and F is not read.  For the
 permutation family, <f, I_d(V)> averages f at p_j = fix(g^j) over g in
 S_min(n, d) (Molien): _ring and inv_char pair by that average in
 _Classes.  Each query builds p_lam[F] by the same code in plethysm.py in
-every ring, and h_r[F] too outside the alphabet; the tests hold every
-route against fundamental(F, inv_char(family, r*k), r, mode).
+every ring, and h_r[F] by Newton's recurrence in _Classes; the tests
+hold every route against fundamental(F, inv_char(family, r*k), r, mode),
+and hilbert_dim against h_r[F], by Newton's recurrence or the Euler
+product, paired with I_rk(V) on every route.
 """
 
 import warnings
@@ -332,15 +336,16 @@ def _monomial_count(basis, terms, k, length):
     # an upper bound on the monomials of F(x_1, ..., x_L) for F of degree
     # k with the tuple of these terms: h and p terms reach every monomial
     # of degree k, and s_lam, e_mu and m_mu only the x^alpha whose sorted
-    # alpha is dominated by lam, mu' and mu (Macdonald I.6.5 and I.7)
+    # alpha is dominated by lam, mu' and mu (Macdonald I.6.5 and I.7);
+    # only the nu of at most L parts are listed, as the conjugates of the
+    # partitions of k with parts at most L
     if basis in "hp":
         return comb(k + length - 1, k)
     tops = [list(accumulate(mu.conjugate() if basis == "e" else mu))
             for mu in terms]
     count = 0
-    for nu in partitions_of(k):
-        if len(nu) <= length and any(all(map(le, accumulate(nu), top))
-                                     for top in tops):
+    for nu in map(Partition.conjugate, partitions_of(k, max_part=length)):
+        if any(all(map(le, accumulate(nu), top)) for top in tops):
             # the orderings of nu padded with zeros to L exponents
             count += perm(length, len(nu)) // prod(
                 map(factorial, nu.multiplicities().values()))
@@ -350,7 +355,9 @@ def _monomial_count(basis, terms, k, length):
 @_memo
 def _p_basis_cost(shapes, k, r, floor):
     # the rows chi^lam of the shapes, then Newton's products
-    # p_j[F] * h_(n-j)[F] over at most p(k) and p((n-j)k) classes, and
+    # p_j[F] * h_(n-j)[F] over at most p(k) and p((n-j)k) classes, which
+    # the route no longer forms (it pairs the p(r) products p_lam[F]),
+    # priced as before so that every route stays as it was, and
     # the pairing over the p(rk) classes; or, where one is found, the
     # first lower bound above the floor, so that p(rk), far out of reach
     # above the plethysm cap, is counted only where the comparison needs
@@ -525,6 +532,10 @@ def hilbert_dim(family, P, r):
     ring, f, pair = route
     if isinstance(ring, _Alphabet):
         return Fraction(pair(ring.h_of(f, r)))
+    if isinstance(ring, _PBasis):
+        # h_r[F] = sum over lam of p_lam[F] / z_lam, and <p_lam, h_r> = 1:
+        # the coefficients of I_r(P(V)), from the memoized products
+        return sum(_pairings(f, r, pair).terms.values(), Fraction(0))
     return Fraction(pair(_h_of(f, r, ring)))
 
 

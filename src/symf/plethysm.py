@@ -16,11 +16,16 @@ degree r in the outer alphabet.  It has two expansions,
 
 whose agreement is the Cauchy identity; the package computes either on
 demand and the test suite holds them against each other.  The products
-p_mu[F], mu |- r, depend on neither G nor the mode: _products keeps them
-once per (F, r), on packed keys, keyed by the integer class function
-values D F for D the lcm of the denominators of F's values, so that h_2
-and h_2 / 2 share one entry.  p mode, the default, pairs each p_lam[D F]
-with G and divides by D^len(lam).  s mode builds every s_lam[F] in full
+p_mu[F], mu |- r, depend on neither G nor the mode.  _products keeps the
+products p_mu[g] on the p basis, on packed keys, once per g and list of
+mu in a process: keyed by the integer class function values D g, for D
+the lcm of the denominators of g's values, so that h_2 and h_2 / 2 share
+one entry, and by the mu asked for in ascending order.  Its readers are
+_pleth_p on the uncapped p basis, for the mu of f's support, both modes
+of fundamental and the p-basis routes of invariants, for every mu |- r,
+so plethysm(h_r, F) forms the products that fundamental(F, G, r) reads.
+p mode, the default, pairs each p_lam[D F] with G and divides by
+D^len(lam).  s mode builds every s_lam[F] in full
 from the same products before any meets G: s_lam[F] is the sum over mu of
 chi^lam(mu) / z_mu p_mu[F], held transposed as one packed int over lam
 per key, to which each p_mu[F] adds its values times the packed column
@@ -33,9 +38,13 @@ Each algorithm is written once, over a ring of dicts with `one`,
 `mul(a, b, out=None)` (a*b, added into out if given), `substitute`
 (f, j -> p_j[f]) and `unpack` (a result keyed as callers read it):
 f[g] in _pleth_p, h_r[f] by Newton's recurrence in _h_of, the p_lam[f]
-pairings in _pairings, which on _PBasis reads _products and
-on any other ring multiplies them out by _p_powers' prefix stack, as
-_pleth_p does.  The rings are _PBasis, on class function values
+pairings in _pairings.  _pleth_p and _pairings read _products on the
+uncapped _PBasis, and on any other ring multiply the products out by
+_p_powers' prefix stack.  The p basis's h_r[f] is not formed: its
+pairing with G is the sum of the pairings of p_lam[f] over z_lam, and
+Newton's recurrence stays for _Classes and for the alphabet's
+non-integral f, and as the tests' cross-check of that sum.  The rings
+are _PBasis, on class function values
 keyed by packed partitions that unpack to symfunc._key's Partitions;
 alphabet._Alphabet, on truncated polynomials keyed by packed exponent
 vectors, which forms h_r[f] for an integral f by an Euler product of
@@ -107,10 +116,21 @@ class _PBasis:
 def _pleth_p(fp, g, ring=_PBasis()):
     # f[g] = sum over mu of a_mu / z_mu p_mu[g] for f's class function
     # values a, on the common denominator d! of f's largest degree, from
-    # the p_mu[g] of f's support, multiplied out here
+    # the p_mu[g] of f's support in ascending order: on the uncapped p
+    # basis the memoized p_mu[D g], each weighted by D^(top - len(mu)) for
+    # top the longest mu, and divided by D^top once; in any other ring
+    # multiplied out here
     n, weights = _scaled(fp)
+    if isinstance(ring, _PBasis) and ring.cap is None:
+        D, products = _cleared_products(g, fp)
+        top = max(map(len, fp), default=0)
+        weights = {mu: w * D ** (top - len(mu)) for mu, w in weights.items()}
+        n *= D ** top
+        products = products.items()
+    else:
+        products = _p_powers(g, sorted(fp), ring)
     out = {}
-    for mu, prod in _p_powers(g, sorted(fp), ring):
+    for mu, prod in products:
         _add_into(out, prod, weights[mu])
     return ring.unpack({nu: _div(c, n) for nu, c in out.items()})
 
@@ -130,30 +150,34 @@ def _h_of(f, r, ring=_PBasis()):
 
 
 @_memo
-def _products(items, r):
-    # (lam, p_lam[f]) on packed keys for each lam |- r, f given by the
-    # items of its integer class function values: one list per (f, r),
-    # shared by both modes of fundamental and the p-basis route of
+def _products(items, partitions):
+    # {mu: p_mu[g]} on packed keys for each mu of partitions, a tuple in
+    # ascending lexicographic order, g given by the items of its integer
+    # class function values: one dict per (g, partitions), shared by
+    # _pleth_p, both modes of fundamental and the p-basis routes of
     # invariants, whose callers only read it.  Keyed on integers, since a
     # Fraction(1, 1) value equals and hashes like 1.
-    return list(_p_powers(dict(items), partitions_of(r), _PBasis()))
+    return dict(_p_powers(dict(items), partitions, _PBasis()))
 
 
-def _cleared_products(f, r):
-    # (D, p_lam[D f] for lam |- r), D the lcm of the denominators of f's
-    # values: p_lam[D f] is D^len(lam) p_lam[f]
-    D, ints = _cleared(f)
-    return D, _products(tuple(ints.items()), r)
+def _cleared_products(g, partitions):
+    # (D, {mu: p_mu[D g]} for mu in partitions), D the lcm of the
+    # denominators of g's values: p_mu[D g] is D^len(mu) p_mu[g], so h_2
+    # and h_2 / 2 share one entry
+    D, ints = _cleared(g)
+    return D, _products(tuple(ints.items()), tuple(sorted(partitions)))
 
 
 def _pairings(f, r, pair, ring=_PBasis()):
-    # the p-basis SymFn with class function value pair(p_lam[f]) at lam |- r;
-    # on the p basis, whose pair is a _Pairing, read from the memoized
-    # p_lam[D f], each coefficient one Fraction over n D^len(lam) z_lam
+    # the p-basis SymFn with class function value pair(p_lam[f]) at lam |- r,
+    # in the order of partitions_of(r); on the p basis, whose pair is a
+    # _Pairing, read from the memoized p_lam[D f], each coefficient one
+    # Fraction over n D^len(lam) z_lam
     if isinstance(ring, _PBasis):
-        D, products = _cleared_products(f, r)
-        return SymFn("p", {lam: pair(prod, D ** len(lam) * z_of(lam))
-                           for lam, prod in products})
+        shapes = partitions_of(r)
+        D, products = _cleared_products(f, shapes)
+        return SymFn("p", {lam: pair(products[lam], D ** len(lam) * z_of(lam))
+                           for lam in shapes})
     return _p_symfn({lam: pair(prod)
                      for lam, prod in _p_powers(f, partitions_of(r), ring)})
 
@@ -364,10 +388,10 @@ def fundamental(F, G, r, mode="p"):
     # their denominators.
     shapes = partitions_of(r)
     n = math.factorial(r)
-    D, products = _cleared_products(fp, r)
+    D, products = _cleared_products(fp, shapes)
     E, weights = _cleared(pair.weights)
-    products = [(mu, n // z_of(mu) * D ** (r - len(mu)), prod)
-                for mu, prod in products]
+    products = [(mu, n // z_of(mu) * D ** (r - len(mu)), products[mu])
+                for mu in shapes]
     # entry lam of the total is the sum over mu of chi^lam(mu) x_mu, x_mu
     # at most c |w| |v| summed over the keys of p_mu[F]; by Cauchy-Schwarz
     # against the row chi^lam, whose squares over z_mu sum to 1, it is at

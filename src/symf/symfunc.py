@@ -50,7 +50,9 @@ which pairs its products with G on those keys (plethysm._Pairing) and
 unpacks only the result of a plethysm.  SymFn.__mul__ and _prod_h_p,
 the h products of h and e inputs and monomial_coefficient, pack around
 _mul_p, except that a product of two h or two e functions stays in its
-basis, h_mu h_nu = h_(mu+nu).
+basis, h_mu h_nu = h_(mu+nu).  Any other product with an operand outside
+the p basis expands both over their classes, so it is refused above the
+plethysm cap on its degree, as the p target is, before either expands.
 The rest (SymFn, _p_dict, _scalar_p, to_basis) keys by the shared
 Partitions of partitions_of and of _key, and the dense columns and rows
 of R are indexed by their positions, partitions._positions.  SymFn's
@@ -241,6 +243,13 @@ class SymFn:
                      c * d)
                     for mu, c in self.terms.items()
                     for nu, d in other.terms.items()))
+            if self.is_zero() or other.is_zero():
+                return zero()
+            if self.basis != "p" or other.basis != "p":
+                # an operand outside the p basis expands over the classes
+                # of its degrees: refused, as the p target is, above the
+                # plethysm cap on the product's degree
+                _target_cap("p", [self.degrees()[-1] + other.degrees()[-1]])
             a, b = _p_dict(self), _p_dict(other)
             _check_multiplicity(_multiplicity(a) + _multiplicity(b))
             return _p_symfn(_unpacked(_mul_p(_packed(a), _packed(b))))

@@ -291,13 +291,15 @@ def test_reset_clears_every_memo_not_kept_on_purpose():
 # raises a bound says so, and why, in CHANGES.md.
 # The invariant memos (I_d(V)'s alphabet or p-basis pairing, and the
 # routing estimates) are named in every row, at 0 where a query never
-# routes.
+# routes.  The products p_lam[g] (_products) are kept for every plethysm
+# and every p-basis pairing, one entry per g and list of lam.
 MISSES = {
     "hilbert_dim(Sp2nDefining(20), h(2), 12)": (
         lambda: hilbert_dim(Sp2nDefining(20), h(2), 12),
         {"_chi": 278286, "_strips": 12649, "_key": 1491, "_key_of": 504,
-         "_schur_p": 77, "_prod_h_p": 2, "_alphabet": 0, "_inv_pairing": 1,
-         "_finite_cost": 1, "_p_basis_cost": 1, "_monomial_count": 1}),
+         "_schur_p": 77, "_prod_h_p": 2, "_products": 1, "_alphabet": 0,
+         "_inv_pairing": 1, "_finite_cost": 1, "_p_basis_cost": 1,
+         "_monomial_count": 1}),
     # the finite alphabet lists h_20 from its monomials, where F was
     # expanded over the p(20) classes (628 _key and 2 _prod_h_p misses)
     "hilbert_dim(SLnDefining(3), h(20), 6)": (
@@ -313,8 +315,14 @@ MISSES = {
         lambda: to_basis(plethysm(h(4), h(4)), "s"),
         {"_expand": 258, "_key": 176, "_packed_vector": 109,
          "_strip_table": 56, "_beta_positions": 17, "_prod_h_p": 2,
-         "_halves": 1, "_alphabet": 0, "_inv_pairing": 0, "_finite_cost": 0,
-         "_p_basis_cost": 0, "_monomial_count": 0}),
+         "_products": 1, "_halves": 1, "_alphabet": 0, "_inv_pairing": 0,
+         "_finite_cost": 0, "_p_basis_cost": 0, "_monomial_count": 0}),
+    # the second plethysm reads the products the first one kept
+    "plethysm(h(4), h(4)) twice": (
+        lambda: [plethysm(h(4), h(4)) for _ in range(2)],
+        {"_key": 176, "_prod_h_p": 2, "_products": 1, "_alphabet": 0,
+         "_inv_pairing": 0, "_finite_cost": 0, "_p_basis_cost": 0,
+         "_monomial_count": 0}),
     'fundamental(h(2), h(8) * h(8), 8, "s")': (
         lambda: fundamental(h(2), h(8) * h(8), 8, "s"),
         {"_key": 355, "_key_of": 167, "_expand": 44, "_strip_table": 24,

@@ -603,6 +603,22 @@ AT_ONCE = {
     # 11-13 s
     "hilbert --family sl --n 2 --functor h60 --r 2": (0, "1\n", ""),
     "hilbert --family sl --n 2 --functor h1 --r 734": (0, "0\n", ""),
+    # the routing estimate counts F's monomials over the partitions of 60
+    # with at most 2 parts: over all 966,467 of them it took 9.6 s
+    "hilbert --family sl --n 2 --functor 's[60]' --r 2": (0, "1\n", ""),
+    # a product with an operand outside the p basis is refused above the
+    # plethysm cap before either side is expanded: h2*e50 ran 9.3-9.9 s
+    # into the s or h target's cap, and e[2]*h[58] 26.5 s into exit 1
+    # with a SystemError traceback
+    "eval 'h2*e50' --basis h":
+        (4, "", "symf: power-sum expansion of degree 52 is beyond the cap "
+                "40\n"),
+    "eval 'h2*e50' --basis s":
+        (4, "", "symf: power-sum expansion of degree 52 is beyond the cap "
+                "40\n"),
+    "hilbert --family sl --n 2 --functor 'e[2]*h[58]' --r 2":
+        (4, "", "symf: power-sum expansion of degree 60 is beyond the cap "
+                "40\n"),
 }
 
 

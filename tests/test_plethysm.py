@@ -10,8 +10,9 @@ from symf.invariants import (GLnAdjoint, PolyFunctor, SLnDefining, _ring,
                              hilbert_dim)
 from symf.oracles import oracle_plethysm_schur
 from symf.partitions import _reset_memo
-from symf.plethysm import (GradedSeries, _PBasis, fundamental, h_plus_series,
-                           h_sum_series, plethysm, plethysm_series)
+from symf.plethysm import (GradedSeries, _PBasis, _products, fundamental,
+                           h_plus_series, h_sum_series, plethysm,
+                           plethysm_series)
 from symf.selftest import check_fundamental_forms
 from symf.symfunc import (SymFn, _key, _mul_p, _p_dict, e, h, m, one, p, s,
                           scalar, to_basis, to_json_dict, zero)
@@ -297,6 +298,31 @@ def test_s_mode_multiplies_no_more_than_p_mode(monkeypatch):
         calls.clear()
         fundamental(F, G, 8, mode)
         assert not calls
+
+
+def test_plethysm_and_fundamental_share_the_products(monkeypatch):
+    # a repeat plethysm multiplies nothing, and p_lam[F], lam |- r, formed
+    # for h_r[F] are the ones fundamental reads, in either mode
+    module = sys.modules["symf.plethysm"]
+    calls = []
+
+    def counted(a, b, cap=None):
+        calls.append(1)
+        return _mul_p(a, b, cap)
+    monkeypatch.setattr(module, "_mul_p", counted)
+    _reset_memo()
+    want = plethysm(h(4), h(4))
+    assert calls
+    calls.clear()
+    assert plethysm(h(4), h(4)) == want
+    assert not calls
+    for F, G, r in ((h(2), h(4) * h(4), 4),
+                    (Fraction(1, 2) * s(2, 1), e(3) * s(3, 3), 3)):
+        plethysm(h(r), F)
+        misses = _products.cache_info().misses
+        for mode in "ps":
+            fundamental(F, G, r, mode)
+        assert _products.cache_info().misses == misses
 
 
 # sha256 of the JSON list of to_json_dict(fundamental(F, G, 3, mode)) over

@@ -15,12 +15,16 @@ both on class function values and in a finite alphabet, and the pairing
 on packed keys is the scalar product on partitions.  In a finite
 alphabet, F listed from its own terms is F read from its class function
 values, and the Euler product gives h_r[f] as Newton's recurrence does.
+hilbert_dim is the sum of the p coefficients of inv_char_polyfunc, and
+on every route that can read a query, h_r[F] paired with I_rk(V), and
+the sum of that route's pairings p_lam[F], give the same number.
 A weighted sum of packed class columns or rows of the p-to-m matrix, at
 every field width up to four words, is the plain sum in Fractions.  Every kernel
 result, whose Partition keys and Fraction values the constructor takes
 as they are, is the SymFn the constructor builds from its terms.
 """
 
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -30,12 +34,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from symf.partitions import Partition, partitions_of
 from symf.invariants import (GLnAdjoint, SLnDefining, SnPermutation,
-                             Sp2nDefining, _Alphabet, inv_char)
-from symf.plethysm import _Pairing, _h_of, _pleth_p, fundamental, plethysm
+                             Sp2nDefining, _Alphabet, _Classes, _alphabet,
+                             _inv_pairing, _shape_facts, hilbert_dim,
+                             inv_char, inv_char_polyfunc)
+from symf.plethysm import (_PBasis, _Pairing, _h_of, _p_values, _pairings,
+                           _pleth_p, fundamental, plethysm)
 from symf import characters, symfunc
 from symf.symfunc import (BASES, SymFn, _p_dict, _packed, _scalar_p, _unpacked,
-                          _vector_sum, e, h,
-                          kronecker, m, one, p, scalar, to_basis)
+                          _vector_sum, e, generator, h,
+                          kronecker, m, one, p, s, scalar, to_basis, zero)
 from test_kernel import _reference_mul, mul
 
 derandomized = settings(derandomize=True, database=None, deadline=None,
@@ -279,6 +286,66 @@ def test_the_euler_product_is_newtons_recurrence(bounds, data, r):
                                   min_size=1, max_size=5))
     got = alphabet.h_of(f, r)
     assert {key: c for key, c in got.items() if c} == _h_of(f, r, alphabet)
+
+
+def _every_route(family, F, r):
+    # (ring, F in it, the pairing with I_rk(V)) for each route that can
+    # read the query, built as invariants._route builds the one it takes:
+    # the p basis for every built-in family, the finite alphabet where
+    # I_rk(V) is a nonzero sum of Schur functions, and the class functions
+    # of S_min(n, rk) for the permutation family
+    d = r * F.degree()
+    routes = [(_PBasis(), _p_values(F, r), _inv_pairing(family, d))]
+    facts = _shape_facts(family, d)
+    if facts is not None and facts[0]:
+        alphabet = _alphabet(family, d)
+        routes.append((alphabet, alphabet.polynomial(F), alphabet.pair))
+    if isinstance(family, SnPermutation):
+        ring = _Classes(min(family.n, d))
+        routes.append((ring, ring.evaluate(_p_dict(F)), ring.pair))
+    return [(ring, ring.one if not r else f, pair)
+            for ring, f, pair in routes]
+
+
+@st.composite
+def invariant_queries(draw):
+    # (family, F, r): SL(n <= 4), Sp(2n), n <= 3, the GL(n <= 3) adjoint
+    # and perm(n <= 4); F a rational sum, virtual or not, of h, e and s
+    # terms of degree k <= 3; and rk <= 14
+    family = draw(st.sampled_from((SLnDefining, Sp2nDefining, GLnAdjoint,
+                                   SnPermutation)))
+    family = family(draw(st.integers(1, 3 if family in (Sp2nDefining,
+                                                        GLnAdjoint) else 4)))
+    k = draw(st.integers(1, 3))
+    terms = draw(st.lists(st.tuples(st.sampled_from("hes"), shapes_of(k),
+                                    rationals), min_size=1, max_size=3))
+    F = sum((c * generator(b, mu) for b, mu, c in terms), zero())
+    assume(not F.is_zero())
+    return family, F, draw(st.integers(0, 14 // k))
+
+
+@settings(derandomized, max_examples=100)
+@given(invariant_queries())
+@example((Sp2nDefining(2), h(2), 7))
+@example((SLnDefining(2), Fraction(1, 2) * p(1, 1) + e(2), 6))
+@example((SnPermutation(3), s(2, 1) - h(3), 4))
+def test_hilbert_dim_is_the_sum_of_the_p_coefficients(query):
+    # hilbert_dim is <I_r(P(V)), h_r>, the sum of I_r(P(V))'s p
+    # coefficients, since <p_lam, h_r> = 1; on every route, h_r[F] by
+    # Newton's recurrence or the alphabet's Euler product, paired with
+    # I_rk(V), gives the same number, and so does the sum of the route's
+    # own pairings p_lam[F]
+    family, F, r = query
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = hilbert_dim(family, F, r)
+        assert want == sum(inv_char_polyfunc(family, F, r).terms.values())
+    for ring, f, pair in _every_route(family, F, r):
+        if isinstance(ring, _Alphabet):
+            assert pair(ring.h_of(f, r)) == want
+        else:
+            assert pair(_h_of(f, r, ring)) == want
+        assert sum(_pairings(f, r, pair, ring).terms.values()) == want
 
 
 @derandomized

@@ -156,6 +156,29 @@ def test_h_and_e_products_stay_in_their_basis():
         to_basis(e(64) * e(64), "p")
 
 
+def test_mixed_products_are_refused_above_the_plethysm_cap(monkeypatch):
+    # a product that expands an operand into the p basis is refused, as
+    # the p target is, where its degree passes 40, before either side is
+    # expanded; power sums multiply at any degree, and a zero operand
+    # gives zero
+    assert p(39) * s(1) == p(39, 1)
+    assert h(2) * e(3) == to_basis(h(2), "p") * to_basis(e(3), "p")
+    assert h(20) * h(21) == SymFn("h", {(21, 20): 1})
+    assert p(100) * p(50) == SymFn("p", {(100, 50): 1})
+    assert zero() * h(50) == zero() == e(60) * zero("s")
+
+    def spy(*args):
+        raise AssertionError("expanded")
+    products = ((h(2), e(50), 52), (e(2), h(58), 60), (s(1), p(40), 41),
+                (p(30), m(11), 41), (SymFn("e", {(45,): 1, (1,): 1}), p(1), 46))
+    monkeypatch.setattr(symfunc, "_p_dict", spy)
+    for f, g, d in products:
+        with pytest.raises(ResourceLimitError) as info:
+            f * g
+        assert str(info.value) == ("power-sum expansion of degree %d is "
+                                   "beyond the cap 40" % d)
+
+
 def test_hall_product_orthogonality():
     for n in range(0, 9):
         shapes = partitions_of(n)
